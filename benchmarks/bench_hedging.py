@@ -88,6 +88,9 @@ def _mediator(scenario, parallelism, hedge):
         push_mode="needed",
         register=False,
         parallelism=parallelism,
+        # the experiment is the fan-out tail: one cs call per tuple, not
+        # the default single batched call
+        semijoin=False,
         **kwargs,
     )
 

@@ -68,4 +68,6 @@ def test_cost_comparison(artifact_sink, benchmark):
         " (3-source campus)",
         table,
     )
-    assert rows[1][1] < rows[0][1] / 3
+    # objects, not calls: batched probes make every order the same
+    # number of calls, and a bad order still ships more objects
+    assert rows[1][2] < rows[0][2] / 3

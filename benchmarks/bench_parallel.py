@@ -61,6 +61,9 @@ def _mediator(scenario, parallelism=1, cache=None):
         register=False,
         parallelism=parallelism,
         cache=cache,
+        # the experiment is the dispatcher's fan-out of per-tuple
+        # probes; batched, the join is one cs call with nothing to fan
+        semijoin=False,
     )
 
 
@@ -130,6 +133,7 @@ def test_parallelism_one_overhead(artifact_sink, bench_json_sink, benchmark):
     """The default configuration must not tax the sequential engine."""
     rounds = 30
     seed_scenario = build_scaled_scenario(PEOPLE, push_mode="needed")
+    seed_scenario.mediator.semijoin = False  # like _mediator: per-tuple
     dispatcher_scenario = build_scaled_scenario(PEOPLE, push_mode="needed")
     dispatcher_mediator = _mediator(dispatcher_scenario, parallelism=1)
 

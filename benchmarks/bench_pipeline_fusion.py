@@ -256,6 +256,8 @@ def test_parallel_dispatch_preserved(bench_json_sink):
             register=False,
             fuse=True,
             parallelism=parallelism,
+            # per-tuple probes: batched, there is no fan-out to keep
+            semijoin=False,
         )
 
     query = "S :- S:<cs_person {<rel 'student'>}>@med"

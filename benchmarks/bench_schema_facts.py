@@ -19,6 +19,9 @@ PEOPLE = 200
 def build(prune: bool):
     scenario = build_scaled_scenario(PEOPLE, push_mode="needed")
     scenario.mediator.optimizer.prune_with_facts = prune
+    # count the paper's one-query-per-binding wire form; batched, a dead
+    # rule costs one call however many bindings it would have probed
+    scenario.mediator.semijoin = False
     return scenario
 
 

@@ -196,75 +196,3 @@ def test_shard_speedup_curve(artifact_sink, bench_json_sink):
         },
     )
     reference.close()
-
-
-def test_bloom_equals_exact(artifact_sink, bench_json_sink):
-    """Bloom-filter shipping: same answer, bounded filter bytes.
-
-    Above the threshold the mediator ships a fixed-size Bloom digest
-    instead of the explicit value set and re-checks the returned
-    superset exactly; the answer must not change.
-    """
-    clock = MonotonicClock()
-    # a smaller store keeps this section fast; the property under test
-    # (bloom == exact) is size-independent
-    objects = min(OBJECTS, 100_000)
-    partition = HashPartition("key", 4)
-    stores = [
-        SQLiteOEMStoreWrapper(shard_name("big", index)) for index in range(4)
-    ]
-    for index, batch in route_records(
-        record_stream(objects, seed=SEED), partition, 4
-    ):
-        stores[index].load_records("rec", batch)
-    wrapped = [
-        FaultInjectingSource(store, latency=0.0, clock=clock)
-        for store in stores
-    ]
-    keys = probe_keys(256, objects, seed=SEED)
-
-    def run(bloom_threshold):
-        big = ShardedSource("big", wrapped, partition)
-        mediator = Mediator(
-            "med",
-            SPEC,
-            _registry_for(big, keys),
-            default_registry(),
-            parallelism=PARALLELISM,
-            bloom_threshold=bloom_threshold,
-        )
-        result = _canonical(mediator.query(QUERY).objects())
-        seconds = _best_of(lambda: mediator.query(QUERY))
-        mediator.close()
-        return result, seconds
-
-    exact_result, exact_seconds = run(bloom_threshold=1_000_000)
-    bloom_result, bloom_seconds = run(bloom_threshold=1)
-    assert bloom_result == exact_result
-
-    artifact_sink(
-        "bloom-filter shipping equals exact sets",
-        f"objects={objects} probes=256 exact={exact_seconds:.4f}s"
-        f" bloom={bloom_seconds:.4f}s (equal answers)",
-    )
-    bench_json_sink(
-        JSON_FILE,
-        "bloom_vs_exact",
-        {
-            "objects": objects,
-            "probes": 256,
-            "exact_seconds": round(exact_seconds, 6),
-            "bloom_seconds": round(bloom_seconds, 6),
-        },
-    )
-
-
-def _registry_for(big, keys):
-    registry = SourceRegistry()
-    registry.register(
-        OEMStoreWrapper(
-            "driver", [obj("probe", atom("key", k)) for k in keys]
-        )
-    )
-    registry.register(big)
-    return registry

@@ -43,8 +43,8 @@ Usage::
   shards partitioned on direct-child ``LABEL``; the optimizer prunes
   shards from pushed-down constants and bind joins ship one batched
   semi-join filter per surviving shard;
-* ``--no-semijoin`` / ``--bloom-threshold N`` — fall back to per-tuple
-  probes, or ship filters above N distinct values as Bloom digests;
+* ``--no-semijoin`` — probe batch-capable sources once per tuple
+  instead of shipping one batched semi-join filter per probe group;
 * ``--cache N`` / ``--cache-ttl SECONDS`` — memoize up to N source
   answers (LRU), optionally expiring entries after SECONDS;
 * ``--no-compile`` — evaluate patterns with the interpretive reference
@@ -333,16 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--bloom-threshold",
-        type=int,
-        default=64,
-        metavar="N",
-        help=(
-            "ship semi-join filters with more than N values as Bloom"
-            " digests instead of explicit sets (default: 64)"
-        ),
-    )
-    parser.add_argument(
         "--cache",
         type=int,
         default=None,
@@ -577,9 +567,6 @@ def main(
         args.source, registry, stderr, compile=not args.no_compile
     ):
         return 2
-    if args.bloom_threshold < 0:
-        print("error: --bloom-threshold must be non-negative", file=stderr)
-        return 2
     if not _apply_shards(
         args.shard, registry, stderr, compile=not args.no_compile
     ):
@@ -730,7 +717,6 @@ def main(
             ),
             parallelism=args.parallelism,
             semijoin=not args.no_semijoin,
-            bloom_threshold=args.bloom_threshold,
             cache=cache,
             hedge=hedge,
             adaptive_timeouts=args.adaptive_timeouts,

@@ -107,12 +107,9 @@ class ExecutionContext:
     # it as the base for its constituents' per-stage slicer advances
     stage_base: int = 1
     # semi-join shipping: when on, a parameterized-query batch against
-    # a batch-capable source ships one value filter per target instead
-    # of one probe per distinct tuple; above bloom_threshold distinct
-    # values per parameter the filter ships as a Bloom digest (the
-    # returned superset is re-checked exactly at the mediator)
+    # a batch-capable source ships one value filter per probe group and
+    # target instead of one probe per distinct tuple
     semijoin: bool = True
-    bloom_threshold: int = 64
     # sharding/semi-join accounting for explain() and telemetry
     semijoin_batches: int = 0
     semijoin_probes: int = 0
@@ -385,10 +382,10 @@ class ExecutionContext:
             ):
                 # degraded answers are absences, not observations —
                 # feeding them to the optimizer would teach it the
-                # source is empty.  Semi-join batches are skipped too:
-                # one answer spans many probe tuples, so recording it
-                # against the pattern would poison the per-probe
-                # cardinality estimate.
+                # source is empty.  Semi-join batches are skipped here:
+                # one answer spans many probe tuples, so the shipping
+                # node records a per-probe mean once it has
+                # demultiplexed the answer.
                 for condition in query.tail:
                     if isinstance(condition, PatternCondition):
                         self.statistics.record(

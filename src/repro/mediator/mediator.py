@@ -50,6 +50,7 @@ from repro.mediator.fusion import fuse_objects, has_semantic_oids
 from repro.mediator.logical import LogicalDatamergeProgram, LogicalRule
 from repro.mediator.optimizer import CostBasedOptimizer
 from repro.mediator.pipeline import FusionDecision, fuse_plan
+from repro.mediator.plan import ParameterizedQueryNode
 from repro.mediator.statistics import SourceStatistics
 from repro.mediator.view_expander import ViewExpander
 from repro.msl.analysis import check_rule, check_specification_rule
@@ -162,7 +163,6 @@ class Mediator(Source):
         admission: "AdmissionConfig | AdmissionController | bool | None" = None,
         bulkheads: "BulkheadRegistry | int | None" = None,
         semijoin: bool = True,
-        bloom_threshold: int = 64,
         misestimate_factor: float = 4.0,
     ) -> None:
         if not name or not name.isidentifier():
@@ -181,11 +181,6 @@ class Mediator(Source):
             raise MediatorError(
                 "on_malformed_answer must be 'error' or 'quarantine',"
                 f" got {on_malformed_answer!r}"
-            )
-        if not isinstance(bloom_threshold, int) or bloom_threshold < 0:
-            raise MediatorError(
-                "bloom_threshold must be a non-negative integer,"
-                f" got {bloom_threshold!r}"
             )
         try:
             misestimate_factor = float(misestimate_factor)
@@ -241,11 +236,9 @@ class Mediator(Source):
         self.profiler = Profiler()
 
         # semi-join shipping: batch-capable sources receive one value
-        # filter per target per parameterized stage instead of one
-        # probe per distinct input tuple; above bloom_threshold values
-        # the filter ships as a Bloom digest (superset, re-checked)
+        # filter per probe group and target per parameterized stage
+        # instead of one probe per distinct input tuple
         self.semijoin = bool(semijoin)
-        self.bloom_threshold = bloom_threshold
         # mid-query adaptivity: how far actual rows must exceed the
         # estimate before a misestimate event fires (0 disables)
         self.misestimate_factor = misestimate_factor
@@ -735,10 +728,15 @@ class Mediator(Source):
             source for source in self.sources
             if isinstance(source, ShardedSource)
         ]
-        if sharded or not self.semijoin:
+        batched = sum(
+            isinstance(node, ParameterizedQueryNode)
+            and node.batch_query is not None
+            for node in plan.nodes()
+        )
+        if sharded or batched or not self.semijoin:
             lines = [
                 f"semijoin: {'on' if self.semijoin else 'off'}"
-                f" (bloom threshold: {self.bloom_threshold} values)"
+                f" ({batched} param-query node(s) can ship batched)"
             ]
             for source in sharded:
                 lines.append(source.describe())
@@ -1061,7 +1059,6 @@ class Mediator(Source):
                 and not brownout.allows("parallelism")
             ),
             semijoin=self.semijoin,
-            bloom_threshold=self.bloom_threshold,
             insight=op.insight if op is not None else None,
             misestimate_factor=self.misestimate_factor,
         )

@@ -375,8 +375,14 @@ class CostBasedOptimizer:
             produced = max(estimate * (selectivity**shared), 0.01)
 
             variables = sorted(pattern_variables(relaxed))
+            param_vars = sorted(_parameterizable_vars(relaxed) & bound)
+            # a comparison over a parameter stays at the mediator: the
+            # shipped template binds the parameter as a constant, not
+            # as the variable the comparison names
             shipped = self._shippable_comparisons(
-                capability, set(variables), pending_comparisons
+                capability,
+                set(variables) - set(param_vars),
+                pending_comparisons,
             )
             if node is None:
                 query = _projection_query(
@@ -393,9 +399,6 @@ class CostBasedOptimizer:
                 )
                 self._annotate(node, produced)
             else:
-                param_vars = sorted(
-                    _parameterizable_vars(relaxed) & bound
-                )
                 if param_vars:
                     template_pattern = _parameterize(relaxed, set(param_vars))
                     out_vars = sorted(
@@ -473,22 +476,36 @@ class CostBasedOptimizer:
         """Semi-join shipping kwargs for a parameterized query node.
 
         Empty (per-tuple probing stays) unless the source advertises
-        batch filters and every parameter appears as a Const-labelled
-        direct-child value of the pattern — the shape a shipped value
-        filter can address.  The batch query is the same full-variable
-        projection rule a leaf fetch of this pattern would ship, so the
-        downstream extractor reads batch answers exactly like per-tuple
-        ones.  Sharded sources additionally get their surviving shard
-        names and the partition, for per-probe routing.
+        batch filters and at least one parameter appears as a
+        Const-labelled direct-child value of the pattern — the shape a
+        shipped value filter can address.  Those parameters ship as
+        ``IN`` filters; every other parameter (a label variable such as
+        MS1's ``$R``, a type/oid slot, a nested position) stays a ``$``
+        placeholder of the batch query and becomes the *grouping key*:
+        one batch ships per distinct combination of their values.  The
+        batch query projects the same variables a leaf fetch of the
+        pattern would (minus the grouping parameters, which are
+        constants within a group), so the downstream extractor reads
+        batch answers exactly like per-tuple ones.  Sharded sources
+        additionally get their surviving shard names and the partition,
+        for per-probe routing.
         """
         if not capability.supports_batch_filters:
             return {}
-        param_labels = _semijoin_param_labels(relaxed, set(param_vars))
-        if param_labels is None:
+        # an oid-slot variable binds an Oid object where the instantiated
+        # probe compares text, so such a parameter stays a constant
+        param_labels = _semijoin_param_labels(
+            relaxed, set(param_vars) - _oid_slot_vars(relaxed)
+        )
+        if not param_labels:
             return {}
+        grouping = set(param_vars) - set(param_labels)
         spec: dict = {
             "batch_query": _projection_query(
-                source_name, relaxed, variables, shipped
+                source_name,
+                _parameterize(relaxed, grouping),
+                [name for name in variables if name not in grouping],
+                shipped,
             ),
             "param_labels": param_labels,
         }
@@ -775,9 +792,9 @@ def _parameterizable_vars(pattern: Pattern) -> set[str]:
 
 def _semijoin_param_labels(
     pattern: Pattern, params: set[str]
-) -> dict[str, str] | None:
-    """``{param: direct-child label}`` when a value filter can address
-    every parameter, else ``None``.
+) -> dict[str, str]:
+    """``{param: direct-child label}`` for every parameter a shipped
+    value filter can address.
 
     A shipped ``label IN values`` filter is a *necessary* condition for
     a probe match only when the parameter is the value of a
@@ -785,12 +802,12 @@ def _semijoin_param_labels(
     matching the instantiated probe then carries ``<label value>`` as a
     direct child).  Parameters in label/type/oid slots, nested items,
     descendant items, or rest conditions have no such direct-child
-    witness, so the batch falls back to per-tuple probing.
+    witness and are left out — the batch groups by them instead.
     """
+    labels: dict[str, str] = {}
     value = pattern.value
     if not isinstance(value, SetPattern):
-        return None
-    labels: dict[str, str] = {}
+        return labels
     for item in value.items:
         if not isinstance(item, PatternItem) or item.descendant:
             continue
@@ -803,9 +820,24 @@ def _semijoin_param_labels(
             and p.value.name not in labels
         ):
             labels[p.value.name] = str(p.label.value)
-    if set(labels) != params:
-        return None
     return labels
+
+
+def _oid_slot_vars(pattern: Pattern) -> set[str]:
+    """Variables in an oid slot anywhere in ``pattern``."""
+    found = set(term_variables(pattern.oid))
+    value = pattern.value
+    if isinstance(value, SetPattern):
+        nested = [
+            item.pattern
+            for item in value.items
+            if isinstance(item, PatternItem)
+        ]
+        if value.rest is not None:
+            nested.extend(value.rest.conditions)
+        for sub in nested:
+            found |= _oid_slot_vars(sub)
+    return found
 
 
 def _rest_vars(pattern: Pattern) -> set[str]:

@@ -57,7 +57,6 @@ from repro.oem.compare import eliminate_duplicates
 from repro.oem.model import OEMObject
 from repro.oem.oid import OidGenerator
 from repro.wrappers.sharding import (
-    BloomFilter,
     SemiJoinFilter,
     SemiJoinQuery,
     encode_value,
@@ -89,6 +88,9 @@ __all__ = [
 OBJECT_COLUMN = "_obj"
 #: Column name carrying constructed result objects out of constructors.
 RESULT_COLUMN = "_result"
+#: Value types a shipped semi-join filter may carry: what the source
+#: compares a direct child's atomic value against.
+_FILTER_ATOMS = (str, int, float, bool)
 
 
 class PlanNode(abc.ABC):
@@ -487,11 +489,13 @@ class ParameterizedQueryNode(PlanNode):
         self.template = template
         self.param_columns = dict(param_columns)
         # semi-join shipping spec (optimizer-attached when the source
-        # advertises batch filters): the full-variable projection rule
-        # to ship once per target, the direct-child label each template
-        # parameter's values appear under, and — for sharded sources —
-        # the surviving shard names plus the partition for per-probe
-        # routing on the partition label
+        # advertises batch filters): the projection rule to ship once
+        # per probe group and target, the direct-child label each
+        # filterable parameter's values appear under — the remaining
+        # parameters stay ``$`` placeholders of ``batch_query`` and
+        # group the probes — and, for sharded sources, the surviving
+        # shard names plus the partition for per-probe routing on the
+        # partition label
         self.batch_query = batch_query
         self.param_labels = dict(param_labels) if param_labels else {}
         self.shard_names = tuple(shard_names) if shard_names else ()
@@ -506,9 +510,12 @@ class ParameterizedQueryNode(PlanNode):
             }
         )
 
-    def _instantiate_with(self, params: Mapping[str, object]) -> Rule:
+    def _instantiate_with(
+        self, params: Mapping[str, object], template: Rule | None = None
+    ) -> Rule:
+        template = template or self.template
         tail = []
-        for condition in self.template.tail:
+        for condition in template.tail:
             if isinstance(condition, PatternCondition):
                 tail.append(
                     PatternCondition(
@@ -520,7 +527,7 @@ class ParameterizedQueryNode(PlanNode):
                 )
             else:
                 tail.append(condition)
-        return Rule(self.template.head, tuple(tail))
+        return Rule(template.head, tuple(tail))
 
     def execute(
         self, inputs: list[BindingTable], context: "ExecutionContext"
@@ -568,10 +575,11 @@ class ParameterizedQueryNode(PlanNode):
         Shared with the fused pipeline's parameterized-query stage so
         the fused path has the exact dedup, dispatch, warning-merge,
         and row-rebuild order of the unfused one.  When the optimizer
-        attached a semi-join spec (the source accepts batch filters)
-        and the context has semi-join shipping enabled, the whole batch
-        collapses into one shipped filter per target instead of one
-        probe per distinct tuple.
+        attached a semi-join spec (the source accepts batch filters and
+        at least one parameter can ship as a value filter) and the
+        context has semi-join shipping enabled, the whole batch
+        collapses into one shipped filter per probe group and target
+        instead of one probe per distinct tuple.
         """
         if (
             rows
@@ -612,103 +620,141 @@ class ParameterizedQueryNode(PlanNode):
         dispatcher,
         add,
     ) -> bool:
-        """Ship one batched value filter per target instead of probing.
+        """Ship one batched value filter per group and target.
 
         Distinct probe tuples (canonically encoded, so ``1`` and
-        ``1.0`` collapse) are routed to their shard when the partition
-        label is among the parameters — otherwise broadcast — and each
-        surviving target receives a single
-        :class:`~repro.wrappers.sharding.SemiJoinQuery`: the
-        full-variable projection rule plus one ``IN``-set (or, above
-        ``context.bloom_threshold`` values, Bloom) filter per
-        parameter.  Returned objects are demultiplexed back onto their
-        probe by the ``bind_for_*`` values, and an object counts for a
-        probe only if that probe was shipped to the answering target —
-        which re-checks Bloom false positives exactly and keeps
+        ``1.0`` collapse) are grouped by the values of the parameters
+        no value filter can address; each group instantiates those
+        into ``batch_query`` and ships it, with one ``IN``-set filter
+        per remaining parameter, as a single
+        :class:`~repro.wrappers.sharding.SemiJoinQuery` — routed to
+        the owning shard when the partition label is among the
+        filtered parameters, otherwise to every target.  Returned
+        objects are demultiplexed back onto their probe by the
+        ``bind_for_*`` values, and an object counts for a probe only
+        if that probe was shipped to the answering target, which drops
+        the filters' cross-product false positives and keeps
         cross-shard duplicates out.  Emits the same rows, in the same
         input order, as the per-tuple path.  Returns ``False`` (caller
-        falls back to per-tuple probes) if a parameter value cannot be
-        put in a filter set.
+        falls back to per-tuple probes) if a filtered parameter value
+        is not a plain atom.
         """
         params = [name for name, _ in param_positions]
-        probes: list[tuple[object, ...]] = []
-        keys: list[tuple[bytes, ...]] = []
-        index_of: dict[tuple[bytes, ...], int] = {}
-        row_key: list[tuple[bytes, ...]] = []
+        filtered = [
+            at for at, name in enumerate(params) if name in self.param_labels
+        ]
+        grouping = [
+            at for at, name in enumerate(params)
+            if name not in self.param_labels
+        ]
+        # per group key, in first-appearance order: the group's probes
+        # as {filter key: values of every parameter}
+        groups: dict[tuple[bytes, ...], dict[tuple[bytes, ...], tuple]] = {}
+        row_key: list[tuple[tuple[bytes, ...], tuple[bytes, ...]]] = []
         for row in rows:
             values = tuple(row[p] for _, p in param_positions)
-            key = tuple(encode_value(v) for v in values)
-            if key not in index_of:
-                index_of[key] = len(probes)
-                probes.append(values)
-                keys.append(key)
-            row_key.append(key)
+            for at in filtered:
+                if type(values[at]) not in _FILTER_ATOMS:
+                    return False
+            group_key = tuple(encode_value(values[at]) for at in grouping)
+            filter_key = tuple(encode_value(values[at]) for at in filtered)
+            groups.setdefault(group_key, {}).setdefault(filter_key, values)
+            row_key.append((group_key, filter_key))
+
         targets = list(self.shard_names) or [self.source]
-        route_position: int | None = None
+        route_at: int | None = None
         if self.partition is not None and self.shard_names:
-            for position, name in enumerate(params):
-                if self.param_labels.get(name) == self.partition.label:
-                    route_position = position
+            for at in filtered:
+                if self.param_labels[params[at]] == self.partition.label:
+                    route_at = at
                     break
-        target_set = set(targets)
-        groups: dict[str, list[int]] = {name: [] for name in targets}
-        for i, values in enumerate(probes):
-            routed: int | None = None
-            if route_position is not None:
-                routed = self.partition.shard_of(values[route_position])
-            if routed is None:
-                for name in targets:
-                    groups[name].append(i)
-            else:
-                name = shard_name(self.source, routed)
-                if name in target_set:
-                    groups[name].append(i)
-        shipped = [(name, groups[name]) for name in targets if groups[name]]
-        threshold = context.bloom_threshold
         pairs: list[tuple[str, SemiJoinQuery]] = []
-        admitted: list[set[tuple[bytes, ...]]] = []
-        try:
-            for name, member_ids in shipped:
-                filters = []
-                for position, pname in enumerate(params):
-                    values = frozenset(
-                        probes[i][position] for i in member_ids
-                    )
-                    label = self.param_labels[pname]
-                    if threshold and len(values) > threshold:
-                        filters.append(
-                            SemiJoinFilter(
-                                pname, label,
-                                bloom=BloomFilter.build(values),
-                            )
-                        )
-                    else:
-                        filters.append(
-                            SemiJoinFilter(pname, label, values=values)
-                        )
-                pairs.append(
-                    (name, SemiJoinQuery(self.batch_query, tuple(filters)))
+        # per pair: its group key and the filter keys shipped with it
+        shipped: list[tuple[tuple[bytes, ...], set[tuple[bytes, ...]]]] = []
+        for group_key, probes in groups.items():
+            routed: dict[str, list[tuple[bytes, ...]]] = {
+                name: [] for name in targets
+            }
+            for filter_key, values in probes.items():
+                owner = (
+                    self.partition.shard_of(values[route_at])
+                    if route_at is not None
+                    else None
                 )
-                admitted.append({keys[i] for i in member_ids})
-        except TypeError:  # unhashable parameter value
-            return False
+                if owner is None:
+                    for members in routed.values():
+                        members.append(filter_key)
+                else:
+                    members = routed.get(shard_name(self.source, owner))
+                    if members is not None:
+                        members.append(filter_key)
+            rule = self.batch_query
+            if grouping:
+                first = next(iter(probes.values()))
+                rule = self._instantiate_with(
+                    {params[at]: first[at] for at in grouping}, rule
+                )
+            for name, members in routed.items():
+                if not members:
+                    continue
+                filters = [
+                    SemiJoinFilter(
+                        params[at],
+                        self.param_labels[params[at]],
+                        frozenset(probes[key][at] for key in members),
+                    )
+                    for at in filtered
+                ]
+                pairs.append((name, SemiJoinQuery(rule, filters)))
+                shipped.append((group_key, set(members)))
+
+        # a degraded call (or a quarantined answer) leaves a warning in
+        # the active sink; such a batch is an absence, not an observation
+        scope = current_scope()
+        sink = scope.warnings if scope is not None else context.warnings
+        warned = len(sink)
         answers = _fan_queries(context, dispatcher, pairs)
-        context.record_semijoin(len(pairs), len(probes))
-        bind_labels = [f"bind_for_{name}" for name in params]
-        by_key: dict[tuple[bytes, ...], list[OEMObject]] = {
-            key: [] for key in keys
+        context.record_semijoin(
+            len(pairs), sum(len(probes) for probes in groups.values())
+        )
+        bind_labels = [f"bind_for_{params[at]}" for at in filtered]
+        matched: dict[tuple, dict[tuple, list[OEMObject]]] = {
+            group_key: {filter_key: [] for filter_key in probes}
+            for group_key, probes in groups.items()
         }
-        for admit, answer in zip(admitted, answers):
+        for (group_key, admitted), answer in zip(shipped, answers):
+            found = matched[group_key]
             for obj in answer or ():
-                okey = tuple(
+                filter_key = tuple(
                     encode_value(obj.get(label)) for label in bind_labels
                 )
-                if okey in admit:
-                    by_key[okey].append(obj)
-        for row, key in zip(rows, row_key):
-            for obj in by_key[key]:
+                if filter_key in admitted:
+                    found[filter_key].append(obj)
+        for row, (group_key, filter_key) in zip(rows, row_key):
+            for obj in matched[group_key][filter_key]:
                 add(row + (obj,))
+        if context.statistics is not None and len(sink) == warned:
+            self._feed_statistics(context.statistics, params, groups, matched)
         return True
+
+    def _feed_statistics(self, statistics, params, groups, matched) -> None:
+        """One cardinality observation per shipped group.
+
+        A batch answer spans many probes, so the engine's per-call
+        feedback skips it; what the optimizer estimates is the answer
+        to *one* probe, so each group records its mean matches per
+        distinct probe against the group's instantiated probe pattern —
+        normalised exactly as the per-tuple path's observations are.
+        """
+        for group_key, probes in groups.items():
+            objects = sum(len(found) for found in matched[group_key].values())
+            probe = self._instantiate_with(
+                dict(zip(params, next(iter(probes.values()))))
+            )
+            for condition in probe.pattern_conditions():
+                statistics.record(
+                    self.source, condition.pattern, objects / len(probes)
+                )
 
     def describe(self) -> str:
         params = ", ".join(
@@ -716,7 +762,14 @@ class ParameterizedQueryNode(PlanNode):
         )
         mode = ""
         if self.batch_query is not None:
+            grouping = [
+                f"${name}" for name in self.param_columns
+                if name not in self.param_labels
+            ]
             mode = " (semijoin"
+            if grouping:
+                mode += f" by {','.join(grouping)};"
+            mode += " IN " + ",".join(f"${name}" for name in self.param_labels)
             if self.shard_names:
                 mode += f" x{len(self.shard_names)} shards"
             mode += ")"

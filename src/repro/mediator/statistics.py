@@ -159,8 +159,9 @@ class SourceStatistics:
 
     # -- feedback -----------------------------------------------------------
 
-    def record(self, source: str, pattern: Pattern, count: int) -> None:
-        """Feed back that ``pattern`` at ``source`` returned ``count`` rows.
+    def record(self, source: str, pattern: Pattern, count: float) -> None:
+        """Feed back that ``pattern`` at ``source`` returned ``count`` rows
+        (a mean per probe when the observation comes from a batch).
 
         The observation is normalised by the pattern's selectivity so
         that what is stored approximates the label's *base* cardinality.

@@ -65,9 +65,25 @@ def is_variable_name(name: str) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Const:
-    """A constant: a string, number, or boolean atom."""
+    """A constant: a string, number, or boolean atom.
+
+    Equality is type-strict (``Const(1)``, ``Const(1.0)`` and
+    ``Const(True)`` are three constants): rules and patterns key the
+    compile caches, and Python's ``1 == 1.0 == True`` would hand a
+    query the closure compiled for another constant.
+    """
 
     value: object
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            other.__class__ is Const
+            and type(self.value) is type(other.value)
+            and self.value == other.value
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self.value), self.value))
 
     def __str__(self) -> str:
         if isinstance(self.value, str):

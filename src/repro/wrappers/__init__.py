@@ -12,7 +12,6 @@ from repro.wrappers.oem_wrapper import OEMStoreWrapper
 from repro.wrappers.registry import SourceRegistry
 from repro.wrappers.relational_wrapper import RelationalWrapper
 from repro.wrappers.sharding import (
-    BloomFilter,
     HashPartition,
     RangePartition,
     SemiJoinFilter,
@@ -25,7 +24,6 @@ from repro.wrappers.sqlite_wrapper import SQLiteOEMStoreWrapper
 
 __all__ = [
     "BATCH_CAPABILITY",
-    "BloomFilter",
     "Capability",
     "CapabilityViolation",
     "FULL_CAPABILITY",

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from repro.external.registry import ExternalRegistry
 from repro.msl.analysis import check_rule
-from repro.msl.ast import Comparison, PatternCondition, Rule
+from repro.msl.ast import Comparison, Pattern, PatternCondition, Rule
 from repro.msl.compile import CompileCache
 from repro.msl.errors import MSLSemanticError
 from repro.msl.evaluate import evaluate_rule
@@ -31,7 +31,13 @@ from repro.wrappers.capability import (
     FULL_CAPABILITY,
 )
 
-__all__ = ["Source", "Wrapper", "SourceError", "MalformedAnswerError"]
+__all__ = [
+    "Source",
+    "Wrapper",
+    "SourceError",
+    "MalformedAnswerError",
+    "first_pattern",
+]
 
 
 def _valid_source_name(name: str) -> bool:
@@ -47,6 +53,13 @@ def _valid_source_name(name: str) -> bool:
     if not base.isidentifier():
         return False
     return not sep or index.isdigit()
+
+
+def first_pattern(query: Rule) -> Pattern | None:
+    """The first tail pattern of ``query`` — the one native access
+    paths narrow on (further patterns re-match anyway)."""
+    condition = next(query.pattern_conditions(), None)
+    return None if condition is None else condition.pattern
 
 
 class SourceError(Exception):
@@ -190,11 +203,11 @@ class Wrapper(Source):
     def answer_semijoin(self, query) -> list[OEMObject]:
         """Evaluate one batched semi-join probe.
 
-        The shipped rule is the full-variable projection query; the
-        filters restrict candidates to objects whose direct children
-        pass every value filter (a Bloom filter admits a superset — the
-        mediator re-checks exactly).  One call replaces one wire probe
-        per distinct parameter tuple.
+        The shipped rule is the projection query; the filters restrict
+        candidates to objects whose direct children pass every value
+        filter (a superset of the probe tuples' matches — the mediator
+        demultiplexes exactly).  One call replaces one wire probe per
+        distinct parameter tuple.
         """
         if not self._capability.supports_batch_filters:
             raise SourceError(

@@ -59,10 +59,10 @@ class Capability:
     supports_comparisons:
         whether non-equality rest-condition comparisons can be shipped.
     supports_batch_filters:
-        whether the source accepts batched ``IN``-style / Bloom value
-        filters (:class:`~repro.wrappers.sharding.SemiJoinQuery`);
-        when set, the parameterized-query path ships one semi-join
-        batch per shard instead of one probe per input tuple.
+        whether the source accepts batched ``IN``-style value filters
+        (:class:`~repro.wrappers.sharding.SemiJoinQuery`); when set,
+        the parameterized-query path ships one semi-join batch per
+        probe group and shard instead of one probe per input tuple.
     name:
         a display name for plans and error messages.
     """
@@ -176,10 +176,11 @@ def _label_text(label: Term) -> object:
 #: The capability of a fully-capable source (a conventional DBMS wrapper).
 FULL_CAPABILITY = Capability(name="full")
 
-#: Full capability plus batched semi-join filters — what the shard-ready
-#: store wrappers advertise.  Kept out of :data:`FULL_CAPABILITY` so
-#: existing sources keep their per-tuple probe wire traffic unless they
-#: opt in.
+#: Full capability plus batched semi-join filters — the default of the
+#: in-process wrappers (relational, OEM store, SQLite store).  Kept apart
+#: from :data:`FULL_CAPABILITY`, the default of every other
+#: :class:`~repro.wrappers.base.Source` (a mediator used as a source, a
+#: custom wrapper), which is probed per tuple.
 BATCH_CAPABILITY = Capability(
     supports_batch_filters=True, name="full+batch"
 )

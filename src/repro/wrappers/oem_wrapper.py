@@ -14,17 +14,10 @@ from collections import defaultdict
 from typing import Iterable, Sequence
 
 from repro.external.registry import ExternalRegistry
-from repro.msl.ast import (
-    Const,
-    Pattern,
-    PatternCondition,
-    PatternItem,
-    Rule,
-    SetPattern,
-)
+from repro.msl.ast import Const, PatternItem, Rule, SetPattern
 from repro.oem.model import OEMObject
-from repro.wrappers.base import Wrapper
-from repro.wrappers.capability import Capability
+from repro.wrappers.base import Wrapper, first_pattern
+from repro.wrappers.capability import BATCH_CAPABILITY, Capability
 
 __all__ = ["OEMStoreWrapper"]
 
@@ -50,7 +43,9 @@ class OEMStoreWrapper(Wrapper):
         export_facts: bool = False,
         compile: bool = True,
     ) -> None:
-        super().__init__(name, capability, registry, compile=compile)
+        super().__init__(
+            name, capability or BATCH_CAPABILITY, registry, compile=compile
+        )
         self._objects: list[OEMObject] = list(objects)
         self._indexed = indexed
         self._index: dict[tuple[str, object], set[int]] | None = None
@@ -119,11 +114,7 @@ class OEMStoreWrapper(Wrapper):
         """
         if not self._indexed or not self._objects:
             return self._objects
-        first: Pattern | None = None
-        for condition in query.tail:
-            if isinstance(condition, PatternCondition):
-                first = condition.pattern
-                break
+        first = first_pattern(query)
         if first is None:
             return self._objects
 
@@ -158,54 +149,34 @@ class OEMStoreWrapper(Wrapper):
     def semijoin_candidates(self, query) -> Sequence[OEMObject]:
         """Indexed batch narrowing: one index union per filter value.
 
-        An explicit value set resolves through the inverted index (the
-        union over its values, intersected across filters); a Bloom
-        filter falls back to membership-testing the label-narrowed
-        candidates.  Candidates come back in store position order —
-        the same order the per-tuple probe path sees, which is what
-        keeps semi-join shipping bit-for-bit equivalent.
+        Each value set resolves through the inverted index (the union
+        over its values, intersected across filters).  Candidates come
+        back in store position order — the same order the per-tuple
+        probe path sees, which is what keeps semi-join shipping
+        bit-for-bit equivalent.
         """
         if not self._indexed or not self._objects:
             return super().semijoin_candidates(query)
         self._ensure_index()
         assert self._index is not None and self._label_index is not None
         candidate_ids: set[int] | None = None
-        first: Pattern | None = None
-        for condition in query.rule.tail:
-            if isinstance(condition, PatternCondition):
-                first = condition.pattern
-                break
+        first = first_pattern(query.rule)
         if first is not None and isinstance(first.label, Const):
             candidate_ids = set(
                 self._label_index.get(str(first.label.value), set())
             )
-        bloom_filters = []
         for shipped in query.filters:
-            if shipped.values is not None:
-                matched: set[int] = set()
-                for value in shipped.values:
-                    try:
-                        matched |= self._index.get(
-                            (shipped.label, value), set()
-                        )
-                    except TypeError:  # unhashable value: matches nothing
-                        continue
-                candidate_ids = (
-                    matched
-                    if candidate_ids is None
-                    else candidate_ids & matched
-                )
-            else:
-                bloom_filters.append(shipped)
+            matched: set[int] = set()
+            for value in shipped.values:
+                matched |= self._index.get((shipped.label, value), set())
+            candidate_ids = (
+                matched
+                if candidate_ids is None
+                else candidate_ids & matched
+            )
         if candidate_ids is None:
-            forest: Sequence[OEMObject] = self._objects
-        else:
-            forest = [self._objects[i] for i in sorted(candidate_ids)]
-        for shipped in bloom_filters:
-            forest = [
-                obj for obj in forest if shipped.admits_object(obj)
-            ]
-        return forest
+            return self._objects
+        return [self._objects[i] for i in sorted(candidate_ids)]
 
     def _ensure_index(self) -> None:
         if self._index is not None:

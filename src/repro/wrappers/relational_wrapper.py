@@ -22,21 +22,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.external.registry import ExternalRegistry
-from repro.msl.ast import (
-    Const,
-    Pattern,
-    PatternCondition,
-    PatternItem,
-    Rule,
-    SetPattern,
-)
+from repro.msl.ast import Const, Pattern, PatternItem, Rule, SetPattern
 from repro.oem.model import OEMObject, SET_TYPE
 from repro.oem.oid import Oid
 from repro.relational.database import Database
-from repro.relational.query import Selection, select
+from repro.relational.query import Selection
 from repro.relational.table import Table
-from repro.wrappers.base import Wrapper
-from repro.wrappers.capability import Capability
+from repro.wrappers.base import Wrapper, first_pattern
+from repro.wrappers.capability import BATCH_CAPABILITY, Capability
 
 __all__ = ["RelationalWrapper"]
 
@@ -62,7 +55,9 @@ class RelationalWrapper(Wrapper):
         registry: ExternalRegistry | None = None,
         compile: bool = True,
     ) -> None:
-        super().__init__(name, capability, registry, compile=compile)
+        super().__init__(
+            name, capability or BATCH_CAPABILITY, registry, compile=compile
+        )
         self.database = database
 
     @property
@@ -99,30 +94,14 @@ class RelationalWrapper(Wrapper):
             Oid(f"&{self.name}_{table.name}{row_number}"),
         )
 
-    def _export_table(
-        self, table: Table, rows: list[tuple] | None = None
-    ) -> list[OEMObject]:
-        source_rows = table.rows() if rows is None else rows
-        all_rows = table.rows()
+    def export(self) -> Sequence[OEMObject]:
         # row numbers are positions in the table, so oids are stable
         # across repeated exports of unchanged data
-        numbering = {id(row): i + 1 for i, row in enumerate(all_rows)}
-        result = []
-        for row in source_rows:
-            number = numbering.get(id(row))
-            if number is None:
-                try:
-                    number = all_rows.index(row) + 1
-                except ValueError:
-                    number = 0
-            result.append(self._tuple_to_oem(table, number, row))
-        return result
-
-    def export(self) -> Sequence[OEMObject]:
-        objects: list[OEMObject] = []
-        for table in self.database.tables():
-            objects.extend(self._export_table(table))
-        return objects
+        return [
+            self._tuple_to_oem(table, number, row)
+            for table in self.database.tables()
+            for number, row in enumerate(table, 1)
+        ]
 
     # -- native access path ------------------------------------------------
 
@@ -138,14 +117,21 @@ class RelationalWrapper(Wrapper):
         Anything subtler falls back to matching over the translated
         objects — the wrapper stays correct, just less selective.
         """
-        first: Pattern | None = None
-        for condition in query.tail:
-            if isinstance(condition, PatternCondition):
-                first = condition.pattern
-                break
+        first = first_pattern(query)
         if first is None:
             return self.export()
+        return self._scan(first, ())
 
+    def semijoin_candidates(self, query) -> Sequence[OEMObject]:
+        """One pass per relation for a whole probe batch: each shipped
+        filter is an ``attribute IN values`` selection applied beside
+        the pattern's own, *before* any tuple is translated to OEM."""
+        first = first_pattern(query.rule)
+        if first is None:
+            return super().semijoin_candidates(query)
+        return self._scan(first, query.filters)
+
+    def _scan(self, first: Pattern, filters: Sequence) -> list[OEMObject]:
         if isinstance(first.label, Const):
             relation = str(first.label.value)
             if not self.database.has_table(relation):
@@ -155,16 +141,25 @@ class RelationalWrapper(Wrapper):
             tables = list(self.database.tables())
 
         required, selections = _pattern_filters(first)
+        required.update(shipped.label for shipped in filters)
         objects: list[OEMObject] = []
         for table in tables:
             schema = table.schema
             if any(not schema.has_attribute(attr) for attr in required):
                 continue
-            applicable = [
-                s for s in selections if schema.has_attribute(s.attribute)
+            tests = [
+                (schema.position(s.attribute), s.holds) for s in selections
+            ] + [
+                (schema.position(shipped.label), shipped.admits)
+                for shipped in filters
             ]
-            rows = list(select(table, applicable))
-            objects.extend(self._export_table(table, rows))
+            # the row number rides along with the selected tuple, so a
+            # probe costs O(matches) and equal tuples keep distinct oids
+            objects.extend(
+                self._tuple_to_oem(table, number, row)
+                for number, row in enumerate(table, 1)
+                if all(holds(row[at]) for at, holds in tests)
+            )
         return objects
 
 

@@ -6,11 +6,11 @@ is declared up front, so the optimizer can *prune* shards from
 pushed-down constants on the partition label, and the parameterized-
 query path can switch from one probe per input tuple to **semi-join
 shipping**: one batched ``IN``-style filter (:class:`SemiJoinFilter`)
-per surviving shard — or a :class:`BloomFilter` above a size threshold,
-with an exact mediator-side re-check of the returned superset.
+per surviving shard, with an exact mediator-side demultiplexing of the
+returned superset.
 
-Everything here is deterministic: partition routing and Bloom hashing
-use :func:`encode_value` + BLAKE2 digests, never Python's seeded
+Everything here is deterministic: partition routing uses
+:func:`encode_value` + BLAKE2 digests, never Python's seeded
 ``hash()``, so shard assignment is stable across processes and runs.
 
 Naming convention: the shards of logical source ``big`` are addressed
@@ -43,7 +43,6 @@ __all__ = [
     "encode_value",
     "HashPartition",
     "RangePartition",
-    "BloomFilter",
     "SemiJoinFilter",
     "SemiJoinQuery",
     "ShardedSource",
@@ -58,8 +57,8 @@ def encode_value(value: object) -> bytes:
     Values that compare equal must encode equal — numerics are the trap
     (``1 == 1.0`` but ``repr`` differs), so every int/float exactly
     representable as a float encodes through ``float.hex()``.  Used by
-    hash partitioning and Bloom membership on both the mediator and the
-    wrapper side, so the two must never disagree.
+    hash partitioning and by the mediator's probe demultiplexer, so the
+    two must never disagree.
     """
     if isinstance(value, bool):
         return b"b:1" if value else b"b:0"
@@ -140,100 +139,32 @@ class RangePartition:
         return f"range({self.label!r}, boundaries={list(self.boundaries)!r})"
 
 
-class BloomFilter:
-    """A tiny deterministic Bloom filter over atomic OEM values.
-
-    Membership may report false positives (the mediator re-checks the
-    returned superset exactly), never false negatives.  Hash positions
-    derive from salted BLAKE2 digests of :func:`encode_value`, so the
-    mediator-built filter and the wrapper-side membership test agree
-    bit for bit.
-    """
-
-    __slots__ = ("bits", "num_bits", "num_hashes")
-
-    def __init__(self, bits: bytes, num_bits: int, num_hashes: int) -> None:
-        self.bits = bytes(bits)
-        self.num_bits = num_bits
-        self.num_hashes = num_hashes
-
-    @classmethod
-    def build(
-        cls, values: Iterable[object], bits_per_value: int = 12
-    ) -> "BloomFilter":
-        values = list(values)
-        num_bits = max(64, len(values) * bits_per_value)
-        num_hashes = 4
-        bits = bytearray((num_bits + 7) // 8)
-        for value in values:
-            for position in cls._positions(value, num_bits, num_hashes):
-                bits[position >> 3] |= 1 << (position & 7)
-        return cls(bytes(bits), num_bits, num_hashes)
-
-    @staticmethod
-    def _positions(value: object, num_bits: int, num_hashes: int):
-        encoded = encode_value(value)
-        for salt in range(num_hashes):
-            digest = blake2b(
-                encoded, digest_size=8, salt=salt.to_bytes(4, "big")
-            ).digest()
-            yield int.from_bytes(digest, "big") % num_bits
-
-    def __contains__(self, value: object) -> bool:
-        for position in self._positions(
-            value, self.num_bits, self.num_hashes
-        ):
-            if not self.bits[position >> 3] & (1 << (position & 7)):
-                return False
-        return True
-
-    def __len__(self) -> int:
-        return self.num_bits
-
-    def digest(self) -> str:
-        """A short stable fingerprint (cache / single-flight keys)."""
-        return blake2b(self.bits, digest_size=8).hexdigest()
-
-
 def _value_sort_key(value: object) -> tuple[str, str]:
     return (type(value).__name__, repr(value))
 
 
 class SemiJoinFilter:
-    """One shipped probe-value filter: ``label IN values`` (or Bloom).
+    """One shipped probe-value filter: ``label IN values``.
 
     ``param`` names the template variable being filtered; ``label`` is
-    the direct-child label its values appear under.  Exactly one of
-    ``values`` (an explicit set) and ``bloom`` is set — the Bloom form
-    is a superset filter and the mediator re-checks exactly.
+    the direct-child label its values appear under.  Membership is
+    Python equality (``1 == 1.0 == True``), so the filter admits a
+    superset of what the matcher would; the mediator demultiplexes the
+    answer exactly.
     """
 
-    __slots__ = ("param", "label", "values", "bloom")
+    __slots__ = ("param", "label", "values")
 
-    def __init__(
-        self,
-        param: str,
-        label: str,
-        values: frozenset | None = None,
-        bloom: BloomFilter | None = None,
-    ) -> None:
-        if (values is None) == (bloom is None):
-            raise ValueError(
-                "a semi-join filter carries either values or a bloom filter"
-            )
+    def __init__(self, param: str, label: str, values: frozenset) -> None:
         self.param = param
         self.label = label
         self.values = values
-        self.bloom = bloom
 
     def admits(self, value: object) -> bool:
-        if self.values is not None:
-            try:
-                return value in self.values
-            except TypeError:
-                return False
-        assert self.bloom is not None
-        return value in self.bloom
+        try:
+            return value in self.values
+        except TypeError:
+            return False
 
     def admits_object(self, obj: OEMObject) -> bool:
         """Does ``obj`` have a direct child passing this filter?"""
@@ -244,16 +175,10 @@ class SemiJoinFilter:
         return False
 
     def canonical(self) -> str:
-        if self.values is not None:
-            body = ",".join(
-                repr(v) for v in sorted(self.values, key=_value_sort_key)
-            )
-            return f"{self.param}/{self.label} IN {{{body}}}"
-        assert self.bloom is not None
-        return (
-            f"{self.param}/{self.label} BLOOM"
-            f" {self.bloom.num_bits}b:{self.bloom.digest()}"
+        body = ",".join(
+            repr(v) for v in sorted(self.values, key=_value_sort_key)
         )
+        return f"{self.param}/{self.label} IN {{{body}}}"
 
     def __repr__(self) -> str:
         return f"SemiJoinFilter({self.canonical()})"
@@ -266,8 +191,8 @@ class SemiJoinQuery:
     execution context, dispatcher, cache, and reliability decorators
     only ever take ``str(query)`` and forward the object, so this rides
     the existing single-flight / answer-cache / retry machinery
-    unchanged.  ``str()`` is canonical: sorted filter sets (or Bloom
-    digests) plus the rule text, so identical batches dedup and cache.
+    unchanged.  ``str()`` is canonical: sorted filter sets plus the rule
+    text, so identical batches dedup and cache.
     """
 
     __slots__ = ("rule", "filters", "_text")
@@ -467,7 +392,7 @@ class ShardedSource(Source):
             (
                 f
                 for f in query.filters
-                if f.label == self.partition.label and f.values is not None
+                if f.label == self.partition.label
             ),
             None,
         )
@@ -475,7 +400,7 @@ class ShardedSource(Source):
             survivors = range(len(self.shards))
         else:
             owned: set[int] = set()
-            for value in route.values or ():
+            for value in route.values:
                 routed = self.partition.shard_of(value)
                 if routed is None:
                     owned = set(range(len(self.shards)))

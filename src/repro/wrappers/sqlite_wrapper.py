@@ -35,13 +35,12 @@ from repro.external.registry import ExternalRegistry
 from repro.msl.ast import (
     Const,
     Pattern,
-    PatternCondition,
     PatternItem,
     Rule,
     SetPattern,
 )
 from repro.oem.model import OEMObject, SET_TYPE
-from repro.wrappers.base import SourceError, Wrapper
+from repro.wrappers.base import SourceError, Wrapper, first_pattern
 from repro.wrappers.capability import BATCH_CAPABILITY, Capability
 from repro.wrappers.sharding import encode_value
 
@@ -263,7 +262,7 @@ class SQLiteOEMStoreWrapper(Wrapper):
         values each narrow via an index scan; results come back in root
         (insertion) order, matching the in-memory store-position order.
         """
-        first = _first_pattern(query)
+        first = first_pattern(query)
         if first is None:
             return self.export()
         roots = self._narrow(first)
@@ -280,11 +279,7 @@ class SQLiteOEMStoreWrapper(Wrapper):
         extent.
         """
         roots: set[int] | None = None
-        bloom_filters = []
         for shipped in query.filters:
-            if shipped.values is None:
-                bloom_filters.append(shipped)
-                continue
             matched: set[int] = set()
             encoded = [encode_value(v) for v in shipped.values]
             with self._lock:
@@ -299,9 +294,7 @@ class SQLiteOEMStoreWrapper(Wrapper):
                         )
                     )
             roots = matched if roots is None else roots & matched
-        if bloom_filters:
-            roots = self._apply_blooms(roots, bloom_filters)
-        first = _first_pattern(query.rule)
+        first = first_pattern(query.rule)
         label = (
             str(first.label.value)
             if first is not None and isinstance(first.label, Const)
@@ -315,27 +308,6 @@ class SQLiteOEMStoreWrapper(Wrapper):
         if roots is None:
             return self.export()
         return self._reconstruct(sorted(roots))
-
-    def _apply_blooms(
-        self, roots: set[int] | None, bloom_filters: list
-    ) -> set[int]:
-        """Membership-test direct-child values against each Bloom filter."""
-        for shipped in bloom_filters:
-            matched: set[int] = set()
-            with self._lock:
-                candidate_rows = self._conn.execute(
-                    "SELECT root, kind, raw FROM nodes WHERE parent = 0"
-                    " AND label = ?",
-                    (shipped.label,),
-                ).fetchall()
-            for root, kind, raw in candidate_rows:
-                if roots is not None and root not in roots:
-                    continue
-                if _decode_raw(kind, raw) in shipped.bloom:
-                    matched.add(root)
-            roots = matched
-        assert roots is not None
-        return roots
 
     def _narrow(self, first: Pattern) -> set[int] | None:
         """Root ids matching the pattern's indexable constants, or
@@ -447,13 +419,6 @@ class SQLiteOEMStoreWrapper(Wrapper):
                 )
             out.append(build(root, 0))
         return out
-
-
-def _first_pattern(query: Rule) -> Pattern | None:
-    for condition in query.tail:
-        if isinstance(condition, PatternCondition):
-            return condition.pattern
-    return None
 
 
 def _infer_kind(value: object) -> str:

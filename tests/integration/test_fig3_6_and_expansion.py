@@ -8,7 +8,12 @@
 
 import pytest
 
-from repro.datasets import JOE_CHUNG_QUERY, YEAR3_QUERY, build_scenario
+from repro.datasets import (
+    JOE_CHUNG_QUERY,
+    YEAR3_QUERY,
+    build_scaled_scenario,
+    build_scenario,
+)
 from repro.mediator import (
     ConstructorNode,
     ExternalPredNode,
@@ -22,8 +27,12 @@ from repro.msl import parse_query
 @pytest.fixture
 def scenario():
     # push_mode='needed' reproduces the paper's presentation (a single
-    # unifier θ1 for Q1); trace=True records the Figure 3.6 tables
-    return build_scenario(push_mode="needed", trace=True)
+    # unifier θ1 for Q1); trace=True records the Figure 3.6 tables;
+    # semijoin off sends the paper's one Qcs per binding — the
+    # set-oriented wire form is checked in TestSetOrientedBindJoin
+    scenario = build_scenario(push_mode="needed", trace=True)
+    scenario.mediator.semijoin = False
+    return scenario
 
 
 class TestViewExpansionR2:
@@ -177,3 +186,54 @@ class TestFigure36GraphExecution:
         # bindings -> two cs queries
         assert sent["whois"] == 2
         assert sent["cs"] == 3
+
+
+class TestSetOrientedBindJoin:
+    """The same plan with batching on (the default): per-tuple in
+    semantics, one ``cs`` call per relation label on the wire."""
+
+    def test_year3_ships_one_batch_per_relation(self):
+        per_tuple = build_scenario(push_mode="needed")
+        per_tuple.mediator.semijoin = False
+        batched = build_scenario(push_mode="needed")
+        expected = per_tuple.mediator.query(YEAR3_QUERY)
+        result = batched.mediator.query(YEAR3_QUERY)
+        assert [repr(o) for o in result] == [repr(o) for o in expected]
+        context = batched.mediator.last_context
+        # Q3 probes {student}, Q4 probes {employee, student}
+        assert context.queries_sent == {"whois": 2, "cs": 3}
+        assert context.semijoin_batches == 3
+        assert context.semijoin_probes == 3
+
+    def test_batch_is_the_projection_query_plus_in_filters(self):
+        scenario = build_scenario(push_mode="needed")
+        shipped = []
+        answer = scenario.cs.answer
+        scenario.cs.answer = lambda query: shipped.append(query) or answer(query)
+        scenario.mediator.answer(JOE_CHUNG_QUERY)
+        (batch,) = shipped
+        assert batch.is_semijoin
+        # $R instantiated per group; $FN / $LN travel as IN filters
+        assert "<employee {<first_name FN_r1> <last_name LN_r1>" in str(
+            batch.rule
+        )
+        assert [(f.label, f.values) for f in batch.filters] == [
+            ("first_name", frozenset({"Joe"})),
+            ("last_name", frozenset({"Chung"})),
+        ]
+
+    @pytest.mark.parametrize("people", [50, 200, 800])
+    def test_export_calls_do_not_grow_with_people(self, people):
+        scenario = build_scaled_scenario(people)
+        cs = scenario.cs
+        examined = []
+        candidates = cs.semijoin_candidates
+        cs.semijoin_candidates = lambda query: (
+            examined.append(len(found := candidates(query))) or found
+        )
+        scenario.mediator.export()
+        relations = {obj.get("relation") for obj in scenario.whois.export()}
+        assert 1 <= cs.queries_answered <= len(relations)
+        # each relation is scanned once: candidates are bounded by the
+        # tuples cs holds, however many probes the batch carries
+        assert sum(examined) <= len(cs.export()) <= people

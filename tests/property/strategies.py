@@ -59,3 +59,68 @@ def record_objects(draw) -> OEMObject:
 
 
 record_forests = st.lists(record_objects(), min_size=0, max_size=8)
+
+
+# -- bind-join scenarios ------------------------------------------------
+#
+# A driver source of ``probe`` objects joined against a target holding
+# the relations ``emp`` and ``stu``: the shape of the paper's MS1 (label
+# variable ``R`` over relation names, value joins, a Rest variable).
+
+#: Join keys that collide under Python ``==`` but not under MSL equality.
+join_keys = st.sampled_from([0, 1, 1.0, True, False, 2, 2.0, "1", "a"])
+#: What a relational ``real`` column can hold of those (None = NULL).
+relational_keys = st.sampled_from([0, 1, 1.0, 2, 2.0, None])
+tags = st.sampled_from(["x", "y", None])
+
+#: Specifications over ``drv`` and ``tgt``, one per parameter position
+#: the semi-join path must get right.
+BIND_JOIN_SPECS = {
+    "label-slot": (
+        "<hit {<rel R> <k K> | Rest}> :- <probe {<rel R> <k K>}>@drv"
+        " AND <R {<key K> | Rest}>@tgt"
+    ),
+    "two-values": (
+        "<hit {<k K> <t T> | Rest}> :- <probe {<k K> <t T>}>@drv"
+        " AND <emp {<key K> <tag T> | Rest}>@tgt"
+    ),
+    "ms1-shape": (
+        "<hit {<rel R> <k K> <t T> | Rest}> :-"
+        " <probe {<rel R> <k K> <t T>}>@drv"
+        " AND <R {<key K> <tag T> | Rest}>@tgt"
+    ),
+    "nested": (
+        "<hit {<k K> <t T> <n N>}> :- <probe {<k K> <t T>}>@drv"
+        " AND <emp {<key K> <info {<tag T>}> <note N>}>@tgt"
+    ),
+    "rest-condition": (
+        "<hit {<k K> <t T> | Rest}> :- <probe {<k K> <t T>}>@drv"
+        " AND <emp {<key K> | Rest:{<tag T>}}>@tgt"
+    ),
+}
+
+
+@st.composite
+def bind_join_scenarios(draw) -> dict:
+    """Inputs for one bind join: which spec, what the target is, the
+    probe tuples (duplicates, absent tags and labels naming no relation
+    included) and the rows of each relation (possibly none)."""
+    relational = draw(st.booleans())
+    keys = relational_keys if relational else st.one_of(join_keys, st.none())
+    rows = st.lists(
+        st.tuples(keys, tags, st.sampled_from(["n1", "n2"])), max_size=6
+    )
+    return {
+        "spec": draw(st.sampled_from(sorted(BIND_JOIN_SPECS))),
+        "relational": relational,
+        "probes": draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["emp", "stu", "ghost"]), join_keys, tags
+                ),
+                max_size=8,
+            )
+        ),
+        "emp": draw(rows),
+        "stu": draw(rows),
+    }

@@ -3,7 +3,7 @@
 The equivalence contract of the sharded source tier
 (docs/performance.md): with deterministic shard stores, a run against
 ``ShardedSource`` — any shard count, any parallelism, semi-join
-shipping on or off, Bloom filters forced or not — produces the same
+shipping on or off — produces the same
 result objects (by structural key) as the unsharded single-wrapper
 reference.  Faults absorbed by retries cannot perturb the answer, a
 dead shard degrades to warnings plus the other shards' contribution,
@@ -134,10 +134,9 @@ class TestShardedEqualsUnsharded:
         shards=st.sampled_from([1, 2, 4, 8]),
         parallelism=st.sampled_from([1, 8]),
         semijoin=st.booleans(),
-        bloom=st.booleans(),
     )
     @settings(max_examples=15, deadline=None)
-    def test_equivalence(self, seed, shards, parallelism, semijoin, bloom):
+    def test_equivalence(self, seed, shards, parallelism, semijoin):
         keys = probe_keys(25, 60, seed=seed)
         records = make_records(60, seed)
         reference = build_mediator(keys, records, semijoin=False)
@@ -148,7 +147,6 @@ class TestShardedEqualsUnsharded:
             shards=shards,
             parallelism=parallelism,
             semijoin=semijoin,
-            bloom_threshold=1 if bloom else 1_000_000,
         )
         observed = sharded.query(QUERY)
         assert canonical(observed.objects()) == canonical(

@@ -258,6 +258,44 @@ class TestFeedbackLoop:
         for earlier, later in zip(medians[1:], medians[2:]):
             assert later <= earlier
 
+    def test_batched_probes_keep_feeding_cardinalities(self):
+        # a semi-join batch answers many probes at once, so the engine's
+        # per-call feedback skips it; the shipping node records the mean
+        # matches per probe instead, and the optimizer must end up
+        # knowing what the per-tuple run would have taught it
+        learned = {}
+        for semijoin in (True, False):
+            scenario = build_scaled_scenario(60)
+            med = fresh_mediator(scenario, semijoin=semijoin)
+            for _ in range(3):
+                med.export()
+            learned[semijoin] = med.statistics
+        for label in ("employee", "student"):
+            assert learned[True].has_observations("cs", label)
+            batched = learned[True].base_cardinality("cs", label)
+            per_tuple = learned[False].base_cardinality("cs", label)
+            # agreement within the factor the engine itself treats as
+            # "estimate was right" (the default misestimate_factor)
+            assert qerror(batched, per_tuple) <= 4.0
+        assert (
+            learned[True].qerror_summary() == learned[False].qerror_summary()
+        )
+
+    def test_degraded_batches_teach_nothing(self):
+        # a dead source's batch is an absence, not an observation
+        from repro.reliability import FaultInjectingSource
+
+        scenario = build_scaled_scenario(20)
+        scenario.registry.deregister("cs")
+        scenario.registry.register(
+            FaultInjectingSource(scenario.cs, dead=True)
+        )
+        med = fresh_mediator(scenario, on_source_failure="degrade")
+        result = med.query(ALL_QUERY)
+        assert result.warnings and med.last_context.semijoin_batches
+        assert not med.statistics.has_observations("cs", "employee")
+        assert not med.statistics.has_observations("cs", "student")
+
     def test_cost_weight_from_latency_and_breaker(self):
         stats = SourceStatistics()
         assert stats.cost_weight("never-seen") == 1.0

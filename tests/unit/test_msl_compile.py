@@ -131,6 +131,27 @@ class TestCompileCache:
             cache.rule(parse_rule(f"<n N> :- <{name} {{<name N>}}>@s"))
         assert cache.stats()["rules"] == 2  # oldest evicted
 
+    def test_constants_equal_under_python_eq_do_not_share_an_entry(self):
+        # 1 == 1.0 == True in Python; MSL keeps booleans apart, so a
+        # probe for `true` must not answer with the closure for `1`
+        from repro.wrappers import OEMStoreWrapper
+
+        store = OEMStoreWrapper(
+            "s", [obj("rec", atom("k", v)) for v in (1, True, 1.0)]
+        )
+        answers = {
+            text: [
+                repr(o.get("k"))
+                for o in store.answer(
+                    parse_rule(f"X :- X:<rec {{<k {text}>}}>@s")
+                )
+            ]
+            for text in ("true", "1", "1.0")
+        }
+        assert answers == {
+            "true": ["True"], "1": ["1", "1.0"], "1.0": ["1", "1.0"],
+        }
+
     def test_returns_compiled_rule(self):
         cache = CompileCache()
         rule = parse_rule("<n N> :- <person {<name N>}>@s")

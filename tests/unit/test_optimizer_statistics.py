@@ -13,6 +13,7 @@ from repro.mediator import (
     FilterNode,
     JoinNode,
     LogicalRule,
+    Mediator,
     ParameterizedQueryNode,
     PlanningError,
     QueryNode,
@@ -20,6 +21,8 @@ from repro.mediator import (
 )
 from repro.mediator.statistics import count_constant_conditions
 from repro.msl import parse_pattern, parse_rule
+from repro.oem import atom, obj
+from repro.wrappers import FULL_CAPABILITY, OEMStoreWrapper, SourceRegistry
 
 
 RULE = parse_rule(
@@ -176,6 +179,80 @@ class TestCapabilityCompensation:
         )
         assert len(result) == 1
         assert result[0].get("name") == "Nick Naive"
+
+
+class TestBindJoinTemplates:
+    SPEC = (
+        "<r {<x X> <z Z>}> :- <a {<x X> <y Y>}>@s1"
+        " AND <b {<x X> <z Z>}>@s2 AND Z > X ;"
+    )
+
+    def mediator(self, **kwargs):
+        s1 = OEMStoreWrapper(
+            "s1", [obj("a", atom("x", x), atom("y", 0)) for x in (1, 2)]
+        )
+        s2 = OEMStoreWrapper(
+            "s2",
+            [obj("b", atom("x", x), atom("z", z)) for x, z in [(1, 7), (2, 0)]],
+        )
+        return Mediator("med", self.SPEC, SourceRegistry(s1, s2), **kwargs)
+
+    @pytest.mark.parametrize("semijoin", [True, False])
+    def test_comparison_over_a_parameter_stays_at_the_mediator(self, semijoin):
+        # shipped inside the template, `Z > X` would name a variable the
+        # instantiated probe no longer binds (X travels as a constant)
+        mediator = self.mediator(semijoin=semijoin)
+        (hit,) = mediator.export()
+        assert (hit.get("x"), hit.get("z")) == (1, 7)
+        (probe,) = [
+            node
+            for node in mediator.optimizer.plan_rule(
+                LogicalRule(mediator.specification.rules[0])
+            ).nodes()
+            if isinstance(node, ParameterizedQueryNode)
+        ]
+        assert not list(probe.template.comparisons())
+
+    def test_describe_names_grouping_and_filter_parameters(self, scenario):
+        plan = scenario.mediator.optimizer.plan_rule(LogicalRule(RULE))
+        (probe,) = [
+            n for n in plan.nodes() if isinstance(n, ParameterizedQueryNode)
+        ]
+        assert "(semijoin by $R; IN $FN,$LN)" in probe.describe()
+        # the batch keeps $R as a placeholder and projects the rest
+        assert "<$R {<first_name FN> <last_name LN> | Rest2}>" in str(
+            probe.batch_query
+        )
+
+    def test_no_batch_spec_without_the_capability_or_a_witness(self):
+        def probes(spec, **wrapper_kwargs):
+            registry = SourceRegistry(
+                OEMStoreWrapper("s1", [obj("a", atom("x", "b"))]),
+                OEMStoreWrapper(
+                    "s2", [obj("b", atom("x", "b"))], **wrapper_kwargs
+                ),
+            )
+            mediator = Mediator("med", spec, registry)
+            plan = mediator.optimizer.plan_rule(
+                LogicalRule(mediator.specification.rules[0])
+            )
+            text = mediator.explain("X :- X:<r {}>@med")
+            return [
+                n for n in plan.nodes()
+                if isinstance(n, ParameterizedQueryNode)
+            ], text
+
+        value_join = "<r {<x X>}> :- <a {<x X>}>@s1 AND <b {<x X>}>@s2 ;"
+        (batched,), text = probes(value_join)
+        assert batched.batch_query is not None
+        assert "-- sharding --\nsemijoin: on" in text
+        (plain,), text = probes(value_join, capability=FULL_CAPABILITY)
+        assert plain.batch_query is None and "semijoin" not in text
+        # a label variable alone has no direct-child witness to filter on
+        (label_only,), text = probes(
+            "<r {<x X>}> :- <a {<x X>}>@s1 AND <X {}>@s2 ;"
+        )
+        assert label_only.batch_query is None and "semijoin" not in text
 
 
 class TestStatistics:
@@ -339,9 +416,11 @@ class TestExhaustiveStrategy:
     def test_informed_exhaustive_is_cheaper(self):
         from repro.datasets import build_campus_scenario
 
+        # cost = objects shipped to the mediator, which a bad join order
+        # inflates whether the probes travel one by one or batched
         heuristic = build_campus_scenario(300, strategy="heuristic")
         heuristic.mediator.export()
-        heuristic_cost = heuristic.mediator.last_context.total_queries
+        heuristic_cost = heuristic.mediator.last_context.total_objects
 
         exhaustive = build_campus_scenario(300, strategy="exhaustive")
         for name in ("hr", "badges", "parking"):
@@ -349,7 +428,7 @@ class TestExhaustiveStrategy:
                 exhaustive.registry.resolve(name)
             )
         exhaustive.mediator.export()
-        exhaustive_cost = exhaustive.mediator.last_context.total_queries
+        exhaustive_cost = exhaustive.mediator.last_context.total_objects
         assert exhaustive_cost < heuristic_cost / 3
 
     def test_exhaustive_without_stats_still_works(self):

@@ -752,6 +752,7 @@ class TestCancellationMidStage:
             register=False,
             clock=clock,
             cancellation=token,
+            semijoin=False,  # one cs call per tuple: calls to cancel between
         )
         with pytest.raises(QueryCancelled):
             mediator.answer(FANOUT_QUERY)

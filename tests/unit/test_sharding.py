@@ -1,8 +1,7 @@
 """Unit tests for the sharded source tier.
 
 Covers the partition schemes and their deterministic routing, shard
-pruning, the semi-join wire protocol (filters, Bloom digests, canonical
-query text), the disk-backed SQLite store, registry resolution of
+pruning, the semi-join wire protocol (filters, canonical query text), the disk-backed SQLite store, registry resolution of
 shard-qualified names, the engine's semi-join counters, and the
 answer-cache behaviour with shard-qualified source names.
 """
@@ -18,7 +17,7 @@ from repro.oem import structural_key
 from repro.oem.builders import atom, obj
 from repro.wrappers import (
     BATCH_CAPABILITY,
-    BloomFilter,
+    FULL_CAPABILITY,
     HashPartition,
     OEMStoreWrapper,
     RangePartition,
@@ -164,44 +163,16 @@ class TestPartitions:
         assert forests[0] == [orphan]
 
 
-# -- bloom filters ------------------------------------------------------------
-
-
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        values = list(range(500)) + ["a", "b", 2.5]
-        bloom = BloomFilter.build(values)
-        for value in values:
-            assert value in bloom
-
-    def test_mostly_rejects_absent_values(self):
-        bloom = BloomFilter.build(range(100))
-        misses = sum(
-            1 for v in range(10_000, 11_000) if v not in bloom
-        )
-        assert misses > 900  # ~12 bits/value keeps FP rate low
-
-    def test_deterministic_digest(self):
-        a = BloomFilter.build([1, 2, 3])
-        b = BloomFilter.build([1, 2, 3])
-        assert a.digest() == b.digest()
-        assert a.digest() != BloomFilter.build([1, 2, 4]).digest()
-
-
 # -- the semi-join wire protocol ----------------------------------------------
 
 
 class TestSemiJoinProtocol:
-    def test_filter_needs_exactly_one_payload(self):
-        with pytest.raises(ValueError):
-            SemiJoinFilter("K", "key")
-        with pytest.raises(ValueError):
-            SemiJoinFilter(
-                "K",
-                "key",
-                values=frozenset([1]),
-                bloom=BloomFilter.build([1]),
-            )
+    def test_filter_membership_is_python_equality(self):
+        # a superset of what the matcher admits: the mediator's
+        # demultiplexer separates 1 / 1.0 / True exactly
+        filt = SemiJoinFilter("K", "key", frozenset([1]))
+        assert filt.admits(1.0) and filt.admits(True)
+        assert not filt.admits("1") and not filt.admits([1])
 
     def test_admits_object_checks_direct_children(self):
         filt = SemiJoinFilter("K", "key", values=frozenset([1, 2]))
@@ -243,31 +214,11 @@ class TestSemiJoinProtocol:
             if c.label == "bind_for_P"
         )
         assert keys == ["p1", "p3"]
-        plain = OEMStoreWrapper("big", make_records(10))
+        plain = OEMStoreWrapper(
+            "big", make_records(10), capability=FULL_CAPABILITY
+        )
         with pytest.raises(SourceError):
             plain.answer(query)
-
-    def test_bloom_filter_superset_is_allowed(self):
-        # a bloom filter may admit extra objects; the wrapper returns
-        # the superset and the mediator re-checks exactly
-        rule = parse_query(
-            "<bind_for_big {<bind_for_K K> <bind_for_P P>}> :-"
-            " <rec {<key K> <payload P>}>@big"
-        )
-        query = SemiJoinQuery(
-            rule,
-            [SemiJoinFilter("K", "key", bloom=BloomFilter.build([1, 3]))],
-        )
-        batch = OEMStoreWrapper(
-            "big", make_records(10), capability=BATCH_CAPABILITY
-        )
-        keys = {
-            c.value
-            for o in batch.answer(query)
-            for c in o.children
-            if c.label == "bind_for_P"
-        }
-        assert {"p1", "p3"} <= keys
 
 
 # -- sharded sources ----------------------------------------------------------
@@ -383,14 +334,10 @@ class TestSQLiteStore:
             "<bind_for_big {<bind_for_K K> <bind_for_P P>}> :-"
             " <rec {<key K> <payload P>}>@big"
         )
-        for filt in (
-            SemiJoinFilter("K", "key", values=frozenset([1, 5, 9])),
-            SemiJoinFilter("K", "key", bloom=BloomFilter.build([1, 5])),
-        ):
-            semi = SemiJoinQuery(rule, [filt])
-            assert canonical(disk.answer(semi)) == canonical(
-                memory.answer(semi)
-            )
+        semi = SemiJoinQuery(
+            rule, [SemiJoinFilter("K", "key", values=frozenset([1, 5, 9]))]
+        )
+        assert canonical(disk.answer(semi)) == canonical(memory.answer(semi))
         assert len(disk) == 40
         disk.close()
 
@@ -459,16 +406,43 @@ class TestMediatorIntegration:
         med.close()
         reference.close()
 
-    def test_bloom_path_matches_exact(self):
-        keys = probe_keys(40, 60, seed=1)
-        records = make_records(60)
-        exact = make_mediator(keys, records, shards=2, bloom_threshold=0)
-        bloomed = make_mediator(keys, records, shards=2, bloom_threshold=1)
-        assert canonical(bloomed.query(QUERY).objects()) == canonical(
-            exact.query(QUERY).objects()
+    def test_label_parameter_groups_batches_per_shard(self):
+        # a label variable has no direct-child witness: probes group by
+        # it, and each group still routes its keys to the owning shards
+        spec = (
+            "<hit {<r R> <k K> <p P>}> :- <probe {<rel R> <key K>}>@driver"
+            " AND <R {<key K> <payload P>}>@big"
         )
-        exact.close()
-        bloomed.close()
+        records = make_records(40) + [
+            obj("arc", atom("key", k), atom("payload", f"a{k}"))
+            for k in range(0, 40, 3)
+        ]
+        pairs = [
+            ("rec", 1), ("arc", 3), ("rec", 3), ("ghost", 5),
+            ("arc", 4), ("rec", 1), ("arc", 39.0),
+        ]
+        probes = [
+            obj("probe", atom("rel", rel), atom("key", k)) for rel, k in pairs
+        ]
+
+        def run(big, **kwargs):
+            registry = SourceRegistry(OEMStoreWrapper("driver", probes), big)
+            med = Mediator("med", spec, registry, **kwargs)
+            try:
+                return [repr(o) for o in med.query(QUERY)], med.last_context
+            finally:
+                med.close()
+
+        expected, _ = run(OEMStoreWrapper("big", records), semijoin=False)
+        assert len(expected) == 4  # rec 1, arc 3, rec 3, arc 39
+        got, context = run(make_sharded(records, 4), parallelism=4)
+        assert got == expected
+        assert context.semijoin_probes == 6  # (rec, 1) probed twice
+        # one batch per (group, shard owning one of the group's keys)
+        owner = HashPartition("key", 4).shard_of
+        assert context.semijoin_batches == len(
+            {(rel, owner(k)) for rel, k in pairs}
+        )
 
     def test_semijoin_off_still_correct(self):
         keys = [1, 2, 3]
@@ -488,12 +462,8 @@ class TestMediatorIntegration:
         assert "-- sharding --" in text
         assert "semijoin: on" in text
         assert "4 shard(s)" in text
-        assert "semijoin x4 shards" in text
+        assert "semijoin IN $K_r1 x4 shards" in text
         med.close()
-
-    def test_bloom_threshold_validated(self):
-        with pytest.raises(Exception):
-            make_mediator([1], make_records(5), shards=2, bloom_threshold=-1)
 
     def test_telemetry_counters(self):
         med = make_mediator(

@@ -11,6 +11,8 @@ from repro.wrappers import (
     FULL_CAPABILITY,
     OEMStoreWrapper,
     RelationalWrapper,
+    SemiJoinFilter,
+    SemiJoinQuery,
     SourceError,
     SourceRegistry,
 )
@@ -214,6 +216,52 @@ class TestRelationalWrapper:
         (result,) = cs.answer(query)
         labels = sorted(c.label for c in result.children)
         assert labels == ["reports_to", "title"]
+
+    def test_equal_tuples_keep_distinct_stable_oids(self):
+        db = build_cs_database(
+            extra_students=[("Nick", "Naive", 3), ("Ann", "Ace", 1)]
+        )
+        wrapper = RelationalWrapper("cs", db)
+        oids = [str(o.oid) for o in wrapper.export() if o.label == "student"]
+        # the paper's Nick, his equal twin, Ann: numbered by position
+        assert oids == ["&cs_student1", "&cs_student2", "&cs_student3"]
+        assert [
+            str(o.oid) for o in wrapper.export() if o.label == "student"
+        ] == oids
+        # a selection carries the row number out of the scan: same oids
+        probe = parse_rule("<x Y> :- <student {<first_name 'Nick'> <year Y>}>")
+        assert [str(o.oid) for o in wrapper.candidates(probe)] == oids[:2]
+        batch = SemiJoinQuery(
+            parse_rule("<x Y> :- <student {<first_name FN> <year Y>}>"),
+            [SemiJoinFilter("FN", "first_name", frozenset(["Nick", "Ann"]))],
+        )
+        assert [
+            str(o.oid) for o in wrapper.semijoin_candidates(batch)
+        ] == oids
+
+    def test_semijoin_candidates_select_before_translating(self, cs):
+        rule = parse_rule("<x LN> :- <R {<first_name FN> <last_name LN>}>")
+
+        def candidates(label, values):
+            query = SemiJoinQuery(
+                rule, [SemiJoinFilter("P", label, frozenset(values))]
+            )
+            return [o.label for o in cs.semijoin_candidates(query)]
+
+        assert candidates("first_name", ["Joe", "Nick"]) == [
+            "employee", "student",
+        ]
+        assert candidates("first_name", ["Nick"]) == ["student"]
+        # a filter on an attribute a relation lacks prunes that relation
+        assert candidates("year", [3]) == ["student"]
+        assert candidates("year", [4]) == []
+        # membership is Python equality: 3.0 admits the integer year
+        year = SemiJoinQuery(
+            parse_rule("<x Y> :- <student {<year Y>}>"),
+            [SemiJoinFilter("Y", "year", frozenset([3.0]))],
+        )
+        assert len(cs.semijoin_candidates(year)) == 1
+        assert len(cs.answer(year)) == 1
 
     def test_schema_evolution_visible(self, cs):
         cs.database.table("student").add_attribute("birthday")
