@@ -16,8 +16,9 @@ latency-bound plans by overlapping source calls:
   consulted before the reliability layer, with per-source invalidation
   and hit/miss statistics.
 
-``parallelism=1`` with no cache is bit-for-bit the sequential engine;
-see ``docs/performance.md`` for semantics and tuning guidance.
+``parallelism=1`` with no cache is the one-worker case of the engine's
+single stage loop (leaves run inline, no thread is ever created); see
+``docs/performance.md`` for semantics and tuning guidance.
 """
 
 from repro.exec.cache import AnswerCache

@@ -37,11 +37,10 @@ sequential run — single-flight sharing and cache hits can only remove
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
 from repro.exec.cache import AnswerCache
 from repro.oem.model import OEMObject
@@ -98,14 +97,24 @@ def current_scope() -> TaskScope | None:
     return _SCOPE.get()
 
 
-@contextlib.contextmanager
-def scope_active(scope: TaskScope) -> Iterator[TaskScope]:
-    """Install ``scope`` as the current task scope for a ``with`` block."""
-    token = _SCOPE.set(scope)
-    try:
-        yield scope
-    finally:
-        _SCOPE.reset(token)
+class scope_active:
+    """Install ``scope`` as the current task scope for a ``with`` block.
+
+    A plain class (not a generator context manager): one opens around
+    every plan run and every pooled task.
+    """
+
+    __slots__ = ("_scope", "_token")
+
+    def __init__(self, scope: TaskScope) -> None:
+        self._scope = scope
+
+    def __enter__(self) -> TaskScope:
+        self._token = _SCOPE.set(self._scope)
+        return self._scope
+
+    def __exit__(self, *exc_info: object) -> None:
+        _SCOPE.reset(self._token)
 
 
 class TaskOutcome:

@@ -2,9 +2,19 @@
 
 Third stage of the MSI pipeline (Figure 2.5): "the datamerge engine
 executes the plan and produces the required result objects".  Execution
-is bottom-up over the plan's topological order, exactly as the paper
-walks Figure 3.6 ("the datamerge engine executes the graph in a
-bottom-up fashion; first, the lower query node is executed ...").
+is bottom-up, exactly as the paper walks Figure 3.6 ("the datamerge
+engine executes the graph in a bottom-up fashion; first, the lower
+query node is executed ...").
+
+There is one executor and one bookkeeping site.
+:meth:`DatamergeEngine.execute` is a single loop over the plan's
+topological stages; a stage's leaf queries run on the dispatcher's
+worker pool when there is one and inline otherwise, so sequential
+execution is the one-worker case of the same loop, not a second code
+path.  Every node — pooled, inline, or a constituent of a fused
+pipeline — goes through :func:`run_node`, the only place a node meets
+the governor, the tracer, the clock, the profiler, the observability
+loop and the trace.
 
 The :class:`ExecutionContext` carries everything nodes need: the source
 registry for shipping queries, the external-function registry, an oid
@@ -17,14 +27,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING
 
 from repro.exec.dispatcher import TaskScope, current_scope, scope_active
 from repro.mediator.plan import PhysicalPlan, PlanNode, QueryNode
+from repro.mediator.statistics import qerror
 from repro.mediator.tables import BindingTable
 from repro.msl.ast import PatternCondition, Rule
-from repro.obs.span import Span, status_of_exception
 from repro.oem.model import OEMObject
 from repro.oem.oid import OidGenerator
 from repro.reliability.deadline import call_allowance_scope
@@ -46,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.reliability.resilient import ResilienceManager
     from repro.wrappers.registry import SourceRegistry
 
-__all__ = ["ExecutionContext", "DatamergeEngine", "TraceEntry"]
+__all__ = ["ExecutionContext", "DatamergeEngine", "TraceEntry", "run_node"]
 
 
 @dataclass
@@ -122,7 +133,7 @@ class ExecutionContext:
     # mid-query adaptivity: an operator whose actual rows exceed its
     # estimate by this factor raises a misestimate event, records a
     # correction ratio for its (source, label) bucket, and lets the
-    # staged executor re-rank not-yet-dispatched stages; 0 disables
+    # engine re-rank not-yet-dispatched stages; 0 disables
     misestimate_factor: float = 4.0
     misestimate_events: int = 0
     estimate_corrections: dict[tuple[str, str], float] = field(
@@ -131,6 +142,14 @@ class ExecutionContext:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False
     )
+
+    def run_scope(self) -> TaskScope:
+        """The scope the coordinating thread runs this plan's nodes in:
+        its warnings *are* the context's (recorded at once, in call
+        order); attempts and latency are read as per-node deltas."""
+        scope = TaskScope()
+        scope.warnings = self.warnings
+        return scope
 
     def record_semijoin(self, batches: int, probes: int) -> None:
         """Account one batched shipping round: ``batches`` filters went
@@ -177,8 +196,6 @@ class ExecutionContext:
             return
         key = node.estimate_key
         if key is not None:
-            from repro.mediator.statistics import qerror
-
             error = qerror(estimated, rows_out)
             source, label, kind = key
             if self.statistics is not None:
@@ -253,6 +270,14 @@ class ExecutionContext:
         cache and the single-flight dedup layer; only cache misses
         without an identical in-flight request actually ship.
         """
+        if current_scope() is None:
+            # the engine runs every node under a scope; only a bare
+            # call from outside it (a unit test or tool driving a node
+            # or this method directly, which is supported) has none —
+            # lend it one that records straight into this context, so
+            # nothing below has to ask whether a scope exists
+            with scope_active(self.run_scope()):
+                return self.send_query(source_name, query)
         if self.governor is not None and not self.governor.allow_source_call(
             source_name
         ):
@@ -261,20 +286,6 @@ class ExecutionContext:
             return []
         dispatcher = self.dispatcher
         if dispatcher is not None and dispatcher.active:
-            if dispatcher.hedging is not None and current_scope() is None:
-                # hedged attempts record into fresh scopes and the
-                # dispatcher merges the winner's back into the current
-                # one — guarantee a scope exists (the sequential path
-                # has none) so winner warnings aren't dropped
-                scope = TaskScope()
-                with scope_active(scope):
-                    result = dispatcher.fetch(
-                        source_name,
-                        str(query),
-                        lambda: self._ship(source_name, query),
-                    )
-                self.warnings.extend(scope.warnings)
-                return result
             return dispatcher.fetch(
                 source_name,
                 str(query),
@@ -301,15 +312,15 @@ class ExecutionContext:
         absence, not an observation, so it is never cacheable.  Safe to
         run on a dispatcher worker thread: run-wide counters mutate
         under the context lock, and per-call warnings/attempts go to
-        the active :class:`TaskScope` (when one is installed) so the
-        coordinator can merge them back in deterministic order.
+        the active :class:`TaskScope` so the coordinator can merge them
+        back in deterministic order.
         """
         source = self.sources.resolve(source_name)
         resilient = None
         if self.resilience is not None:
             source = resilient = self.resilience.wrap(source)
         scope = current_scope()
-        sink = scope.warnings if scope is not None else self.warnings
+        sink = scope.warnings
         tracer = self.tracer
         span = (
             tracer.start_span("source-call", source_name)
@@ -317,6 +328,7 @@ class ExecutionContext:
             else None
         )
         degraded = False
+        started = perf_counter()
         try:
             result = source.answer(query)
             if self.governor is not None:
@@ -348,7 +360,7 @@ class ExecutionContext:
         if resilient is not None:
             attempts, elapsed = resilient.last_call_stats()
         else:
-            attempts, elapsed = 1, 0.0
+            attempts, elapsed = 1, perf_counter() - started
         if span is not None:
             span.set_attribute("attempts", attempts)
             span.set_attribute("objects", len(result))
@@ -363,9 +375,8 @@ class ExecutionContext:
             tracer.finish_span(
                 span, status="degraded" if degraded else "ok"
             )
-        if scope is not None:
-            scope.attempts += attempts
-            scope.latency += elapsed
+        scope.attempts += attempts
+        scope.latency += elapsed
         with self._lock:
             self.attempts_made += attempts
             self.source_latency += elapsed
@@ -427,37 +438,59 @@ class ExecutionContext:
         return sum(self.objects_received.values())
 
 
-def _traced_execute(
+def run_node(
     node: PlanNode,
-    inputs: list[BindingTable],
     context: ExecutionContext,
-    stage_span: "Span | None",
-) -> BindingTable:
-    """Run one node inside a plan-node span.
+    rows_in: int,
+    run,
+    args: tuple,
+    entries: "dict[int, TraceEntry] | None" = None,
+    kind: str = "plan-node",
+):
+    """Run one operator — ``run(*args)`` — with all its bookkeeping.
 
-    The span is current while the node executes, so source-call,
+    The one place a node meets the governor (cooperative checkpoint;
+    budget violations name ``node``), the tracer, the clock, the
+    profiler, the observability loop and the Figure 3.6 trace — shared
+    by nodes the engine runs inline, leaf queries it runs on a pool
+    worker, and the constituents of a fused pipeline node
+    (``kind="pipeline-stage"``).  Time is taken where the node runs and
+    source attempts/latency are deltas of the active task scope, so a
+    node's figures mean the same whichever thread ran it.
+
+    The span is current while the node runs, so source-call,
     pattern-match and external-predicate spans emitted underneath
-    parent to it — including spans from dispatcher workers, which
-    inherit the node span through their copied context.  With
-    ``stage_span=None`` the parent is taken from the calling context
-    (the stage span a worker inherited).  Untraced runs fall straight
-    through to ``node.execute``.
+    parent to it; its own parent is the calling context's span (the
+    stage span — workers inherit it through their copied context).
     """
+    governor = context.governor
+    if governor is not None:
+        governor.enter_node(node)
+    scope = current_scope()
+    attempts_before = scope.attempts
+    latency_before = scope.latency
     tracer = context.tracer
+    started = perf_counter()
     if tracer is None:
-        return node.execute(inputs, context)
-    span = tracer.start_span(
-        "plan-node", type(node).__name__, parent=stage_span
-    )
-    try:
-        with tracer.use(span):
-            table = node.execute(inputs, context)
-    except BaseException as exc:
-        tracer.finish_span(span, status=status_of_exception(exc))
-        raise
-    span.set_attribute("rows_out", len(table))
-    tracer.finish_span(span)
-    return table
+        result = run(*args)
+        rows_out = len(result)
+    else:
+        with tracer.span(kind, type(node).__name__) as span:
+            result = run(*args)
+            rows_out = len(result)
+            span.set_attribute("rows_out", rows_out)
+    seconds = perf_counter() - started
+    latency = scope.latency - latency_before
+    if context.profiler is not None:
+        context.profiler.record_node(
+            type(node).__name__, rows_out, seconds, latency
+        )
+    context.observe_node(node, rows_in, rows_out, seconds, latency)
+    if entries is not None:
+        entries[id(node)] = TraceEntry(
+            node, result, scope.attempts - attempts_before, latency
+        )
+    return result
 
 
 def _rerank_stage(
@@ -514,18 +547,20 @@ class DatamergeEngine:
     def execute(
         self, plan: PhysicalPlan, context: ExecutionContext
     ) -> BindingTable:
-        """Run ``plan`` bottom-up; return the root's output table.
+        """Run ``plan`` bottom-up, stage by stage; return the root table.
 
-        With a governor attached, every node boundary is a cooperative
-        checkpoint: the cancellation token and the run deadline are
-        checked before each node executes, and the governor learns
-        which node is running so budget violations can name it.
+        Nodes are grouped by topological depth; within a stage every
+        node is independent of the others, and a stage finishes before
+        the next begins.  Sequential execution is the one-worker case
+        of the same loop.  With a governor attached, every node
+        boundary is a cooperative checkpoint (see :func:`run_node`).
+        Trace entries are reported in the plan's topological order
+        whatever order the stages ran them in.
         """
         if self.trace_enabled and context.trace is None:
             context.trace = []
-        governor = context.governor
-        if governor is not None:
-            governor.start()
+        if context.governor is not None:
+            context.governor.start()
         slicer = context.slicer
         if slicer is not None:
             # depth() counts every constituent of a fused pipeline
@@ -533,138 +568,34 @@ class DatamergeEngine:
             # without operator fusion
             slicer.begin_plan(plan.depth())
         dispatcher = context.dispatcher
-        if (
-            dispatcher is not None
+        pool = (
+            dispatcher
+            if dispatcher is not None
             and dispatcher.parallel
             and not context.force_sequential
-        ):
-            return self._execute_staged(plan, context, dispatcher)
-        outputs: dict[int, BindingTable] = {}
+            else None
+        )
         tracer = context.tracer
-        # stage spans are *logical* here: the sequential executor walks
-        # nodes in DFS order (stages interleave), so each stage's span
-        # opens at its first node and closes when the plan finishes —
-        # the tree shape matches the staged executor's, not the timing
-        stage_spans: dict[int, Span] = {}
-        stage_of: dict[int, int] = {}
-        if tracer is not None or slicer is not None:
-            for index, stage in plan.stage_starts():
-                for node in stage:
-                    stage_of[id(node)] = index
-        try:
-            for node in plan.nodes():
-                if governor is not None:
-                    governor.enter_node(node)
+        outputs: dict[int, BindingTable] = {}
+        entries: "dict[int, TraceEntry] | None" = (
+            {} if context.trace is not None else None
+        )
+        with scope_active(context.run_scope()):
+            for stage_index, stage in plan.stage_starts():
+                if context.estimate_corrections:
+                    stage = _rerank_stage(stage_index, stage, context)
                 if slicer is not None:
-                    index = stage_of[id(node)]
-                    slicer.enter_stage(index)
-                    context.stage_base = index
-                inputs = [outputs[id(child)] for child in node.inputs]
-                attempts_before = context.attempts_made
-                latency_before = context.source_latency
-                rows_in = sum(len(table) for table in inputs)
-                profiler = context.profiler
-                started = perf_counter()
-                stage_span = None
-                if tracer is not None:
-                    index = stage_of[id(node)]
-                    stage_span = stage_spans.get(index)
-                    if stage_span is None:
-                        stage_span = stage_spans[index] = tracer.start_span(
-                            "plan-stage", f"stage-{index}"
+                    slicer.enter_stage(stage_index)
+                    context.stage_base = stage_index
+                if tracer is None:
+                    self._run_stage(stage, context, pool, outputs, entries)
+                else:
+                    with tracer.span("plan-stage", f"stage-{stage_index}"):
+                        self._run_stage(
+                            stage, context, pool, outputs, entries
                         )
-                table = _traced_execute(node, inputs, context, stage_span)
-                elapsed = perf_counter() - started
-                if profiler is not None:
-                    profiler.record_node(
-                        type(node).__name__,
-                        len(table),
-                        elapsed,
-                        context.source_latency - latency_before,
-                    )
-                context.observe_node(
-                    node,
-                    rows_in,
-                    len(table),
-                    elapsed,
-                    context.source_latency - latency_before,
-                )
-                outputs[id(node)] = table
-                if context.trace is not None:
-                    context.trace.append(
-                        TraceEntry(
-                            node,
-                            table,
-                            attempts=context.attempts_made - attempts_before,
-                            latency=context.source_latency - latency_before,
-                        )
-                    )
-        except BaseException as exc:
-            if tracer is not None:
-                status = status_of_exception(exc)
-                for span in stage_spans.values():
-                    if span.end is None:
-                        tracer.finish_span(span, status=status)
-            raise
-        if tracer is not None:
-            for span in stage_spans.values():
-                tracer.finish_span(span)
-        if context.trace is not None:
-            self.last_trace = context.trace
-        return outputs[id(plan.root)]
-
-    def _execute_staged(
-        self,
-        plan: PhysicalPlan,
-        context: ExecutionContext,
-        dispatcher: "SourceDispatcher",
-    ) -> BindingTable:
-        """Stage-parallel execution: fan out each stage's leaf queries.
-
-        Nodes are grouped by topological depth; within a stage every
-        node is independent of the others.  Leaf :class:`QueryNode`\\ s
-        of a stage run concurrently on the dispatcher's worker pool;
-        everything else (including :class:`ParameterizedQueryNode`,
-        which fans out its own per-tuple batch) runs inline on this
-        thread, so only the coordinating thread ever blocks on futures
-        — no nested-pool deadlock.  Warnings and trace figures are
-        merged back in topological order, which keeps parallel runs'
-        reporting deterministic.
-        """
-        governor = context.governor
-        tracer = context.tracer
-        slicer = context.slicer
-        outputs: dict[int, BindingTable] = {}
-        entries: dict[int, TraceEntry] = {}
-        for stage_index, stage in plan.stage_starts():
-            if context.estimate_corrections:
-                stage = _rerank_stage(stage_index, stage, context)
-            if slicer is not None:
-                slicer.enter_stage(stage_index)
-                context.stage_base = stage_index
-            stage_span = (
-                tracer.start_span("plan-stage", f"stage-{stage_index}")
-                if tracer is not None
-                else None
-            )
-            try:
-                self._run_stage(
-                    stage, context, dispatcher, outputs, entries, stage_span
-                )
-            except BaseException as exc:
-                if stage_span is not None and stage_span.end is None:
-                    tracer.finish_span(
-                        stage_span, status=status_of_exception(exc)
-                    )
-                raise
-            if stage_span is not None:
-                tracer.finish_span(stage_span)
-        if context.trace is not None:
-            context.trace.extend(
-                entries[id(node)]
-                for node in plan.nodes()
-                if id(node) in entries
-            )
+        if entries is not None:
+            context.trace.extend(entries[id(node)] for node in plan.nodes())
             self.last_trace = context.trace
         return outputs[id(plan.root)]
 
@@ -672,97 +603,53 @@ class DatamergeEngine:
     def _run_stage(
         stage: list[PlanNode],
         context: ExecutionContext,
-        dispatcher: "SourceDispatcher",
+        pool: "SourceDispatcher | None",
         outputs: dict[int, BindingTable],
-        entries: dict[int, TraceEntry],
-        stage_span: "Span | None",
+        entries: "dict[int, TraceEntry] | None",
     ) -> None:
-        """Run one stage: fan out its leaf queries, inline the rest.
+        """Run one stage: its leaf queries on ``pool``, the rest inline.
 
-        When tracing, the dispatcher submission happens inside the
-        stage span's context, so worker threads (which run tasks in a
-        copied :mod:`contextvars` context) parent their plan-node spans
-        to the stage automatically.
+        Only leaf :class:`QueryNode`\\ s go to the worker pool;
+        everything else (including :class:`ParameterizedQueryNode`,
+        which fans out its own batch) runs on this thread, so only the
+        coordinating thread ever blocks on futures — no nested-pool
+        deadlock.  Worker warnings merge back in stage order, which
+        keeps parallel runs' reporting deterministic.  Without a pool
+        (no dispatcher, one worker, or ``force_sequential``) every node
+        takes the inline path.
         """
-        governor = context.governor
-        tracer = context.tracer
-        leaves = [node for node in stage if isinstance(node, QueryNode)]
-        leaf_ids = {id(node) for node in leaves}
-        if leaves:
-            if governor is not None:
-                for node in leaves:
-                    governor.enter_node(node)
-            thunks = [
-                (lambda n=node: _traced_execute(n, [], context, None))
-                for node in leaves
-            ]
-            if tracer is not None:
-                with tracer.use(stage_span):
-                    outcomes = dispatcher.run_tasks(thunks)
-            else:
-                outcomes = dispatcher.run_tasks(thunks)
+        if pool is not None:
+            leaves = [node for node in stage if isinstance(node, QueryNode)]
+            outcomes = pool.run_tasks(
+                [
+                    partial(
+                        run_node, node, context, 0,
+                        node.execute, ([], context), entries,
+                    )
+                    for node in leaves
+                ]
+            )
             first_error: BaseException | None = None
             for node, outcome in zip(leaves, outcomes):
                 context.warnings.extend(outcome.scope.warnings)
-                if outcome.error is not None:
-                    if first_error is None:
-                        first_error = outcome.error
-                    continue
-                table = outcome.value
-                assert isinstance(table, BindingTable)
-                outputs[id(node)] = table
-                if context.profiler is not None:
-                    context.profiler.record_node(
-                        type(node).__name__,
-                        len(table),
-                        outcome.scope.latency,
-                        outcome.scope.latency,
-                    )
-                context.observe_node(
-                    node,
-                    0,
-                    len(table),
-                    outcome.scope.latency,
-                    outcome.scope.latency,
-                )
-                if context.trace is not None:
-                    entries[id(node)] = TraceEntry(
-                        node,
-                        table,
-                        attempts=outcome.scope.attempts,
-                        latency=outcome.scope.latency,
-                    )
+                if outcome.error is None:
+                    outputs[id(node)] = outcome.value
+                elif first_error is None:
+                    first_error = outcome.error
             if first_error is not None:
                 raise first_error
         for node in stage:
-            if id(node) in leaf_ids:
-                continue
-            if governor is not None:
-                governor.enter_node(node)
+            if id(node) in outputs:
+                continue  # a leaf the pool already ran
             inputs = [outputs[id(child)] for child in node.inputs]
-            rows_in = sum(len(table) for table in inputs)
-            scope = TaskScope()
-            profiler = context.profiler
-            started = perf_counter()
-            with scope_active(scope):
-                table = _traced_execute(node, inputs, context, stage_span)
-            elapsed = perf_counter() - started
-            if profiler is not None:
-                profiler.record_node(
-                    type(node).__name__, len(table), elapsed, scope.latency
-                )
-            context.observe_node(
-                node, rows_in, len(table), elapsed, scope.latency
+            outputs[id(node)] = run_node(
+                node,
+                context,
+                sum(len(table) for table in inputs),
+                node.execute,
+                (inputs, context),
+                entries,
             )
-            context.warnings.extend(scope.warnings)
-            outputs[id(node)] = table
-            if context.trace is not None:
-                entries[id(node)] = TraceEntry(
-                    node,
-                    table,
-                    attempts=scope.attempts,
-                    latency=scope.latency,
-                )
 
     def execute_to_objects(
         self, plan: PhysicalPlan, context: ExecutionContext

@@ -1206,55 +1206,51 @@ def _query_constrains_types(query: Rule, mediator_name: str) -> bool:
     static expansion; such queries are answered over the materialized
     view, where the matcher checks types directly.
     """
-
-    def pattern_has_type(pattern: Pattern) -> bool:
-        if pattern.type is not None:
-            return True
-        value = pattern.value
-        if isinstance(value, SetPattern):
-            for item in value.items:
-                if isinstance(item, PatternItem) and pattern_has_type(
-                    item.pattern
-                ):
-                    return True
-            if value.rest is not None:
-                return any(
-                    pattern_has_type(c) for c in value.rest.conditions
-                )
-        return False
-
     for condition in query.tail:
         if isinstance(condition, PatternCondition) and condition.source in (
             None,
             mediator_name,
         ):
-            if pattern_has_type(condition.pattern):
+            if _pattern_has_type(condition.pattern):
                 return True
+    return False
+
+
+def _pattern_has_type(pattern: Pattern) -> bool:
+    if pattern.type is not None:
+        return True
+    value = pattern.value
+    if isinstance(value, SetPattern):
+        for item in value.items:
+            if isinstance(item, PatternItem) and _pattern_has_type(
+                item.pattern
+            ):
+                return True
+        if value.rest is not None:
+            return any(_pattern_has_type(c) for c in value.rest.conditions)
     return False
 
 
 def _query_uses_wildcards(query: Rule, mediator_name: str) -> bool:
     """Does any condition addressed to the mediator use ``..`` items?"""
-
-    def pattern_has_wildcard(pattern: Pattern) -> bool:
-        value = pattern.value
-        if not isinstance(value, SetPattern):
-            return False
-        for item in value.items:
-            if isinstance(item, PatternItem):
-                if item.descendant or pattern_has_wildcard(item.pattern):
-                    return True
-        if value.rest is not None:
-            return any(
-                pattern_has_wildcard(c) for c in value.rest.conditions
-            )
-        return False
-
     for condition in query.tail:
         if isinstance(condition, PatternCondition) and condition.source in (
             None,
             mediator_name,
         ):
-            if pattern_has_wildcard(condition.pattern):
+            if _pattern_has_wildcard(condition.pattern):
                 return True
+    return False
+
+
+def _pattern_has_wildcard(pattern: Pattern) -> bool:
+    value = pattern.value
+    if not isinstance(value, SetPattern):
+        return False
+    for item in value.items:
+        if isinstance(item, PatternItem):
+            if item.descendant or _pattern_has_wildcard(item.pattern):
+                return True
+    if value.rest is not None:
+        return any(_pattern_has_wildcard(c) for c in value.rest.conditions)
     return False

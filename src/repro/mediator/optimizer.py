@@ -733,21 +733,26 @@ def _extractor_pattern(query_head: Pattern, pattern: Pattern) -> Pattern:
 def _object_vars(pattern: Pattern) -> set[str]:
     """Variables bound to whole objects anywhere in ``pattern``."""
     found: set[str] = set()
-
-    def visit(p: Pattern) -> None:
-        if p.object_var is not None and not p.object_var.is_anonymous:
-            found.add(p.object_var.name)
-        value = p.value
-        if isinstance(value, SetPattern):
-            for item in value.items:
-                if isinstance(item, PatternItem):
-                    visit(item.pattern)
-            if value.rest is not None:
-                for condition in value.rest.conditions:
-                    visit(condition)
-
-    visit(pattern)
+    _collect_object_vars(pattern, found)
     return found
+
+
+# the recursive collectors below are module-level functions taking the
+# accumulator, not closures over it: a closure that calls itself is a
+# reference cycle, and planning runs them for every query
+
+
+def _collect_object_vars(p: Pattern, found: set[str]) -> None:
+    if p.object_var is not None and not p.object_var.is_anonymous:
+        found.add(p.object_var.name)
+    value = p.value
+    if isinstance(value, SetPattern):
+        for item in value.items:
+            if isinstance(item, PatternItem):
+                _collect_object_vars(item.pattern, found)
+        if value.rest is not None:
+            for condition in value.rest.conditions:
+                _collect_object_vars(condition, found)
 
 
 def _parameterizable_vars(pattern: Pattern) -> set[str]:
@@ -755,23 +760,6 @@ def _parameterizable_vars(pattern: Pattern) -> set[str]:
     slots or as direct item values — never rest or object variables
     (those carry sets/objects, which cannot be inlined as constants)."""
     result: set[str] = set()
-
-    def visit(p: Pattern) -> None:
-        for term in (p.label, p.type, p.oid):
-            result.update(term_variables(term))
-        value = p.value
-        if isinstance(value, Var):
-            if not value.is_anonymous:
-                result.add(value.name)
-            return
-        if isinstance(value, SetPattern):
-            for item in value.items:
-                if isinstance(item, PatternItem):
-                    visit(item.pattern)
-            if value.rest is not None:
-                for condition in value.rest.conditions:
-                    visit(condition)
-
     # note: the *top-level* value variable of the whole pattern is fine
     # to parameterize only if atomic; we cannot know, so we restrict to
     # nested occurrences, which the paper's examples cover
@@ -781,13 +769,30 @@ def _parameterizable_vars(pattern: Pattern) -> set[str]:
     if isinstance(value, SetPattern):
         for item in value.items:
             if isinstance(item, PatternItem):
-                visit(item.pattern)
+                _collect_parameterizable(item.pattern, result)
         if value.rest is not None:
             for condition in value.rest.conditions:
-                visit(condition)
+                _collect_parameterizable(condition, result)
     # rest variables are set-valued: exclude them everywhere
     result -= _rest_vars(pattern)
     return result
+
+
+def _collect_parameterizable(p: Pattern, result: set[str]) -> None:
+    for term in (p.label, p.type, p.oid):
+        result.update(term_variables(term))
+    value = p.value
+    if isinstance(value, Var):
+        if not value.is_anonymous:
+            result.add(value.name)
+        return
+    if isinstance(value, SetPattern):
+        for item in value.items:
+            if isinstance(item, PatternItem):
+                _collect_parameterizable(item.pattern, result)
+        if value.rest is not None:
+            for condition in value.rest.conditions:
+                _collect_parameterizable(condition, result)
 
 
 def _semijoin_param_labels(
@@ -842,21 +847,21 @@ def _oid_slot_vars(pattern: Pattern) -> set[str]:
 
 def _rest_vars(pattern: Pattern) -> set[str]:
     found: set[str] = set()
-
-    def visit(p: Pattern) -> None:
-        value = p.value
-        if isinstance(value, SetPattern):
-            if value.rest is not None and not value.rest.var.is_anonymous:
-                found.add(value.rest.var.name)
-            for item in value.items:
-                if isinstance(item, PatternItem):
-                    visit(item.pattern)
-            if value.rest is not None:
-                for condition in value.rest.conditions:
-                    visit(condition)
-
-    visit(pattern)
+    _collect_rest_vars(pattern, found)
     return found
+
+
+def _collect_rest_vars(p: Pattern, found: set[str]) -> None:
+    value = p.value
+    if isinstance(value, SetPattern):
+        if value.rest is not None and not value.rest.var.is_anonymous:
+            found.add(value.rest.var.name)
+        for item in value.items:
+            if isinstance(item, PatternItem):
+                _collect_rest_vars(item.pattern, found)
+        if value.rest is not None:
+            for condition in value.rest.conditions:
+                _collect_rest_vars(condition, found)
 
 
 def _parameterize(pattern: Pattern, names: set[str]) -> Pattern:

@@ -23,24 +23,22 @@ style of ngraph's greedy dataflow fusion (SNIPPETS.md Snippet 1):
   materialized inputs (and, for joins, the columnar key arrays of
   :mod:`repro.mediator.tables`);
 * **dispatcher stage boundaries are barriers** — leaf ``QueryNode``\\ s
-  are fanned out across worker threads by the staged executor, so a
-  chain never swallows one.
+  are fanned out across worker threads by the engine's stage loop, so
+  a chain never swallows one.
 
 Equivalence contract (the PR-4 standard): a fused plan's output is
 bit-for-bit equal to the unfused plan's — same rows in the same order,
 same oid-generator call sequence, same warnings, and the same budget
-truncation points.  The fused node achieves this by executing its
-constituents stage-at-a-time (not row-at-a-time across stages): each
-constituent stage admits its intermediate rows through
-``governor.row_admitter`` against a lightweight row sink, in exactly
-the order the unfused node would have admitted them into its table,
-and calls ``governor.enter_node``/``slicer.enter_stage`` per
-constituent so budget violations name the same node and deadline
-slicing sees the same stage count.  The hot loops themselves are
-shared with the unfused nodes (``run_row_extractor``,
-``build_comparison_keep``, ``ExternalPredNode.plan_call``,
-``ParameterizedQueryNode.run_batch``, ``key_array``), so there is one
-implementation of each operator's semantics, not two.
+truncation points.  That holds by construction: there is one body per
+operator (``RowOperatorNode.run_rows`` in :mod:`repro.mediator.plan`)
+and one per-node bookkeeping function (``run_node`` in
+:mod:`repro.mediator.engine`).  An unfused node's ``execute`` is its
+body run as a chain of one; a fused node runs its constituents' bodies
+back to back, constituent-at-a-time (not row-at-a-time across
+constituents), and differs only in where the intermediate rows land —
+a bare governed row sink instead of a table, admitted in the same
+order against the same budgets.  ``fuse=False`` and trace mode select
+only whether :func:`fuse_plan` runs, never different operator code.
 
 Naming note: this is **operator** fusion, a physical-plan
 optimization.  It is unrelated to :mod:`repro.mediator.fusion`, which
@@ -51,29 +49,21 @@ objects that share a semantic oid).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
+from repro.mediator.engine import run_node
 from repro.mediator.plan import (
     ConstructorNode,
     ExternalPredNode,
     ExtractorNode,
     FilterNode,
-    OBJECT_COLUMN,
     ParameterizedQueryNode,
     PhysicalPlan,
     PlanNode,
-    RESULT_COLUMN,
-    build_comparison_keep,
+    sink_out,
+    table_out,
 )
-from repro.mediator.tables import BindingTable, TableError, key_array
-from repro.msl.bindings import Bindings, values_equal
-from repro.msl.compile import compile_head_item, run_row_extractor
-from repro.msl.matcher import match_pattern
-from repro.msl.substitute import instantiate_head_item
-from repro.obs.span import status_of_exception
-from repro.oem.compare import eliminate_duplicates
-from repro.oem.model import OEMObject
+from repro.mediator.tables import BindingTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mediator.engine import ExecutionContext
@@ -109,30 +99,6 @@ class FusionDecision:
         return f"{mark} {self.reason}: {' => '.join(self.nodes)}"
 
 
-class _RowSink:
-    """A bare governed-admission target: just the ``rows`` the
-    governor's ``row_admitter`` closes over, no table around them."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self) -> None:
-        self.rows: list[tuple[object, ...]] = []
-
-
-def _sink(governor):
-    """``(rows, add)`` for one intermediate stage's output.
-
-    With a governor the rows are admitted through ``row_admitter`` —
-    charged against the per-table and run-total row budgets exactly
-    like the unfused node's output table would have been.
-    """
-    if governor is None:
-        rows: list[tuple[object, ...]] = []
-        return rows, rows.append
-    shim = _RowSink()
-    return shim.rows, governor.row_admitter(shim)
-
-
 class FusedPipelineNode(PlanNode):
     """A maximal fusible chain executed as one plan node.
 
@@ -145,9 +111,6 @@ class FusedPipelineNode(PlanNode):
     def __init__(self, nodes: Sequence[PlanNode]) -> None:
         super().__init__(nodes[0].inputs)
         self.nodes: tuple[PlanNode, ...] = tuple(nodes)
-        # compiled head builders for the chain's constructor stage,
-        # keyed by (constituent id, projected column layout)
-        self._head_cache: dict[tuple, tuple | None] = {}
 
     @property
     def fusion_width(self) -> int:  # type: ignore[override]
@@ -157,324 +120,33 @@ class FusedPipelineNode(PlanNode):
         inner = " => ".join(node.describe() for node in self.nodes)
         return f"pipeline [{inner}]"
 
-    # -- execution ---------------------------------------------------------
-
     def execute(
         self, inputs: list[BindingTable], context: "ExecutionContext"
     ) -> BindingTable:
-        (table,) = inputs
-        governor = context.governor
-        profiler = context.profiler
-        tracer = context.tracer
+        """Run the constituents' own bodies back to back.
+
+        Each goes through the engine's :func:`run_node`, so budget
+        violations name the constituent and it reports the rows, time
+        and q-error a node-at-a-time run would; only the last one's
+        output is a table.
+        """
+        (out,) = inputs
         slicer = context.slicer
         base = context.stage_base
-        columns: list[str] = list(table.columns)
-        rows: Sequence[tuple[object, ...]] = table.rows
         last = len(self.nodes) - 1
-        result: BindingTable | None = None
         for offset, node in enumerate(self.nodes):
-            # same per-operator bookkeeping as the engine's node loop:
-            # budget violations name the constituent, the deadline
-            # slicer advances one stage per constituent
-            if governor is not None:
-                governor.enter_node(node)
             if slicer is not None and offset:
+                # the deadline slicer advances one stage per constituent
                 slicer.enter_stage(base + offset)
-
-            def make_out(out_columns, _last=offset == last):
-                if _last:
-                    out = BindingTable(out_columns, governor=governor)
-                    return out.rows, out._appender(), out
-                out_rows, add = _sink(governor)
-                return out_rows, add, None
-
-            span = (
-                tracer.start_span("pipeline-stage", type(node).__name__)
-                if tracer is not None
-                else None
-            )
-            rows_in = len(rows)
-            latency_before = context.source_latency
-            started = perf_counter()
-            try:
-                if span is not None:
-                    with tracer.use(span):
-                        columns, rows, out_table = self._run_constituent(
-                            node, columns, rows, context, make_out
-                        )
-                else:
-                    columns, rows, out_table = self._run_constituent(
-                        node, columns, rows, context, make_out
-                    )
-            except BaseException as exc:
-                if span is not None:
-                    tracer.finish_span(span, status=status_of_exception(exc))
-                raise
-            elapsed = perf_counter() - started
-            if profiler is not None:
-                profiler.record_node(
-                    type(node).__name__,
-                    len(rows),
-                    elapsed,
-                    context.source_latency - latency_before,
-                )
-            # per-constituent attribution: fused chains report the same
-            # rows in/out and q-errors a node-at-a-time run would
-            context.observe_node(
+            out = run_node(
                 node,
-                rows_in,
-                len(rows),
-                elapsed,
-                context.source_latency - latency_before,
+                context,
+                len(out),
+                node.run_rows,
+                (out, context, table_out if offset == last else sink_out),
+                kind="pipeline-stage",
             )
-            if span is not None:
-                span.set_attribute("rows_out", len(rows))
-                tracer.finish_span(span)
-            if out_table is not None:
-                result = out_table
-        assert result is not None  # the last stage always built it
-        return result
-
-    def _run_constituent(self, node, columns, rows, context, make_out):
-        if isinstance(node, ExtractorNode):
-            return self._stage_extractor(node, columns, rows, context, make_out)
-        if isinstance(node, FilterNode):
-            return self._stage_filter(node, columns, rows, context, make_out)
-        if isinstance(node, ExternalPredNode):
-            return self._stage_external(node, columns, rows, context, make_out)
-        if isinstance(node, ParameterizedQueryNode):
-            return self._stage_param_query(
-                node, columns, rows, context, make_out
-            )
-        if isinstance(node, ConstructorNode):
-            return self._stage_constructor(
-                node, columns, rows, context, make_out
-            )
-        raise TableError(
-            f"node {node.describe()!r} is not fusible"
-        )  # pragma: no cover - fuse_plan never builds such a chain
-
-    # -- constituent stages ------------------------------------------------
-    #
-    # Each mirrors its unfused node's ``execute`` over (columns, rows)
-    # instead of a BindingTable: same loops, same admission order, same
-    # spans and profiler records, no intermediate table.
-
-    def _stage_extractor(self, node, columns, rows, context, make_out):
-        positions = {name: i for i, name in enumerate(columns)}
-        position = positions[node.column]
-        carried = [c for c in columns if c != node.column]
-        carried_positions = [positions[c] for c in carried]
-        new_columns = [v for v in node.variables if v not in carried]
-        out_columns = carried + new_columns
-        out_rows, add, out_table = make_out(out_columns)
-        profiler = context.profiler
-        tracer = context.tracer
-        span = (
-            tracer.start_span("pattern-match", node.pattern_text)
-            if tracer is not None
-            else None
-        )
-        started = perf_counter() if profiler is not None else 0.0
-        matches = 0
-        compiler = context.compiler
-        if compiler is not None:
-            compiled = compiler.pattern(node.pattern)
-            index = compiled.layout.index
-            carried_checks = tuple(
-                (positions[c], index[c]) for c in carried if c in index
-            )
-            new_registers = tuple(index.get(v) for v in new_columns)
-            matches = run_row_extractor(
-                compiled,
-                rows,
-                position,
-                carried_positions,
-                carried_checks,
-                new_registers,
-                add,
-                node.column,
-                TableError,
-            )
-        else:
-            for row in rows:
-                obj = row[position]
-                if not isinstance(obj, OEMObject):
-                    raise TableError(
-                        f"extractor column {node.column!r} holds non-object"
-                        f" {obj!r}"
-                    )
-                for env in match_pattern(node.pattern, obj):
-                    if not all(
-                        values_equal(env.get(c), row[positions[c]])
-                        for c in carried
-                        if c in env
-                    ):
-                        continue
-                    matches += 1
-                    add(
-                        tuple(row[p] for p in carried_positions)
-                        + tuple(env.get(v) for v in new_columns)
-                    )
-        if profiler is not None:
-            profiler.record_pattern(
-                node.pattern_text,
-                len(rows),
-                matches,
-                perf_counter() - started,
-            )
-        if span is not None:
-            span.set_attribute("objects", len(rows))
-            span.set_attribute("matches", matches)
-            span.set_attribute("compiled", compiler is not None)
-            tracer.finish_span(span)
-        return out_columns, out_rows, out_table
-
-    def _stage_filter(self, node, columns, rows, context, make_out):
-        positions = {name: i for i, name in enumerate(columns)}
-        keep = build_comparison_keep(
-            node.comparison, positions.__contains__, positions.__getitem__
-        )
-        out_rows, add, out_table = make_out(columns)
-        for row in rows:
-            if keep(row):
-                add(row)
-        return columns, out_rows, out_table
-
-    def _stage_external(self, node, columns, rows, context, make_out):
-        positions = {name: i for i, name in enumerate(columns)}
-        out_vars, specs = node.plan_call(
-            positions.__contains__, positions.__getitem__
-        )
-        expand = node.expander(specs, out_vars, context)
-        out_columns = columns + out_vars
-        out_rows, add, out_table = make_out(out_columns)
-        tracer = context.tracer
-        if tracer is not None:
-            with tracer.span("external-predicate", node.call.name) as span:
-                for row in rows:
-                    for extension in expand(row):
-                        add(row + tuple(extension))
-                span.set_attribute("rows_in", len(rows))
-                span.set_attribute("rows_out", len(out_rows))
-        else:
-            for row in rows:
-                for extension in expand(row):
-                    add(row + tuple(extension))
-        return out_columns, out_rows, out_table
-
-    def _stage_param_query(self, node, columns, rows, context, make_out):
-        positions = {name: i for i, name in enumerate(columns)}
-        param_positions = [
-            (name, positions[column])
-            for name, column in node.param_columns.items()
-        ]
-        out_columns = columns + [OBJECT_COLUMN]
-        out_rows, add, out_table = make_out(out_columns)
-        # run_batch handles every execution mode itself (semi-join
-        # shipping, parallel fan-out, sequential sends), so the fused
-        # stage and the unfused node stay behaviourally identical
-        node.run_batch(rows, param_positions, context, context.dispatcher, add)
-        return out_columns, out_rows, out_table
-
-    def _stage_constructor(self, node, columns, rows, context, make_out):
-        positions = {name: i for i, name in enumerate(columns)}
-        available = [v for v in node._needed if v in positions]
-        avail_positions = [positions[v] for v in available]
-        governor = context.governor
-        # projection: admitted row by row like ``table.project``'s
-        # output table, so per-table budgets see the same table sizes
-        proj_rows, proj_add = _sink(governor)
-        for row in rows:
-            proj_add(tuple(row[p] for p in avail_positions))
-        if node.deduplicate:
-            kept_rows, kept_add = _sink(governor)
-            width = len(available)
-            if width == 1:
-                keys = key_array([row[0] for row in proj_rows])[0]
-                seen: set[object] = set()
-                for i, row in enumerate(proj_rows):
-                    key = keys[i]
-                    if key not in seen:
-                        seen.add(key)
-                        kept_add(row)
-            elif width == 0:
-                # distinct over zero columns keeps the first row only
-                for row in proj_rows:
-                    kept_add(row)
-                    break
-            else:
-                key_cols = [
-                    key_array([row[p] for row in proj_rows])[0]
-                    for p in range(width)
-                ]
-                seen = set()
-                for i, row in enumerate(proj_rows):
-                    key = tuple(col[i] for col in key_cols)
-                    if key not in seen:
-                        seen.add(key)
-                        kept_add(row)
-            final_rows = kept_rows
-        else:
-            final_rows = proj_rows
-        objects: list[OEMObject] = []
-        oidgen = context.oidgen
-        builders = (
-            self._head_builders(node, tuple(available))
-            if context.compiler is not None
-            else None
-        )
-        if builders is not None:
-            # compiled head instantiation: slot-layout closures read
-            # the projected rows positionally (see compile_head_item)
-            for row in final_rows:
-                if (
-                    governor is not None
-                    and not governor.charge_result_object()
-                ):
-                    break  # truncate mode: stop constructing
-                for build in builders:
-                    objects.extend(build(row, oidgen))
-        else:
-            for row in final_rows:
-                if (
-                    governor is not None
-                    and not governor.charge_result_object()
-                ):
-                    break  # truncate mode: stop constructing
-                env = Bindings(dict(zip(available, row)))
-                for item in node.head:
-                    objects.extend(
-                        instantiate_head_item(item, env, oidgen)
-                    )
-        if node.deduplicate:
-            objects = eliminate_duplicates(objects)
-        out_columns = [RESULT_COLUMN]
-        out_rows, add, out_table = make_out(out_columns)
-        for obj in objects:
-            add((obj,))
-        return out_columns, out_rows, out_table
-
-    def _head_builders(self, node, available):
-        """Compiled per-item head builders for a constructor stage.
-
-        ``None`` when any head item falls outside the compiled subset —
-        the stage then runs the interpretive reference builder.
-        """
-        key = (id(node), available)
-        cached = self._head_cache.get(key, False)
-        if cached is not False:
-            return cached
-        builders: list | None = []
-        for item in node.head:
-            build = compile_head_item(item, available)
-            if build is None:
-                builders = None
-                break
-            builders.append(build)
-        result = tuple(builders) if builders is not None else None
-        self._head_cache[key] = result
-        return result
+        return out
 
 
 # -- the fusion pass -------------------------------------------------------

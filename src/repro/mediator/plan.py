@@ -27,11 +27,17 @@ test-suite and benchmarks replay Figure 3.6 row for row.
 from __future__ import annotations
 
 import abc
+import contextlib
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.exec.dispatcher import current_scope
-from repro.mediator.tables import BindingTable, TableError
+from repro.mediator.tables import (
+    BindingTable,
+    TableError,
+    add_distinct,
+    key_array,
+)
 from repro.msl.ast import (
     Comparison,
     Const,
@@ -43,7 +49,7 @@ from repro.msl.ast import (
     Var,
 )
 from repro.msl.bindings import values_equal
-from repro.msl.compile import run_row_extractor
+from repro.msl.compile import compile_head_item, run_row_extractor
 from repro.msl.errors import MSLSemanticError
 from repro.msl.evaluate import compare_values
 from repro.msl.matcher import match_pattern
@@ -91,6 +97,8 @@ RESULT_COLUMN = "_result"
 #: Value types a shipped semi-join filter may carry: what the source
 #: compares a direct child's atomic value against.
 _FILTER_ATOMS = (str, int, float, bool)
+#: Stands in for ``tracer.span(...)`` on untraced runs (yields ``None``).
+_UNTRACED = contextlib.nullcontext()
 
 
 class PlanNode(abc.ABC):
@@ -128,6 +136,62 @@ class PlanNode(abc.ABC):
         return f"{type(self).__name__}({self.describe()})"
 
 
+class RowSink:
+    """A chain's intermediate output: columns plus governed rows, with
+    no table (positions, key arrays) around them."""
+
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: Sequence[str]) -> None:
+        self.columns = tuple(columns)
+        self.rows: list[tuple[object, ...]] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def sink_out(columns: Sequence[str], governor):
+    """``(add, out)`` for an output no later plan node reads as a table.
+
+    With a governor the rows are admitted through ``row_admitter`` —
+    charged against the per-table and run-total row budgets exactly as
+    a :class:`BindingTable`'s rows are.
+    """
+    out = RowSink(columns)
+    if governor is None:
+        return out.rows.append, out
+    return governor.row_admitter(out), out
+
+
+def table_out(columns: Sequence[str], governor):
+    """``(add, out)`` for the output that leaves a chain: a real table."""
+    out = BindingTable(columns, governor=governor)
+    return out._appender(), out
+
+
+class RowOperatorNode(PlanNode):
+    """A straight-line, row-at-a-time operator (the fusible kind).
+
+    The operator is written once, as :meth:`run_rows` over the
+    ``columns``/``rows`` of whatever its input produced; ``make_out``
+    (:func:`table_out` or :func:`sink_out`) says where its output rows
+    land.  ``execute`` is that body run as a chain of one; a fused
+    pipeline node runs several in a row, with only the last one
+    building a table.
+    """
+
+    def execute(
+        self, inputs: list[BindingTable], context: "ExecutionContext"
+    ) -> BindingTable:
+        (table,) = inputs
+        return self.run_rows(table, context, table_out)
+
+    @abc.abstractmethod
+    def run_rows(self, source, context: "ExecutionContext", make_out):
+        """Run over ``source.columns``/``source.rows``; return the
+        ``out`` of ``make_out(out_columns, governor)`` once filled."""
+
+
 class QueryNode(PlanNode):
     """Leaf: send a fixed MSL query to one source.
 
@@ -155,16 +219,15 @@ class QueryNode(PlanNode):
         return f"query {self.source}: {self.query}"
 
 
-def _fan_queries(context, dispatcher, pairs):
+def _fan_queries(context, pairs):
     """Send ``(source, query)`` pairs, in parallel when possible.
 
     Answers come back in pair order.  Sequential runs send directly
     (failing fast, like the per-row path always did); parallel runs let
-    every task settle, merge each task scope into the active one in
-    submission order, then raise the first captured error — the same
-    deterministic merge order :meth:`ParameterizedQueryNode.run_batch`
-    established.
+    every task settle, merge each task scope into the running node's
+    in submission order, then raise the first captured error.
     """
+    dispatcher = context.dispatcher
     if dispatcher is None or not dispatcher.parallel or len(pairs) <= 1:
         return [context.send_query(source, query) for source, query in pairs]
     outcomes = dispatcher.run_tasks(
@@ -176,10 +239,7 @@ def _fan_queries(context, dispatcher, pairs):
     parent = current_scope()
     first_error: BaseException | None = None
     for outcome in outcomes:
-        if parent is not None:
-            parent.merge(outcome.scope)
-        else:
-            context.warnings.extend(outcome.scope.warnings)
+        parent.merge(outcome.scope)
         if outcome.error is not None and first_error is None:
             first_error = outcome.error
     if first_error is not None:
@@ -196,7 +256,7 @@ class ShardedQueryNode(PlanNode):
     down on the partition label routes to exactly one shard).  The
     surviving shards are probed concurrently through the dispatcher —
     this node runs inline on the coordinating thread (it is *not* a
-    :class:`QueryNode`, so the staged executor never puts it on a pool
+    :class:`QueryNode`, so the engine never puts it on a pool
     worker, which keeps the fan-out free of nested-pool deadlocks) —
     and answers concatenate in shard order.
     """
@@ -219,9 +279,7 @@ class ShardedQueryNode(PlanNode):
     ) -> BindingTable:
         context.record_shard_fanout(len(self.shard_names), self.pruned)
         answers = _fan_queries(
-            context,
-            context.dispatcher,
-            [(name, self.query) for name in self.shard_names],
+            context, [(name, self.query) for name in self.shard_names]
         )
         return BindingTable(
             (OBJECT_COLUMN,),
@@ -237,7 +295,7 @@ class ShardedQueryNode(PlanNode):
         )
 
 
-class ExtractorNode(PlanNode):
+class ExtractorNode(RowOperatorNode):
     """Extract variable bindings from the objects of one column.
 
     Parameters mirror the paper's extractor: "the first is the ...
@@ -260,18 +318,14 @@ class ExtractorNode(PlanNode):
         self.variables = tuple(variables)
         self.column = column
 
-    def execute(
-        self, inputs: list[BindingTable], context: "ExecutionContext"
-    ) -> BindingTable:
-        (table,) = inputs
-        position = table.position(self.column)
-        carried = [c for c in table.columns if c != self.column]
-        carried_positions = [table.position(c) for c in carried]
+    def run_rows(self, source, context: "ExecutionContext", make_out):
+        rows = source.rows
+        positions = {name: i for i, name in enumerate(source.columns)}
+        position = positions[self.column]
+        carried = [c for c in source.columns if c != self.column]
+        carried_positions = [positions[c] for c in carried]
         new_columns = [v for v in self.variables if v not in carried]
-        result = BindingTable(
-            tuple(carried) + tuple(new_columns), governor=context.governor
-        )
-        add = result._appender()
+        add, out = make_out(carried + new_columns, context.governor)
         profiler = context.profiler
         tracer = context.tracer
         span = (
@@ -288,14 +342,12 @@ class ExtractorNode(PlanNode):
             # a variable colliding with a carried column is a join:
             # keep the row only when the values agree
             carried_checks = tuple(
-                (table.position(c), index[c])
-                for c in carried
-                if c in index
+                (positions[c], index[c]) for c in carried if c in index
             )
             new_registers = tuple(index.get(v) for v in new_columns)
             matches = run_row_extractor(
                 compiled,
-                table.rows,
+                rows,
                 position,
                 carried_positions,
                 carried_checks,
@@ -305,7 +357,7 @@ class ExtractorNode(PlanNode):
                 TableError,
             )
         else:
-            for row in table.rows:
+            for row in rows:
                 obj = row[position]
                 if not isinstance(obj, OEMObject):
                     raise TableError(
@@ -314,7 +366,7 @@ class ExtractorNode(PlanNode):
                     )
                 for env in match_pattern(self.pattern, obj):
                     if not all(
-                        values_equal(env.get(c), row[table.position(c)])
+                        values_equal(env.get(c), row[positions[c]])
                         for c in carried
                         if c in env
                     ):
@@ -326,23 +378,20 @@ class ExtractorNode(PlanNode):
                     )
         if profiler is not None:
             profiler.record_pattern(
-                self.pattern_text,
-                len(table.rows),
-                matches,
-                perf_counter() - started,
+                self.pattern_text, len(rows), matches, perf_counter() - started
             )
         if span is not None:
-            span.set_attribute("objects", len(table.rows))
+            span.set_attribute("objects", len(rows))
             span.set_attribute("matches", matches)
             span.set_attribute("compiled", compiler is not None)
             tracer.finish_span(span)
-        return result
+        return out
 
     def describe(self) -> str:
         return f"extract {', '.join(self.variables)} via {self.pattern}"
 
 
-class ExternalPredNode(PlanNode):
+class ExternalPredNode(RowOperatorNode):
     """Invoke an external predicate for every tuple (Figure 3.6's
     ``external pred`` node)."""
 
@@ -351,22 +400,20 @@ class ExternalPredNode(PlanNode):
         self.call = call
 
     def plan_call(
-        self, has_column, position
+        self, positions: Mapping[str, int]
     ) -> tuple[list[str], list[tuple[str, object]]]:
         """``(out_vars, argument specs)`` for one input schema.
 
         The argument plan is fixed before the hot loop, over raw row
         tuples: ``('const', value) | ('col', row position) |
-        ('out', out index) | ('skip', None)``; mirrors the dict-based
-        logic exactly.  Shared with the fused pipeline's
-        external-predicate stage.
+        ('out', out index) | ('skip', None)``.
         """
         out_vars: list[str] = []
         for arg in self.call.args:
             if (
                 isinstance(arg, Var)
                 and not arg.is_anonymous
-                and not has_column(arg.name)
+                and arg.name not in positions
                 and arg.name not in out_vars
             ):
                 out_vars.append(arg.name)
@@ -377,9 +424,9 @@ class ExternalPredNode(PlanNode):
             elif (
                 isinstance(arg, Var)
                 and not arg.is_anonymous
-                and has_column(arg.name)
+                and arg.name in positions
             ):
-                specs.append(("col", position(arg.name)))
+                specs.append(("col", positions[arg.name]))
             elif isinstance(arg, Var) and not arg.is_anonymous:
                 specs.append(("out", out_vars.index(arg.name)))
             else:
@@ -444,26 +491,33 @@ class ExternalPredNode(PlanNode):
 
         return expand
 
-    def execute(
-        self, inputs: list[BindingTable], context: "ExecutionContext"
-    ) -> BindingTable:
-        (table,) = inputs
-        out_vars, specs = self.plan_call(table.has_column, table.position)
+    def run_rows(self, source, context: "ExecutionContext", make_out):
+        rows = source.rows
+        positions = {name: i for i, name in enumerate(source.columns)}
+        out_vars, specs = self.plan_call(positions)
         expand = self.expander(specs, out_vars, context)
+        add, out = make_out(
+            source.columns + tuple(out_vars), context.governor
+        )
         tracer = context.tracer
-        if tracer is not None:
-            with tracer.span("external-predicate", self.call.name) as span:
-                result = table.extend_rows(out_vars, expand)
-                span.set_attribute("rows_in", len(table.rows))
-                span.set_attribute("rows_out", len(result))
-            return result
-        return table.extend_rows(out_vars, expand)
+        with (
+            tracer.span("external-predicate", self.call.name)
+            if tracer is not None
+            else _UNTRACED
+        ) as span:
+            for row in rows:
+                for extension in expand(row):
+                    add(row + tuple(extension))
+            if span is not None:
+                span.set_attribute("rows_in", len(rows))
+                span.set_attribute("rows_out", len(out))
+        return out
 
     def describe(self) -> str:
         return f"external {self.call}"
 
 
-class ParameterizedQueryNode(PlanNode):
+class ParameterizedQueryNode(RowOperatorNode):
     """Per input tuple, instantiate a query template and send it.
 
     "For each tuple of its input table, this node generates a query for
@@ -529,67 +583,36 @@ class ParameterizedQueryNode(PlanNode):
                 tail.append(condition)
         return Rule(template.head, tuple(tail))
 
-    def execute(
-        self, inputs: list[BindingTable], context: "ExecutionContext"
-    ) -> BindingTable:
-        (table,) = inputs
-        return self._execute_batch(table, context, context.dispatcher)
-
-    def _execute_batch(
-        self, table: BindingTable, context: "ExecutionContext", dispatcher
-    ) -> BindingTable:
-        """Fan the per-tuple queries of one input table across workers.
+    def run_rows(self, source, context: "ExecutionContext", make_out):
+        """Probe once per distinct input tuple (or once per batch).
 
         Queries are instantiated up front and deduplicated by canonical
         text (distinct rows often bind the same parameters), one task
-        is dispatched per unique query, and the output table is rebuilt
-        on the coordinating thread in input-row order — same rows, same
-        order, same dropped-empty-answer semantics as a per-row
-        ``extend``.  Per-task warnings and attempt counts merge into
-        the node's own scope in tuple order.
+        is dispatched per unique query, and the output is rebuilt on
+        the coordinating thread in input-row order — same rows, same
+        order, same dropped-empty-answer semantics as a per-row probe.
+        When the optimizer attached a semi-join spec (the source
+        accepts batch filters and at least one parameter can ship as a
+        value filter) and the context has semi-join shipping enabled,
+        the whole batch collapses into one shipped filter per probe
+        group and target instead.
         """
+        rows = source.rows
+        positions = {name: i for i, name in enumerate(source.columns)}
         param_positions = [
-            (name, table.position(column))
+            (name, positions[column])
             for name, column in self.param_columns.items()
         ]
-        result = BindingTable(
-            tuple(table.columns) + (OBJECT_COLUMN,),
-            governor=context.governor,
+        add, out = make_out(
+            source.columns + (OBJECT_COLUMN,), context.governor
         )
-        self.run_batch(
-            table.rows, param_positions, context, dispatcher,
-            result._appender(),
-        )
-        return result
-
-    def run_batch(
-        self,
-        rows: Sequence[tuple[object, ...]],
-        param_positions: Sequence[tuple[str, int]],
-        context: "ExecutionContext",
-        dispatcher,
-        add,
-    ) -> None:
-        """Batched probe over raw rows, emitting through ``add``.
-
-        Shared with the fused pipeline's parameterized-query stage so
-        the fused path has the exact dedup, dispatch, warning-merge,
-        and row-rebuild order of the unfused one.  When the optimizer
-        attached a semi-join spec (the source accepts batch filters and
-        at least one parameter can ship as a value filter) and the
-        context has semi-join shipping enabled, the whole batch
-        collapses into one shipped filter per probe group and target
-        instead of one probe per distinct tuple.
-        """
         if (
             rows
             and self.batch_query is not None
             and context.semijoin
-            and self._run_semijoin(
-                rows, param_positions, context, dispatcher, add
-            )
+            and self._run_semijoin(rows, param_positions, context, add)
         ):
-            return
+            return out
         unique: list[Rule] = []
         index_of: dict[str, int] = {}
         row_query: list[int] = []
@@ -604,20 +627,18 @@ class ParameterizedQueryNode(PlanNode):
                 unique.append(query)
             row_query.append(position)
         answers = _fan_queries(
-            context,
-            dispatcher,
-            [(self.source, query) for query in unique],
+            context, [(self.source, query) for query in unique]
         )
         for row, position in zip(rows, row_query):
             for obj in answers[position] or ():
                 add(row + (obj,))
+        return out
 
     def _run_semijoin(
         self,
         rows: Sequence[tuple[object, ...]],
         param_positions: Sequence[tuple[str, int]],
         context: "ExecutionContext",
-        dispatcher,
         add,
     ) -> bool:
         """Ship one batched value filter per group and target.
@@ -709,11 +730,10 @@ class ParameterizedQueryNode(PlanNode):
                 shipped.append((group_key, set(members)))
 
         # a degraded call (or a quarantined answer) leaves a warning in
-        # the active sink; such a batch is an absence, not an observation
-        scope = current_scope()
-        sink = scope.warnings if scope is not None else context.warnings
+        # this node's scope; such a batch is an absence, not an observation
+        sink = current_scope().warnings
         warned = len(sink)
-        answers = _fan_queries(context, dispatcher, pairs)
+        answers = _fan_queries(context, pairs)
         context.record_semijoin(
             len(pairs), sum(len(probes) for probes in groups.values())
         )
@@ -776,14 +796,10 @@ class ParameterizedQueryNode(PlanNode):
         return f"param-query {self.source}{mode} [{params}]: {self.template}"
 
 
-def build_comparison_keep(comparison: Comparison, has_column, position):
-    """Positional keep-predicate for one comparison over raw row tuples.
-
-    ``has_column``/``position`` abstract the column lookup so the same
-    predicate builder serves :class:`FilterNode` (backed by a
-    :class:`BindingTable`) and the fused pipeline's filter stage
-    (backed by a plain column list).
-    """
+def build_comparison_keep(
+    comparison: Comparison, positions: Mapping[str, int]
+):
+    """Positional keep-predicate for one comparison over raw row tuples."""
 
     def accessor(term):
         # positional mirror of term_value over the row's variable
@@ -794,10 +810,10 @@ def build_comparison_keep(comparison: Comparison, has_column, position):
         if (
             isinstance(term, Var)
             and not term.is_anonymous
-            and has_column(term.name)
+            and term.name in positions
             and term.name not in (OBJECT_COLUMN, RESULT_COLUMN)
         ):
-            p = position(term.name)
+            p = positions[term.name]
             return lambda row, _p=p: (True, row[_p])
         return lambda row: (False, None)
 
@@ -817,21 +833,21 @@ def build_comparison_keep(comparison: Comparison, has_column, position):
     return keep
 
 
-class FilterNode(PlanNode):
+class FilterNode(RowOperatorNode):
     """Apply a comparison to each tuple (mediator-side compensation)."""
 
     def __init__(self, input_node: PlanNode, comparison: Comparison) -> None:
         super().__init__((input_node,))
         self.comparison = comparison
 
-    def execute(
-        self, inputs: list[BindingTable], context: "ExecutionContext"
-    ) -> BindingTable:
-        (table,) = inputs
-        keep = build_comparison_keep(
-            self.comparison, table.has_column, table.position
-        )
-        return table.filter_rows(keep)
+    def run_rows(self, source, context: "ExecutionContext", make_out):
+        positions = {name: i for i, name in enumerate(source.columns)}
+        keep = build_comparison_keep(self.comparison, positions)
+        add, out = make_out(source.columns, context.governor)
+        for row in source.rows:
+            if keep(row):
+                add(row)
+        return out
 
     def describe(self) -> str:
         return f"filter {self.comparison}"
@@ -874,7 +890,7 @@ class DedupNode(PlanNode):
         )
 
 
-class ConstructorNode(PlanNode):
+class ConstructorNode(RowOperatorNode):
     """Create the final result objects (Figure 3.6's ``constructor``).
 
     "For each row in the input table, the constructor operator takes a
@@ -896,32 +912,70 @@ class ConstructorNode(PlanNode):
         self.head = tuple(head)
         self.deduplicate = deduplicate
         self._needed = sorted(head_variables(self.head))
+        # compiled head builders per projected column layout
+        self._builders: dict[tuple[str, ...], tuple | None] = {}
 
-    def execute(
-        self, inputs: list[BindingTable], context: "ExecutionContext"
-    ) -> BindingTable:
-        (table,) = inputs
-        available = [v for v in self._needed if table.has_column(v)]
-        projected = table.project(available)
-        if self.deduplicate:
-            projected = projected.distinct()
+    def run_rows(self, source, context: "ExecutionContext", make_out):
+        positions = {name: i for i, name in enumerate(source.columns)}
+        available = tuple(v for v in self._needed if v in positions)
         governor = context.governor
+        # projection and dedup are admitted row by row into sinks of
+        # their own, so per-table budgets see each step's size
+        add, projected = sink_out(available, governor)
+        avail_positions = [positions[v] for v in available]
+        for row in source.rows:
+            add(tuple(row[p] for p in avail_positions))
+        if self.deduplicate:
+            add, distinct = sink_out(available, governor)
+            add_distinct(
+                projected.rows,
+                [
+                    key_array([row[p] for row in projected.rows])[0]
+                    for p in range(len(available))
+                ],
+                add,
+            )
+            projected = distinct
         objects: list[OEMObject] = []
+        oidgen = context.oidgen
+        builders = (
+            self._head_builders(available)
+            if context.compiler is not None
+            else None
+        )
         for row in projected.rows:
             if governor is not None and not governor.charge_result_object():
                 break  # truncate mode: stop constructing, keep the run
-            env = Bindings(dict(zip(projected.columns, row)))
-            for item in self.head:
-                objects.extend(
-                    instantiate_head_item(item, env, context.oidgen)
-                )
+            if builders is not None:
+                # compiled head instantiation: slot-layout closures read
+                # the projected rows positionally (see compile_head_item)
+                for build in builders:
+                    objects.extend(build(row, oidgen))
+            else:
+                env = Bindings(dict(zip(available, row)))
+                for item in self.head:
+                    objects.extend(instantiate_head_item(item, env, oidgen))
         if self.deduplicate:
             objects = eliminate_duplicates(objects)
-        return BindingTable(
-            (RESULT_COLUMN,),
-            ([obj] for obj in objects),
-            governor=context.governor,
-        )
+        add, out = make_out((RESULT_COLUMN,), governor)
+        for obj in objects:
+            add((obj,))
+        return out
+
+    def _head_builders(self, available: tuple[str, ...]):
+        """Compiled per-item head builders for one column layout.
+
+        ``None`` when any head item falls outside the compiled subset —
+        the constructor then runs the interpretive reference builder.
+        """
+        if available not in self._builders:
+            builders = [
+                compile_head_item(item, available) for item in self.head
+            ]
+            self._builders[available] = (
+                None if None in builders else tuple(builders)
+            )
+        return self._builders[available]
 
     def describe(self) -> str:
         return f"construct {' '.join(str(h) for h in self.head)}"
@@ -961,6 +1015,16 @@ class UnionNode(PlanNode):
         return f"union of {len(self.inputs)}"
 
 
+def _postorder(node: PlanNode, seen: set[int], order: list[PlanNode]) -> None:
+    """Append ``node``'s subgraph to ``order``, inputs first, once each."""
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    for child in node.inputs:
+        _postorder(child, seen, order)
+    order.append(node)
+
+
 class PhysicalPlan:
     """A rooted DAG of plan nodes, executable by the datamerge engine."""
 
@@ -976,17 +1040,7 @@ class PhysicalPlan:
         if self._order is not None:
             return self._order
         order: list[PlanNode] = []
-        seen: set[int] = set()
-
-        def visit(node: PlanNode) -> None:
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for child in node.inputs:
-                visit(child)
-            order.append(node)
-
-        visit(self.root)
+        _postorder(self.root, set(), order)
         self._order = order
         return order
 
@@ -1031,18 +1085,16 @@ class PhysicalPlan:
     def _compute_stages(self) -> None:
         end: dict[int, int] = {}
         grouped: dict[int, list[PlanNode]] = {}
-        total = 0
         for node in self.nodes():
-            start = 1 + max(
-                (end[id(child)] for child in node.inputs), default=0
-            )
+            start = 1
+            for child in node.inputs:
+                if end[id(child)] >= start:
+                    start = end[id(child)] + 1
             end[id(node)] = start + node.fusion_width - 1
-            if end[id(node)] > total:
-                total = end[id(node)]
             grouped.setdefault(start, []).append(node)
-        self._stage_starts = [(d, grouped[d]) for d in sorted(grouped)]
+        self._stage_starts = sorted(grouped.items())
         self._stages = [group for _, group in self._stage_starts]
-        self._depth = total
+        self._depth = max(end.values())
 
     def describe(self) -> str:
         """A numbered, indented description of the whole graph."""

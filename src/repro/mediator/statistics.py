@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.msl.ast import Const, Pattern, PatternItem, SetPattern, VarItem
+from repro.msl.ast import Const, Pattern, PatternItem, SetPattern
 
 __all__ = [
     "SourceStatistics",
@@ -507,24 +507,22 @@ def count_constant_conditions(pattern: Pattern) -> int:
     sub-object labels with variable values (``<name N>``) are structural
     requirements, not filters, and do not count.
     """
-
-    def value_constants(p: Pattern) -> int:
-        count = 1 if isinstance(p.oid, Const) else 0
-        value = p.value
-        if isinstance(value, Const):
-            return count + 1
-        if isinstance(value, SetPattern):
-            for item in value.items:
-                if isinstance(item, PatternItem):
-                    count += value_constants(item.pattern)
-                elif isinstance(item, VarItem):
-                    continue
-            if value.rest is not None:
-                for condition in value.rest.conditions:
-                    count += value_constants(condition)
-        return count
-
-    count = value_constants(pattern)
+    count = _value_constants(pattern)
     if isinstance(pattern.label, Const):
         count += 1
+    return count
+
+
+def _value_constants(p: Pattern) -> int:
+    count = 1 if isinstance(p.oid, Const) else 0
+    value = p.value
+    if isinstance(value, Const):
+        return count + 1
+    if isinstance(value, SetPattern):
+        for item in value.items:
+            if isinstance(item, PatternItem):
+                count += _value_constants(item.pattern)
+        if value.rest is not None:
+            for condition in value.rest.conditions:
+                count += _value_constants(condition)
     return count

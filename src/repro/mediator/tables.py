@@ -30,7 +30,7 @@ from repro.oem.printer import to_inline
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.governor.budget import QueryGovernor
 
-__all__ = ["BindingTable", "TableError", "key_array"]
+__all__ = ["BindingTable", "TableError", "add_distinct", "key_array"]
 
 
 class TableError(Exception):
@@ -51,6 +51,32 @@ def key_array(column: Sequence[object]) -> tuple[list[object], bool]:
         if type(value) is not str:
             return [value_key(v) for v in column], False
     return list(column), True
+
+
+def add_distinct(
+    rows: Sequence[tuple[object, ...]],
+    key_cols: Sequence[Sequence[object]],
+    add: Callable[[tuple[object, ...]], None],
+) -> None:
+    """``add`` the first row of ``rows`` for every distinct key.
+
+    ``key_cols`` are :func:`key_array` columns aligned with ``rows``;
+    over zero columns every row has the same (empty) key.
+    """
+    seen: set[object] = set()
+    if len(key_cols) == 1:
+        (keys,) = key_cols
+        for i, row in enumerate(rows):
+            key = keys[i]
+            if key not in seen:
+                seen.add(key)
+                add(row)
+    else:
+        for i, row in enumerate(rows):
+            key = tuple(col[i] for col in key_cols)
+            if key not in seen:
+                seen.add(key)
+                add(row)
 
 
 class BindingTable:
@@ -303,23 +329,12 @@ class BindingTable:
             if columns is not None
             else list(range(len(self.columns)))
         )
-        seen: set[object] = set()
         result = BindingTable(self.columns, governor=self.governor)
-        add = result._appender()
-        if len(interesting) == 1:
-            keys = self.key_column(interesting[0])[0]
-            for i, row in enumerate(self.rows):
-                key = keys[i]
-                if key not in seen:
-                    seen.add(key)
-                    add(row)
-        else:
-            key_cols = [self.key_column(p)[0] for p in interesting]
-            for i, row in enumerate(self.rows):
-                key = tuple(col[i] for col in key_cols)
-                if key not in seen:
-                    seen.add(key)
-                    add(row)
+        add_distinct(
+            self.rows,
+            [self.key_column(p)[0] for p in interesting],
+            result._appender(),
+        )
         return result
 
     # -- display (the Figure 3.6 rectangles) ------------------------------

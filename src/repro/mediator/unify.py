@@ -424,6 +424,49 @@ def _unify_pattern(
         return
 
 
+def _unify_items(
+    index: int,
+    used: frozenset[int],
+    current: Unifier,
+    query_items: list,
+    head_items: list[PatternItem],
+    head_vars: list[Var],
+    push_mode: str,
+) -> Iterator[tuple[frozenset[int], Unifier]]:
+    """Place ``query_items[index:]``: (head positions used, unifier)."""
+    if index == len(query_items):
+        yield used, current
+        return
+    item = query_items[index]
+    if isinstance(item, VarItem):
+        return  # bare variables are head-only; queries never have them
+    # option A: unify with an unused explicit head item
+    if not item.descendant:
+        direct_hit = False
+        for position, head_item in enumerate(head_items):
+            if position in used or head_item.descendant:
+                continue
+            for extended in _unify_pattern(
+                item.pattern, head_item.pattern, current, push_mode
+            ):
+                direct_hit = True
+                yield from _unify_items(
+                    index + 1, used | {position}, extended,
+                    query_items, head_items, head_vars, push_mode,
+                )
+        # option B: push into any head set variable
+        if push_mode == "complete" or not direct_hit:
+            for head_var in head_vars:
+                pushed = current.push_condition(head_var.name, item.pattern)
+                yield from _unify_items(
+                    index + 1, used, pushed,
+                    query_items, head_items, head_vars, push_mode,
+                )
+    # descendant query items are handled by the mediator's
+    # materialization fallback (see Mediator.answer) — no static
+    # pushdown is attempted here.
+
+
 def _unify_set(
     query_set: SetPattern,
     head_set: SetPattern,
@@ -450,37 +493,6 @@ def _unify_set(
         head_vars.append(head_set.rest.var)
     query_items = list(query_set.items)
 
-    def step(
-        index: int, used: frozenset[int], current: Unifier
-    ) -> Iterator[tuple[frozenset[int], Unifier]]:
-        if index == len(query_items):
-            yield used, current
-            return
-        item = query_items[index]
-        if isinstance(item, VarItem):
-            return  # bare variables are head-only; queries never have them
-        # option A: unify with an unused explicit head item
-        if not item.descendant:
-            direct_hit = False
-            for position, head_item in enumerate(head_items):
-                if position in used or head_item.descendant:
-                    continue
-                for extended in _unify_pattern(
-                    item.pattern, head_item.pattern, current, push_mode
-                ):
-                    direct_hit = True
-                    yield from step(index + 1, used | {position}, extended)
-            # option B: push into any head set variable
-            if push_mode == "complete" or not direct_hit:
-                for head_var in head_vars:
-                    pushed = current.push_condition(
-                        head_var.name, item.pattern
-                    )
-                    yield from step(index + 1, used, pushed)
-        # descendant query items are handled by the mediator's
-        # materialization fallback (see Mediator.answer) — no static
-        # pushdown is attempted here.
-
     any_descendant = any(
         isinstance(item, PatternItem) and item.descendant
         for item in query_items
@@ -488,7 +500,9 @@ def _unify_set(
     if any_descendant:
         return
 
-    for used, current in step(0, frozenset(), unifier):
+    for used, current in _unify_items(
+        0, frozenset(), unifier, query_items, head_items, head_vars, push_mode
+    ):
         if query_set.rest is None:
             yield current
             continue

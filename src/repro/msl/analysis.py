@@ -247,18 +247,27 @@ def _rename_pattern(pattern: Pattern, rename: dict[str, str]) -> Pattern:
     )
 
 
+class _MapperDict(dict):
+    """Lazily applies ``mapper`` on first sight of each variable.
+
+    Defined once, at module level: a class built per call is a
+    reference cycle, and renaming runs for every expanded query.
+    """
+
+    __slots__ = ("mapper",)
+
+    def __init__(self, mapper: Callable[[str], str]) -> None:
+        self.mapper = mapper
+
+    def setdefault(self, key: str, default: str = "") -> str:  # type: ignore[override]
+        if key not in self:
+            self[key] = self.mapper(key)
+        return self[key]
+
+
 def rename_rule_variables(rule: Rule, mapper: Callable[[str], str]) -> Rule:
     """Rename every named variable in ``rule`` through ``mapper``."""
-
-    class _MapperDict(dict):
-        """Lazily applies ``mapper`` on first sight of each variable."""
-
-        def setdefault(self, key: str, default: str = "") -> str:  # type: ignore[override]
-            if key not in self:
-                self[key] = mapper(key)
-            return self[key]
-
-    rename: dict[str, str] = _MapperDict()
+    rename: dict[str, str] = _MapperDict(mapper)
 
     head: list[HeadItem] = []
     for item in rule.head:

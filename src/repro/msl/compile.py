@@ -381,6 +381,11 @@ def _compile_set(setpat: SetPattern, layout: SlotLayout):
         fragments = [None] * n_direct
         deep_nodes = tuple(descendants(obj)) if n_deep else ()
 
+        # the recursive helpers below take themselves as ``recur``
+        # instead of closing over their own name: a closure that calls
+        # itself is a reference cycle, and this runs once per matched
+        # object — refcounting alone must be able to free a match
+
         def finish(frame, used, deep_fragments):
             base_key = tuple(fragments) + deep_fragments
             if not has_rest:
@@ -400,7 +405,7 @@ def _compile_set(setpat: SetPattern, layout: SlotLayout):
                 solutions.append((env, base_key))
                 return
 
-            def assign_conditions(index, cond_used, frame2, cond_frags):
+            def assign_conditions(recur, index, cond_used, frame2, cond_frags):
                 if index == n_conds:
                     solutions.append((frame2, base_key + cond_frags))
                     return
@@ -409,32 +414,34 @@ def _compile_set(setpat: SetPattern, layout: SlotLayout):
                     if (cond_used >> member_index) & 1:
                         continue
                     for found, nested in matcher(member, frame2):
-                        assign_conditions(
+                        recur(
+                            recur,
                             index + 1,
                             cond_used | (1 << member_index),
                             found,
                             cond_frags + ((member_index, nested),),
                         )
 
-            assign_conditions(0, 0, env, ())
+            assign_conditions(assign_conditions, 0, 0, env, ())
 
-        def apply_deep(index, frame, deep_fragments, used):
+        def apply_deep(recur, index, frame, deep_fragments, used):
             if index == n_deep:
                 finish(frame, used, deep_fragments)
                 return
             matcher = deep_matchers[index]
             for node_index, node in enumerate(deep_nodes):
                 for found, nested in matcher(node, frame):
-                    apply_deep(
+                    recur(
+                        recur,
                         index + 1,
                         found,
                         deep_fragments + ((node_index, nested),),
                         used,
                     )
 
-        def assign(index, used, frame):
+        def assign(recur, index, used, frame):
             if index == n_direct:
-                apply_deep(0, frame, (), used)
+                apply_deep(apply_deep, 0, frame, (), used)
                 return
             position, matcher, label_const = ordered[index]
             for child_index in range(n_children):
@@ -445,9 +452,9 @@ def _compile_set(setpat: SetPattern, layout: SlotLayout):
                     continue
                 for found, nested in matcher(child, frame):
                     fragments[position] = (child_index, nested)
-                    assign(index + 1, used | (1 << child_index), found)
+                    recur(recur, index + 1, used | (1 << child_index), found)
 
-        assign(0, 0, frame)
+        assign(assign, 0, 0, frame)
         if needs_sort and len(solutions) > 1:
             solutions.sort(key=_solution_key)
         return solutions

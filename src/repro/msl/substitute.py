@@ -202,20 +202,6 @@ def instantiate_params_in_pattern(
     query parameters $R, $LN, and $FN are taken from ... the incoming
     table".
     """
-
-    def fill(term: Term | None) -> Term | None:
-        if isinstance(term, Param):
-            if term.name not in params:
-                raise MSLInstantiationError(
-                    f"no value supplied for parameter ${term.name}"
-                )
-            return _atom_to_term(params[term.name])
-        if isinstance(term, SemOidTerm):
-            return SemOidTerm(
-                term.functor, tuple(fill(a) for a in term.args)  # type: ignore[misc]
-            )
-        return term
-
     value = pattern.value
     if isinstance(value, SetPattern):
         items: list[PatternItem | VarItem] = []
@@ -240,17 +226,34 @@ def instantiate_params_in_pattern(
             )
         new_value: Term | SetPattern = SetPattern(tuple(items), rest)
     else:
-        filled = fill(value)
+        filled = _fill_param(value, params)
         assert filled is not None
         new_value = filled
 
     return Pattern(
-        label=fill(pattern.label) or pattern.label,
+        label=_fill_param(pattern.label, params) or pattern.label,
         value=new_value,
-        type=fill(pattern.type),
-        oid=fill(pattern.oid),
+        type=_fill_param(pattern.type, params),
+        oid=_fill_param(pattern.oid, params),
         object_var=pattern.object_var,
     )
+
+
+def _fill_param(
+    term: Term | None, params: Mapping[str, object]
+) -> Term | None:
+    if isinstance(term, Param):
+        if term.name not in params:
+            raise MSLInstantiationError(
+                f"no value supplied for parameter ${term.name}"
+            )
+        return _atom_to_term(params[term.name])
+    if isinstance(term, SemOidTerm):
+        return SemOidTerm(
+            term.functor,
+            tuple(_fill_param(a, params) for a in term.args),  # type: ignore[misc]
+        )
+    return term
 
 
 # ---------------------------------------------------------------------------

@@ -250,9 +250,9 @@ class DeadlineSlicer:
     def enter_stage(self, index: int) -> None:
         """Advance to 1-based stage ``index`` of the announced plan.
 
-        Monotonic: a DFS executor visits nodes with stages interleaved,
-        and progress must never move backwards (:meth:`begin_plan`
-        resets it for the next plan).
+        Monotonic: progress must never move backwards, whatever order
+        a caller announces stages in (:meth:`begin_plan` resets it for
+        the next plan).
         """
         self._stage = min(max(self._stage, index), self._total_stages)
 

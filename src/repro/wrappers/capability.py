@@ -16,7 +16,6 @@ comparisons the mediator must apply to the returned bindings.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from repro.msl.ast import (
@@ -105,66 +104,70 @@ class Capability:
         are *not* relaxable (there is no variable trick that recovers
         them) and raise :class:`CapabilityViolation`.
         """
-        counter = itertools.count(1)
         residual: list[Comparison] = []
-
-        def fresh_var() -> Var:
-            return Var(f"_Cap{next(counter)}")
-
-        def relax_pattern(p: Pattern, depth: int) -> Pattern:
-            value = p.value
-            # a constant value slot at depth>=1 is a filter on this label
-            if (
-                depth >= 1
-                and isinstance(value, Const)
-                and not self.can_filter(_label_text(p.label))
-            ):
-                var = fresh_var()
-                residual.append(Comparison(var, "=", value))
-                return Pattern(
-                    label=p.label,
-                    value=var,
-                    type=p.type,
-                    oid=p.oid,
-                    object_var=p.object_var,
-                )
-            if isinstance(value, SetPattern):
-                return Pattern(
-                    label=p.label,
-                    value=relax_set(value, depth),
-                    type=p.type,
-                    oid=p.oid,
-                    object_var=p.object_var,
-                )
-            return p
-
-        def relax_set(sp: SetPattern, depth: int) -> SetPattern:
-            items: list[PatternItem | VarItem] = []
-            for item in sp.items:
-                if isinstance(item, VarItem):
-                    items.append(item)
-                    continue
-                if item.descendant and not self.supports_wildcards:
-                    raise CapabilityViolation(
-                        f"source capability {self.name!r} does not support"
-                        f" descendant ('..') patterns: {item.pattern}"
-                    )
-                items.append(
-                    PatternItem(
-                        relax_pattern(item.pattern, depth + 1),
-                        item.descendant,
-                    )
-                )
-            rest = sp.rest
-            if rest is not None and rest.conditions:
-                new_conditions = tuple(
-                    relax_pattern(c, depth + 1) for c in rest.conditions
-                )
-                rest = RestSpec(rest.var, new_conditions)
-            return SetPattern(tuple(items), rest)
-
-        relaxed = relax_pattern(pattern, 0)
+        relaxed = self._relax_pattern(pattern, 0, residual)
         return relaxed, residual
+
+    # _relax_pattern/_relax_set are methods taking the residual list,
+    # not closures over it: two closures that call each other are a
+    # reference cycle, and every wrapper call splits its pattern
+
+    def _relax_pattern(
+        self, p: Pattern, depth: int, residual: list[Comparison]
+    ) -> Pattern:
+        value = p.value
+        # a constant value slot at depth>=1 is a filter on this label
+        if (
+            depth >= 1
+            and isinstance(value, Const)
+            and not self.can_filter(_label_text(p.label))
+        ):
+            var = Var(f"_Cap{len(residual) + 1}")
+            residual.append(Comparison(var, "=", value))
+            return Pattern(
+                label=p.label,
+                value=var,
+                type=p.type,
+                oid=p.oid,
+                object_var=p.object_var,
+            )
+        if isinstance(value, SetPattern):
+            return Pattern(
+                label=p.label,
+                value=self._relax_set(value, depth, residual),
+                type=p.type,
+                oid=p.oid,
+                object_var=p.object_var,
+            )
+        return p
+
+    def _relax_set(
+        self, sp: SetPattern, depth: int, residual: list[Comparison]
+    ) -> SetPattern:
+        items: list[PatternItem | VarItem] = []
+        for item in sp.items:
+            if isinstance(item, VarItem):
+                items.append(item)
+                continue
+            if item.descendant and not self.supports_wildcards:
+                raise CapabilityViolation(
+                    f"source capability {self.name!r} does not support"
+                    f" descendant ('..') patterns: {item.pattern}"
+                )
+            items.append(
+                PatternItem(
+                    self._relax_pattern(item.pattern, depth + 1, residual),
+                    item.descendant,
+                )
+            )
+        rest = sp.rest
+        if rest is not None and rest.conditions:
+            new_conditions = tuple(
+                self._relax_pattern(c, depth + 1, residual)
+                for c in rest.conditions
+            )
+            rest = RestSpec(rest.var, new_conditions)
+        return SetPattern(tuple(items), rest)
 
 
 def _label_text(label: Term) -> object:

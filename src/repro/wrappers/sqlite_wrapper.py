@@ -401,24 +401,28 @@ class SQLiteOEMStoreWrapper(Wrapper):
                     node
                 )
 
-        def build(root: int, node: int) -> OEMObject:
-            _, _, _, label, kind, raw, oid = by_root[root][node]
-            if kind == SET_TYPE:
-                kids = [
-                    build(root, child)
-                    for child in children.get(root, {}).get(node, [])
-                ]
-                return OEMObject(label, kids, SET_TYPE, oid)
-            return OEMObject(label, _decode_raw(kind, raw), kind, oid)
-
         out = []
         for root in roots:
             if root not in by_root:
                 raise SourceError(
                     f"source {self.name!r}: no object with root id {root}"
                 )
-            out.append(build(root, 0))
+            out.append(_build(by_root[root], children.get(root, {}), 0))
         return out
+
+
+def _build(
+    rows: dict[int, tuple], children: dict[int, list[int]], node: int
+) -> OEMObject:
+    """The object rooted at ``node`` of one stored tree (its rows by
+    node id, its child lists by parent id)."""
+    _, _, _, label, kind, raw, oid = rows[node]
+    if kind == SET_TYPE:
+        kids = [
+            _build(rows, children, child) for child in children.get(node, [])
+        ]
+        return OEMObject(label, kids, SET_TYPE, oid)
+    return OEMObject(label, _decode_raw(kind, raw), kind, oid)
 
 
 def _infer_kind(value: object) -> str:

@@ -1,5 +1,7 @@
 """Unit tests for datasets, unparse, and miscellaneous corners."""
 
+import gc
+
 import pytest
 
 from repro.datasets import (
@@ -11,7 +13,10 @@ from repro.datasets import (
     normalize_author,
     random_forest,
     record_forest,
+    record_stream,
 )
+from repro.external.registry import default_registry
+from repro.mediator import Mediator
 from repro.msl import (
     format_rule,
     format_rules,
@@ -20,6 +25,7 @@ from repro.msl import (
     parse_specification,
 )
 from repro.oem import count_objects, depth, walk
+from repro.wrappers import SourceRegistry, SQLiteOEMStoreWrapper
 
 
 class TestGenerators:
@@ -168,3 +174,68 @@ class TestScenarioOptions:
     def test_trace_option_propagates(self):
         scenario = build_scenario(trace=True)
         assert scenario.mediator.engine.trace_enabled
+
+
+class TestNoCyclicGarbage:
+    """Answering a query must leave nothing for the cycle collector.
+
+    A recursive closure (a nested ``def`` that calls itself) or a class
+    built per call is a reference cycle; a handful per query made the
+    collector run every fourth point lookup, which is where the tail of
+    the latency distribution came from.  Refcounting alone has to free
+    everything a query allocates.
+    """
+
+    @staticmethod
+    def _unreachable_after(operation, times=3):
+        operation()  # warm caches and lazily-built state first
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(times):
+                operation()
+            return gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_point_lookup_over_sqlite_view(self):
+        store = SQLiteOEMStoreWrapper("big")
+        store.load_records("rec", record_stream(200))
+        mediator = Mediator(
+            "med",
+            "<item {<key K> <payload P>}> :- <rec {<key K> <payload P>}>@big",
+            SourceRegistry(store),
+            default_registry(),
+        )
+        keys = iter(range(100))
+
+        def lookup():
+            key = next(keys)
+            assert len(mediator.answer(f"X :- X:<item {{<key {key}>}}>@med")) == 1
+
+        try:
+            assert self._unreachable_after(lookup) == 0
+        finally:
+            mediator.close()
+            store.close()
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_ms1_export_with_bind_join(self, parallelism):
+        scenario = build_scaled_scenario(20)
+        mediator = Mediator(
+            "med_again",
+            scenario.mediator.specification,
+            scenario.mediator.sources,
+            scenario.mediator.externals,
+            parallelism=parallelism,
+        )
+        try:
+            assert self._unreachable_after(mediator.export) == 0
+        finally:
+            mediator.close()
+
+    def test_bibliography_fusion_export(self):
+        mediator = build_bibliography(20).mediator
+        assert self._unreachable_after(mediator.export) == 0

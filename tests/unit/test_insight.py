@@ -8,6 +8,7 @@ statistics snapshot/restore persistence.
 """
 
 import json
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +19,8 @@ from repro.mediator import Mediator, MediatorError, SourceStatistics
 from repro.mediator.engine import ExecutionContext, _rerank_stage
 from repro.mediator.statistics import qerror
 from repro.obs import AnalyzeReport, QueryInsight
-from repro.oem import structural_key
+from repro.oem import atom, obj, structural_key
+from repro.wrappers import OEMStoreWrapper, SourceRegistry
 
 ALL_QUERY = "ALL :- ALL:<cs_person {}>@med"
 
@@ -111,6 +113,62 @@ class TestExplainAnalyze:
                 if member["calls"]:
                     ran = True
         assert ran
+
+    def test_node_figures_agree_at_parallelism_1_and_4(self):
+        # one run_node times every operator where it runs: a pooled
+        # leaf reports real wall time (it used to report the resilient
+        # layer's latency, 0.0 on a default mediator) and the same rows
+        query = "X :- X:<cs_person {<name N>}>@med"
+        docs = {}
+        for parallelism in (1, 4):
+            med = fresh_mediator(
+                build_scaled_scenario(400), parallelism=parallelism
+            )
+            docs[parallelism] = med.explain_analyze(query).to_dict()
+            med.close()
+        for doc in docs.values():
+            leaves = [n for n in doc["nodes"] if n["kind"] == "QueryNode"]
+            assert leaves
+            for node in doc["nodes"]:
+                if node in leaves or node["source_seconds"] > 0.0:
+                    assert node["calls"] == 1
+                    assert node["seconds"] > 0.0, node["description"]
+                    assert node["source_seconds"] > 0.0, node["description"]
+        rows = {
+            parallelism: {
+                n["key"]: (n["rows_in"], n["rows_out"])
+                for n in doc["nodes"]
+            }
+            for parallelism, doc in docs.items()
+        }
+        assert rows[1] == rows[4]
+
+    def test_source_time_is_measured_without_a_resilient_wrapper(self):
+        # a default mediator has no ResilienceManager to time the call:
+        # the engine measures it, so the analyze ``source`` column, the
+        # trace entry and the run total all see the 5 ms
+        class Slow(OEMStoreWrapper):
+            def answer(self, query):
+                time.sleep(0.005)
+                return super().answer(query)
+
+        med = Mediator(
+            "m",
+            "<a X> :- <rec {<name X>}>@s",
+            SourceRegistry(Slow("s", [obj("rec", atom("name", "n"))])),
+            trace=True,
+        )
+        report = med.explain_analyze("X :- X:<a V>@m")
+        assert len(report.objects) == 1
+        (leaf,) = [
+            n for n in report.to_dict()["nodes"] if n["kind"] == "QueryNode"
+        ]
+        assert leaf["seconds"] >= leaf["source_seconds"] >= 0.005
+        context = med.last_context
+        assert context.source_latency >= 0.005
+        # trace mode runs the unfused plan: query, extractor, constructor
+        assert [e.latency >= 0.005 for e in context.trace] == [True, False, False]
+        assert [e.attempts for e in context.trace] == [1, 0, 0]
 
     def test_render_is_an_annotated_tree(self):
         report = build_scenario().mediator.explain_analyze(

@@ -387,6 +387,28 @@ class TestMediatorIntegration:
         kinds = {s.kind for s in spans}
         assert {"query", "plan-stage", "plan-node", "source-call"} <= kinds
 
+    def test_stage_spans_are_real_intervals_at_one_worker(self):
+        # sequential execution is the one-worker case of the stage
+        # loop: a stage's span closes before the next stage opens (not
+        # "logically", when the plan ends) and brackets its own nodes
+        mediator = traced_mediator()
+        assert mediator.parallelism == 1
+        mediator.answer(JOE_CHUNG_QUERY)
+        spans = mediator.telemetry.tracer.spans()
+        stages = sorted(
+            (s for s in spans if s.kind == "plan-stage"),
+            key=lambda s: s.start,
+        )
+        assert len(stages) >= 2
+        for before, after in zip(stages, stages[1:]):
+            assert before.end <= after.start
+        by_id = {s.span_id: s for s in stages}
+        nodes = [s for s in spans if s.kind == "plan-node"]
+        assert nodes
+        for node in nodes:
+            stage = by_id[node.parent_id]
+            assert stage.start <= node.start <= node.end <= stage.end
+
     def test_metrics_text_reports_query_counters(self):
         mediator = traced_mediator()
         mediator.answer(JOE_CHUNG_QUERY)

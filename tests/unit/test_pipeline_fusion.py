@@ -438,3 +438,32 @@ class TestCompiledHeadInstantiation:
                 item, Bindings({"N": "Joe", "S": 42}), None
             )
         assert str(compiled_err.value) == str(reference_err.value)
+
+    def test_chain_of_one_constructor_uses_compiled_builders(self):
+        # the constructor has one body: alone behind a join (a chain of
+        # one) it gets the compiled head builders exactly as the last
+        # constituent of a fused chain does, and builds the same objects
+        # — oids included — as the interpretive (compile=False) run
+        from repro.mediator import ConstructorNode
+        from repro.oem import to_text
+
+        def run(**kwargs):
+            mediator = scaled_mediator(**kwargs)
+            plan, _ = fuse_plan(plan_for(mediator, FANOUT_QUERY))
+            objects = mediator.engine.execute_to_objects(
+                plan, mediator._context()
+            )
+            return plan.root, to_text(objects)
+
+        alone, compiled_text = run(strategy="fetch_all")
+        assert isinstance(alone, ConstructorNode)
+        assert isinstance(alone.inputs[0], JoinNode)
+        fused, _ = run()
+        assert isinstance(fused, FusedPipelineNode)
+        for constructor in (alone, fused.nodes[-1]):
+            (builders,) = constructor._builders.values()
+            assert builders and all(callable(build) for build in builders)
+        interpreted, reference_text = run(strategy="fetch_all", compile=False)
+        assert not interpreted._builders
+        assert compiled_text == reference_text
+        assert compiled_text.count("cs_person") > 1

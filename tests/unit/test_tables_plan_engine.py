@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datasets import build_scenario
+from repro.exec import SourceDispatcher
 from repro.external import default_registry
 from repro.mediator import (
     BindingTable,
@@ -257,6 +258,22 @@ class TestPlanNodes:
             UnionNode([q]).execute([BindingTable(["x"])], context)
 
 
+@pytest.fixture(params=[None, 4], ids=["no-dispatcher", "parallelism-4"])
+def engine_context(request, scenario):
+    """The two ends of the one executor: a bare context (every node
+    inline) and a four-worker dispatcher (leaf queries on the pool)."""
+    dispatcher = (
+        SourceDispatcher(parallelism=request.param) if request.param else None
+    )
+    yield ExecutionContext(
+        sources=scenario.registry,
+        externals=scenario.mediator.externals,
+        dispatcher=dispatcher,
+    )
+    if dispatcher is not None:
+        dispatcher.shutdown()
+
+
 class TestPhysicalPlanAndEngine:
     def test_topological_order(self):
         q = QueryNode("whois", parse_rule("<a B> :- <person B>"))
@@ -265,7 +282,8 @@ class TestPhysicalPlanAndEngine:
         assert plan.nodes() == [q, e]
         assert "[1]" in plan.describe()
 
-    def test_engine_executes_and_traces(self, scenario, context):
+    def test_engine_executes_and_traces(self, scenario, engine_context):
+        context = engine_context
         from repro.datasets import JOE_CHUNG_QUERY
 
         med = scenario.mediator
@@ -282,6 +300,16 @@ class TestPhysicalPlanAndEngine:
         rendered = engine.render_trace()
         assert "query whois" in rendered
         assert "construct" in rendered
+        # whichever thread ran a node, the trace is in plan order, leaf
+        # queries account their one source call, and nothing warned
+        assert [entry.node for entry in engine.last_trace] == plan.nodes()
+        assert all(
+            entry.attempts == 1 and entry.latency > 0.0
+            for entry in engine.last_trace
+            if type(entry.node) is QueryNode
+        )
+        assert context.warnings == []
+        assert context.attempts_made == context.total_queries >= 2
 
     def test_context_accounting(self, scenario, context):
         med = scenario.mediator
