@@ -70,8 +70,9 @@ def test_match_permutation_heavy(benchmark):
 
 
 def test_compiled_matcher_speedup(forest, artifact_sink):
-    """The compiled backend against the interpretive matcher on this
-    module's workload shapes (see bench_compile.py for the full sweep)."""
+    """The compiled matcher against the interpretive reference on this
+    module's workload shapes, per pattern (the per-query comparison is
+    the e2e suite's ``rule_eval_us_per_object`` pair of rows)."""
     import time
 
     from repro.msl import compile_pattern

@@ -16,12 +16,6 @@ from repro.datasets import build_scaled_scenario
 SIZES = [50, 100, 200, 400]
 
 
-def _timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
 @pytest.mark.parametrize("people", SIZES)
 def test_point_query_scaling(people, benchmark):
     scenario = build_scaled_scenario(people, push_mode="needed")
@@ -71,48 +65,3 @@ def test_scaling_series(artifact_sink, benchmark):
     export_growth = last[2] / max(first[2], 1e-9)
     point_growth = last[1] / max(first[1], 1e-9)
     assert export_growth > point_growth
-
-
-def test_backend_speedup_series(artifact_sink, benchmark):
-    """Compiled-over-interpretive export speedup across source sizes.
-
-    Both scenarios are built whole (wrappers included) with the chosen
-    backend, so the ratio covers the entire mediation pipeline.
-    """
-
-    def series():
-        rows = []
-        for people in SIZES:
-            interpretive = build_scaled_scenario(
-                people, push_mode="needed", compile=False
-            )
-            compiled = build_scaled_scenario(
-                people, push_mode="needed", compile=True
-            )
-            # warm both: the compiled side pays per-rule compilation on
-            # the first export, then repeated (structurally equal)
-            # source queries hit the compile cache — the steady state
-            interpretive.mediator.export()
-            compiled.mediator.export()
-            slow = min(
-                _timed(interpretive.mediator.export) for _ in range(2)
-            )
-            fast = min(
-                _timed(compiled.mediator.export) for _ in range(2)
-            )
-            rows.append((people, slow * 1000, fast * 1000, slow / fast))
-        return rows
-
-    rows = benchmark.pedantic(series, rounds=1, iterations=1)
-    table = (
-        "people  interp-export-ms  compiled-export-ms  speedup\n"
-        + "\n".join(
-            f"{p:>6}  {s:>16.2f}  {f:>18.2f}  {x:>6.2f}x"
-            for p, s, f, x in rows
-        )
-    )
-    artifact_sink(
-        "S1 — full-export scaling: interpretive vs compiled backend",
-        table,
-    )
-    assert all(x > 0.8 for _, _, _, x in rows)  # never pathological

@@ -47,8 +47,6 @@ Usage::
   instead of shipping one batched semi-join filter per probe group;
 * ``--cache N`` / ``--cache-ttl SECONDS`` — memoize up to N source
   answers (LRU), optionally expiring entries after SECONDS;
-* ``--no-compile`` — evaluate patterns with the interpretive reference
-  matcher instead of the compiled closure backend (default: compiled);
 * ``--no-fuse`` — execute one plan node per operator instead of fusing
   straight-line segments into pipeline nodes (default: fused);
 * ``--trace-out FILE`` / ``--metrics-out FILE`` — enable the telemetry
@@ -347,14 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="expire cached source answers after SECONDS (needs --cache)",
     )
     parser.add_argument(
-        "--no-compile",
-        action="store_true",
-        help=(
-            "use the interpretive reference matcher instead of the"
-            " compiled pattern backend"
-        ),
-    )
-    parser.add_argument(
         "--no-fuse",
         action="store_true",
         help=(
@@ -441,10 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_sources(
-    specs: Sequence[str],
-    registry: SourceRegistry,
-    stderr,
-    compile: bool = True,
+    specs: Sequence[str], registry: SourceRegistry, stderr
 ) -> bool:
     for entry in specs:
         name, sep, path = entry.partition("=")
@@ -468,19 +455,12 @@ def _load_sources(
             print(f"error: cannot parse {path}: {exc}", file=stderr)
             return False
         registry.register(
-            OEMStoreWrapper(
-                name,
-                objects,
-                export_facts=export_facts,
-                compile=compile,
-            )
+            OEMStoreWrapper(name, objects, export_facts=export_facts)
         )
     return True
 
 
-def _apply_shards(
-    shard_specs, registry, stderr, compile: bool = True
-) -> bool:
+def _apply_shards(shard_specs, registry, stderr) -> bool:
     """Replace loaded sources with hash-sharded versions (``--shard``)."""
     for entry in shard_specs:
         name, sep, rest = entry.partition("=")
@@ -514,7 +494,6 @@ def _apply_shards(
                 shard_name(name, index),
                 forest,
                 capability=BATCH_CAPABILITY,
-                compile=compile,
             )
             for index, forest in enumerate(forests)
         ]
@@ -563,13 +542,9 @@ def main(
         return 2
 
     registry = SourceRegistry()
-    if not _load_sources(
-        args.source, registry, stderr, compile=not args.no_compile
-    ):
+    if not _load_sources(args.source, registry, stderr):
         return 2
-    if not _apply_shards(
-        args.shard, registry, stderr, compile=not args.no_compile
-    ):
+    if not _apply_shards(args.shard, registry, stderr):
         return 2
 
     if args.retries < 0:
@@ -720,7 +695,6 @@ def main(
             cache=cache,
             hedge=hedge,
             adaptive_timeouts=args.adaptive_timeouts,
-            compile=not args.no_compile,
             fuse=not args.no_fuse,
             misestimate_factor=args.misestimate_factor,
             telemetry=telemetry,

@@ -198,7 +198,6 @@ def build_scaled_scenario(
     push_mode: str = "complete",
     strategy: str = "heuristic",
     trace: bool = False,
-    compile: bool = True,
 ) -> StaffScenario:
     """A scaled instance of the running example's shape.
 
@@ -266,9 +265,8 @@ def build_scaled_scenario(
         "whois",
         parse_oem("\n".join(whois_lines)),
         capability=whois_capability,
-        compile=compile,
     )
-    cs = RelationalWrapper("cs", db, compile=compile)
+    cs = RelationalWrapper("cs", db)
     registry.register(whois)
     registry.register(cs)
     mediator = Mediator(
@@ -279,6 +277,5 @@ def build_scaled_scenario(
         push_mode=push_mode,
         strategy=strategy,
         trace=trace,
-        compile=compile,
     )
     return StaffScenario(registry, whois, cs, mediator, externals)

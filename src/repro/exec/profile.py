@@ -5,8 +5,7 @@ Records two families of counters while a plan runs:
 * **per-node**: one row per physical plan node class/name — calls, rows
   produced, and wall-clock seconds spent in ``execute``;
 * **per-pattern**: one row per extractor pattern — objects inspected,
-  matches produced, and seconds spent inside the (compiled or
-  interpretive) matcher.
+  matches produced, and seconds spent inside the matcher.
 
 The profiler is owned by the :class:`~repro.mediator.mediator.Mediator`
 and threaded through the :class:`ExecutionContext`; it survives across

@@ -36,6 +36,7 @@ from repro.mediator.plan import PhysicalPlan, PlanNode, QueryNode
 from repro.mediator.statistics import qerror
 from repro.mediator.tables import BindingTable
 from repro.msl.ast import PatternCondition, Rule
+from repro.msl.compile import CompileCache
 from repro.oem.model import OEMObject
 from repro.oem.oid import OidGenerator
 from repro.reliability.deadline import call_allowance_scope
@@ -49,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.external.registry import ExternalRegistry
     from repro.governor.budget import QueryGovernor
     from repro.mediator.statistics import SourceStatistics
-    from repro.msl.compile import CompileCache
     from repro.obs.insight import QueryInsight
     from repro.obs.span import Tracer
     from repro.obs.telemetry import Telemetry
@@ -96,7 +96,8 @@ class ExecutionContext:
     source_latency: float = 0.0
     governor: "QueryGovernor | None" = None
     dispatcher: "SourceDispatcher | None" = None
-    compiler: "CompileCache | None" = None
+    # the mediator hands in its memo; a bare context builds its own
+    compiler: CompileCache = field(default_factory=CompileCache)
     profiler: "Profiler | None" = None
     # telemetry: None when disabled, so every emission site is one
     # ``is not None`` check on the hot path; per-source call counts are

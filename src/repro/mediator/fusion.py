@@ -18,8 +18,6 @@ Naming note: this is **object** fusion, a semantic feature of the
 result set.  It is unrelated to :mod:`repro.mediator.pipeline`, which
 implements **operator** fusion — a physical-plan optimization that
 merges straight-line datamerge operators into single pipeline nodes.
-(``bench_pipeline_fusion.py`` measures both, in separately marked
-sections: operator fusion throughout, object fusion under "S4".)
 """
 
 from __future__ import annotations

@@ -64,7 +64,6 @@ from repro.msl.ast import (
 )
 from repro.msl.compile import CompileCache
 from repro.msl.errors import MSLError, MSLSemanticError, MSLSyntaxError
-from repro.msl.evaluate import evaluate_rule
 from repro.msl.parser import parse_specification
 from repro.obs.insight import AnalyzeReport, QueryInsight
 from repro.obs.span import current_span, status_of_exception
@@ -152,7 +151,6 @@ class Mediator(Source):
         cancellation: CancellationToken | None = None,
         parallelism: int = 1,
         cache: AnswerCache | None = None,
-        compile: bool = True,
         fuse: bool = True,
         telemetry: "Telemetry | bool | None" = None,
         trace_sample_rate: float = 1.0,
@@ -219,13 +217,10 @@ class Mediator(Source):
         self.max_fixpoint_iterations = max_fixpoint_iterations
         self._oidgen = OidGenerator(f"&{name}_")
 
-        # the compiled pattern-matching backend: rules and patterns are
-        # lowered to closures once and memoized; compile=False keeps the
-        # interpretive reference path bit-for-bit
-        self.compile = compile
-        self._compile_cache = (
-            CompileCache(registry) if compile else None
-        )
+        # the pattern matcher: rules and patterns are lowered to closures
+        # once and memoized (repro.msl.matcher/evaluate are the reference
+        # implementation the tests check it against)
+        self._compile_cache = CompileCache(registry)
         # whole-plan operator fusion (repro.mediator.pipeline): merge
         # straight-line plan segments into single pipeline nodes;
         # fuse=False keeps the node-per-operator reference path.
@@ -359,8 +354,7 @@ class Mediator(Source):
         else:
             self.telemetry = Telemetry.disabled()
         self.telemetry.bind_dispatcher(self.dispatcher)
-        if self._compile_cache is not None:
-            self.telemetry.bind_compile_cache(self._compile_cache)
+        self.telemetry.bind_compile_cache(self._compile_cache)
         if self.resilience is not None:
             self.telemetry.bind_resilience(self.resilience)
         if self.admission is not None:
@@ -748,17 +742,13 @@ class Mediator(Source):
             text += "\n\n-- execution --\n" + self.dispatcher.describe()
         if self.admission is not None:
             text += "\n\n-- serving --\n" + self.admission.describe()
+        stats = self._compile_cache.stats()
         lines = [
-            f"compile: {'on' if self._compile_cache is not None else 'off'}"
+            f"compile cache: {stats['rules']} rule(s),"
+            f" {stats['patterns']} pattern(s),"
+            f" {stats['hits']} hit(s), {stats['misses']} miss(es)",
+            self.profiler.render(),
         ]
-        if self._compile_cache is not None:
-            stats = self._compile_cache.stats()
-            lines.append(
-                f"cache: {stats['rules']} rule(s),"
-                f" {stats['patterns']} pattern(s),"
-                f" {stats['hits']} hit(s), {stats['misses']} miss(es)"
-            )
-        lines.append(self.profiler.render())
         text += "\n\n-- profile --\n" + "\n".join(lines)
         snapshot = self.statistics.snapshot_dict()
         if snapshot["labels"] or snapshot["source_costs"]:
@@ -811,8 +801,8 @@ class Mediator(Source):
           the dispatcher is active: ``parallelism > 1`` or an answer
           cache);
         * ``"profile"`` — the profiler's per-node and per-pattern
-          counters, plus compile cache statistics when the compiled
-          backend is on (empty before any query executed).
+          counters, plus compile cache statistics (empty before any
+          query executed).
 
         Admission-gated mediators carry a fourth key, ``"serving"`` —
         the admission controller's counters (submitted / admitted /
@@ -836,8 +826,7 @@ class Mediator(Source):
         )
         profile = self.profiler.snapshot()
         if profile["nodes"] or profile["patterns"]:
-            if self._compile_cache is not None:
-                profile["compile"] = self._compile_cache.stats()
+            profile["compile"] = self._compile_cache.stats()
             snapshot["profile"] = profile
         if self.admission is not None:
             # the key appears only on admission-gated mediators, so the
@@ -1119,13 +1108,9 @@ class Mediator(Source):
         rule: Rule,
         forests: dict[str | None, Sequence[OEMObject]],
     ) -> list[OEMObject]:
-        """One rule over materialized forests, via the active backend."""
-        if self._compile_cache is not None:
-            return self._compile_cache.rule(rule).evaluate(
-                forests, self.externals, self._oidgen, check=False
-            )
-        return evaluate_rule(
-            rule, forests, self.externals, self._oidgen, check=False
+        """One rule over materialized forests."""
+        return self._compile_cache.rule(rule).evaluate(
+            forests, self.externals, self._oidgen, check=False
         )
 
     def _answer_by_materialization(self, query: Rule) -> list[OEMObject]:

@@ -1,11 +1,11 @@
 """Whole-plan *operator* fusion: straight-line datamerge segments
 collapsed into single pipeline nodes.
 
-BENCH_compile showed that compiling individual patterns leaves
-end-to-end mediation at ~parity: every arc of the datamerge graph
-still materializes a full governed :class:`BindingTable`, and the
-engine pays per-node dispatch, span, and admission overhead between
-every pair of operators.  This module attacks that by fusing maximal
+Compiling patterns (:mod:`repro.msl.compile`, the one production
+matcher) leaves the plan's shape alone: every arc of the datamerge
+graph still materializes a full governed :class:`BindingTable`, and
+the engine pays per-node dispatch, span, and admission overhead
+between every pair of operators.  This module fuses maximal
 straight-line chains of row-at-a-time operators —
 
     extractor -> filter -> external-predicate -> parameterized-query

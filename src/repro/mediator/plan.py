@@ -48,17 +48,15 @@ from repro.msl.ast import (
     Rule,
     Var,
 )
-from repro.msl.bindings import values_equal
+from repro.msl.bindings import Bindings, values_equal
 from repro.msl.compile import compile_head_item, run_row_extractor
 from repro.msl.errors import MSLSemanticError
 from repro.msl.evaluate import compare_values
-from repro.msl.matcher import match_pattern
 from repro.msl.substitute import (
     head_variables,
     instantiate_head_item,
     instantiate_params_in_pattern,
 )
-from repro.msl.bindings import Bindings
 from repro.oem.compare import eliminate_duplicates
 from repro.oem.model import OEMObject
 from repro.oem.oid import OidGenerator
@@ -334,48 +332,25 @@ class ExtractorNode(RowOperatorNode):
             else None
         )
         started = perf_counter() if profiler is not None else 0.0
-        matches = 0
-        compiler = context.compiler
-        if compiler is not None:
-            compiled = compiler.pattern(self.pattern)
-            index = compiled.layout.index
-            # a variable colliding with a carried column is a join:
-            # keep the row only when the values agree
-            carried_checks = tuple(
-                (positions[c], index[c]) for c in carried if c in index
-            )
-            new_registers = tuple(index.get(v) for v in new_columns)
-            matches = run_row_extractor(
-                compiled,
-                rows,
-                position,
-                carried_positions,
-                carried_checks,
-                new_registers,
-                add,
-                self.column,
-                TableError,
-            )
-        else:
-            for row in rows:
-                obj = row[position]
-                if not isinstance(obj, OEMObject):
-                    raise TableError(
-                        f"extractor column {self.column!r} holds non-object"
-                        f" {obj!r}"
-                    )
-                for env in match_pattern(self.pattern, obj):
-                    if not all(
-                        values_equal(env.get(c), row[positions[c]])
-                        for c in carried
-                        if c in env
-                    ):
-                        continue
-                    matches += 1
-                    add(
-                        tuple(row[p] for p in carried_positions)
-                        + tuple(env.get(v) for v in new_columns)
-                    )
+        compiled = context.compiler.pattern(self.pattern)
+        index = compiled.layout.index
+        # a variable colliding with a carried column is a join:
+        # keep the row only when the values agree
+        carried_checks = tuple(
+            (positions[c], index[c]) for c in carried if c in index
+        )
+        new_registers = tuple(index.get(v) for v in new_columns)
+        matches = run_row_extractor(
+            compiled,
+            rows,
+            position,
+            carried_positions,
+            carried_checks,
+            new_registers,
+            add,
+            self.column,
+            TableError,
+        )
         if profiler is not None:
             profiler.record_pattern(
                 self.pattern_text, len(rows), matches, perf_counter() - started
@@ -383,7 +358,6 @@ class ExtractorNode(RowOperatorNode):
         if span is not None:
             span.set_attribute("objects", len(rows))
             span.set_attribute("matches", matches)
-            span.set_attribute("compiled", compiler is not None)
             tracer.finish_span(span)
         return out
 
@@ -938,11 +912,7 @@ class ConstructorNode(RowOperatorNode):
             projected = distinct
         objects: list[OEMObject] = []
         oidgen = context.oidgen
-        builders = (
-            self._head_builders(available)
-            if context.compiler is not None
-            else None
-        )
+        builders = self._head_builders(available)
         for row in projected.rows:
             if governor is not None and not governor.charge_result_object():
                 break  # truncate mode: stop constructing, keep the run
@@ -965,8 +935,9 @@ class ConstructorNode(RowOperatorNode):
     def _head_builders(self, available: tuple[str, ...]):
         """Compiled per-item head builders for one column layout.
 
-        ``None`` when any head item falls outside the compiled subset —
-        the constructor then runs the interpretive reference builder.
+        ``None`` when a head item falls outside the compiled subset
+        (shapes whose only behaviour is an instantiation error) — the
+        constructor then runs ``instantiate_head_item`` for its message.
         """
         if available not in self._builders:
             builders = [

@@ -17,9 +17,10 @@ same split one level lower, inside pattern evaluation itself:
   (:func:`~repro.msl.evaluate.schedule_conditions`) and the head
   projection, and are memoized in a :class:`CompileCache`.
 
-**Equivalence contract.**  The compiled backend is bit-for-bit
-equivalent to the interpretive one (:mod:`repro.msl.matcher` /
-:mod:`repro.msl.evaluate`): same solutions, in the same order, same
+**Equivalence contract.**  This is the matcher every wrapper and
+mediator runs; the interpretive :mod:`repro.msl.matcher` /
+:mod:`repro.msl.evaluate` are its reference implementation, and the
+two are bit-for-bit equivalent: same solutions, in the same order, same
 errors, same oid-generator call sequence.  Reordering set items for
 selectivity would normally permute solutions, so every matcher tags
 each solution with a canonical *choice key* — the per-item
@@ -35,7 +36,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from repro.msl.analysis import condition_variables
+from repro.msl.analysis import check_rule, condition_variables
 from repro.msl.ast import (
     Comparison,
     Const,
@@ -67,7 +68,11 @@ from repro.msl.evaluate import (
     schedule_conditions,
     unschedulable_error,
 )
-from repro.msl.substitute import head_variables, pattern_variables
+from repro.msl.substitute import (
+    head_variables,
+    instantiate_head_item,
+    pattern_variables,
+)
 from repro.oem.compare import eliminate_duplicates
 from repro.oem.model import SET_TYPE, OEMObject
 from repro.oem.oid import Oid, OidGenerator, SemanticOid, fresh_oid
@@ -75,7 +80,6 @@ from repro.oem.traverse import descendants, walk
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.external.registry import ExternalRegistry
-    from repro.msl.analysis import check_rule as _check_rule_t  # noqa: F401
 
 __all__ = [
     "UNBOUND",
@@ -762,18 +766,17 @@ def run_row_extractor(
 # head is lowered once, per slot layout, to closures that read binding
 # rows positionally — no per-row ``Bindings`` dict, no per-row AST
 # dispatch, and (for the exact atom types) no re-validation inside
-# ``OEMObject.__init__``.  Used by the fused pipeline's constructor
-# stage (:mod:`repro.mediator.pipeline`); the unfused ``ConstructorNode``
-# keeps :func:`repro.msl.substitute.instantiate_head_item` as the
-# interpretive reference, mirroring the compiled/interpretive pattern
-# split above.
+# ``OEMObject.__init__``.  ``ConstructorNode`` builds every result
+# object this way, inside a fused pipeline or on its own;
+# :func:`repro.msl.substitute.instantiate_head_item` is the reference
+# the builders are checked against.
 #
 # Equivalence contract: same objects (labels, types, checked values),
 # same oid-generator call sequence (parent before children, items in
 # written order), same duplicate elimination, same errors with the same
 # messages.  ``compile_head_item`` returns ``None`` for any head shape
 # outside the compiled subset, and the caller falls back to the
-# interpretive builder.
+# reference builder.
 
 #: Exact Python types whose inferred OEM type and checked value are
 #: knowable without running ``infer_type``/``_check_atom``.  Keyed by
@@ -1241,8 +1244,6 @@ class CompiledRule:
     ) -> list[OEMObject]:
         """Drop-in equivalent of :func:`repro.msl.evaluate.evaluate_rule`."""
         if check:
-            from repro.msl.analysis import check_rule
-
             check_rule(self.rule)
         if registry is None:
             registry = self.registry
@@ -1272,8 +1273,6 @@ class CompiledRule:
         generator = oidgen or OidGenerator("&v")
         head = self.rule.head
         objects: list[OEMObject] = []
-        from repro.msl.substitute import instantiate_head_item
-
         for frame in survivors:
             env = _bindings_from(
                 {

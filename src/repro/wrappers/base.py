@@ -9,7 +9,7 @@ Mediators compose because they are Sources themselves.
 
 :class:`Wrapper` adds the bookkeeping shared by concrete wrappers:
 query counting (for the statistics module), capability enforcement, and
-the default answer path through the naive MSL evaluator.
+the default answer path through the compiled MSL evaluator.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.msl.analysis import check_rule
 from repro.msl.ast import Comparison, Pattern, PatternCondition, Rule
 from repro.msl.compile import CompileCache
 from repro.msl.errors import MSLSemanticError
-from repro.msl.evaluate import evaluate_rule
 from repro.oem.model import OEMObject
 from repro.oem.oid import OidGenerator
 from repro.wrappers.capability import (
@@ -36,6 +35,7 @@ __all__ = [
     "Wrapper",
     "SourceError",
     "MalformedAnswerError",
+    "check_source_query",
     "first_pattern",
 ]
 
@@ -64,6 +64,45 @@ def first_pattern(query: Rule) -> Pattern | None:
 
 class SourceError(Exception):
     """A query could not be served by a source."""
+
+
+def check_source_query(
+    query: Rule, name: str, capability: Capability
+) -> None:
+    """Reject a query the source ``name`` must not evaluate: one
+    addressed elsewhere, or one beyond its advertised ``capability`` —
+    a real autonomous source would refuse it, and so do we."""
+    check_rule(query)
+    # a shard wrapper ("big#2") also answers queries addressed to
+    # its logical source ("big"): the sharded entry fans logical
+    # queries to shards without rewriting their source annotations
+    accepted = (None, name, name.partition("#")[0])
+    for condition in query.tail:
+        if isinstance(condition, PatternCondition):
+            if condition.source not in accepted:
+                raise SourceError(
+                    f"query for source {condition.source!r} sent to"
+                    f" {name!r}"
+                )
+            try:
+                capability.check(condition.pattern)
+            except CapabilityViolation as exc:
+                raise SourceError(str(exc)) from exc
+        elif isinstance(condition, Comparison):
+            # a source may advertise the ability to evaluate
+            # comparisons locally (capability-based rewriting then
+            # ships them instead of compensating at the mediator)
+            if not capability.supports_comparisons:
+                raise SourceError(
+                    f"source {name!r} cannot evaluate comparison"
+                    f" {condition}"
+                )
+        else:
+            # external calls are mediator-side business
+            raise SourceError(
+                f"source {name!r} cannot evaluate non-pattern"
+                f" condition {condition}"
+            )
 
 
 class MalformedAnswerError(SourceError):
@@ -143,7 +182,6 @@ class Wrapper(Source):
         name: str,
         capability: Capability | None = None,
         registry: ExternalRegistry | None = None,
-        compile: bool = True,
     ) -> None:
         if not _valid_source_name(name):
             raise SourceError(f"invalid source name {name!r}")
@@ -151,11 +189,8 @@ class Wrapper(Source):
         self._capability = capability or FULL_CAPABILITY
         self._registry = registry
         self._oidgen = OidGenerator(f"&{name}_")
-        # repeated (parameterized) queries compile once; compile=False
-        # keeps the interpretive reference evaluator
-        self._compile_cache = (
-            CompileCache(registry) if compile else None
-        )
+        # repeated (parameterized) queries compile once
+        self._compile_cache = CompileCache(registry)
         self.queries_answered = 0
         self.objects_returned = 0
 
@@ -196,7 +231,7 @@ class Wrapper(Source):
         """
         if getattr(query, "is_semijoin", False):
             return self.answer_semijoin(query)
-        self._check_query(query)
+        check_source_query(query, self.name, self._capability)
         forest = self.candidates(query)
         return self._evaluate(query, forest)
 
@@ -214,7 +249,7 @@ class Wrapper(Source):
                 f"source {self.name!r} does not accept batched semi-join"
                 f" filters (capability {self._capability.name!r})"
             )
-        self._check_query(query.rule)
+        check_source_query(query.rule, self.name, self._capability)
         forest = self.semijoin_candidates(query)
         return self._evaluate(query.rule, forest)
 
@@ -232,44 +267,10 @@ class Wrapper(Source):
             ]
         return forest
 
-    def _check_query(self, query: Rule) -> None:
-        check_rule(query)
-        # a shard wrapper ("big#2") also answers queries addressed to
-        # its logical source ("big"): the sharded entry fans logical
-        # queries to shards without rewriting their source annotations
-        logical = self.name.partition("#")[0]
-        accepted = (None, self.name, logical)
-        for condition in query.tail:
-            if isinstance(condition, PatternCondition):
-                if condition.source not in accepted:
-                    raise SourceError(
-                        f"query for source {condition.source!r} sent to"
-                        f" {self.name!r}"
-                    )
-                try:
-                    self._capability.check(condition.pattern)
-                except CapabilityViolation as exc:
-                    raise SourceError(str(exc)) from exc
-            elif isinstance(condition, Comparison):
-                # a source may advertise the ability to evaluate
-                # comparisons locally (capability-based rewriting then
-                # ships them instead of compensating at the mediator)
-                if not self._capability.supports_comparisons:
-                    raise SourceError(
-                        f"source {self.name!r} cannot evaluate comparison"
-                        f" {condition}"
-                    )
-            else:
-                # external calls are mediator-side business
-                raise SourceError(
-                    f"source {self.name!r} cannot evaluate non-pattern"
-                    f" condition {condition}"
-                )
-
     def _evaluate(
         self, query: Rule, forest: Sequence[OEMObject]
     ) -> list[OEMObject]:
-        # the logical alias mirrors _check_query: a shard evaluates
+        # the logical alias mirrors check_source_query: a shard evaluates
         # queries still annotated with its logical source name
         forests = {
             None: forest,
@@ -277,21 +278,9 @@ class Wrapper(Source):
             self.name.partition("#")[0]: forest,
         }
         try:
-            if self._compile_cache is not None:
-                result = self._compile_cache.rule(query).evaluate(
-                    forests,
-                    self._registry,
-                    self._oidgen,
-                    check=False,
-                )
-            else:
-                result = evaluate_rule(
-                    query,
-                    forests,
-                    self._registry,
-                    self._oidgen,
-                    check=False,
-                )
+            result = self._compile_cache.rule(query).evaluate(
+                forests, self._registry, self._oidgen, check=False
+            )
         except MSLSemanticError as exc:
             raise SourceError(f"{self.name}: {exc}") from exc
         self.queries_answered += 1

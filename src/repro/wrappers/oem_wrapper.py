@@ -41,11 +41,8 @@ class OEMStoreWrapper(Wrapper):
         registry: ExternalRegistry | None = None,
         indexed: bool = True,
         export_facts: bool = False,
-        compile: bool = True,
     ) -> None:
-        super().__init__(
-            name, capability or BATCH_CAPABILITY, registry, compile=compile
-        )
+        super().__init__(name, capability or BATCH_CAPABILITY, registry)
         self._objects: list[OEMObject] = list(objects)
         self._indexed = indexed
         self._index: dict[tuple[str, object], set[int]] | None = None

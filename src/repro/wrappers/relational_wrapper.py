@@ -53,11 +53,8 @@ class RelationalWrapper(Wrapper):
         database: Database,
         capability: Capability | None = None,
         registry: ExternalRegistry | None = None,
-        compile: bool = True,
     ) -> None:
-        super().__init__(
-            name, capability or BATCH_CAPABILITY, registry, compile=compile
-        )
+        super().__init__(name, capability or BATCH_CAPABILITY, registry)
         self.database = database
 
     @property

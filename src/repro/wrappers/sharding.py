@@ -35,8 +35,11 @@ from repro.msl.ast import (
     Rule,
     SetPattern,
 )
+from repro.msl.compile import evaluate_rule_compiled
+from repro.msl.errors import MSLSemanticError
 from repro.oem.model import OEMObject
-from repro.wrappers.base import Source, SourceError
+from repro.oem.oid import OidGenerator
+from repro.wrappers.base import Source, SourceError, check_source_query
 from repro.wrappers.capability import Capability, FULL_CAPABILITY
 
 __all__ = [
@@ -293,6 +296,9 @@ class ShardedSource(Source):
         self.name = name
         self.shards = tuple(shards)
         self.partition = partition
+        # cross-shard joins answered here, over the union forest
+        self.queries_answered = 0
+        self.objects_returned = 0
 
     @classmethod
     def build(
@@ -375,17 +381,23 @@ class ShardedSource(Source):
                 result.extend(self.shards[index].answer(query))
             return result
         # multi-pattern tails join across shards: no per-shard
-        # decomposition exists, so evaluate over the union forest
-        from repro.msl.evaluate import evaluate_rule
-        from repro.oem.oid import OidGenerator
-
+        # decomposition exists, so evaluate over the union forest —
+        # after the checks any one shard would have made
+        check_source_query(query, self.name, self.capability)
         forest = list(self.export())
-        return evaluate_rule(
-            query,
-            {None: forest, self.name: forest},
-            None,
-            OidGenerator(f"&{self.name}_"),
-        )
+        try:
+            result = evaluate_rule_compiled(
+                query,
+                {None: forest, self.name: forest},
+                None,
+                OidGenerator(f"&{self.name}_"),
+                check=False,
+            )
+        except MSLSemanticError as exc:
+            raise SourceError(f"{self.name}: {exc}") from exc
+        self.queries_answered += 1
+        self.objects_returned += len(result)
+        return result
 
     def _answer_semijoin(self, query: SemiJoinQuery) -> list[OEMObject]:
         route = next(
@@ -424,7 +436,7 @@ class ShardedSource(Source):
 
     def stats(self) -> dict[str, object]:
         totals: dict[str, object] = {"shards": len(self.shards)}
-        queries = objects = 0
+        queries, objects = self.queries_answered, self.objects_returned
         for shard in self.shards:
             stats = shard.stats()
             queries += int(stats.get("queries_answered", 0) or 0)
@@ -434,6 +446,7 @@ class ShardedSource(Source):
         return totals
 
     def reset_counters(self) -> None:
+        self.queries_answered = self.objects_returned = 0
         for shard in self.shards:
             shard.reset_counters()
 

@@ -119,11 +119,8 @@ class SQLiteOEMStoreWrapper(Wrapper):
         objects: Iterable[OEMObject] = (),
         capability: Capability | None = None,
         registry: ExternalRegistry | None = None,
-        compile: bool = True,
     ) -> None:
-        super().__init__(
-            name, capability or BATCH_CAPABILITY, registry, compile=compile
-        )
+        super().__init__(name, capability or BATCH_CAPABILITY, registry)
         # shard probes arrive on dispatcher pool threads; one connection
         # guarded by a lock serializes this shard while shards still
         # overlap with each other (each has its own connection)

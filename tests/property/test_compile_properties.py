@@ -1,13 +1,14 @@
-"""Property: the compiled backend is bit-for-bit the interpretive one.
+"""Property: the compiled matcher is bit-for-bit the interpretive one.
 
 The equivalence contract of :mod:`repro.msl.compile`
-(docs/performance.md): for every pattern, rule, and mediator query,
-the compiled closure backend produces the *same* solutions in the
-*same* order as the reference matcher/evaluator — same binding
-environments, same constructed objects (oids included, because the
-oid-generator call sequences coincide), same warnings, same trace
-shape, same errors.  Selectivity reordering inside compiled set
-matchers must be invisible.
+(docs/performance.md): for every pattern, forest and rule, the compiled
+closures produce the *same* solutions in the *same* order as the
+reference matcher/evaluator — same binding environments, same
+constructed objects (oids included, because the oid-generator call
+sequences coincide), same errors.  Selectivity reordering inside
+compiled set matchers must be invisible.  At the mediator level, where
+the compiled matcher is the only one there is, whole answers are
+checked against the planner-free reference of ``tests/reference.py``.
 """
 
 import pytest
@@ -51,6 +52,7 @@ from repro.reliability import (
 )
 from repro.wrappers import OEMStoreWrapper, RelationalWrapper, SourceRegistry
 
+from ..reference import canonical, reference_answer, reference_export
 from .strategies import atom_values, labels, oem_forests, oem_objects
 
 # -- pattern strategies (label-position variables, Rest, descendants) ----
@@ -264,83 +266,93 @@ class TestCompiledRuleEquivalence:
             ]
 
 
-# -- wrapper- and mediator-level equivalence ----------------------------
+# -- mediator level: the production matcher against the oracle -----------
+#
+# There is one production matcher, so there is no interpretive twin to
+# run a mediator against; what the whole pipeline (expander, optimizer,
+# plan, compiled matcher) is held to instead is the planner-free
+# reference of tests/reference.py: evaluate_rule over the sources'
+# whole exports.
 
 
-def build_mediator(seed, fault_rate=0.0, compile=True, trace=False):
-    """A fresh MS1 mediator with its own fault schedule and backend."""
+def build_mediator(seed, fault_rate=0.0, **kwargs):
+    """A fresh MS1 mediator with its own seeded fault schedule."""
     clock = ManualClock()
     registry = SourceRegistry()
     registry.register(
         FaultInjectingSource(
-            OEMStoreWrapper(
-                "whois", build_whois_objects(), compile=compile
-            ),
+            OEMStoreWrapper("whois", build_whois_objects()),
             seed=seed,
             fault_rate=fault_rate,
             latency=0.05,
             clock=clock,
         )
     )
-    registry.register(
-        RelationalWrapper("cs", build_cs_database(), compile=compile)
-    )
+    registry.register(RelationalWrapper("cs", build_cs_database()))
     return Mediator(
-        "med",
-        MS1,
-        registry,
-        default_registry(),
-        trace=trace,
-        resilience=ResilienceConfig(
-            retry=RetryPolicy(max_attempts=8, base_delay=0.01, jitter=0.0),
-            breaker_threshold=100,
-        ),
-        clock=clock,
-        compile=compile,
+        "med", MS1, registry, default_registry(), clock=clock, **kwargs
     )
 
 
-class TestMediatorBackendEquivalence:
+class TestMediatorVsReference:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         fault_rate=st.floats(min_value=0.0, max_value=0.3),
         query=st.sampled_from([JOE_CHUNG_QUERY, YEAR3_QUERY]),
     )
     @settings(max_examples=10, deadline=None)
-    def test_query_bit_for_bit_under_fault_schedules(
+    def test_masked_faults_equal_reference(
         self, seed, fault_rate, query
     ):
-        interpretive = build_mediator(
-            seed, fault_rate=fault_rate, compile=False, trace=True
+        # eight attempts mask every schedule drawn here, so the answer
+        # is the whole reference answer and nothing is reported
+        mediator = build_mediator(
+            seed,
+            fault_rate=fault_rate,
+            resilience=ResilienceConfig(
+                retry=RetryPolicy(
+                    max_attempts=8, base_delay=0.01, jitter=0.0
+                ),
+                breaker_threshold=100,
+            ),
         )
-        compiled = build_mediator(
-            seed, fault_rate=fault_rate, compile=True, trace=True
+        observed = mediator.query(query)
+        assert not observed.warnings
+        assert canonical(observed) == canonical(
+            reference_answer(build_mediator(seed), query)
         )
-        expected = interpretive.query(query)
-        observed = compiled.query(query)
-        # same objects in the same order with the same mediator oids
-        assert [repr(o) for o in observed] == [repr(o) for o in expected]
-        assert [
-            (w.source, w.error) for w in observed.warnings
-        ] == [(w.source, w.error) for w in expected.warnings]
-        # same plan execution: node for node, row count for row count
-        expected_trace = interpretive.last_context.trace
-        observed_trace = compiled.last_context.trace
-        assert [
-            (type(e.node).__name__, len(e.table.rows))
-            for e in observed_trace
-        ] == [
-            (type(e.node).__name__, len(e.table.rows))
-            for e in expected_trace
-        ]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        fault_rate=st.floats(min_value=0.0, max_value=0.6),
+        query=st.sampled_from([JOE_CHUNG_QUERY, YEAR3_QUERY]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_degraded_run_within_reference(
+        self, seed, fault_rate, query
+    ):
+        # no retries, degrade mode: a faulted call drops its rows and
+        # says so — the answer never holds an object the reference
+        # lacks, and is the whole reference when nothing was dropped
+        mediator = build_mediator(
+            seed, fault_rate=fault_rate, on_source_failure="degrade"
+        )
+        observed = mediator.query(query)
+        expected = canonical(reference_answer(build_mediator(seed), query))
+        assert canonical(observed) <= expected
+        if not observed.warnings:
+            assert canonical(observed) == expected
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=5, deadline=None)
-    def test_export_bit_for_bit(self, seed):
-        interpretive = build_mediator(seed, compile=False)
-        compiled = build_mediator(seed, compile=True)
-        assert [repr(o) for o in compiled.export()] == [
-            repr(o) for o in interpretive.export()
+    def test_export_equals_reference(self, seed):
+        mediator = build_mediator(seed)
+        # a fresh mediator numbers its objects as the semantics create
+        # them, so the export is the reference repr for repr — order
+        # and mediator oids included
+        assert [repr(o) for o in mediator.export()] == [
+            repr(o)
+            for o in reference_export(build_mediator(seed), "&med_")
         ]
 
 

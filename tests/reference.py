@@ -1,0 +1,64 @@
+"""A planner-free oracle for mediator answers: materialize, then match.
+
+The interpretive evaluator (:func:`repro.msl.evaluate.evaluate_rule`) is
+the reference implementation of MSL's semantics; no production path
+outside :mod:`repro.msl` calls it.  The helpers here compute what a
+mediator *should* answer without its view expander, optimizer, plan,
+engine or compiled matcher: every specification rule evaluated over the
+sources' whole exports, duplicates eliminated, semantic oids fused — the
+shape of ``benchmarks/e2e/workloads.py::reference_export`` — and a query
+then matched against that materialized view.
+
+Reference objects carry the reference's own oids, so comparisons go
+through :func:`canonical`, which ignores oids and order.
+"""
+
+from collections import Counter
+
+from repro.mediator.fusion import fuse_objects, has_semantic_oids
+from repro.msl.ast import PatternCondition
+from repro.msl.evaluate import evaluate_rule
+from repro.msl.parser import parse_query
+from repro.oem.compare import eliminate_duplicates, structural_key
+from repro.oem.oid import OidGenerator
+
+
+def canonical(objects) -> Counter:
+    """The answer as a multiset of structural keys: equal iff the
+    answers hold the same objects up to oids and order."""
+    return Counter(map(structural_key, objects))
+
+
+def reference_export(mediator, oid_prefix: str = "&ref_") -> list:
+    """The mediator's view, straight from the MSL semantics (pass the
+    mediator's own ``oid_prefix`` to compare oids too)."""
+    rules = mediator.specification.rules
+    names = {
+        condition.source
+        for rule in rules
+        for condition in rule.tail
+        if isinstance(condition, PatternCondition)
+    }
+    forests = {
+        name: list(mediator.sources.resolve(name).export()) for name in names
+    }
+    oidgen = OidGenerator(oid_prefix)
+    objects: list = []
+    for rule in rules:
+        objects.extend(evaluate_rule(rule, forests, mediator.externals, oidgen))
+    objects = eliminate_duplicates(objects)
+    if has_semantic_oids(objects):
+        objects = fuse_objects(objects)
+    return objects
+
+
+def reference_answer(mediator, query: str) -> list:
+    """``query`` (addressed to the mediator's view) over the reference
+    export."""
+    view = reference_export(mediator)
+    return evaluate_rule(
+        parse_query(query),
+        {mediator.name: view, None: view},
+        mediator.externals,
+        OidGenerator("&ref_"),
+    )

@@ -18,6 +18,7 @@ from repro.oem.builders import atom, obj
 from repro.wrappers import (
     BATCH_CAPABILITY,
     FULL_CAPABILITY,
+    Capability,
     HashPartition,
     OEMStoreWrapper,
     RangePartition,
@@ -287,6 +288,55 @@ class TestShardedSource:
         )
         assert canonical(sharded.export()) != []
         assert len(list(sharded.export())) == 30
+
+    def test_cross_shard_join_is_checked_and_counted(self):
+        # a multi-pattern tail has no per-shard decomposition, so the
+        # logical source evaluates it over the union forest — behind
+        # the same capability check, and into the same counters, as
+        # every other path (it used to bypass both)
+        def person(name, dept):
+            return obj("person", atom("name", name), atom("dept", dept))
+
+        forest = [
+            person("Joe", "CS"),
+            person("Ann", "EE"),
+            obj("boss", atom("name", "Joe")),
+        ]
+        names_only = Capability(filterable_labels=frozenset({"name"}))
+        partition = HashPartition("name", 2)
+
+        def sharded(capability):
+            return ShardedSource(
+                "s",
+                [
+                    OEMStoreWrapper(shard_name("s", i), part, capability)
+                    for i, part in enumerate(
+                        partition_forest(forest, partition)
+                    )
+                ],
+                partition,
+            )
+
+        single = parse_query("<hit N> :- <person {<name N> <dept 'CS'>}>@s")
+        join = parse_query(
+            "<hit N> :- <person {<name N> <dept 'CS'>}>@s"
+            " AND <boss {<name N>}>@s"
+        )
+        restricted = sharded(names_only)
+        for query in (single, join):
+            with pytest.raises(SourceError, match="dept"):
+                OEMStoreWrapper("s", forest, names_only).answer(query)
+            with pytest.raises(SourceError, match="dept"):
+                restricted.answer(query)
+        assert restricted.stats()["queries_answered"] == 0
+
+        capable = sharded(FULL_CAPABILITY)
+        assert [o.value for o in capable.answer(join)] == ["Joe"]
+        stats = capable.stats()
+        assert stats["queries_answered"] == 1
+        assert stats["objects_returned"] == 1
+        capable.reset_counters()
+        assert capable.stats()["queries_answered"] == 0
 
     def test_describe_mentions_partition(self):
         source = make_sharded(make_records(4), 2)
