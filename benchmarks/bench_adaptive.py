@@ -223,7 +223,7 @@ def _overhead_segment(scenario):
             mediator.answer(FANOUT_QUERY)
 
     original = ExecutionContext.observe_node
-    stub = lambda self, node, rows_in, rows_out, seconds, latency=0.0: None
+    stub = lambda self, node, rows_out: None
     order = ["bare", "off", "analyze", "analyze", "off", "bare"]
     ratios = []
     gc.collect()

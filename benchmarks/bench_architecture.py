@@ -90,7 +90,21 @@ class TestDedupAblation:
 
     def build(self, deduplicate):
         scenario = build_scaled_scenario(PEOPLE, push_mode="complete")
-        scenario.mediator.optimizer.deduplicate = deduplicate
+        if not deduplicate:
+            # MSL answers are duplicate-free by definition, so the
+            # planner has no switch for this: flip the node-level
+            # flags of each plan it hands back
+            optimizer = scenario.mediator.optimizer
+            plan_program = optimizer.plan_program
+
+            def undeduplicated(program):
+                plan = plan_program(program)
+                for node in plan.nodes():
+                    if hasattr(node, "deduplicate"):
+                        node.deduplicate = False
+                return plan
+
+            optimizer.plan_program = undeduplicated
         return scenario
 
     def test_with_dedup(self, benchmark):

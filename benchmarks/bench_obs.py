@@ -4,10 +4,11 @@ Two promises the observability layer must keep before it can sit in
 every mediator (docs/observability.md):
 
 * **cost** — telemetry off (the default) must leave the query path
-  untouched: every emission site is one ``is not None`` check.  Even
-  telemetry *on* with ``trace_sample_rate=0.0`` — the no-op-tracer
-  path, where children of unsampled roots are a shared no-op span —
-  must stay within noise of the bare engine (median paired ratio
+  untouched: neither the tracer nor the metrics subscribe to the run,
+  so the events only they would read build no payload.  Even
+  telemetry *on* with ``trace_sample_rate=0.0`` — the tracer is not
+  subscribed under an unsampled root, the metrics are — must stay
+  within noise of the bare engine (median paired ratio
   <= 1.02), and full tracing at ``sample_rate=1.0`` must cost at most
   15% on the scaling scenario;
 * **fidelity** — a traced ``parallelism=8`` federated query must
@@ -26,7 +27,7 @@ import time
 
 from repro.datasets import build_scaled_scenario
 from repro.mediator import Mediator
-from repro.obs import JsonLinesExporter
+from repro.obs import JsonLinesExporter, Telemetry
 
 PEOPLE = 50
 SEGMENTS = 5
@@ -60,8 +61,12 @@ def _overhead_segment(scenario, query, cycles=CYCLES, warmup=WARMUP):
     """
     configs = {
         "bare": _mediator(scenario),
-        "noop": _mediator(scenario, telemetry=True, trace_sample_rate=0.0),
-        "traced": _mediator(scenario, telemetry=True, trace_sample_rate=1.0),
+        "noop": _mediator(
+            scenario, telemetry=Telemetry(trace_sample_rate=0.0)
+        ),
+        "traced": _mediator(
+            scenario, telemetry=Telemetry(trace_sample_rate=1.0)
+        ),
     }
     for mediator in configs.values():
         for _ in range(warmup):

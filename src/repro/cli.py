@@ -80,7 +80,9 @@ from repro.external.registry import default_registry
 from repro.governor.budget import QueryBudget
 from repro.mediator.mediator import Mediator
 from repro.obs.exporters import JsonLinesExporter, PrometheusTextExporter
+from repro.obs.telemetry import Telemetry
 from repro.oem.parser import parse_oem
+from repro.reliability.deadline import AdaptiveTimeoutConfig
 from repro.reliability.hedging import HedgePolicy
 from repro.reliability.policy import RetryPolicy
 from repro.reliability.resilient import ResilienceConfig
@@ -562,6 +564,9 @@ def main(
         resilience = ResilienceConfig(
             retry=RetryPolicy(max_attempts=args.retries + 1),
             timeout=args.source_timeout,
+            adaptive=(
+                AdaptiveTimeoutConfig() if args.adaptive_timeouts else None
+            ),
         )
     if args.hedge_delay is not None:
         if not args.hedge:
@@ -647,11 +652,16 @@ def main(
         print("error: --slow-query-ms must be non-negative", file=stderr)
         return 2
     # any observability flag switches the telemetry subsystem on
-    telemetry = bool(
+    telemetry = None
+    if (
         args.trace_out is not None
         or args.metrics_out is not None
         or args.slow_query_ms is not None
-    )
+    ):
+        telemetry = Telemetry(
+            trace_sample_rate=args.trace_sample_rate,
+            slow_query_ms=args.slow_query_ms,
+        )
 
     if args.max_concurrent is not None and args.max_concurrent < 1:
         print("error: --max-concurrent must be at least 1", file=stderr)
@@ -694,12 +704,9 @@ def main(
             semijoin=not args.no_semijoin,
             cache=cache,
             hedge=hedge,
-            adaptive_timeouts=args.adaptive_timeouts,
             fuse=not args.no_fuse,
             misestimate_factor=args.misestimate_factor,
             telemetry=telemetry,
-            trace_sample_rate=args.trace_sample_rate,
-            slow_query_ms=args.slow_query_ms,
             admission=admission,
         )
     except Exception as exc:

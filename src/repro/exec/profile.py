@@ -8,7 +8,8 @@ Records two families of counters while a plan runs:
   matches produced, and seconds spent inside the matcher.
 
 The profiler is owned by the :class:`~repro.mediator.mediator.Mediator`
-and threaded through the :class:`ExecutionContext`; it survives across
+and subscribes to every run's event stream (``plan-node`` /
+``pipeline-stage`` and ``pattern-match`` events); it survives across
 queries so ``explain()`` and ``health_snapshot()`` can report cumulative
 hot spots.  All mutation goes through one lock, so the stage-parallel
 executor can record from worker threads safely; the record calls are a
@@ -27,9 +28,11 @@ class Profiler:
     """Thread-safe per-node and per-pattern execution counters."""
 
     __slots__ = (
-        "_lock", "_nodes", "_patterns", "_rows_metric", "_rows_children",
-        "_fused_chains", "_fused_nodes",
+        "_lock", "_nodes", "_patterns", "_fused_chains", "_fused_nodes",
     )
+
+    kinds = frozenset({"plan-node", "pipeline-stage", "pattern-match"})
+    opens = frozenset()
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -40,23 +43,26 @@ class Profiler:
         # operator fusion: cumulative chains fused / operators absorbed
         self._fused_chains = 0
         self._fused_nodes = 0
-        # telemetry mirror (None = not bound) + per-node bound children
-        self._rows_metric = None
-        self._rows_children: dict[str, object] = {}
-
-    def bind_metrics(self, registry) -> None:
-        """Mirror per-node row counts into a telemetry registry."""
-        from repro.obs.metrics import DEFAULT_ROWS_BUCKETS
-
-        self._rows_metric = registry.histogram(
-            "repro_plan_node_rows",
-            "Rows produced per plan-node execution.",
-            labelnames=("node",),
-            buckets=DEFAULT_ROWS_BUCKETS,
-        )
-        self._rows_children.clear()
 
     # -- recording ------------------------------------------------------
+
+    def end(self, event) -> None:
+        """One finished node run or pattern match off the event stream."""
+        attributes = event.attributes
+        if event.kind == "pattern-match":
+            self.record_pattern(
+                event.name,
+                attributes["objects"],
+                attributes["matches"],
+                event.seconds,
+            )
+        else:
+            self.record_node(
+                event.name,
+                attributes["rows_out"],
+                event.seconds,
+                event.latency,
+            )
 
     def record_node(
         self, name: str, rows: int, seconds: float, latency: float = 0.0
@@ -76,13 +82,6 @@ class Profiler:
                 entry[1] += rows
                 entry[2] += seconds
                 entry[3] += latency
-        if self._rows_metric is not None:
-            child = self._rows_children.get(name)
-            if child is None:
-                child = self._rows_children[name] = (
-                    self._rows_metric.labels(node=name)
-                )
-            child.observe(rows)
 
     def record_pattern(
         self, pattern: str, objects: int, matches: int, seconds: float

@@ -2,7 +2,8 @@
 primary contribution: view expansion, cost-based optimization, and the
 datamerge engine, wrapped in the Mediator facade."""
 
-from repro.mediator.engine import DatamergeEngine, ExecutionContext, TraceEntry
+from repro.mediator.engine import DatamergeEngine, ExecutionContext
+from repro.mediator.events import TraceEntry
 from repro.mediator.fusion import fuse_objects, has_semantic_oids
 from repro.mediator.logical import LogicalDatamergeProgram, LogicalRule
 from repro.mediator.mediator import Mediator, MediatorError

@@ -13,14 +13,18 @@ worker pool when there is one and inline otherwise, so sequential
 execution is the one-worker case of the same loop, not a second code
 path.  Every node — pooled, inline, or a constituent of a fused
 pipeline — goes through :func:`run_node`, the only place a node meets
-the governor, the tracer, the clock, the profiler, the observability
-loop and the trace.
+the governor and the one place its run is raised as an event; every
+source call, whole-source exports included, goes through
+:meth:`ExecutionContext.send_query`.  Whoever watches a query
+subscribes to those events (:mod:`repro.mediator.events`); the engine
+knows none of them by name.
 
 The :class:`ExecutionContext` carries everything nodes need: the source
 registry for shipping queries, the external-function registry, an oid
-generator for constructed objects, optional statistics feedback, and —
-when tracing is on — the intermediate table of every node, which is how
-tests and benchmarks replay the figure's tables.
+generator for constructed objects, optional statistics feedback, the
+operation's subscribers, and — when tracing is on — the intermediate
+table of every node, which is how tests and benchmarks replay the
+figure's tables.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING
 
 from repro.exec.dispatcher import TaskScope, current_scope, scope_active
+from repro.mediator.events import Event, TraceEntry, TraceRecorder
 from repro.mediator.plan import PhysicalPlan, PlanNode, QueryNode
 from repro.mediator.statistics import qerror
 from repro.mediator.tables import BindingTable
@@ -46,36 +51,18 @@ from repro.wrappers.base import SourceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.dispatcher import SourceDispatcher
-    from repro.exec.profile import Profiler
     from repro.external.registry import ExternalRegistry
     from repro.governor.budget import QueryGovernor
     from repro.mediator.statistics import SourceStatistics
-    from repro.obs.insight import QueryInsight
-    from repro.obs.span import Tracer
-    from repro.obs.telemetry import Telemetry
     from repro.reliability.deadline import DeadlineSlicer
     from repro.reliability.resilient import ResilienceManager
     from repro.wrappers.registry import SourceRegistry
 
-__all__ = ["ExecutionContext", "DatamergeEngine", "TraceEntry", "run_node"]
+__all__ = ["EXPORT", "ExecutionContext", "DatamergeEngine", "run_node"]
 
-
-@dataclass
-class TraceEntry:
-    """One executed node with its output table.
-
-    ``attempts`` counts the source calls made while the node ran
-    (retries included); ``latency`` is the clock time those calls took.
-    Both stay zero for nodes that never touch a source.
-    """
-
-    node: PlanNode
-    table: BindingTable
-    attempts: int = 0
-    latency: float = 0.0
-
-    def render(self) -> str:
-        return f"{self.node.describe()}\n{self.table.render()}"
+#: Passed to :meth:`ExecutionContext.send_query` in place of a query
+#: (compared by identity): ship the source's whole view.
+EXPORT = "export"
 
 
 @dataclass
@@ -98,13 +85,9 @@ class ExecutionContext:
     dispatcher: "SourceDispatcher | None" = None
     # the mediator hands in its memo; a bare context builds its own
     compiler: CompileCache = field(default_factory=CompileCache)
-    profiler: "Profiler | None" = None
-    # telemetry: None when disabled, so every emission site is one
-    # ``is not None`` check on the hot path; per-source call counts are
-    # buffered in queries_sent/objects_received and rolled into the
-    # registry once per run by flush_telemetry()
-    tracer: "Tracer | None" = None
-    telemetry: "Telemetry | None" = None
+    # who watches this run (repro.mediator.events), chosen once per
+    # operation by the mediator; nobody, for a bare context
+    subscribers: tuple = ()
     # deadline propagation: when a slicer is attached, every source
     # call runs under a per-call time allowance (its stage's share of
     # the remaining wall-clock budget), enforced by the resilient layer
@@ -127,10 +110,6 @@ class ExecutionContext:
     semijoin_probes: int = 0
     shards_scanned: int = 0
     shards_pruned: int = 0
-    # plan observability: when an EXPLAIN ANALYZE insight rides along,
-    # every executed operator folds its rows/time into it; q-errors on
-    # annotated nodes always feed statistics + telemetry, insight or not
-    insight: "QueryInsight | None" = None
     # mid-query adaptivity: an operator whose actual rows exceed its
     # estimate by this factor raises a misestimate event, records a
     # correction ratio for its (source, label) bucket, and lets the
@@ -140,9 +119,7 @@ class ExecutionContext:
     estimate_corrections: dict[tuple[str, str], float] = field(
         default_factory=dict
     )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False
-    )
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def run_scope(self) -> TaskScope:
         """The scope the coordinating thread runs this plan's nodes in:
@@ -171,73 +148,43 @@ class ExecutionContext:
         have shipped individually, minus the filters actually sent."""
         return max(0, self.semijoin_probes - self.semijoin_batches)
 
-    def observe_node(
-        self,
-        node: PlanNode,
-        rows_in: int,
-        rows_out: int,
-        seconds: float,
-        latency: float = 0.0,
-    ) -> None:
-        """Fold one executed operator into the observability loop.
+    def observe_node(self, node: PlanNode, rows_out: int) -> None:
+        """Hold one executed operator's rows against its estimate.
 
-        Three consumers, each optional: the EXPLAIN ANALYZE insight
-        (rows/time per node), the q-error trackers (statistics +
-        telemetry, for nodes carrying an optimizer estimate key), and
-        the misestimate detector.  Unannotated nodes without an insight
-        attached make this a cheap no-op, so the hook is safe on every
-        operator of every run.
+        Nodes carrying an optimizer estimate key feed the statistics
+        database's q-error tracker; an underestimate beyond
+        ``misestimate_factor`` is big enough to react to mid-query.
+        Unannotated nodes make this a cheap no-op, so it is safe on
+        every operator of every run.
         """
-        if self.insight is not None:
-            self.insight.observe_node(
-                node, rows_in, rows_out, seconds, latency
-            )
         estimated = node.estimated_rows
         if estimated is None:
             return
         key = node.estimate_key
-        if key is not None:
-            error = qerror(estimated, rows_out)
+        if key is not None and self.statistics is not None:
             source, label, kind = key
-            if self.statistics is not None:
-                self.statistics.record_qerror(source, label, kind, error)
-            if self.telemetry is not None:
-                self.telemetry.record_qerror(source, label, kind, error)
+            self.statistics.record_qerror(
+                source, label, kind, qerror(estimated, rows_out)
+            )
         factor = self.misestimate_factor
-        if factor and rows_out > max(estimated, 0.5) * factor:
-            self._record_misestimate(node, estimated, rows_out)
-
-    def _record_misestimate(
-        self, node: PlanNode, estimated: float, actual: int
-    ) -> None:
-        """One underestimate big enough to react to mid-query."""
-        correction = actual / max(estimated, 0.5)
-        key = node.estimate_key
+        if not factor or rows_out <= max(estimated, 0.5) * factor:
+            return
+        correction = rows_out / max(estimated, 0.5)
         with self._lock:
             self.misestimate_events += 1
             if key is not None:
                 bucket = (key[0], key[1])
                 if correction > self.estimate_corrections.get(bucket, 1.0):
                     self.estimate_corrections[bucket] = correction
-        if self.telemetry is not None:
-            self.telemetry.record_misestimate(key[0] if key else "")
-        tracer = self.tracer
-        if tracer is not None:
-            span = tracer.start_span("misestimate", type(node).__name__)
-            span.set_attribute("estimated_rows", estimated)
-            span.set_attribute("actual_rows", actual)
-            span.set_attribute("correction", correction)
-            tracer.finish_span(span)
-        if self.insight is not None:
-            if key is not None:
-                action = (
-                    f"recorded {correction:.1f}x correction for"
-                    f" {key[0]}/{key[1]}; undispatched stages re-rank"
-                    " against it"
-                )
-            else:
-                action = "noted (no statistics bucket to correct)"
-            self.insight.record_misestimate(node, estimated, actual, action)
+        event = Event(
+            self.subscribers, "misestimate", type(node).__name__, node
+        )
+        event.attributes.update(
+            estimated_rows=estimated,
+            actual_rows=rows_out,
+            correction=correction,
+        )
+        event.end()
 
     def corrected_estimate(self, node: PlanNode) -> "float | None":
         """``estimated_rows`` adjusted by any recorded correction."""
@@ -254,29 +201,28 @@ class ExecutionContext:
     def send_query(self, source_name: str, query: Rule) -> list[OEMObject]:
         """Ship ``query`` to a source, with accounting and statistics.
 
+        The one source-call site: :data:`EXPORT` in place of a query
+        ships the source's whole view through the same gates (the
+        materialization routes).
+
         With a :class:`ResilienceManager` attached, the source is
         called through its resilient wrapper (timeout + retry +
         breaker).  In ``degrade`` mode a source that still fails
         contributes an empty answer and a :class:`SourceWarning`
-        instead of aborting the whole datamerge run.
-
-        With a :class:`QueryGovernor` attached, the run-level deadline
-        and cancellation token are checked *before* the call is shipped
-        (so the engine cannot burn unbounded time between calls), and
-        the answer passes through the governor's sanitizer before it
-        may enter a binding table.
-
-        With a :class:`~repro.exec.dispatcher.SourceDispatcher`
-        attached (and active), the call routes through the answer
-        cache and the single-flight dedup layer; only cache misses
-        without an identical in-flight request actually ship.
+        instead of aborting the whole datamerge run.  With a
+        :class:`QueryGovernor` attached, the run-level deadline and
+        cancellation token are checked *before* the call is shipped,
+        and the answer passes through the governor's sanitizer before
+        it may enter a binding table.  With an active
+        :class:`~repro.exec.dispatcher.SourceDispatcher`, the call
+        routes through the answer cache and the single-flight dedup
+        layer; only cache misses without an identical in-flight
+        request actually ship.
         """
         if current_scope() is None:
-            # the engine runs every node under a scope; only a bare
-            # call from outside it (a unit test or tool driving a node
-            # or this method directly, which is supported) has none —
-            # lend it one that records straight into this context, so
-            # nothing below has to ask whether a scope exists
+            # only a call from outside the engine (a test or tool
+            # driving a node or this method directly) has no scope: lend
+            # it one that records straight into this context
             with scope_active(self.run_scope()):
                 return self.send_query(source_name, query)
         if self.governor is not None and not self.governor.allow_source_call(
@@ -307,7 +253,8 @@ class ExecutionContext:
     def _ship_now(
         self, source_name: str, query: Rule
     ) -> tuple[list[OEMObject], bool]:
-        """The real source call (reliability-wrapped), with accounting.
+        """The real source call (reliability-wrapped), raised as one
+        ``source-call`` event, with accounting.
 
         Returns ``(answer, cacheable)`` — a degraded answer is an
         absence, not an observation, so it is never cacheable.  Safe to
@@ -322,16 +269,14 @@ class ExecutionContext:
             source = resilient = self.resilience.wrap(source)
         scope = current_scope()
         sink = scope.warnings
-        tracer = self.tracer
-        span = (
-            tracer.start_span("source-call", source_name)
-            if tracer is not None
-            else None
-        )
+        event = Event(self.subscribers, "source-call", source_name, query)
         degraded = False
         started = perf_counter()
         try:
-            result = source.answer(query)
+            if query is EXPORT:
+                result = list(source.export())
+            else:
+                result = source.answer(query)
             if self.governor is not None:
                 # strict sanitation raises MalformedAnswerError, which
                 # is a SourceError: degrade mode treats a malformed
@@ -341,9 +286,8 @@ class ExecutionContext:
                 )
         except SourceError as exc:
             if self.on_source_failure != "degrade":
-                if span is not None:
-                    span.set_attribute("error", type(exc).__name__)
-                    tracer.finish_span(span, status="error")
+                event.attributes["error"] = type(exc).__name__
+                event.end(exc)
                 raise
             degraded = True
             attempts = (
@@ -362,20 +306,21 @@ class ExecutionContext:
             attempts, elapsed = resilient.last_call_stats()
         else:
             attempts, elapsed = 1, perf_counter() - started
-        if span is not None:
-            span.set_attribute("attempts", attempts)
-            span.set_attribute("objects", len(result))
-            span.set_attribute("cacheable", not degraded)
+        if event.heard:
+            attributes = event.attributes
+            if query is EXPORT:
+                attributes["export"] = True
+            attributes.update(
+                attempts=attempts, objects=len(result), cacheable=not degraded
+            )
             role = current_hedge_role()
             if role is not None:
-                span.set_attribute("hedge_role", role)
+                attributes["hedge_role"] = role
             if degraded:
-                span.set_attribute("degraded", True)
+                attributes["degraded"] = True
             if resilient is not None:
-                span.set_attribute("breaker", resilient.breaker.state)
-            tracer.finish_span(
-                span, status="degraded" if degraded else "ok"
-            )
+                attributes["breaker"] = resilient.breaker.state
+            event.end()
         scope.attempts += attempts
         scope.latency += elapsed
         with self._lock:
@@ -390,6 +335,7 @@ class ExecutionContext:
             if (
                 self.statistics is not None
                 and not degraded
+                and query is not EXPORT
                 and not getattr(query, "is_semijoin", False)
             ):
                 # degraded answers are absences, not observations —
@@ -397,38 +343,14 @@ class ExecutionContext:
                 # source is empty.  Semi-join batches are skipped here:
                 # one answer spans many probe tuples, so the shipping
                 # node records a per-probe mean once it has
-                # demultiplexed the answer.
+                # demultiplexed the answer.  An export matches no
+                # pattern the optimizer estimates.
                 for condition in query.tail:
                     if isinstance(condition, PatternCondition):
                         self.statistics.record(
                             source_name, condition.pattern, len(result)
                         )
         return result, not degraded
-
-    def flush_telemetry(self) -> None:
-        """Roll this run's buffered source-call totals into the registry.
-
-        ``_ship`` buffers per-source call and object counts in
-        ``queries_sent`` / ``objects_received`` (under the context lock
-        it already takes); flushing once per run costs two counter
-        increments per *source* instead of two per *call* — the
-        difference between ~2% and ~0 overhead on fan-out queries.
-        Cache hits never reach ``_ship``, so the flushed totals count
-        exactly the queries that shipped.
-        """
-        if self.telemetry is not None and self.queries_sent:
-            with self._lock:
-                calls = dict(self.queries_sent)
-                received = dict(self.objects_received)
-            self.telemetry.record_source_calls(calls, received)
-        if self.telemetry is not None and (
-            self.semijoin_batches or self.shards_scanned
-        ):
-            with self._lock:
-                batches = self.semijoin_batches
-                saved = self.semijoin_probes_saved
-                pruned = self.shards_pruned
-            self.telemetry.record_sharding(batches, saved, pruned)
 
     @property
     def total_queries(self) -> int:
@@ -445,24 +367,21 @@ def run_node(
     rows_in: int,
     run,
     args: tuple,
-    entries: "dict[int, TraceEntry] | None" = None,
     kind: str = "plan-node",
 ):
     """Run one operator — ``run(*args)`` — with all its bookkeeping.
 
     The one place a node meets the governor (cooperative checkpoint;
-    budget violations name ``node``), the tracer, the clock, the
-    profiler, the observability loop and the Figure 3.6 trace — shared
-    by nodes the engine runs inline, leaf queries it runs on a pool
-    worker, and the constituents of a fused pipeline node
-    (``kind="pipeline-stage"``).  Time is taken where the node runs and
-    source attempts/latency are deltas of the active task scope, so a
-    node's figures mean the same whichever thread ran it.
+    budget violations name ``node``) and the one place its run becomes
+    an event — shared by nodes the engine runs inline, leaf queries it
+    runs on a pool worker, and the constituents of a fused pipeline
+    node (``kind="pipeline-stage"``).  Time is taken where the node
+    runs and source attempts/latency are deltas of the active task
+    scope, so a node's figures mean the same whichever thread ran it.
 
-    The span is current while the node runs, so source-call,
-    pattern-match and external-predicate spans emitted underneath
-    parent to it; its own parent is the calling context's span (the
-    stage span — workers inherit it through their copied context).
+    The event is open while the node runs, so the source-call,
+    pattern-match and external-predicate events raised underneath nest
+    inside it (a tracer parents their spans to this node's).
     """
     governor = context.governor
     if governor is not None:
@@ -470,27 +389,21 @@ def run_node(
     scope = current_scope()
     attempts_before = scope.attempts
     latency_before = scope.latency
-    tracer = context.tracer
-    started = perf_counter()
-    if tracer is None:
+    event = Event(context.subscribers, kind, type(node).__name__, node)
+    try:
         result = run(*args)
-        rows_out = len(result)
-    else:
-        with tracer.span(kind, type(node).__name__) as span:
-            result = run(*args)
-            rows_out = len(result)
-            span.set_attribute("rows_out", rows_out)
-    seconds = perf_counter() - started
-    latency = scope.latency - latency_before
-    if context.profiler is not None:
-        context.profiler.record_node(
-            type(node).__name__, rows_out, seconds, latency
-        )
-    context.observe_node(node, rows_in, rows_out, seconds, latency)
-    if entries is not None:
-        entries[id(node)] = TraceEntry(
-            node, result, scope.attempts - attempts_before, latency
-        )
+    except BaseException as exc:
+        event.end(exc)
+        raise
+    rows_out = len(result)
+    if event.heard:
+        event.attributes["rows_out"] = rows_out
+        event.rows_in = rows_in
+        event.attempts = scope.attempts - attempts_before
+        event.latency = scope.latency - latency_before
+        event.table = result
+        event.end()
+    context.observe_node(node, rows_out)
     return result
 
 
@@ -507,8 +420,7 @@ def _rerank_stage(
     optimizer's smallest-first join ordering; nodes without estimates
     keep their relative position at the end.  Runs only when at least
     one node in the stage is touched by a recorded correction, and
-    records the decision into the analyze output when the order
-    actually changes.
+    raises the decision as an event when the order actually changes.
     """
     if len(stage) < 2:
         return stage
@@ -528,13 +440,10 @@ def _rerank_stage(
     if order == list(range(len(stage))):
         return stage
     reranked = [stage[i] for i in order]
-    insight = context.insight
-    if insight is not None:
-        insight.record_rerank(
-            stage_index,
-            [insight.key_of(n) or type(n).__name__ for n in stage],
-            [insight.key_of(n) or type(n).__name__ for n in reranked],
-        )
+    decision = (stage_index, stage, reranked)
+    Event(
+        context.subscribers, "rerank", f"stage-{stage_index}", decision
+    ).end()
     return reranked
 
 
@@ -555,11 +464,14 @@ class DatamergeEngine:
         the next begins.  Sequential execution is the one-worker case
         of the same loop.  With a governor attached, every node
         boundary is a cooperative checkpoint (see :func:`run_node`).
-        Trace entries are reported in the plan's topological order
-        whatever order the stages ran them in.
+        Trace entries (appended as nodes finish) are put in the plan's
+        topological order whatever order the stages ran them in.
         """
-        if self.trace_enabled and context.trace is None:
-            context.trace = []
+        trace = context.trace
+        if self.trace_enabled and trace is None:
+            trace = context.trace = []
+            context.subscribers += (TraceRecorder(trace),)
+        traced = 0 if trace is None else len(trace)
         if context.governor is not None:
             context.governor.start()
         slicer = context.slicer
@@ -576,11 +488,7 @@ class DatamergeEngine:
             and not context.force_sequential
             else None
         )
-        tracer = context.tracer
         outputs: dict[int, BindingTable] = {}
-        entries: "dict[int, TraceEntry] | None" = (
-            {} if context.trace is not None else None
-        )
         with scope_active(context.run_scope()):
             for stage_index, stage in plan.stage_starts():
                 if context.estimate_corrections:
@@ -588,16 +496,21 @@ class DatamergeEngine:
                 if slicer is not None:
                     slicer.enter_stage(stage_index)
                     context.stage_base = stage_index
-                if tracer is None:
-                    self._run_stage(stage, context, pool, outputs, entries)
-                else:
-                    with tracer.span("plan-stage", f"stage-{stage_index}"):
-                        self._run_stage(
-                            stage, context, pool, outputs, entries
-                        )
-        if entries is not None:
-            context.trace.extend(entries[id(node)] for node in plan.nodes())
-            self.last_trace = context.trace
+                event = Event(
+                    context.subscribers, "plan-stage", f"stage-{stage_index}"
+                )
+                try:
+                    self._run_stage(stage, context, pool, outputs)
+                except BaseException as exc:
+                    event.end(exc)
+                    raise
+                event.end()
+        if trace is not None:
+            position = {id(node): at for at, node in enumerate(plan.nodes())}
+            trace[traced:] = sorted(
+                trace[traced:], key=lambda entry: position[id(entry.node)]
+            )
+            self.last_trace = trace
         return outputs[id(plan.root)]
 
     @staticmethod
@@ -606,7 +519,6 @@ class DatamergeEngine:
         context: ExecutionContext,
         pool: "SourceDispatcher | None",
         outputs: dict[int, BindingTable],
-        entries: "dict[int, TraceEntry] | None",
     ) -> None:
         """Run one stage: its leaf queries on ``pool``, the rest inline.
 
@@ -624,8 +536,7 @@ class DatamergeEngine:
             outcomes = pool.run_tasks(
                 [
                     partial(
-                        run_node, node, context, 0,
-                        node.execute, ([], context), entries,
+                        run_node, node, context, 0, node.execute, ([], context)
                     )
                     for node in leaves
                 ]
@@ -649,7 +560,6 @@ class DatamergeEngine:
                 sum(len(table) for table in inputs),
                 node.execute,
                 (inputs, context),
-                entries,
             )
 
     def execute_to_objects(
@@ -658,12 +568,11 @@ class DatamergeEngine:
         """Run ``plan`` and return the result objects of the root table."""
         table = self.execute(plan, context)
         column = table.position(table.columns[0])
-        objects: list[OEMObject] = []
-        for row in table.rows:
-            value = row[column]
-            if isinstance(value, OEMObject):
-                objects.append(value)
-        return objects
+        return [
+            row[column]
+            for row in table.rows
+            if isinstance(row[column], OEMObject)
+        ]
 
     def render_trace(self) -> str:
         """The Figure 3.6 walkthrough: every node with its table."""

@@ -13,17 +13,25 @@ external-function registry.  It is itself a
    (:mod:`repro.mediator.optimizer`);
 3. the datamerge engine executes it (:mod:`repro.mediator.engine`).
 
-Two query classes bypass the pipeline, both by *materializing* the view
-and matching locally:
+Three query classes bypass the pipeline, all by *materializing* the
+view and matching locally:
 
 * queries using descendant (``..``) wildcard items against the mediator —
   static pushdown of "match at any depth" has no sound rewriting into
   the rule tails, so the mediator does the honest expensive thing (the
   paper: "without appropriate index structures, wildcard searches may be
   expensive");
+* queries constraining a *type* slot of the view — specification heads
+  carry none (view-object types follow from the bound values), so only
+  the matcher, over the materialized view, can check one;
 * queries against a *recursive* specification (a rule tail that
   references the mediator itself).  MSL "allows the specification of
   recursive views"; these are evaluated by naive fixpoint iteration.
+
+All routes run inside one *operation*: it owns the run's governor, its
+warnings, its root ``query`` span and one execution context, and every
+source call any route makes — shipped queries and whole-source
+exports alike — goes through that context's ``send_query``.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from repro.governor.budget import (
     QueryGovernor,
 )
 from repro.governor.sanitizer import AnswerSanitizer, DEFAULT_MAX_DEPTH
-from repro.mediator.engine import DatamergeEngine, ExecutionContext
+from repro.mediator.engine import EXPORT, DatamergeEngine, ExecutionContext
 from repro.mediator.fusion import fuse_objects, has_semantic_oids
 from repro.mediator.logical import LogicalDatamergeProgram, LogicalRule
 from repro.mediator.optimizer import CostBasedOptimizer
@@ -55,7 +63,6 @@ from repro.mediator.statistics import SourceStatistics
 from repro.mediator.view_expander import ViewExpander
 from repro.msl.analysis import check_rule, check_specification_rule
 from repro.msl.ast import (
-    Pattern,
     PatternCondition,
     PatternItem,
     Rule,
@@ -72,7 +79,7 @@ from repro.oem.compare import eliminate_duplicates, structural_key
 from repro.oem.model import OEMObject
 from repro.oem.oid import OidGenerator
 from repro.reliability.clock import Clock, MonotonicClock
-from repro.reliability.deadline import AdaptiveTimeoutConfig, DeadlineSlicer
+from repro.reliability.deadline import DeadlineSlicer
 from repro.reliability.health import SourceWarning
 from repro.reliability.hedging import HedgeCoordinator, HedgePolicy
 from repro.reliability.resilient import ResilienceConfig, ResilienceManager
@@ -89,6 +96,11 @@ __all__ = ["Mediator", "MediatorError"]
 #: receiving a zero or negative budget.
 _MIN_DEADLINE = 0.001
 
+#: Rounds after which a recursive view that has not reached a fixpoint
+#: is declared divergent (a recursive OEM view can be genuinely
+#: infinite — e.g. ever-deeper nesting).
+MAX_FIXPOINT_ITERATIONS = 50
+
 
 class MediatorError(SourceError):
     """The mediator could not be built or could not serve a query."""
@@ -99,32 +111,23 @@ class _Operation:
 
     Concurrent ``query()`` calls on a shared mediator each get their
     own operation (held in a ``threading.local``), so warnings,
-    governors, and execution contexts never mix between callers.  The
-    mediator's ``last_warnings`` / ``last_governor`` / ``last_program``
-    / ``last_context`` attributes are published from the operation when
+    governors, and execution contexts never mix between callers.  An
+    operation runs everything — nested materialization included — in
+    one execution context, built on first use.  The mediator's
+    ``last_warnings`` / ``last_governor`` / ``last_program`` /
+    ``last_context`` attributes are published from the operation when
     it finishes (last-writer-wins), purely for introspection compat.
     """
 
-    __slots__ = (
-        "warnings",
-        "governor",
-        "contexts",
-        "depth",
-        "program",
-        "context",
-        "admission_wait",
-        "insight",
-    )
+    __slots__ = ("warnings", "governor", "program", "context", "insight")
 
-    def __init__(self, admission_wait: float = 0.0) -> None:
+    def __init__(self, insight: QueryInsight | None) -> None:
         self.warnings: list[SourceWarning] = []
         self.governor: QueryGovernor | None = None
-        self.contexts: list[ExecutionContext] = []
-        self.depth = 0
         self.program: LogicalDatamergeProgram | None = None
         self.context: ExecutionContext | None = None
-        self.admission_wait = admission_wait
-        self.insight: QueryInsight | None = None
+        # the EXPLAIN ANALYZE recorder, when this operation is one
+        self.insight = insight
 
 
 class Mediator(Source):
@@ -138,10 +141,8 @@ class Mediator(Source):
         externals: ExternalRegistry | None = None,
         push_mode: str = "complete",
         strategy: str = "heuristic",
-        deduplicate: bool = True,
         trace: bool = False,
         register: bool = True,
-        max_fixpoint_iterations: int = 50,
         on_source_failure: str = "fail",
         resilience: ResilienceConfig | ResilienceManager | None = None,
         clock: Clock | None = None,
@@ -153,11 +154,7 @@ class Mediator(Source):
         cache: AnswerCache | None = None,
         fuse: bool = True,
         telemetry: "Telemetry | bool | None" = None,
-        trace_sample_rate: float = 1.0,
-        slow_query_ms: float | None = None,
         hedge: "HedgePolicy | bool | None" = None,
-        adaptive_timeouts: "AdaptiveTimeoutConfig | bool" = False,
-        deadline_slicing: bool | None = None,
         admission: "AdmissionConfig | AdmissionController | bool | None" = None,
         bulkheads: "BulkheadRegistry | int | None" = None,
         semijoin: bool = True,
@@ -210,11 +207,10 @@ class Mediator(Source):
         self.statistics = SourceStatistics()
         self.expander = ViewExpander(name, specification, push_mode)
         self.optimizer = CostBasedOptimizer(
-            sources, self.statistics, strategy, deduplicate
+            sources, self.statistics, strategy
         )
         self.optimizer.bind_external_registry(registry)
         self.engine = DatamergeEngine(trace)
-        self.max_fixpoint_iterations = max_fixpoint_iterations
         self._oidgen = OidGenerator(f"&{name}_")
 
         # the pattern matcher: rules and patterns are lowered to closures
@@ -243,27 +239,6 @@ class Mediator(Source):
             resilience = ResilienceManager(resilience, clock=clock)
         self.resilience: ResilienceManager | None = resilience
 
-        # tail-latency controls: adaptive per-source timeouts live on
-        # the resilience manager (they need its latency windows and its
-        # wrappers to enforce), deadline slicing defaults to following
-        # them, and hedging gets its own coordinator on the dispatcher
-        if adaptive_timeouts:
-            if self.resilience is None:
-                raise MediatorError(
-                    "adaptive_timeouts needs a resilience configuration"
-                    " (the policy rides on the resilient source wrappers)"
-                )
-            self.resilience.enable_adaptive(
-                adaptive_timeouts
-                if isinstance(adaptive_timeouts, AdaptiveTimeoutConfig)
-                else None
-            )
-        self.adaptive_timeouts = bool(adaptive_timeouts)
-        self.deadline_slicing = (
-            self.adaptive_timeouts
-            if deadline_slicing is None
-            else bool(deadline_slicing)
-        )
         self.last_warnings: list[SourceWarning] = []
         # one _Operation per thread: concurrent queries on a shared
         # mediator never see each other's warnings or governor
@@ -276,6 +251,9 @@ class Mediator(Source):
         self._clock = clock or MonotonicClock()
         self.last_governor: QueryGovernor | None = None
 
+        # tail-latency controls: adaptive per-source timeouts are a
+        # field of the resilience configuration (deadline slicing
+        # follows them); hedging gets its own coordinator
         self.hedging: HedgeCoordinator | None = None
         if hedge:
             try:
@@ -337,20 +315,14 @@ class Mediator(Source):
             self.dispatcher.hedge_gate = lambda: brownout.allows("hedging")
         self._closed = False
 
-        # telemetry: pass a configured Telemetry, or True for an
-        # enabled default; anything else leaves a disabled facade whose
-        # pull-time collectors still serve metrics_text()
+        # telemetry: pass a configured Telemetry (sampling rate,
+        # slow-query log), or True for an enabled default; anything
+        # else leaves a disabled facade whose pull-time collectors
+        # still serve metrics_text()
         if isinstance(telemetry, Telemetry):
             self.telemetry = telemetry
         elif telemetry:
-            try:
-                self.telemetry = Telemetry(
-                    trace_sample_rate=trace_sample_rate,
-                    slow_query_ms=slow_query_ms,
-                    clock=self._clock,
-                )
-            except ValueError as exc:
-                raise MediatorError(str(exc)) from exc
+            self.telemetry = Telemetry(clock=self._clock)
         else:
             self.telemetry = Telemetry.disabled()
         self.telemetry.bind_dispatcher(self.dispatcher)
@@ -359,8 +331,6 @@ class Mediator(Source):
             self.telemetry.bind_resilience(self.resilience)
         if self.admission is not None:
             self.telemetry.bind_admission(self.admission)
-        if self.telemetry.enabled:
-            self.profiler.bind_metrics(self.telemetry.metrics)
 
         self.is_recursive = any(
             condition.source == name
@@ -412,17 +382,15 @@ class Mediator(Source):
         return ResultSet(objects, warnings=op_warnings)
 
     def _run_query(
-        self, query: str | Rule, tenant: str | None, priority: int
+        self,
+        query: str | Rule,
+        tenant: str | None,
+        priority: int,
+        insight: QueryInsight | None = None,
     ) -> tuple[list[OEMObject], list[SourceWarning]]:
         query = self._parse_query(query)
-        with self._admitted(tenant, priority), self._warning_scope(
-            str(query)
-        ) as op:
-            if (
-                self.is_recursive
-                or _query_uses_wildcards(query, self.name)
-                or _query_constrains_types(query, self.name)
-            ):
+        with self._operation(str(query), tenant, priority, insight) as op:
+            if self._materialization_reason(query):
                 objects = self._answer_by_materialization(query)
             else:
                 with self.telemetry.tracer.span(
@@ -436,9 +404,9 @@ class Mediator(Source):
                     span.set_attribute("rules", len(program))
                 if op.insight is not None:
                     op.insight.attach_plan(plan)
-                context = self._context()
-                objects = self.engine.execute_to_objects(plan, context)
-                op.context = context
+                objects = self.engine.execute_to_objects(
+                    plan, self._context()
+                )
                 if has_semantic_oids(objects):
                     objects = fuse_objects(objects)
             if op.governor is not None:
@@ -449,6 +417,33 @@ class Mediator(Source):
             if root is not None:
                 root.set_attribute("result_objects", len(objects))
             return objects, list(op.warnings)
+
+    def _materialization_reason(self, query: Rule) -> str | None:
+        """Why ``query`` bypasses the pipeline (None when it does not):
+        see the module docstring.  Wildcards and type constraints count
+        at any depth of a condition addressed to this view."""
+        if self.is_recursive:
+            return "the view is recursive"
+        pending = [
+            condition.pattern
+            for condition in query.tail
+            if isinstance(condition, PatternCondition)
+            and condition.source in (None, self.name)
+        ]
+        while pending:
+            pattern = pending.pop()
+            if pattern.type is not None:
+                return "the query constrains a type slot"
+            value = pattern.value
+            if isinstance(value, SetPattern):
+                for item in value.items:
+                    if isinstance(item, PatternItem):
+                        if item.descendant:
+                            return "the query uses descendant (..) wildcards"
+                        pending.append(item.pattern)
+                if value.rest is not None:
+                    pending.extend(value.rest.conditions)
+        return None
 
     def _fusion_active(self) -> bool:
         return self.fuse and not self.engine.trace_enabled
@@ -476,14 +471,12 @@ class Mediator(Source):
 
     def export(self) -> Sequence[OEMObject]:
         """Materialize the whole view (all rules, no conditions)."""
-        with self._admitted(None, 0), self._warning_scope(
-            f"export {self.name}"
-        ) as op:
+        with self._operation(f"export {self.name}") as op:
+            context = self._context()
             if self.is_recursive:
-                results = self._fixpoint_materialize()
+                results = self._fixpoint_materialize(context)
             else:
                 results = []
-                context = self._context()
                 for rule in self.specification.rules:
                     plan = self._fuse_plan(
                         self.optimizer.plan_rule(LogicalRule(rule))
@@ -493,7 +486,6 @@ class Mediator(Source):
                     results.extend(
                         self.engine.execute_to_objects(plan, context)
                     )
-                op.context = context
                 results = eliminate_duplicates(results)
                 if has_semantic_oids(results):
                     results = fuse_objects(results)
@@ -533,50 +525,6 @@ class Mediator(Source):
     def _op(self) -> _Operation | None:
         """This thread's active operation (None between operations)."""
         return getattr(self._ops, "current", None)
-
-    @property
-    def _active_warnings(self) -> list[SourceWarning]:
-        op = self._op()
-        return op.warnings if op is not None else self.last_warnings
-
-    @property
-    def _active_governor(self) -> QueryGovernor | None:
-        op = self._op()
-        return op.governor if op is not None else self.last_governor
-
-    @contextlib.contextmanager
-    def _admitted(
-        self, tenant: str | None, priority: int
-    ) -> Iterator[None]:
-        """Clear the admission gate for one *top-level* operation.
-
-        Nested entries (materialization re-entering :meth:`export`, a
-        parent mediator's worker querying this stacked one inside an
-        operation it already holds a slot for) pass straight through —
-        re-admitting them could deadlock against their own slot.
-        """
-        admission = self.admission
-        if self._closed and admission is None:
-            raise MediatorError(f"mediator {self.name!r} is closed")
-        if admission is None or self._op() is not None:
-            # a closed admission controller sheds with a structured
-            # QueryRejected(reason="closed") below instead
-            yield
-            return
-        deadline = self.budget.deadline if self.budget is not None else None
-        ticket = admission.admit(
-            tenant=tenant, priority=priority, deadline=deadline
-        )
-        self._ops.pending_wait = ticket.waited
-        ok = True
-        try:
-            yield
-        except BaseException:
-            ok = False
-            raise
-        finally:
-            self._ops.pending_wait = 0.0
-            ticket.complete(ok)
 
     # -- query admission ---------------------------------------------------
 
@@ -629,14 +577,10 @@ class Mediator(Source):
         """
         parsed = self._parse_query(query)
         insight = QueryInsight()
-        self._ops.pending_insight = insight
         started = perf_counter()
-        try:
-            objects, op_warnings = self._run_query(
-                parsed, tenant, priority
-            )
-        finally:
-            self._ops.pending_insight = None
+        objects, op_warnings = self._run_query(
+            parsed, tenant, priority, insight
+        )
         return AnalyzeReport(
             str(parsed),
             insight,
@@ -687,20 +631,33 @@ class Mediator(Source):
     def explain(self, query: str | Rule) -> str:
         """The logical program and physical plan for ``query`` as text.
 
-        When a resilience policy is configured (or degrade mode is on)
-        a ``-- resilience --`` section reports the policy and the
-        current per-source health, including breaker states.
+        A query the pipeline does not answer (see the module docstring)
+        says so instead of showing a plan that would never run.  When a
+        resilience policy is configured (or degrade mode is on) a
+        ``-- resilience --`` section reports the policy and the current
+        per-source health, including breaker states.
         """
         query = self._parse_query(query)
-        program = self.expander.expand(query)
-        plan = self.optimizer.plan_program(program)
-        text = (
-            f"-- logical datamerge program ({len(program)} rule(s)) --\n"
-            f"{program}\n\n"
-            f"-- physical datamerge graph --\n"
-            f"{plan.describe()}"
-        )
-        if self._fusion_active():
+        reason = self._materialization_reason(query)
+        if reason is not None:
+            planned = []
+            text = (
+                "-- answered by materialization --\n"
+                f"{reason}: the view is exported (recursive rules to a"
+                " fixpoint over whole-source exports) and the query is"
+                " matched against it; no datamerge graph is run"
+            )
+        else:
+            program = self.expander.expand(query)
+            plan = self.optimizer.plan_program(program)
+            planned = plan.nodes()
+            text = (
+                f"-- logical datamerge program ({len(program)} rule(s)) --\n"
+                f"{program}\n\n"
+                f"-- physical datamerge graph --\n"
+                f"{plan.describe()}"
+            )
+        if planned and self._fusion_active():
             # fuse a fresh copy of the plan: fuse_plan rewires node
             # inputs in place, and the unfused graph above should show
             # the optimizer's output
@@ -725,7 +682,7 @@ class Mediator(Source):
         batched = sum(
             isinstance(node, ParameterizedQueryNode)
             and node.batch_query is not None
-            for node in plan.nodes()
+            for node in planned
         )
         if sharded or batched or not self.semijoin:
             lines = [
@@ -808,11 +765,6 @@ class Mediator(Source):
         the admission controller's counters (submitted / admitted /
         completed / shed by reason), queue depth, concurrency limit,
         and brownout state.
-
-        The pre-namespacing shape (source names at top level, reserved
-        ``"_execution"`` / ``"_profile"`` keys) was deprecated in the
-        observability PR and has been removed: old keys now raise
-        ``KeyError`` like any other missing key.
         """
         snapshot = dict(
             sources=(
@@ -844,51 +796,65 @@ class Mediator(Source):
         return self.telemetry.metrics_text()
 
     @contextlib.contextmanager
-    def _warning_scope(
-        self, operation: str = "operation"
+    def _operation(
+        self,
+        name: str,
+        tenant: str | None = None,
+        priority: int = 0,
+        insight: QueryInsight | None = None,
     ) -> Iterator[_Operation]:
         """Run one top-level operation in its own :class:`_Operation`.
 
-        Nested entries (materialization calling :meth:`export`) share
-        the outermost operation's warning list and governor, so the
+        Nested entries (materialization calling :meth:`export`, a
+        parent mediator's worker querying this stacked one inside an
+        operation it already holds a slot for) share the outermost
+        operation — warnings, governor, execution context — so the
         published ``last_warnings`` reflects the whole user-visible
-        call.  The operation owns the run's :class:`QueryGovernor`: one
-        governor (budget counters, deadline clock, cancellation token)
-        spans the whole user-visible call, nested materialization
-        included — and, when telemetry is on, the run's root ``query``
-        span: opened here at depth 0, current for the whole call (so
-        every span underneath parents into one tree), closed with the
-        operation's terminal status (``ok``, ``degraded`` when warnings
-        were collected, ``cancelled``, ``error``) and rolled into the
-        metrics registry.
+        call, and pass the admission gate straight through:
+        re-admitting them could deadlock against their own slot.
 
-        Operations live in a ``threading.local``, so concurrent calls
-        on a shared mediator are fully independent; the ``last_*``
-        introspection attributes are published when each operation
-        finishes, last writer wins.
+        A top-level entry first clears the admission gate (it may
+        queue, or be shed with a structured
+        :class:`~repro.serving.QueryRejected`), then owns the run's
+        :class:`QueryGovernor` (budget counters, deadline clock,
+        cancellation token) and its root ``query`` span: current for
+        the whole call, so every span underneath parents into one
+        tree, closed with the operation's terminal status (``ok``,
+        ``degraded`` when warnings were collected, ``cancelled``,
+        ``error``) and rolled into the metrics registry.  Operations
+        live in a ``threading.local``, so concurrent calls on a shared
+        mediator are fully independent.
         """
+        admission = self.admission
+        if self._closed and admission is None:
+            # a closed admission controller sheds with a structured
+            # QueryRejected(reason="closed") below instead
+            raise MediatorError(f"mediator {self.name!r} is closed")
         outer = self._op()
         if outer is not None:
-            outer.depth += 1
-            try:
-                yield outer
-            finally:
-                outer.depth -= 1
+            yield outer
             return
-        waited = getattr(self._ops, "pending_wait", 0.0)
-        op = _Operation(admission_wait=waited)
-        op.insight = getattr(self._ops, "pending_insight", None)
+        ticket = None
+        waited = 0.0
+        if admission is not None:
+            ticket = admission.admit(
+                tenant=tenant,
+                priority=priority,
+                deadline=(
+                    self.budget.deadline if self.budget is not None else None
+                ),
+            )
+            waited = ticket.waited
+        op = _Operation(insight)
         op.governor = self._make_governor(op.warnings, waited)
         if op.governor is not None:
             op.governor.start()
         self._ops.current = op
         tracer = self.telemetry.tracer
-        root = tracer.start_query(operation)
+        root = tracer.start_query(name)
         if waited:
             root.set_attribute("admission_wait_ms", round(waited * 1e3, 3))
-        brownout = (
-            self.admission.brownout if self.admission is not None else None
-        )
+        brownout = admission.brownout if admission is not None else None
         if brownout is not None and brownout.active:
             root.set_attribute("brownout_level", brownout.level)
         status = "ok"
@@ -900,29 +866,30 @@ class Mediator(Source):
             raise
         finally:
             self._ops.current = None
-            if status == "ok" and op.warnings:
+            completed = status == "ok"
+            if completed and op.warnings:
                 status = "degraded"
-            root.set_attribute("warnings", len(op.warnings))
-            tracer.finish_span(root, status=status)
-            for context in op.contexts:
-                context.flush_telemetry()
-            # telemetry -> optimizer feedback (§3.5): fold the health
-            # window's observed latencies and breaker states into the
-            # statistics database after every top-level operation
-            self._feed_statistics()
-            self.telemetry.record_operation(
-                status,
-                root.duration,
-                op.warnings,
-                op.governor,
-            )
-            # publish for introspection (compat): last writer wins
-            self.last_warnings = op.warnings
-            self.last_governor = op.governor
-            if op.program is not None:
-                self.last_program = op.program
-            if op.context is not None:
-                self.last_context = op.context
+            try:
+                root.set_attribute("warnings", len(op.warnings))
+                tracer.finish_span(root, status=status)
+                # telemetry -> optimizer feedback (§3.5): fold the
+                # health window's observed latencies and breaker states
+                # into the statistics database after every operation
+                self._feed_statistics()
+                self.telemetry.record_operation(
+                    status, root.duration, op.warnings, op.governor
+                )
+                # publish for introspection (compat): last writer wins
+                self.last_warnings = op.warnings
+                self.last_governor = op.governor
+                if op.program is not None:
+                    self.last_program = op.program
+                if op.context is not None:
+                    self.telemetry.record_run(op.context)
+                    self.last_context = op.context
+            finally:
+                if ticket is not None:
+                    ticket.complete(completed)
 
     def _governor_clock(self) -> Clock:
         """The governor reads time where the reliability layer does."""
@@ -992,114 +959,74 @@ class Mediator(Source):
         )
 
     def _context(self) -> ExecutionContext:
+        """The execution context of the current operation.
+
+        Built on first use and shared by everything the operation runs
+        (so one run has one set of counters and one subscriber tuple);
+        outside an operation — a tool driving the engine by hand —
+        every call builds a fresh one.
+        """
         op = self._op()
-        governor = self._active_governor
+        if op is None:
+            governor, warnings = self.last_governor, self.last_warnings
+        elif op.context is not None:
+            return op.context
+        else:
+            governor, warnings = op.governor, op.warnings
         brownout = (
             self.admission.brownout if self.admission is not None else None
         )
-        # head-based sampling: under an unsampled root the engine gets
-        # no tracer at all (the whole span path vanishes); metrics stay
-        # on — sampling governs traces, never counters
-        tracer = self.telemetry.tracer if self.telemetry.enabled else None
-        if tracer is not None:
+        # who watches the run.  The profiler always does; metrics
+        # whenever telemetry is on; spans only under a sampled root
+        # (head-based sampling governs traces, never counters) and
+        # outside brownout rung 2 (spans are pure observability); the
+        # EXPLAIN ANALYZE recorder when this operation is one
+        subscribers: tuple = (self.profiler,)
+        if self.telemetry.enabled:
             root = current_span()
-            if root is not None and not root.sampled:
-                tracer = None
-        if tracer is not None and brownout is not None:
-            # brownout rung 2: spans are pure observability
-            if not brownout.allows("tracing"):
-                tracer = None
+            if (root is None or root.sampled) and (
+                brownout is None or brownout.allows("tracing")
+            ):
+                subscribers = (self.telemetry.tracer, self.profiler)
+            subscribers += (self.telemetry,)
+        if op is not None and op.insight is not None:
+            subscribers += (op.insight,)
+        # deadline slicing follows adaptive timeouts
         slicer = None
+        adaptive = (
+            self.resilience.adaptive if self.resilience is not None else None
+        )
         if (
-            self.deadline_slicing
+            adaptive is not None
             and governor is not None
             and governor.budget.deadline is not None
         ):
-            slicer = DeadlineSlicer(
-                governor,
-                adaptive=(
-                    self.resilience.adaptive
-                    if self.resilience is not None
-                    else None
-                ),
-            )
+            slicer = DeadlineSlicer(governor, adaptive=adaptive)
         context = ExecutionContext(
             sources=self.sources,
             externals=self.externals,
             oidgen=self._oidgen,
             statistics=self.statistics,
-            trace=[] if self.engine.trace_enabled else None,
             resilience=self.resilience,
             on_source_failure=self.on_source_failure,
-            warnings=self._active_warnings,
+            warnings=warnings,
             governor=governor,
             dispatcher=(
                 self.dispatcher if self.dispatcher.active else None
             ),
             compiler=self._compile_cache,
-            profiler=self.profiler,
-            tracer=tracer,
-            telemetry=(
-                self.telemetry if self.telemetry.enabled else None
-            ),
+            subscribers=subscribers,
             slicer=slicer,
             force_sequential=(
                 brownout is not None
                 and not brownout.allows("parallelism")
             ),
             semijoin=self.semijoin,
-            insight=op.insight if op is not None else None,
             misestimate_factor=self.misestimate_factor,
         )
-        if context.telemetry is not None and op is not None:
-            # flushed (once per run) at the end of the warning scope
-            op.contexts.append(context)
+        if op is not None:
+            op.context = context
         return context
-
-    def _export_source(self, name: str) -> Sequence[OEMObject]:
-        """Export a foreign source through the reliability layer.
-
-        The materialization paths pull whole source views; in degrade
-        mode an unavailable source contributes an empty forest plus a
-        warning, mirroring :meth:`ExecutionContext.send_query`.
-        """
-        governor = self._active_governor
-        if governor is not None and not governor.allow_source_call(name):
-            return []
-        source = self.sources.resolve(name)
-        if self.resilience is not None:
-            attempts_before = self.resilience.health.attempts_of(name)
-            source = self.resilience.wrap(source)
-        else:
-            attempts_before = 0
-        try:
-            with self.telemetry.tracer.span("source-call", name) as span:
-                span.set_attribute("export", True)
-                result = list(source.export())
-                if governor is not None:
-                    result = governor.sanitize_answer(
-                        name, result, sink=self._active_warnings
-                    )
-                span.set_attribute("objects", len(result))
-            self.telemetry.record_source_call(name, len(result))
-            return result
-        except SourceError as exc:
-            if self.on_source_failure != "degrade":
-                raise
-            attempts = (
-                self.resilience.health.attempts_of(name) - attempts_before
-                if self.resilience is not None
-                else 1
-            )
-            self._active_warnings.append(
-                SourceWarning(
-                    source=name,
-                    message=str(exc),
-                    attempts=attempts,
-                    error=type(exc).__name__,
-                )
-            )
-            return []
 
     # -- materialization paths ---------------------------------------------
 
@@ -1119,22 +1046,24 @@ class Mediator(Source):
             None: view,
             self.name: view,
         }
+        context = self._context()
         for condition in query.tail:
             if isinstance(condition, PatternCondition) and condition.source:
                 if condition.source == self.name:
                     continue
-                forests[condition.source] = self._export_source(
-                    condition.source
+                forests[condition.source] = context.send_query(
+                    condition.source, EXPORT
                 )
         return self._evaluate_rule(query, forests)
 
-    def _fixpoint_materialize(self) -> list[OEMObject]:
+    def _fixpoint_materialize(
+        self, context: ExecutionContext
+    ) -> list[OEMObject]:
         """Naive fixpoint for recursive specifications.
 
         Evaluates all rules against (source exports + current view)
         until the view stops changing; raises after
-        ``max_fixpoint_iterations`` rounds (a recursive OEM view can be
-        genuinely infinite — e.g. ever-deeper nesting).
+        :data:`MAX_FIXPOINT_ITERATIONS` rounds.
         """
         base_forests: dict[str | None, Sequence[OEMObject]] = {}
         for rule in self.specification.rules:
@@ -1145,14 +1074,14 @@ class Mediator(Source):
                     and condition.source != self.name
                     and condition.source not in base_forests
                 ):
-                    base_forests[condition.source] = self._export_source(
-                        condition.source
+                    base_forests[condition.source] = context.send_query(
+                        condition.source, EXPORT
                     )
 
         view: list[OEMObject] = []
         seen_keys: set = set()
-        governor = self._active_governor
-        for _ in range(self.max_fixpoint_iterations):
+        governor = context.governor
+        for _ in range(MAX_FIXPOINT_ITERATIONS):
             if governor is not None:
                 # each fixpoint round is a cooperative checkpoint: an
                 # expired deadline or cancelled token stops a recursive
@@ -1179,63 +1108,5 @@ class Mediator(Source):
             seen_keys |= keys
         raise MediatorError(
             f"recursive view {self.name!r} did not reach a fixpoint in"
-            f" {self.max_fixpoint_iterations} iterations"
+            f" {MAX_FIXPOINT_ITERATIONS} iterations"
         )
-
-
-def _query_constrains_types(query: Rule, mediator_name: str) -> bool:
-    """Does any mediator-addressed condition constrain a *type* slot?
-
-    Specification heads carry no type slot (view-object types follow
-    from the bound values), so type constraints cannot be verified by
-    static expansion; such queries are answered over the materialized
-    view, where the matcher checks types directly.
-    """
-    for condition in query.tail:
-        if isinstance(condition, PatternCondition) and condition.source in (
-            None,
-            mediator_name,
-        ):
-            if _pattern_has_type(condition.pattern):
-                return True
-    return False
-
-
-def _pattern_has_type(pattern: Pattern) -> bool:
-    if pattern.type is not None:
-        return True
-    value = pattern.value
-    if isinstance(value, SetPattern):
-        for item in value.items:
-            if isinstance(item, PatternItem) and _pattern_has_type(
-                item.pattern
-            ):
-                return True
-        if value.rest is not None:
-            return any(_pattern_has_type(c) for c in value.rest.conditions)
-    return False
-
-
-def _query_uses_wildcards(query: Rule, mediator_name: str) -> bool:
-    """Does any condition addressed to the mediator use ``..`` items?"""
-    for condition in query.tail:
-        if isinstance(condition, PatternCondition) and condition.source in (
-            None,
-            mediator_name,
-        ):
-            if _pattern_has_wildcard(condition.pattern):
-                return True
-    return False
-
-
-def _pattern_has_wildcard(pattern: Pattern) -> bool:
-    value = pattern.value
-    if not isinstance(value, SetPattern):
-        return False
-    for item in value.items:
-        if isinstance(item, PatternItem):
-            if item.descendant or _pattern_has_wildcard(item.pattern):
-                return True
-    if value.rest is not None:
-        return any(_pattern_has_wildcard(c) for c in value.rest.conditions)
-    return False

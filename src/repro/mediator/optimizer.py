@@ -100,7 +100,6 @@ class CostBasedOptimizer:
         sources: SourceRegistry,
         statistics: SourceStatistics | None = None,
         strategy: str = "heuristic",
-        deduplicate: bool = True,
         prune_with_facts: bool = True,
     ) -> None:
         if strategy not in STRATEGIES:
@@ -110,7 +109,6 @@ class CostBasedOptimizer:
         self.sources = sources
         self.statistics = statistics or SourceStatistics()
         self.strategy = strategy
-        self.deduplicate = deduplicate
         self.prune_with_facts = prune_with_facts
         self.rules_pruned = 0
 
@@ -130,11 +128,11 @@ class CostBasedOptimizer:
         ]
         self.rules_pruned = len(program) - len(rules)
         if not rules:
-            return PhysicalPlan(UnionNode((), self.deduplicate))
+            return PhysicalPlan(UnionNode(()))
         roots = [self.plan_rule(rule).root for rule in rules]
         if len(roots) == 1:
             return PhysicalPlan(roots[0])
-        return PhysicalPlan(UnionNode(roots, self.deduplicate))
+        return PhysicalPlan(UnionNode(roots))
 
     def _rule_satisfiable(self, logical: LogicalRule) -> bool:
         """Could every source pattern of the rule possibly match?"""
@@ -177,7 +175,7 @@ class CostBasedOptimizer:
             node = self._build_fetch_all(ordered, externals, comparisons)
         else:
             node = self._build_bind_join(ordered, externals, comparisons)
-        constructor = ConstructorNode(node, rule.head, self.deduplicate)
+        constructor = ConstructorNode(node, rule.head)
         return PhysicalPlan(constructor)
 
     # -- join ordering -----------------------------------------------------

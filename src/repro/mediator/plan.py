@@ -27,11 +27,10 @@ test-suite and benchmarks replay Figure 3.6 row for row.
 from __future__ import annotations
 
 import abc
-import contextlib
-from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.exec.dispatcher import current_scope
+from repro.mediator.events import Event
 from repro.mediator.tables import (
     BindingTable,
     TableError,
@@ -95,8 +94,6 @@ RESULT_COLUMN = "_result"
 #: Value types a shipped semi-join filter may carry: what the source
 #: compares a direct child's atomic value against.
 _FILTER_ATOMS = (str, int, float, bool)
-#: Stands in for ``tracer.span(...)`` on untraced runs (yields ``None``).
-_UNTRACED = contextlib.nullcontext()
 
 
 class PlanNode(abc.ABC):
@@ -324,14 +321,7 @@ class ExtractorNode(RowOperatorNode):
         carried_positions = [positions[c] for c in carried]
         new_columns = [v for v in self.variables if v not in carried]
         add, out = make_out(carried + new_columns, context.governor)
-        profiler = context.profiler
-        tracer = context.tracer
-        span = (
-            tracer.start_span("pattern-match", self.pattern_text)
-            if tracer is not None
-            else None
-        )
-        started = perf_counter() if profiler is not None else 0.0
+        event = Event(context.subscribers, "pattern-match", self.pattern_text)
         compiled = context.compiler.pattern(self.pattern)
         index = compiled.layout.index
         # a variable colliding with a carried column is a join:
@@ -351,14 +341,10 @@ class ExtractorNode(RowOperatorNode):
             self.column,
             TableError,
         )
-        if profiler is not None:
-            profiler.record_pattern(
-                self.pattern_text, len(rows), matches, perf_counter() - started
-            )
-        if span is not None:
-            span.set_attribute("objects", len(rows))
-            span.set_attribute("matches", matches)
-            tracer.finish_span(span)
+        if event.heard:
+            event.attributes["objects"] = len(rows)
+            event.attributes["matches"] = matches
+            event.end()
         return out
 
     def describe(self) -> str:
@@ -473,18 +459,20 @@ class ExternalPredNode(RowOperatorNode):
         add, out = make_out(
             source.columns + tuple(out_vars), context.governor
         )
-        tracer = context.tracer
-        with (
-            tracer.span("external-predicate", self.call.name)
-            if tracer is not None
-            else _UNTRACED
-        ) as span:
+        event = Event(
+            context.subscribers, "external-predicate", self.call.name
+        )
+        try:
             for row in rows:
                 for extension in expand(row):
                     add(row + tuple(extension))
-            if span is not None:
-                span.set_attribute("rows_in", len(rows))
-                span.set_attribute("rows_out", len(out))
+        except BaseException as exc:
+            event.end(exc)
+            raise
+        if event.heard:
+            event.attributes["rows_in"] = len(rows)
+            event.attributes["rows_out"] = len(out)
+            event.end()
         return out
 
     def describe(self) -> str:

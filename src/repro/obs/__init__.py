@@ -21,7 +21,7 @@ subsystem they all emit into:
   (indented span trees);
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` facade a
   :class:`~repro.mediator.mediator.Mediator` owns; disabled (the
-  default) it costs one attribute check per potential emission point.
+  default) neither it nor its tracer subscribes to a run's events.
 
 See ``docs/observability.md`` for the span model, the metric catalog
 and the exporter formats.

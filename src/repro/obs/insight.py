@@ -2,16 +2,18 @@
 
 MedMaker §3.5 wants the optimizer to "build its own statistics
 database that is based on results of previous queries"; this module is
-the *observation* half of that loop.  A :class:`QueryInsight` rides on
-the :class:`~repro.mediator.engine.ExecutionContext` of one operation
-and records, per plan node — including the constituents inside fused
-pipeline chains — the optimizer's estimated cardinality next to the
-actual rows in/out, wall time, and source-call latency, plus any
-mid-query misestimate events and the stage re-rank decisions they
-triggered.  :class:`AnalyzeReport` wraps a finished insight together
-with the operation's answer: ``render()`` is the annotated plan tree
-(with a misestimate-factor column) that ``--explain-analyze`` prints,
-``to_dict()``/``to_json()`` the structured export CI validates.
+the *observation* half of that loop.  A :class:`QueryInsight`
+subscribes to the event stream of one operation
+(:mod:`repro.mediator.events`) and records, per plan node — including
+the constituents inside fused pipeline chains — the optimizer's
+estimated cardinality next to the actual rows in/out, wall time, and
+source-call latency, plus any mid-query misestimate events, the stage
+re-rank decisions they triggered, and the whole-source exports a
+materialized answer made.  :class:`AnalyzeReport` wraps a finished
+insight together with the operation's answer: ``render()`` is the
+annotated plan tree (with a misestimate-factor column) that
+``--explain-analyze`` prints, ``to_dict()``/``to_json()`` the
+structured export CI validates.
 
 The module is deliberately import-light (plan nodes are duck-typed via
 ``estimated_rows`` / ``estimate_key`` / ``fusion_width``), so
@@ -31,7 +33,7 @@ __all__ = ["AnalyzeReport", "NodeObservation", "QueryInsight"]
 _FLOOR = 0.5
 
 
-def _qerror(estimated: float, actual: float) -> float:
+def q_error(estimated: float, actual: float) -> float:
     est = max(float(estimated), _FLOOR)
     act = max(float(actual), _FLOOR)
     return est / act if est >= act else act / est
@@ -90,7 +92,7 @@ class NodeObservation:
         """max(est/act, act/est), or ``None`` without an estimate."""
         if self.estimated_rows is None or not self.calls:
             return None
-        return _qerror(self.estimated_rows, self.rows_out)
+        return q_error(self.estimated_rows, self.rows_out)
 
     def misestimate_factor(self) -> str:
         """The rendered misestimate column: ``2.4x under`` style.
@@ -140,13 +142,18 @@ class NodeObservation:
 class QueryInsight:
     """Per-operation plan observation sink (thread-safe).
 
-    The mediator attaches one insight to an operation's execution
-    context; the engine (and the fused pipeline node) call
-    :meth:`observe_node` once per executed operator, and the staged
-    executor reports misestimate events and re-rank decisions.  All
-    call sites run on the coordinating thread today, but the lock keeps
-    the recorder safe if that ever changes.
+    ``explain_analyze`` subscribes one insight to its operation's event
+    stream: every executed operator (fused constituents too) arrives as
+    a ``plan-node`` / ``pipeline-stage`` event, misestimates and
+    re-rank decisions as events of their own, whole-source exports as
+    ``source-call`` events.  Leaf queries finish on pool workers, hence
+    the lock.
     """
+
+    kinds = frozenset(
+        {"plan-node", "pipeline-stage", "source-call", "misestimate", "rerank"}
+    )
+    opens = frozenset()
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -154,6 +161,7 @@ class QueryInsight:
         self._by_id: dict[int, NodeObservation] = {}
         self.misestimates: list[dict[str, Any]] = []
         self.reranks: list[dict[str, Any]] = []
+        self.exports: list[dict[str, Any]] = []
         self.plans = 0
 
     # -- plan registration -------------------------------------------------
@@ -224,68 +232,71 @@ class QueryInsight:
 
     # -- observation -------------------------------------------------------
 
-    def observe_node(
-        self,
-        node: Any,
-        rows_in: int,
-        rows_out: int,
-        seconds: float,
-        latency: float = 0.0,
-    ) -> None:
-        """Fold one execution of ``node`` into its record."""
-        record = self._by_id.get(id(node))
-        if record is None:
-            return
+    def end(self, event: Any) -> None:
+        """Fold one engine event into the report."""
+        kind = event.kind
+        attributes = event.attributes
+        record = self._by_id.get(id(event.subject))
         with self._lock:
-            record.calls += 1
-            record.rows_in += rows_in
-            record.rows_out += rows_out
-            record.seconds += seconds
-            record.latency += latency
+            if kind == "source-call":
+                if attributes.get("export"):
+                    self.exports.append(
+                        {
+                            "source": event.name,
+                            "objects": attributes["objects"],
+                            "seconds": event.seconds,
+                        }
+                    )
+            elif kind == "rerank":
+                stage, before, after = event.subject
+                self.reranks.append(
+                    {
+                        "stage": stage,
+                        "before": [self._key_of(node) for node in before],
+                        "after": [self._key_of(node) for node in after],
+                    }
+                )
+            elif kind == "misestimate":
+                if record is not None:
+                    record.misestimates += 1
+                self.misestimates.append(
+                    self._misestimate(event.subject, record, attributes)
+                )
+            elif record is not None:
+                record.calls += 1
+                record.rows_in += event.rows_in
+                record.rows_out += attributes["rows_out"]
+                record.seconds += event.seconds
+                record.latency += event.latency
 
-    def record_misestimate(
-        self,
-        node: Any,
-        estimated: float,
-        actual: int,
-        action: str,
-    ) -> None:
+    def _misestimate(
+        self, node: Any, record: "NodeObservation | None", attributes: dict
+    ) -> dict[str, Any]:
         """One mid-query misestimate event and what was done about it."""
-        record = self._by_id.get(id(node))
-        with self._lock:
-            if record is not None:
-                record.misestimates += 1
-            self.misestimates.append(
-                {
-                    "node": record.key if record is not None else None,
-                    "description": (
-                        record.description
-                        if record is not None
-                        else type(node).__name__
-                    ),
-                    "estimated_rows": float(estimated),
-                    "actual_rows": int(actual),
-                    "qerror": _qerror(estimated, actual),
-                    "action": action,
-                }
+        key = node.estimate_key
+        action = "noted (no statistics bucket to correct)"
+        if key is not None:
+            action = (
+                f"recorded {attributes['correction']:.1f}x correction for"
+                f" {key[0]}/{key[1]}; undispatched stages re-rank"
+                " against it"
             )
+        estimated = attributes["estimated_rows"]
+        actual = attributes["actual_rows"]
+        return {
+            "node": record.key if record is not None else None,
+            "description": (
+                type(node).__name__ if record is None else record.description
+            ),
+            "estimated_rows": float(estimated),
+            "actual_rows": int(actual),
+            "qerror": q_error(estimated, actual),
+            "action": action,
+        }
 
-    def record_rerank(
-        self, stage: int, before: Sequence[str], after: Sequence[str]
-    ) -> None:
-        """A future stage's node order corrected by observed rows."""
-        with self._lock:
-            self.reranks.append(
-                {
-                    "stage": stage,
-                    "before": list(before),
-                    "after": list(after),
-                }
-            )
-
-    def key_of(self, node: Any) -> "str | None":
+    def _key_of(self, node: Any) -> str:
         record = self._by_id.get(id(node))
-        return record.key if record is not None else None
+        return record.key if record is not None else type(node).__name__
 
     # -- views -------------------------------------------------------------
 
@@ -313,7 +324,7 @@ class AnalyzeReport:
         self.seconds = seconds
 
     def to_dict(self) -> dict[str, Any]:
-        return {
+        report = {
             "version": 1,
             "query": self.query,
             "seconds": self.seconds,
@@ -323,6 +334,10 @@ class AnalyzeReport:
             "misestimates": list(self.insight.misestimates),
             "reranks": list(self.insight.reranks),
         }
+        if self.insight.exports:
+            # present only for answers computed over materialized views
+            report["source_exports"] = list(self.insight.exports)
+        return report
 
     def to_json(self, indent: "int | None" = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
@@ -360,6 +375,14 @@ class AnalyzeReport:
                 f" {record.seconds * 1e3:>7.1f}ms"
                 f" {record.latency * 1e3:>7.1f}ms"
             )
+        if self.insight.exports:
+            lines.append("")
+            lines.append("source exports (materialized):")
+            for export in self.insight.exports:
+                lines.append(
+                    f"  {export['source']}: {export['objects']} object(s)"
+                    f" in {export['seconds'] * 1e3:.1f}ms"
+                )
         if self.insight.misestimates:
             lines.append("")
             lines.append("misestimate events:")

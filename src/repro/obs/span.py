@@ -257,6 +257,11 @@ class Tracer:
 
     enabled = True
 
+    #: The engine events (:mod:`repro.mediator.events`) the tracer turns
+    #: into spans: every kind that has one, each opened when the work
+    #: starts so the spans underneath parent to it.
+    kinds = opens = frozenset(SPAN_KINDS)
+
     def __init__(
         self,
         sample_rate: float = 1.0,
@@ -388,6 +393,27 @@ class Tracer:
         """Install an already-open span as current for a ``with`` block."""
         return _UseScope(span)
 
+    # -- the engine's event stream -----------------------------------------
+
+    def begin(self, event) -> None:
+        """Open the span of an engine event, current while its work runs."""
+        span = self.start_span(event.kind, event.name)
+        event.span = (span, _CURRENT.set(span))
+
+    def end(self, event) -> None:
+        """Close an event's span with the event's attributes and status:
+        the exception's when the work raised, ``degraded`` when the
+        event says so."""
+        span, token = event.span
+        _CURRENT.reset(token)
+        if span is _NOOP_SPAN:
+            return
+        span.attributes.update(event.attributes)
+        status = "degraded" if event.attributes.get("degraded") else None
+        if event.error is not None:
+            status = status_of_exception(event.error)
+        self.finish_span(span, status)
+
     # -- introspection -----------------------------------------------------
 
     def spans(self) -> list[Span]:
@@ -431,9 +457,10 @@ class Tracer:
 class NoopTracer:
     """The disabled tracer: every operation is a cheap no-op.
 
-    Call sites guard on :attr:`enabled` (or hold ``None`` instead), so
-    a disabled mediator pays one attribute check per potential emission
-    point — asserted "within noise" by ``benchmarks/bench_obs.py``.
+    The mediator opens its root and view-expansion spans through it
+    and never subscribes it to the engine's events, so a disabled
+    mediator pays a handful of no-op calls per query — asserted "within
+    noise" by ``benchmarks/bench_obs.py``.
     """
 
     enabled = False

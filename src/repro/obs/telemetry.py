@@ -11,7 +11,12 @@ separate places:
 
 * the tracer receives the span hierarchy (query → view-expansion →
   plan-stage → plan-node → source-call / pattern-match /
-  external-predicate);
+  external-predicate), the engine's part of it as a subscriber of the
+  run's event stream (:mod:`repro.mediator.events`);
+* the facade subscribes to the same stream for the per-node row
+  histogram, the estimate q-error and the misestimate counter, and
+  reads a run's per-source call and sharding totals off its execution
+  context once, when the operation ends;
 * the registry absorbs the scattered counters — answer-cache hits,
   single-flight dedups, compile-cache hits, breaker states and
   transitions, retry attempts, governor truncations and quarantines —
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.obs.insight import q_error
 from repro.obs.metrics import (
     DEFAULT_QERROR_BUCKETS,
     DEFAULT_ROWS_BUCKETS,
@@ -50,6 +56,9 @@ _BREAKER_STATES = {"closed": 0, "half_open": 1, "open": 2}
 
 class Telemetry:
     """A tracer and a metrics registry, wired to mediator components."""
+
+    kinds = frozenset({"plan-node", "pipeline-stage", "misestimate"})
+    opens = frozenset()
 
     def __init__(
         self,
@@ -120,6 +129,12 @@ class Telemetry:
                 "repro_quarantined_objects_total",
                 "Malformed sub-objects quarantined from source answers.",
             )
+            self.plan_node_rows = metrics.histogram(
+                "repro_plan_node_rows",
+                "Rows produced per plan-node execution.",
+                labelnames=("node",),
+                buckets=DEFAULT_ROWS_BUCKETS,
+            )
             self.estimate_qerror = metrics.histogram(
                 "repro_estimate_qerror",
                 "Optimizer estimate q-error max(est/act, act/est) per"
@@ -133,13 +148,11 @@ class Telemetry:
                 " by the configured factor).",
                 labelnames=("source",),
             )
-            # label-bound children caches: source-call and operation
-            # emission are the hottest metric paths, so skip per-call
-            # label resolution there
-            self._source_children: dict[str, tuple] = {}
+            # label-bound children caches for the per-operation and
+            # per-node paths: skip per-call label resolution there
             self._status_children: dict[str, object] = {}
+            self._rows_children: dict[str, object] = {}
             self._qerror_children: dict[tuple, object] = {}
-            self._misestimate_children: dict[str, object] = {}
         else:
             self.tracer = NOOP_TRACER
 
@@ -378,87 +391,55 @@ class Telemetry:
             if truncations:
                 self.governor_truncations_total.inc(truncations)
 
-    def record_source_call(
-        self, source: str, objects: int
-    ) -> None:
-        """One shipped source call (cache hits never reach here)."""
-        if not self.enabled:
-            return
-        children = self._source_children.get(source)
-        if children is None:
-            children = self._source_children[source] = (
-                self.source_calls_total.labels(source=source),
-                self.source_objects_total.labels(source=source),
-            )
-        calls, received = children
-        calls.inc()
-        if objects:
-            received.inc(objects)
+    def record_run(self, context) -> None:
+        """Roll one finished run's buffered totals into the registry.
 
-    def record_sharding(
-        self, batches: int, probes_saved: int, shards_pruned: int
-    ) -> None:
-        """A whole run's semi-join / shard-pruning totals at once."""
-        if not self.enabled:
-            return
-        if batches:
-            self.semijoin_batches_total.inc(batches)
-        if probes_saved:
-            self.semijoin_probes_saved_total.inc(probes_saved)
-        if shards_pruned:
-            self.shards_pruned_total.inc(shards_pruned)
-
-    def record_qerror(
-        self, source: str, label: str, kind: str, value: float
-    ) -> None:
-        """One estimate-vs-actual q-error observation for a plan node."""
-        if not self.enabled:
-            return
-        key = (source, label, kind)
-        child = self._qerror_children.get(key)
-        if child is None:
-            child = self._qerror_children[key] = (
-                self.estimate_qerror.labels(
-                    source=source, label=label, kind=kind
-                )
-            )
-        child.observe(value)
-
-    def record_misestimate(self, source: str) -> None:
-        """One mid-query misestimate event against ``source``."""
-        if not self.enabled:
-            return
-        child = self._misestimate_children.get(source)
-        if child is None:
-            child = self._misestimate_children[source] = (
-                self.misestimate_events_total.labels(source=source)
-            )
-        child.inc()
-
-    def record_source_calls(
-        self,
-        calls: "dict[str, int]",
-        objects: "dict[str, int]",
-    ) -> None:
-        """A whole run's buffered per-source call totals at once.
-
-        The engine buffers counts in its execution context and flushes
-        here once per operation — two increments per source instead of
-        two per shipped call.
+        The execution context counts shipped calls and received objects
+        per source (cache hits never ship, so never count), batched
+        semi-join filters and pruned shards as the run goes; reading
+        them once per operation costs two increments per *source*
+        instead of two per *call*.
         """
         if not self.enabled:
             return
-        for source, count in calls.items():
-            children = self._source_children.get(source)
-            if children is None:
-                children = self._source_children[source] = (
-                    self.source_calls_total.labels(source=source),
-                    self.source_objects_total.labels(source=source),
-                )
-            children[0].inc(count)
-            received = objects.get(source, 0)
+        for source, count in context.queries_sent.items():
+            self.source_calls_total.inc(count, source=source)
+            received = context.objects_received.get(source, 0)
             if received:
-                children[1].inc(received)
+                self.source_objects_total.inc(received, source=source)
+        if context.semijoin_batches:
+            self.semijoin_batches_total.inc(context.semijoin_batches)
+        if context.semijoin_probes_saved:
+            self.semijoin_probes_saved_total.inc(
+                context.semijoin_probes_saved
+            )
+        if context.shards_pruned:
+            self.shards_pruned_total.inc(context.shards_pruned)
+
+    def end(self, event) -> None:
+        """One finished node run or misestimate off the event stream."""
+        node = event.subject
+        key = node.estimate_key
+        if event.kind == "misestimate":
+            self.misestimate_events_total.inc(source=key[0] if key else "")
+            return
+        # label-bound children: this is the hottest metric path
+        rows = event.attributes["rows_out"]
+        child = self._rows_children.get(event.name)
+        if child is None:
+            child = self._rows_children[event.name] = (
+                self.plan_node_rows.labels(node=event.name)
+            )
+        child.observe(rows)
+        if key is not None and node.estimated_rows is not None:
+            child = self._qerror_children.get(key)
+            if child is None:
+                child = self._qerror_children[key] = (
+                    self.estimate_qerror.labels(
+                        source=key[0], label=key[1], kind=key[2]
+                    )
+                )
+            child.observe(q_error(node.estimated_rows, rows))
 
     # -- views -------------------------------------------------------------
 
@@ -487,10 +468,6 @@ class Telemetry:
 
     def __repr__(self) -> str:
         return f"Telemetry(enabled={self.enabled})"
-
-
-#: Plan-node row histograms share the row-count bucket layout.
-ROWS_BUCKETS = DEFAULT_ROWS_BUCKETS
 
 
 def count_of(warning: object) -> int:

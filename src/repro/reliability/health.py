@@ -299,10 +299,6 @@ class HealthRegistry:
 
     # -- introspection ------------------------------------------------------
 
-    def attempts_of(self, source: str) -> int:
-        record = self._records.get(source)
-        return record.attempts if record else 0
-
     def latency_quantile(
         self, source: str, quantile: float, min_samples: int = 1
     ) -> float | None:

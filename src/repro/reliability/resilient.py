@@ -300,20 +300,6 @@ class ResilienceManager:
         )
         self._wrapped: dict[str, ResilientSource] = {}
 
-    def enable_adaptive(
-        self, config: AdaptiveTimeoutConfig | None = None
-    ) -> AdaptiveTimeoutPolicy:
-        """Switch adaptive per-source timeouts on (idempotent).
-
-        Builds one shared policy over the manager's health registry;
-        wrappers already built pick it up on their next :meth:`wrap`.
-        """
-        if self.adaptive is None:
-            self.adaptive = AdaptiveTimeoutPolicy(
-                config or AdaptiveTimeoutConfig(), health=self.health
-            )
-        return self.adaptive
-
     def wrap(self, source: Source) -> ResilientSource:
         wrapped = self._wrapped.get(source.name)
         if wrapped is None or wrapped.inner is not source:
@@ -333,10 +319,6 @@ class ResilienceManager:
                 timeout_policy=self.adaptive,
             )
             self._wrapped[source.name] = wrapped
-        elif wrapped.timeout_policy is not self.adaptive:
-            # adaptive timeouts were toggled after this wrapper was
-            # built (enable_adaptive on a live manager)
-            wrapped.timeout_policy = self.adaptive
         return wrapped
 
     def breaker_for(self, name: str) -> CircuitBreaker | None:

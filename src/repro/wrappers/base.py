@@ -15,11 +15,19 @@ the default answer path through the compiled MSL evaluator.
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.external.registry import ExternalRegistry
 from repro.msl.analysis import check_rule
-from repro.msl.ast import Comparison, Pattern, PatternCondition, Rule
+from repro.msl.ast import (
+    Comparison,
+    Const,
+    Pattern,
+    PatternCondition,
+    PatternItem,
+    Rule,
+    SetPattern,
+)
 from repro.msl.compile import CompileCache
 from repro.msl.errors import MSLSemanticError
 from repro.oem.model import OEMObject
@@ -37,6 +45,7 @@ __all__ = [
     "MalformedAnswerError",
     "check_source_query",
     "first_pattern",
+    "labelled_children",
 ]
 
 
@@ -60,6 +69,31 @@ def first_pattern(query: Rule) -> Pattern | None:
     paths narrow on (further patterns re-match anyway)."""
     condition = next(query.pattern_conditions(), None)
     return None if condition is None else condition.pattern
+
+
+def labelled_children(pattern: Pattern) -> Iterator[tuple[str, object]]:
+    """``(label, value term)`` of each depth-1 child ``pattern`` names
+    by a constant label — set items and the conditions the view
+    expander pushed into the Rest variable alike.
+
+    A child matching each one is a necessary condition for the object
+    to match wherever the condition arrived, so an access path may
+    narrow on any of them (on ``(label, value)`` when the value term is
+    a :class:`Const`).
+    """
+    value = pattern.value
+    if not isinstance(value, SetPattern):
+        return
+    children = [
+        item.pattern
+        for item in value.items
+        if isinstance(item, PatternItem) and not item.descendant
+    ]
+    if value.rest is not None:
+        children.extend(value.rest.conditions)
+    for child in children:
+        if isinstance(child.label, Const):
+            yield str(child.label.value), child.value
 
 
 class SourceError(Exception):

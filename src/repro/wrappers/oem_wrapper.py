@@ -14,9 +14,9 @@ from collections import defaultdict
 from typing import Iterable, Sequence
 
 from repro.external.registry import ExternalRegistry
-from repro.msl.ast import Const, PatternItem, Rule, SetPattern
+from repro.msl.ast import Const, Rule
 from repro.oem.model import OEMObject
-from repro.wrappers.base import Wrapper, first_pattern
+from repro.wrappers.base import Wrapper, first_pattern, labelled_children
 from repro.wrappers.capability import BATCH_CAPABILITY, Capability
 
 __all__ = ["OEMStoreWrapper"]
@@ -124,21 +124,14 @@ class OEMStoreWrapper(Wrapper):
                 self._label_index.get(str(first.label.value), set())
             )
 
-        value = first.value
-        if isinstance(value, SetPattern):
-            for item in value.items:
-                if not isinstance(item, PatternItem) or item.descendant:
-                    continue
-                p = item.pattern
-                if isinstance(p.label, Const) and isinstance(p.value, Const):
-                    matched = self._index.get(
-                        (str(p.label.value), p.value.value), set()
-                    )
-                    candidate_ids = (
-                        set(matched)
-                        if candidate_ids is None
-                        else candidate_ids & matched
-                    )
+        for label, value in labelled_children(first):
+            if isinstance(value, Const):
+                matched = self._index.get((label, value.value), set())
+                candidate_ids = (
+                    set(matched)
+                    if candidate_ids is None
+                    else candidate_ids & matched
+                )
         if candidate_ids is None:
             return self._objects
         return [self._objects[i] for i in sorted(candidate_ids)]

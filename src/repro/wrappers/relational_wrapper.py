@@ -22,13 +22,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.external.registry import ExternalRegistry
-from repro.msl.ast import Const, Pattern, PatternItem, Rule, SetPattern
+from repro.msl.ast import Const, Pattern, Rule
 from repro.oem.model import OEMObject, SET_TYPE
 from repro.oem.oid import Oid
 from repro.relational.database import Database
 from repro.relational.query import Selection
 from repro.relational.table import Table
-from repro.wrappers.base import Wrapper, first_pattern
+from repro.wrappers.base import Wrapper, first_pattern, labelled_children
 from repro.wrappers.capability import BATCH_CAPABILITY, Capability
 
 __all__ = ["RelationalWrapper"]
@@ -166,28 +166,8 @@ def _pattern_filters(
     """Required attribute names and equality selections from a pattern."""
     required: set[str] = set()
     selections: list[Selection] = []
-    value = pattern.value
-    if not isinstance(value, SetPattern):
-        return required, selections
-    items = list(value.items)
-    rest_conditions = (
-        list(value.rest.conditions) if value.rest is not None else []
-    )
-    for item in items:
-        if not isinstance(item, PatternItem) or item.descendant:
-            continue
-        _collect(item.pattern, required, selections)
-    for condition in rest_conditions:
-        _collect(condition, required, selections)
+    for attribute, value in labelled_children(pattern):
+        required.add(attribute)
+        if isinstance(value, Const):
+            selections.append(Selection(attribute, "=", value.value))
     return required, selections
-
-
-def _collect(
-    pattern: Pattern, required: set[str], selections: list[Selection]
-) -> None:
-    if not isinstance(pattern.label, Const):
-        return
-    attribute = str(pattern.label.value)
-    required.add(attribute)
-    if isinstance(pattern.value, Const):
-        selections.append(Selection(attribute, "=", pattern.value.value))

@@ -32,15 +32,14 @@ import threading
 from typing import Iterable, Sequence
 
 from repro.external.registry import ExternalRegistry
-from repro.msl.ast import (
-    Const,
-    Pattern,
-    PatternItem,
-    Rule,
-    SetPattern,
-)
+from repro.msl.ast import Const, Pattern, Rule
 from repro.oem.model import OEMObject, SET_TYPE
-from repro.wrappers.base import SourceError, Wrapper, first_pattern
+from repro.wrappers.base import (
+    SourceError,
+    Wrapper,
+    first_pattern,
+    labelled_children,
+)
 from repro.wrappers.capability import BATCH_CAPABILITY, Capability
 from repro.wrappers.sharding import encode_value
 
@@ -316,26 +315,18 @@ class SQLiteOEMStoreWrapper(Wrapper):
         the last resort, taken only when no value constant exists.
         """
         roots: set[int] | None = None
-        value = first.value
-        if isinstance(value, SetPattern):
-            for item in value.items:
-                if not isinstance(item, PatternItem) or item.descendant:
-                    continue
-                p = item.pattern
-                if isinstance(p.label, Const) and isinstance(p.value, Const):
-                    with self._lock:
-                        matched = {
-                            r[0]
-                            for r in self._conn.execute(
-                                "SELECT root FROM nodes WHERE parent = 0"
-                                " AND label = ? AND enc = ?",
-                                (
-                                    str(p.label.value),
-                                    encode_value(p.value.value),
-                                ),
-                            )
-                        }
-                    roots = matched if roots is None else roots & matched
+        for label, value in labelled_children(first):
+            if isinstance(value, Const):
+                with self._lock:
+                    matched = {
+                        r[0]
+                        for r in self._conn.execute(
+                            "SELECT root FROM nodes WHERE parent = 0"
+                            " AND label = ? AND enc = ?",
+                            (label, encode_value(value.value)),
+                        )
+                    }
+                roots = matched if roots is None else roots & matched
         if isinstance(first.label, Const):
             label = str(first.label.value)
             if roots is None:

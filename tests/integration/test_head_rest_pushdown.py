@@ -8,10 +8,17 @@ land in the *tail* only — never in the instantiated head.
 
 import pytest
 
+from repro.datasets import record_stream
 from repro.mediator import Mediator
-from repro.msl import parse_query
-from repro.oem import parse_oem
-from repro.wrappers import OEMStoreWrapper, SourceRegistry
+from repro.msl import parse_query, parse_rule
+from repro.oem import atom, obj, parse_oem
+from repro.wrappers import (
+    OEMStoreWrapper,
+    SourceRegistry,
+    SQLiteOEMStoreWrapper,
+)
+
+from ..reference import canonical, reference_answer
 
 SOURCE = """
 <&m1, mail, set, {&f1,&s1,&x1}>
@@ -91,3 +98,74 @@ class TestHeadRestEquivalence:
             "subject",
             "x_mailer",
         }
+
+
+# -- the cliff: a point query through a Rest-variable view ------------------
+
+RECORDS = 2000
+REST_VIEW = "<item {<key K> | R}> :- <rec {<key K> | R}>@big"
+#: what the τ2 rules ship for ``<item {<key 17>}>`` and ``<item {<tag
+#: 'tag_17_1'>}>``: the constant arrives in the Rest variable's
+#: conditions, not in the set items (the first matches nothing — the
+#: item already took the only ``key`` child — but has to look)
+SHIPPED = {
+    "<a X> :- X:<rec {<key K> | R:{<key 17>}}>@big": 0,
+    "<a X> :- X:<rec {<key K> | R:{<tag 'tag_17_1'>}}>@big": 1,
+}
+
+
+def _sqlite_store():
+    store = SQLiteOEMStoreWrapper("big")
+    store.load_records(
+        "rec", record_stream(RECORDS, payload_fields=("payload", "tag"))
+    )
+    return store
+
+
+def _memory_store():
+    return OEMStoreWrapper(
+        "big",
+        [
+            obj("rec", *[atom(name, value) for name, value in row])
+            for row in record_stream(
+                RECORDS, payload_fields=("payload", "tag")
+            )
+        ],
+    )
+
+
+@pytest.fixture(params=[_sqlite_store, _memory_store], ids=["sqlite", "memory"])
+def big(request):
+    store = request.param()
+    yield store
+    if isinstance(store, SQLiteOEMStoreWrapper):
+        store.close()
+
+
+class TestRestViewPointQuery:
+    @pytest.mark.parametrize("shipped", SHIPPED, ids=["key", "tag"])
+    def test_shipped_rest_constant_narrows_to_one_candidate(
+        self, big, shipped
+    ):
+        # a child matching the constant is necessary wherever the
+        # constant arrived, so the store narrows on it: one candidate
+        # examined, not the whole ``rec`` extent
+        query = parse_rule(shipped)
+        assert len(big.candidates(query)) == 1
+        assert len(big.answer(query)) == SHIPPED[shipped]
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "X :- X:<item {<key 17>}>@med",
+            "X :- X:<item {<key 999999>}>@med",
+            "X :- X:<item {<key 17> <tag 'tag_17_1'>}>@med",
+            "X :- X:<item {<key 17> <tag 'tag_18_1'>}>@med",
+        ],
+        ids=["hit", "miss", "two-constants", "two-constants-miss"],
+    )
+    def test_answers_equal_the_reference(self, big, query):
+        mediator = Mediator("med", REST_VIEW, SourceRegistry(big))
+        assert canonical(mediator.answer(query)) == canonical(
+            reference_answer(mediator, query)
+        )

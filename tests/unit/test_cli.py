@@ -603,7 +603,7 @@ class TestStatisticsFlags:
 
 class TestPublicSurface:
     def test_knobs_are_spelled_out(self):
-        # every constructor keyword (30) and CLI option (40), as
+        # every constructor keyword (24) and CLI option (40), as
         # literals: a new knob, or a removed one, is a reviewed diff of
         # this test, not a number someone re-counts by hand
         import inspect
@@ -614,12 +614,11 @@ class TestPublicSurface:
         parameters = list(inspect.signature(Mediator).parameters)
         assert parameters == [
             "name", "specification", "sources", "externals",
-            "push_mode", "strategy", "deduplicate", "trace", "register",
-            "max_fixpoint_iterations", "on_source_failure", "resilience",
+            "push_mode", "strategy", "trace", "register",
+            "on_source_failure", "resilience",
             "clock", "budget", "budget_mode", "on_malformed_answer",
             "cancellation", "parallelism", "cache", "fuse", "telemetry",
-            "trace_sample_rate", "slow_query_ms", "hedge",
-            "adaptive_timeouts", "deadline_slicing", "admission",
+            "hedge", "admission",
             "bulkheads", "semijoin", "misestimate_factor",
         ]
         options = sorted(

@@ -239,3 +239,25 @@ class TestNoCyclicGarbage:
     def test_bibliography_fusion_export(self):
         mediator = build_bibliography(20).mediator
         assert self._unreachable_after(mediator.export) == 0
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_watched_runs_leave_nothing_either(self, parallelism):
+        # events, spans and analyze records are per-query allocations
+        # too: every subscriber on, still nothing for the collector
+        scenario = build_scaled_scenario(20)
+        mediator = Mediator(
+            "med_again",
+            scenario.mediator.specification,
+            scenario.mediator.sources,
+            scenario.mediator.externals,
+            parallelism=parallelism,
+            telemetry=True,
+        )
+        query = "X :- X:<cs_person {<name N>}>@med_again"
+        try:
+            assert self._unreachable_after(mediator.export) == 0
+            assert self._unreachable_after(
+                lambda: mediator.explain_analyze(query)
+            ) == 0
+        finally:
+            mediator.close()

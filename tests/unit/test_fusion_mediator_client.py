@@ -188,11 +188,12 @@ class TestRecursiveViews:
         result = mediator.answer("P :- P:<path {<src 'a'> <dst 'c'>}>@tc")
         assert len(result) == 1
 
-    def test_fixpoint_bound(self):
-        mediator = self.build()
-        mediator.max_fixpoint_iterations = 1
+    def test_fixpoint_bound(self, monkeypatch):
+        from repro.mediator import mediator as module
+
+        monkeypatch.setattr(module, "MAX_FIXPOINT_ITERATIONS", 1)
         with pytest.raises(MediatorError, match="fixpoint"):
-            mediator.export()
+            self.build().export()
 
 
 class TestResultSet:

@@ -288,7 +288,7 @@ class TestRerankStage:
         )
         insight = QueryInsight()
         context = self.context({("s", "b"): 100.0})
-        context.insight = insight
+        context.subscribers = (insight,)
         _rerank_stage(2, [ballooned, small], context)
         assert insight.reranks
         decision = insight.reranks[0]

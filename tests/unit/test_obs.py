@@ -8,11 +8,16 @@ into a real mediator, and the ``health_snapshot()`` deprecation shim.
 
 import io
 import json
+import pathlib
+import re
 
 import pytest
 
 from repro.datasets import JOE_CHUNG_QUERY, build_scenario
+from repro.exec import AnswerCache
+from repro.governor.budget import QueryBudget
 from repro.mediator import Mediator
+from repro.mediator.engine import ExecutionContext
 from repro.obs import (
     ConsoleTreeExporter,
     JsonLinesExporter,
@@ -29,7 +34,12 @@ from repro.obs.span import (
     current_span,
     status_of_exception,
 )
-from repro.reliability import ManualClock
+from repro.reliability import (
+    AdaptiveTimeoutConfig,
+    ManualClock,
+    ResilienceConfig,
+)
+from repro.serving import QueryRejected
 
 
 def traced_mediator(**kwargs):
@@ -352,15 +362,26 @@ class TestTelemetryFacade:
         assert telemetry.enabled is False
         assert telemetry.tracer is NOOP_TRACER
         telemetry.record_operation("ok", 0.1, [], None)
-        telemetry.record_source_call("cs", 3)
+        telemetry.record_run(self._run(cs=(1, 3)))
         assert telemetry.describe() == "telemetry: disabled"
 
+    @staticmethod
+    def _run(**sources):
+        """A finished run's context: ``source=(calls, objects)``."""
+        context = ExecutionContext(sources=None, externals=None)
+        for source, (calls, objects) in sources.items():
+            context.queries_sent[source] = calls
+            context.objects_received[source] = objects
+        return context
+
     def test_record_source_call_counts(self):
+        # one flush per finished run: a run's per-source totals at once
         telemetry = Telemetry()
-        telemetry.record_source_call("cs", 3)
-        telemetry.record_source_call("cs", 0)
+        telemetry.record_run(self._run(cs=(1, 3)))
+        telemetry.record_run(self._run(cs=(1, 0), whois=(2, 5)))
         assert telemetry.source_calls_total.value(source="cs") == 2
         assert telemetry.source_objects_total.value(source="cs") == 3
+        assert telemetry.source_calls_total.value(source="whois") == 2
 
     def test_record_operation_rolls_status_and_latency(self):
         telemetry = Telemetry()
@@ -446,3 +467,48 @@ class TestHealthSnapshotShim:
         for legacy in ("_profile", "_execution", "whois", "no-such-source"):
             with pytest.raises(KeyError):
                 snapshot[legacy]
+
+
+class TestMetricCatalog:
+    """``docs/observability.md`` lists every metric the registry can
+    hold, one row per name, and nothing else: the catalog cannot drift
+    from the code in either direction."""
+
+    @staticmethod
+    def documented():
+        text = (
+            pathlib.Path(__file__).parents[2] / "docs" / "observability.md"
+        ).read_text()
+        section = text.split("## The metric catalog", 1)[1].split("\n## ", 1)[0]
+        return set(re.findall(r"^\| `(repro_[a-z0-9_]+)` \|", section, re.M))
+
+    @staticmethod
+    def registered():
+        """Every subsystem on, one query answered, one shed."""
+        scenario = build_scenario()
+        mediator = Mediator(
+            "med",
+            scenario.mediator.specification,
+            scenario.registry,
+            scenario.externals,
+            register=False,
+            telemetry=True,
+            resilience=ResilienceConfig(adaptive=AdaptiveTimeoutConfig()),
+            cache=AnswerCache(),
+            hedge=True,
+            admission=True,
+            bulkheads=2,
+            parallelism=2,
+            budget=QueryBudget(deadline=30.0),
+        )
+        assert mediator.answer(JOE_CHUNG_QUERY)
+        mediator.close()
+        with pytest.raises(QueryRejected):
+            mediator.answer(JOE_CHUNG_QUERY)
+        return set(mediator.telemetry.metrics.snapshot())
+
+    def test_catalog_and_registry_agree(self):
+        documented, registered = self.documented(), self.registered()
+        assert documented - registered == set(), "documented, never registered"
+        assert registered - documented == set(), "registered, not documented"
+        assert len(documented) == 46

@@ -22,7 +22,7 @@ from repro.governor.budget import (
     QueryCancelled,
     QueryGovernor,
 )
-from repro.mediator import Mediator, MediatorError
+from repro.mediator import Mediator
 from repro.oem import OEMObject, parse_oem, structural_key
 from repro.reliability import (
     AdaptiveTimeoutConfig,
@@ -405,12 +405,13 @@ class TestResilientSourceAdaptive:
         # nothing was charged to health: the call never started
         assert source.health.status("src").attempts == 0
 
-    def test_manager_enable_adaptive_reaches_existing_wrappers(self):
-        manager = ResilienceManager(ResilienceConfig())
-        wrapped = manager.wrap(make_wrapper())
-        assert wrapped.timeout_policy is None
-        manager.enable_adaptive()
-        assert manager.wrap(wrapped.inner).timeout_policy is manager.adaptive
+    def test_manager_adaptive_config_reaches_wrappers(self):
+        plain = ResilienceManager(ResilienceConfig())
+        assert plain.wrap(make_wrapper()).timeout_policy is None
+        manager = ResilienceManager(
+            ResilienceConfig(adaptive=AdaptiveTimeoutConfig())
+        )
+        assert manager.wrap(make_wrapper()).timeout_policy is manager.adaptive
         assert "adaptive timeouts" in manager.describe()
 
 
@@ -672,21 +673,21 @@ class TestMediatorIntegration:
         finally:
             mediator.dispatcher.shutdown()
 
-    def test_adaptive_without_resilience_is_a_mediator_error(self):
-        with pytest.raises(MediatorError):
-            scaled_mediator(adaptive_timeouts=True)
-
     def test_adaptive_timeouts_need_resilience_or_build_their_own(self):
-        mediator = scaled_mediator(
-            resilience=ResilienceConfig(), adaptive_timeouts=True
-        )
-        assert mediator.resilience.adaptive is not None
-        assert mediator.deadline_slicing
+        # adaptive timeouts are a field of the resilience configuration,
+        # and deadline slicing is on exactly when they are
+        for adaptive in (None, AdaptiveTimeoutConfig()):
+            mediator = scaled_mediator(
+                resilience=ResilienceConfig(adaptive=adaptive),
+                budget=QueryBudget(deadline=30.0),
+            )
+            assert (mediator.resilience.adaptive is None) == (adaptive is None)
+            mediator.answer(FANOUT_QUERY)
+            assert (mediator.last_context.slicer is None) == (adaptive is None)
 
     def test_deadline_sliced_query_completes_within_budget(self):
         mediator = scaled_mediator(
-            resilience=ResilienceConfig(),
-            adaptive_timeouts=True,
+            resilience=ResilienceConfig(adaptive=AdaptiveTimeoutConfig()),
             budget=QueryBudget(deadline=30.0),
         )
         results = mediator.answer(FANOUT_QUERY)

@@ -55,6 +55,7 @@ from repro.governor.budget import QueryBudget
 from repro.mediator import Mediator
 from repro.oem import structural_key
 from repro.reliability import (
+    AdaptiveTimeoutConfig,
     FaultInjectingSource,
     HedgePolicy,
     ManualClock,
@@ -150,8 +151,10 @@ def run_fault_schedule(seed, quick, verbose):
             ),
             breaker_threshold=rng.choice((2, 5)),
             breaker_cooldown=1.0,
+            adaptive=(
+                AdaptiveTimeoutConfig() if rng.random() < 0.5 else None
+            ),
         ),
-        adaptive_timeouts=rng.random() < 0.5,
         # half the schedules run the fused pipeline path, half the
         # node-per-operator reference path — faults, budgets, and
         # degrade warnings must behave identically under both
