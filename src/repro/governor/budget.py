@@ -242,7 +242,9 @@ class QueryGovernor:
         self.rows_clipped = 0
         self._started: float | None = None
         self._expired = False
-        self._current_node: str | None = None
+        # where the run is: (plan node, the constants its plan is bound
+        # to); described only if a violation has to name it
+        self._at: tuple | None = None
         self._warned: set[tuple] = set()
         # counters and warning bookkeeping must stay exact when the
         # parallel dispatcher admits rows from worker threads; RLock
@@ -268,10 +270,18 @@ class QueryGovernor:
         """True once a truncate-mode deadline overrun was recorded."""
         return self._expired
 
-    def enter_node(self, node) -> None:
+    def enter_node(self, node, params=None) -> None:
         """Node-boundary hook: remember where we are, then checkpoint."""
-        self._current_node = node.describe()
+        self._at = (node, params)
         self.checkpoint()
+
+    @property
+    def _current_node(self) -> str | None:
+        """The node the run is at, as violations and warnings name it."""
+        if self._at is None:
+            return None
+        node, params = self._at
+        return node.describe(params)
 
     # -- checkpoints -------------------------------------------------------
 
@@ -404,7 +414,7 @@ class QueryGovernor:
         limit = self.budget.max_result_objects
         if limit is None or len(objects) <= limit:
             return objects
-        self._current_node = None
+        self._at = None
         self._violation("max_result_objects", len(objects), limit)
         return objects[:limit]
 

@@ -33,7 +33,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from repro.exec.dispatcher import TaskScope, current_scope, scope_active
 from repro.mediator.events import Event, TraceEntry, TraceRecorder
@@ -88,6 +88,11 @@ class ExecutionContext:
     # who watches this run (repro.mediator.events), chosen once per
     # operation by the mediator; nobody, for a bare context
     subscribers: tuple = ()
+    # the constants of the call being run, by placeholder name, when
+    # the plan is a query template's (repro.msl.lift): set by whoever
+    # hands the plan to the engine, read by every node that holds a
+    # placeholder; empty for a plan made from a query as written
+    params: "Mapping[str, object]" = field(default_factory=dict)
     # deadline propagation: when a slicer is attached, every source
     # call runs under a per-call time allowance (its stage's share of
     # the remaining wall-clock budget), enforced by the resilient layer
@@ -385,7 +390,7 @@ def run_node(
     """
     governor = context.governor
     if governor is not None:
-        governor.enter_node(node)
+        governor.enter_node(node, context.params)
     scope = current_scope()
     attempts_before = scope.attempts
     latency_before = scope.latency

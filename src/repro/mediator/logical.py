@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.mediator.unify import Unifier
 from repro.msl.ast import Rule
+from repro.msl.substitute import substitute_params
 from repro.msl.unparse import format_rule
 
 __all__ = ["LogicalRule", "LogicalDatamergeProgram"]
@@ -51,6 +52,22 @@ class LogicalDatamergeProgram:
         """An empty program means the query matches no rule head: the
         answer is trivially empty (no source contact needed)."""
         return not self.rules
+
+    def bound(self, params) -> "LogicalDatamergeProgram":
+        """The program a template's program stands for under ``params``
+        (the constants of one call, by placeholder name)."""
+        if not params:
+            return self
+        return LogicalDatamergeProgram(
+            tuple(
+                LogicalRule(
+                    substitute_params(lr.rule, params, partial=True),
+                    lr.unifier,
+                    lr.spec_rule_indexes,
+                )
+                for lr in self.rules
+            )
+        )
 
     def __str__(self) -> str:
         return "\n\n".join(format_rule(lr.rule) for lr in self.rules)

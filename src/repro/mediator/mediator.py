@@ -13,6 +13,14 @@ external-function registry.  It is itself a
    (:mod:`repro.mediator.optimizer`);
 3. the datamerge engine executes it (:mod:`repro.mediator.engine`).
 
+Steps 1 and 2 depend on the query's *shape*, not on its constants, so
+they run once per shape: the query is parsed, its constants are lifted
+out (:mod:`repro.msl.lift`), the shape's plan is looked up or made
+(:meth:`Mediator._planned`, the one place the expander, the optimizer
+and the fusion pass are called from — :mod:`repro.mediator.plancache`
+says when a remembered plan is made again), and the engine runs it with
+the call's constants bound (``ExecutionContext.params``).
+
 Three query classes bypass the pipeline, all by *materializing* the
 view and matching locally:
 
@@ -57,8 +65,14 @@ from repro.mediator.engine import EXPORT, DatamergeEngine, ExecutionContext
 from repro.mediator.fusion import fuse_objects, has_semantic_oids
 from repro.mediator.logical import LogicalDatamergeProgram, LogicalRule
 from repro.mediator.optimizer import CostBasedOptimizer
-from repro.mediator.pipeline import FusionDecision, fuse_plan
+from repro.mediator.pipeline import (
+    FusionDecision,
+    describe_operators,
+    fuse_plan,
+    plan_operators,
+)
 from repro.mediator.plan import ParameterizedQueryNode
+from repro.mediator.plancache import PlanCache, Planned, Shape
 from repro.mediator.statistics import SourceStatistics
 from repro.mediator.view_expander import ViewExpander
 from repro.msl.analysis import check_rule, check_specification_rule
@@ -71,7 +85,14 @@ from repro.msl.ast import (
 )
 from repro.msl.compile import CompileCache
 from repro.msl.errors import MSLError, MSLSemanticError, MSLSyntaxError
-from repro.msl.parser import parse_specification
+from repro.msl.lift import (
+    ValueDependent,
+    lift,
+    scan_shape,
+    text_shape_is_liftable,
+)
+from repro.msl.parser import parse_query, parse_specification
+from repro.msl.substitute import substitute_params
 from repro.obs.insight import AnalyzeReport, QueryInsight
 from repro.obs.span import current_span, status_of_exception
 from repro.obs.telemetry import Telemetry
@@ -95,6 +116,11 @@ __all__ = ["Mediator", "MediatorError"]
 #: still runs (and truncates/aborts deterministically) rather than
 #: receiving a zero or negative budget.
 _MIN_DEADLINE = 0.001
+
+#: How far a statistic a remembered plan was costed with may drift
+#: before the plan is made again, for a mediator whose own
+#: ``misestimate_factor`` is 0 (mid-query adaptivity off).
+_DRIFT_FACTOR = 4.0
 
 #: Rounds after which a recursive view that has not reached a fixpoint
 #: is declared divergent (a recursive OEM view can be genuinely
@@ -124,7 +150,8 @@ class _Operation:
     def __init__(self, insight: QueryInsight | None) -> None:
         self.warnings: list[SourceWarning] = []
         self.governor: QueryGovernor | None = None
-        self.program: LogicalDatamergeProgram | None = None
+        # (the shape's program, this call's constants): bound on demand
+        self.program: "tuple[LogicalDatamergeProgram, dict] | None" = None
         self.context: ExecutionContext | None = None
         # the EXPLAIN ANALYZE recorder, when this operation is one
         self.insight = insight
@@ -225,6 +252,8 @@ class Mediator(Source):
         self.fuse = fuse
         self.last_fusion: list[FusionDecision] = []
         self.profiler = Profiler()
+        # plan once, run many: what is remembered per query shape
+        self._plans = PlanCache()
 
         # semi-join shipping: batch-capable sources receive one value
         # filter per probe group and target per parameterized stage
@@ -326,7 +355,8 @@ class Mediator(Source):
         else:
             self.telemetry = Telemetry.disabled()
         self.telemetry.bind_dispatcher(self.dispatcher)
-        self.telemetry.bind_compile_cache(self._compile_cache)
+        self.telemetry.bind_compile_caches(self._compile_cache, sources)
+        self.telemetry.bind_plan_cache(self._plans)
         if self.resilience is not None:
             self.telemetry.bind_resilience(self.resilience)
         if self.admission is not None:
@@ -339,7 +369,7 @@ class Mediator(Source):
             if isinstance(condition, PatternCondition)
         )
 
-        self.last_program: LogicalDatamergeProgram | None = None
+        self._last_program: "tuple[LogicalDatamergeProgram, dict] | None" = None
         self.last_context: ExecutionContext | None = None
 
         if register:
@@ -388,25 +418,27 @@ class Mediator(Source):
         priority: int,
         insight: QueryInsight | None = None,
     ) -> tuple[list[OEMObject], list[SourceWarning]]:
-        query = self._parse_query(query)
-        with self._operation(str(query), tenant, priority, insight) as op:
-            if self._materialization_reason(query):
-                objects = self._answer_by_materialization(query)
+        shape, constants = self._shape_of(query)
+        # the root span's name is the query's text; nobody reads it
+        # with telemetry off
+        name = (
+            str(self._concrete(shape, constants))
+            if self.telemetry.enabled
+            else ""
+        )
+        with self._operation(name, tenant, priority, insight) as op:
+            if shape.materialize is not None:
+                objects = self._answer_by_materialization(
+                    self._concrete(shape, constants)
+                )
             else:
                 with self.telemetry.tracer.span(
                     "view-expansion", self.name
                 ) as span:
-                    program = self.expander.expand(query)
-                    op.program = program
-                    plan = self._fuse_plan(
-                        self.optimizer.plan_program(program)
-                    )
-                    span.set_attribute("rules", len(program))
-                if op.insight is not None:
-                    op.insight.attach_plan(plan)
-                objects = self.engine.execute_to_objects(
-                    plan, self._context()
-                )
+                    planned, params = self._planned(shape, constants)
+                    op.program = (planned.program, params)
+                    span.set_attribute("rules", len(planned.program))
+                objects = self._execute(planned, params, op)
                 if has_semantic_oids(objects):
                     objects = fuse_objects(objects)
             if op.governor is not None:
@@ -417,6 +449,198 @@ class Mediator(Source):
             if root is not None:
                 root.set_attribute("result_objects", len(objects))
             return objects, list(op.warnings)
+
+    def _execute(
+        self, planned: Planned, params: dict, op: _Operation
+    ) -> list[OEMObject]:
+        """Run a (remembered) plan with one call's constants bound."""
+        self.last_fusion = planned.decisions
+        if planned.fused[0]:
+            # the profile reports how much of each run ran fused
+            self.profiler.record_fusion(*planned.fused)
+        if op.insight is not None:
+            op.insight.attach_plan(planned.plan, params)
+        context = self._context()
+        context.params = params
+        return self.engine.execute_to_objects(planned.plan, context)
+
+    # -- shapes and plans --------------------------------------------------
+
+    def _shape_of(self, query: str | Rule) -> tuple[Shape, tuple]:
+        """``query`` as ``(its shape, its constants)``.
+
+        Raw lexer/parser/semantic exceptions never leak: syntax errors
+        surface as :class:`MediatorError` with the source position the
+        MSL layer reported, semantic problems with their explanation.
+
+        Text whose shape was seen before is not parsed: its skeleton
+        and literal values come from one regex scan
+        (:func:`repro.msl.lift.scan_shape`), which is also how the
+        tokenizer itself classifies them.  A rule is lifted and looked
+        up by its template.  A shape seen for the first time is checked
+        (the static checks read variables and structure only, so their
+        verdict holds for every query of the shape); a rejected query
+        remembers nothing.
+        """
+        # the Figure 3.6 walkthrough prints every node's query: a
+        # traced mediator plans each query as written
+        lifting = not self.engine.trace_enabled
+        if isinstance(query, str):
+            key, constants = scan_shape(query)
+            shape = self._plans.text_shape(key) if lifting else None
+            if shape is not None:
+                return shape, constants
+            try:
+                rule = parse_query(query)
+            except MSLSyntaxError as exc:
+                error = MediatorError(f"invalid MSL query: {exc}")
+                error.position = exc.position
+                error.line = exc.line
+                error.column = exc.column
+                raise error from exc
+            except MSLError as exc:
+                raise MediatorError(f"invalid MSL query: {exc}") from exc
+            shape, lifted = self._shape_of(rule)
+            if (
+                lifting
+                and lifted == constants
+                and text_shape_is_liftable(key)
+            ):
+                self._plans.store_text(key, shape)
+            return shape, lifted
+        template, constants = lift(query) if lifting else (query, ())
+        shape = self._plans.shape(template)
+        if shape is None:
+            try:
+                check_rule(query, is_query=True)
+            except MSLSemanticError as exc:
+                raise MediatorError(f"invalid MSL query: {exc}") from exc
+            shape = self._plans.store(
+                template,
+                Shape(
+                    template,
+                    len(constants),
+                    self._materialization_reason(template),
+                ),
+            )
+        return shape, constants
+
+    @staticmethod
+    def _concrete(shape: Shape, constants: tuple) -> Rule:
+        """The query a shape stands for under one call's constants."""
+        if not constants:
+            return shape.template
+        return substitute_params(
+            shape.template, dict(zip(shape.names, constants))
+        )
+
+    def _planned(
+        self, shape: Shape, constants: tuple = ()
+    ) -> tuple[Planned, dict]:
+        """The plan to run for ``shape`` and the constants to bind.
+
+        The one planning call site: ``answer``, ``query``, ``explain``,
+        ``explain_analyze`` and ``export`` all come through here.  A
+        remembered plan is reused while its stamp is current, the
+        sources it ships to still advertise the capabilities it was
+        split against, and the statistics it was costed with have not
+        drifted by more than the misestimate factor; otherwise the
+        shape is planned again (see :mod:`repro.mediator.plancache`).
+        A shape whose planning must read a constant is planned per
+        query, under the query as written.
+        """
+        plans = self._plans
+        if shape.per_query is not None:
+            concrete = self._concrete(shape, constants)
+            shape = plans.shape(concrete) or plans.store(
+                concrete, Shape(concrete, 0, None)
+            )
+            constants = ()
+        stamp = (
+            self.sources.generation,
+            self.statistics.generation,
+            self.externals.generation,
+            self.optimizer.strategy,
+            self.expander.push_mode,
+            self.semijoin,
+            self._fusion_active(),
+        )
+        planned = shape.planned
+        if planned is not None:
+            cause = self._invalid(planned, stamp)
+            if cause is None:
+                plans.count("hit")
+                return planned, dict(zip(shape.names, constants))
+            plans.count("replan", cause)
+        else:
+            plans.count("miss")
+        try:
+            planned = shape.planned = self._plan(shape.template, stamp)
+        except ValueDependent as exc:
+            shape.per_query = str(exc)
+            return self._planned(shape, constants)
+        except Exception:
+            if shape.names:
+                # let the error quote the query as written
+                self._plan(self._concrete(shape, constants), stamp)
+            raise
+        return planned, dict(zip(shape.names, constants))
+
+    def _invalid(self, planned: Planned, stamp: tuple) -> str | None:
+        """Why ``planned`` may not be reused (None when it may)."""
+        if planned.stamp != stamp:
+            for was, now, what in zip(
+                planned.stamp,
+                stamp,
+                (
+                    "a source was registered or deregistered",
+                    "statistics were sampled or restored, or a breaker"
+                    " changed state",
+                    "an external predicate was declared",
+                    "strategy was assigned",
+                    "push_mode was assigned",
+                    "semijoin was assigned",
+                    "fuse was assigned",
+                ),
+            ):
+                if was != now:
+                    return what
+        for source, capability in planned.capabilities:
+            now = source.capability
+            if now is not capability and now != capability:
+                return f"the capability of {source.name!r} changed"
+        return planned.drift(
+            self.statistics, self.misestimate_factor or _DRIFT_FACTOR
+        )
+
+    def _plan(self, template: "Rule | int", stamp: tuple) -> Planned:
+        """Expand, optimize and fuse: a query template, or (by index)
+        one rule of the specification for :meth:`export`."""
+        if isinstance(template, int):
+            program = None
+            rule = self.specification.rules[template]
+            plan = self.optimizer.plan_rule(LogicalRule(rule))
+            rules = (rule,)
+        else:
+            program = self.expander.expand(template)
+            plan = self.optimizer.plan_program(program)
+            rules = tuple(logical.rule for logical in program)
+        decisions: list[FusionDecision] = []
+        if self._fusion_active():
+            plan, decisions = fuse_plan(plan)
+        sources = {
+            condition.source: None
+            for rule in rules
+            for condition in rule.tail
+            if isinstance(condition, PatternCondition)
+        }
+        capabilities = tuple(
+            (source, source.capability)
+            for source in map(self.sources.resolve, sources)
+        )
+        return Planned(
+            program, plan, decisions, stamp, capabilities, self.statistics
+        )
 
     def _materialization_reason(self, query: Rule) -> str | None:
         """Why ``query`` bypasses the pipeline (None when it does not):
@@ -448,44 +672,19 @@ class Mediator(Source):
     def _fusion_active(self) -> bool:
         return self.fuse and not self.engine.trace_enabled
 
-    def _fuse_plan(self, plan):
-        """Apply operator fusion to a freshly planned physical graph.
-
-        A no-op with ``fuse=False`` or in trace mode (the trace replay
-        needs one table per operator).  The per-chain decisions are
-        kept for ``explain``/introspection, and fused-chain counts are
-        folded into the profiler so the profile section reports how
-        much of the plan ran fused.
-        """
-        if not self._fusion_active():
-            return plan
-        plan, decisions = fuse_plan(plan)
-        self.last_fusion = decisions
-        fused_chains = [d for d in decisions if d.fused]
-        if fused_chains:
-            self.profiler.record_fusion(
-                len(fused_chains),
-                sum(len(d.nodes) for d in fused_chains),
-            )
-        return plan
-
     def export(self) -> Sequence[OEMObject]:
         """Materialize the whole view (all rules, no conditions)."""
         with self._operation(f"export {self.name}") as op:
-            context = self._context()
             if self.is_recursive:
-                results = self._fixpoint_materialize(context)
+                results = self._fixpoint_materialize(self._context())
             else:
                 results = []
-                for rule in self.specification.rules:
-                    plan = self._fuse_plan(
-                        self.optimizer.plan_rule(LogicalRule(rule))
+                for index in range(len(self.specification.rules)):
+                    shape = self._plans.shape(index) or self._plans.store(
+                        index, Shape(index, 0, None)
                     )
-                    if op.insight is not None:
-                        op.insight.attach_plan(plan)
-                    results.extend(
-                        self.engine.execute_to_objects(plan, context)
-                    )
+                    planned, params = self._planned(shape)
+                    results.extend(self._execute(planned, params, op))
                 results = eliminate_duplicates(results)
                 if has_semantic_oids(results):
                     results = fuse_objects(results)
@@ -526,34 +725,6 @@ class Mediator(Source):
         """This thread's active operation (None between operations)."""
         return getattr(self._ops, "current", None)
 
-    # -- query admission ---------------------------------------------------
-
-    def _parse_query(self, query: str | Rule) -> Rule:
-        """Parse and statically check ``query``, raising MediatorError.
-
-        Raw lexer/parser/semantic exceptions never leak: syntax errors
-        surface as :class:`MediatorError` with the source position the
-        MSL layer reported, semantic problems with their explanation.
-        """
-        if isinstance(query, str):
-            from repro.msl.parser import parse_query
-
-            try:
-                query = parse_query(query)
-            except MSLSyntaxError as exc:
-                error = MediatorError(f"invalid MSL query: {exc}")
-                error.position = exc.position
-                error.line = exc.line
-                error.column = exc.column
-                raise error from exc
-            except MSLError as exc:
-                raise MediatorError(f"invalid MSL query: {exc}") from exc
-        try:
-            check_rule(query, is_query=True)
-        except MSLSemanticError as exc:
-            raise MediatorError(f"invalid MSL query: {exc}") from exc
-        return query
-
     # -- introspection -----------------------------------------------------
 
     def explain_analyze(
@@ -575,7 +746,7 @@ class Mediator(Source):
         observation-only: the answer is bit-for-bit the one
         :meth:`answer` returns.
         """
-        parsed = self._parse_query(query)
+        parsed = self._concrete(*self._shape_of(query))
         insight = QueryInsight()
         started = perf_counter()
         objects, op_warnings = self._run_query(
@@ -588,6 +759,15 @@ class Mediator(Source):
             warnings=op_warnings,
             seconds=perf_counter() - started,
         )
+
+    @property
+    def last_program(self) -> LogicalDatamergeProgram | None:
+        """The logical datamerge program of the last query the pipeline
+        answered, with that query's constants in it."""
+        if self._last_program is None:
+            return None
+        program, params = self._last_program
+        return program.bound(params)
 
     def statistics_snapshot(self) -> dict:
         """The statistics database as a JSON-serialisable dict.
@@ -637,36 +817,34 @@ class Mediator(Source):
         ``-- resilience --`` section reports the policy and the current
         per-source health, including breaker states.
         """
-        query = self._parse_query(query)
-        reason = self._materialization_reason(query)
-        if reason is not None:
-            planned = []
+        shape, constants = self._shape_of(query)
+        operators: list = []
+        if shape.materialize is not None:
             text = (
                 "-- answered by materialization --\n"
-                f"{reason}: the view is exported (recursive rules to a"
-                " fixpoint over whole-source exports) and the query is"
-                " matched against it; no datamerge graph is run"
+                f"{shape.materialize}: the view is exported (recursive"
+                " rules to a fixpoint over whole-source exports) and the"
+                " query is matched against it; no datamerge graph is run"
             )
         else:
-            program = self.expander.expand(query)
-            plan = self.optimizer.plan_program(program)
-            planned = plan.nodes()
+            # the plan a call of this query runs, shown with the call's
+            # constants where the remembered template has placeholders
+            planned, params = self._planned(shape, constants)
+            program = planned.program.bound(params)
+            operators = plan_operators(planned.plan)
             text = (
                 f"-- logical datamerge program ({len(program)} rule(s)) --\n"
                 f"{program}\n\n"
                 f"-- physical datamerge graph --\n"
-                f"{plan.describe()}"
+                f"{describe_operators(planned.plan, params)}"
             )
-        if planned and self._fusion_active():
-            # fuse a fresh copy of the plan: fuse_plan rewires node
-            # inputs in place, and the unfused graph above should show
-            # the optimizer's output
-            fused, decisions = fuse_plan(
-                self.optimizer.plan_program(program)
-            )
-            lines = [fused.describe(), "", "decisions:"]
-            lines.extend(f"  {decision.render()}" for decision in decisions)
-            text += "\n\n-- operator fusion --\n" + "\n".join(lines)
+            if operators and self._fusion_active():
+                lines = [planned.plan.describe(params), "", "decisions:"]
+                lines.extend(
+                    f"  {decision.render(params)}"
+                    for decision in planned.decisions
+                )
+                text += "\n\n-- operator fusion --\n" + "\n".join(lines)
         if self.resilience is not None or self.on_source_failure != "fail":
             lines = [f"mode: on_source_failure={self.on_source_failure}"]
             if self.resilience is not None:
@@ -682,7 +860,7 @@ class Mediator(Source):
         batched = sum(
             isinstance(node, ParameterizedQueryNode)
             and node.batch_query is not None
-            for node in planned
+            for node in operators
         )
         if sharded or batched or not self.semijoin:
             lines = [
@@ -700,12 +878,31 @@ class Mediator(Source):
         if self.admission is not None:
             text += "\n\n-- serving --\n" + self.admission.describe()
         stats = self._compile_cache.stats()
+        plans = self._plans.stats()
+        if shape.materialize is not None:
+            reuse = "no plan (answered by materialization)"
+        elif shape.per_query is not None:
+            reuse = f"planned per query ({shape.per_query})"
+        else:
+            reuse = (
+                "shape reusable"
+                f" ({len(shape.names)} constant(s) bound per call)"
+            )
         lines = [
+            f"plan cache: {reuse}; {plans['hits']} hit(s),"
+            f" {plans['misses']} miss(es), {plans['replans']} re-plan(s),"
+            f" {plans['entries']} shape(s); last invalidation:"
+            f" {self._plans.last_invalidation or 'none'}",
             f"compile cache: {stats['rules']} rule(s),"
             f" {stats['patterns']} pattern(s),"
             f" {stats['hits']} hit(s), {stats['misses']} miss(es)",
-            self.profiler.render(),
         ]
+        lines.extend(
+            f"compile cache of {name}: {held['rules']} rule(s),"
+            f" {held['hits']} hit(s), {held['misses']} miss(es)"
+            for name, held in self.sources.compile_cache_stats()
+        )
+        lines.append(self.profiler.render())
         text += "\n\n-- profile --\n" + "\n".join(lines)
         snapshot = self.statistics.snapshot_dict()
         if snapshot["labels"] or snapshot["source_costs"]:
@@ -883,7 +1080,7 @@ class Mediator(Source):
                 self.last_warnings = op.warnings
                 self.last_governor = op.governor
                 if op.program is not None:
-                    self.last_program = op.program
+                    self._last_program = op.program
                 if op.context is not None:
                     self.telemetry.record_run(op.context)
                     self.last_context = op.context

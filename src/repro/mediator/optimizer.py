@@ -73,6 +73,7 @@ from repro.msl.ast import (
     VarItem,
 )
 from repro.msl.errors import MSLSemanticError
+from repro.msl.lift import ValueDependent
 from repro.msl.substitute import pattern_variables, term_variables
 from repro.wrappers.registry import SourceRegistry
 from repro.wrappers.sharding import ShardedSource
@@ -310,7 +311,12 @@ class CostBasedOptimizer:
         resolved = self.sources.resolve(source_name)
         if isinstance(resolved, ShardedSource):
             names, pruned = resolved.prune_for_pattern(relaxed)
-            return ShardedQueryNode(source_name, names, query, pruned)
+            # a lifted constant on the partition label prunes when the
+            # template is bound, not here
+            routed = relaxed if resolved.routing_params(relaxed) else None
+            return ShardedQueryNode(
+                source_name, names, query, pruned, routed
+            )
         return QueryNode(source_name, query)
 
     def _shippable_comparisons(
@@ -509,6 +515,11 @@ class CostBasedOptimizer:
         }
         resolved = self.sources.resolve(source_name)
         if isinstance(resolved, ShardedSource):
+            if resolved.routing_params(relaxed):
+                raise ValueDependent(
+                    f"the shards of {source_name!r} a bind join probes"
+                    " are pruned by a constant of the query"
+                )
             names, _ = resolved.prune_for_pattern(relaxed)
             spec["shard_names"] = names
             spec["partition"] = resolved.partition
@@ -616,7 +627,7 @@ class CostBasedOptimizer:
         from repro.external.registry import ExternalFunctionError
 
         availability = [
-            isinstance(arg, Const)
+            isinstance(arg, (Const, Param))
             or (
                 isinstance(arg, Var)
                 and not arg.is_anonymous

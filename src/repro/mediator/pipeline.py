@@ -48,7 +48,7 @@ objects that share a semantic oid).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.mediator.engine import run_node
@@ -72,7 +72,9 @@ __all__ = [
     "FUSIBLE_TYPES",
     "FusedPipelineNode",
     "FusionDecision",
+    "describe_operators",
     "fuse_plan",
+    "plan_operators",
 ]
 
 #: The straight-line operator types a chain may contain.  Everything
@@ -93,10 +95,17 @@ class FusionDecision:
     fused: bool
     nodes: tuple[str, ...]
     reason: str
+    #: the operators ``nodes`` describes
+    members: tuple[PlanNode, ...] = field(
+        default=(), compare=False, repr=False
+    )
 
-    def render(self) -> str:
+    def render(self, params=None) -> str:
         mark = "+" if self.fused else "-"
-        return f"{mark} {self.reason}: {' => '.join(self.nodes)}"
+        nodes = self.nodes
+        if params:
+            nodes = tuple(node.describe(params) for node in self.members)
+        return f"{mark} {self.reason}: {' => '.join(nodes)}"
 
 
 class FusedPipelineNode(PlanNode):
@@ -116,8 +125,8 @@ class FusedPipelineNode(PlanNode):
     def fusion_width(self) -> int:  # type: ignore[override]
         return len(self.nodes)
 
-    def describe(self) -> str:
-        inner = " => ".join(node.describe() for node in self.nodes)
+    def describe(self, params=None) -> str:
+        inner = " => ".join(node.describe(params) for node in self.nodes)
         return f"pipeline [{inner}]"
 
     def execute(
@@ -218,6 +227,7 @@ def fuse_plan(
                     fused=True,
                     nodes=tuple(member.describe() for member in chain),
                     reason=f"fused {len(chain)}-operator chain",
+                    members=tuple(chain),
                 )
             )
         else:
@@ -226,6 +236,7 @@ def fuse_plan(
                     fused=False,
                     nodes=(chain[0].describe(),),
                     reason=_keep_reason(chain[0], consumers),
+                    members=tuple(chain),
                 )
             )
     if not fused_nodes:
@@ -243,3 +254,34 @@ def fuse_plan(
         )
     root = replacement.get(id(plan.root), plan.root)
     return PhysicalPlan(root), decisions
+
+
+# -- a fused plan, operator by operator ------------------------------------
+
+
+def plan_operators(plan: PhysicalPlan) -> list[PlanNode]:
+    """Every operator of ``plan`` in bottom-up order, the constituents
+    of its pipelines in place of the pipeline nodes."""
+    return [
+        operator
+        for node in plan.nodes()
+        for operator in getattr(node, "nodes", (node,))
+    ]
+
+
+def describe_operators(plan: PhysicalPlan, params=None) -> str:
+    """:meth:`PhysicalPlan.describe` of the plan ``plan`` was fused
+    from: one numbered line per operator, each chain written out."""
+    last: dict[int, int] = {}  # plan node -> number of its last operator
+    lines: list[str] = []
+    for node in plan.nodes():
+        refs = [last[id(child)] for child in node.inputs]
+        for operator in getattr(node, "nodes", (node,)):
+            number = len(lines) + 1
+            suffix = (
+                f"  <- [{', '.join(map(str, refs))}]" if refs else ""
+            )
+            lines.append(f"[{number}] {operator.describe(params)}{suffix}")
+            refs = [number]
+        last[id(node)] = number
+    return "\n".join(lines)

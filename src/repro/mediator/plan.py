@@ -22,6 +22,16 @@ Each node consumes the tables of its input nodes and produces one
 table; the engine (:mod:`repro.mediator.engine`) runs the graph
 bottom-up and can record every intermediate table, which is how the
 test-suite and benchmarks replay Figure 3.6 row for row.
+
+A plan may be the plan of a query *template*
+(:mod:`repro.msl.lift`): its nodes then hold ``$#0``-style placeholders
+where the query had constants, and every node that meets one reads the
+running call's value from ``context.params`` — the same substitution
+Section 3.4's parameterized query does per input tuple.  Such a plan
+is shared by every call, and every thread, running its shape: nothing
+on a node is assigned while it executes (the constructor's per-layout
+builder memo, whose value is a function of the node alone, is the one
+thing a node remembers).
 """
 
 from __future__ import annotations
@@ -42,19 +52,21 @@ from repro.msl.ast import (
     Const,
     ExternalCall,
     HeadItem,
+    Param,
     Pattern,
-    PatternCondition,
     Rule,
     Var,
 )
 from repro.msl.bindings import Bindings, values_equal
 from repro.msl.compile import compile_head_item, run_row_extractor
-from repro.msl.errors import MSLSemanticError
+from repro.msl.errors import MSLInstantiationError, MSLSemanticError
 from repro.msl.evaluate import compare_values
 from repro.msl.substitute import (
     head_variables,
     instantiate_head_item,
-    instantiate_params_in_pattern,
+    pattern_params,
+    rule_params,
+    substitute_params,
 )
 from repro.oem.compare import eliminate_duplicates
 from repro.oem.model import OEMObject
@@ -124,11 +136,17 @@ class PlanNode(abc.ABC):
         """Produce this node's output table from its input tables."""
 
     @abc.abstractmethod
-    def describe(self) -> str:
-        """A one-line description for plan displays."""
+    def describe(self, params: "Mapping[str, object] | None" = None) -> str:
+        """A one-line description for plan displays (a template's
+        placeholders filled from ``params`` when given)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.describe()})"
+
+
+def _shown(node, params):
+    """``node`` as a plan display prints it: placeholders filled."""
+    return substitute_params(node, params, partial=True) if params else node
 
 
 class RowSink:
@@ -199,19 +217,30 @@ class QueryNode(PlanNode):
         super().__init__(())
         self.source = source
         self.query = query
+        self.templated = bool(rule_params(query))
 
     def execute(
         self, inputs: list[BindingTable], context: "ExecutionContext"
     ) -> BindingTable:
-        objects = context.send_query(self.source, self.query)
+        objects = context.send_query(
+            self.source, _bound_query(self, context)
+        )
         return BindingTable(
             (OBJECT_COLUMN,),
             ([obj] for obj in objects),
             governor=context.governor,
         )
 
-    def describe(self) -> str:
-        return f"query {self.source}: {self.query}"
+    def describe(self, params=None) -> str:
+        return f"query {self.source}: {_shown(self.query, params)}"
+
+
+def _bound_query(node, context: "ExecutionContext") -> Rule:
+    """The concrete rule a leaf ships: its query with this call's
+    constants in place (a source never sees a lifted placeholder)."""
+    if node.templated and context.params:
+        return substitute_params(node.query, context.params, partial=True)
+    return node.query
 
 
 def _fan_queries(context, pairs):
@@ -262,31 +291,41 @@ class ShardedQueryNode(PlanNode):
         shard_names: Sequence[str],
         query: Rule,
         pruned: int = 0,
+        routed: Pattern | None = None,
     ) -> None:
         super().__init__(())
         self.source = source
         self.shard_names = tuple(shard_names)
         self.query = query
         self.pruned = pruned
+        self.templated = bool(rule_params(query))
+        # the shipped pattern, when a placeholder sits on the partition
+        # label: the shards are then pruned per call, by its value
+        self.routed = routed
 
     def execute(
         self, inputs: list[BindingTable], context: "ExecutionContext"
     ) -> BindingTable:
-        context.record_shard_fanout(len(self.shard_names), self.pruned)
-        answers = _fan_queries(
-            context, [(name, self.query) for name in self.shard_names]
-        )
+        names, pruned = self.shard_names, self.pruned
+        if self.routed is not None and context.params:
+            names, pruned = context.sources.resolve(
+                self.source
+            ).prune_for_pattern(self.routed, context.params)
+        context.record_shard_fanout(len(names), pruned)
+        query = _bound_query(self, context)
+        answers = _fan_queries(context, [(name, query) for name in names])
         return BindingTable(
             (OBJECT_COLUMN,),
             ([obj] for answer in answers for obj in answer or ()),
             governor=context.governor,
         )
 
-    def describe(self) -> str:
+    def describe(self, params=None) -> str:
         total = len(self.shard_names) + self.pruned
         return (
             f"sharded-query {self.source}"
-            f" [{len(self.shard_names)}/{total} shards]: {self.query}"
+            f" [{len(self.shard_names)}/{total} shards]:"
+            f" {_shown(self.query, params)}"
         )
 
 
@@ -347,7 +386,7 @@ class ExtractorNode(RowOperatorNode):
             event.end()
         return out
 
-    def describe(self) -> str:
+    def describe(self, params=None) -> str:
         return f"extract {', '.join(self.variables)} via {self.pattern}"
 
 
@@ -360,13 +399,16 @@ class ExternalPredNode(RowOperatorNode):
         self.call = call
 
     def plan_call(
-        self, positions: Mapping[str, int]
+        self,
+        positions: Mapping[str, int],
+        params: Mapping[str, object] | None = None,
     ) -> tuple[list[str], list[tuple[str, object]]]:
         """``(out_vars, argument specs)`` for one input schema.
 
         The argument plan is fixed before the hot loop, over raw row
         tuples: ``('const', value) | ('col', row position) |
-        ('out', out index) | ('skip', None)``.
+        ('out', out index) | ('skip', None)``.  A placeholder with a
+        value in ``params`` is that constant.
         """
         out_vars: list[str] = []
         for arg in self.call.args:
@@ -381,6 +423,8 @@ class ExternalPredNode(RowOperatorNode):
         for arg in self.call.args:
             if isinstance(arg, Const):
                 specs.append(("const", arg.value))
+            elif isinstance(arg, Param) and params and arg.name in params:
+                specs.append(("const", params[arg.name]))
             elif (
                 isinstance(arg, Var)
                 and not arg.is_anonymous
@@ -454,7 +498,7 @@ class ExternalPredNode(RowOperatorNode):
     def run_rows(self, source, context: "ExecutionContext", make_out):
         rows = source.rows
         positions = {name: i for i, name in enumerate(source.columns)}
-        out_vars, specs = self.plan_call(positions)
+        out_vars, specs = self.plan_call(positions, context.params)
         expand = self.expander(specs, out_vars, context)
         add, out = make_out(
             source.columns + tuple(out_vars), context.governor
@@ -475,8 +519,8 @@ class ExternalPredNode(RowOperatorNode):
             event.end()
         return out
 
-    def describe(self) -> str:
-        return f"external {self.call}"
+    def describe(self, params=None) -> str:
+        return f"external {_shown(self.call, params)}"
 
 
 class ParameterizedQueryNode(RowOperatorNode):
@@ -527,23 +571,16 @@ class ParameterizedQueryNode(RowOperatorNode):
         )
 
     def _instantiate_with(
-        self, params: Mapping[str, object], template: Rule | None = None
+        self,
+        params: Mapping[str, object],
+        template: Rule | None = None,
+        lifted: Mapping[str, object] | None = None,
     ) -> Rule:
-        template = template or self.template
-        tail = []
-        for condition in template.tail:
-            if isinstance(condition, PatternCondition):
-                tail.append(
-                    PatternCondition(
-                        instantiate_params_in_pattern(
-                            condition.pattern, params
-                        ),
-                        condition.source,
-                    )
-                )
-            else:
-                tail.append(condition)
-        return Rule(template.head, tuple(tail))
+        """``template`` with ``params`` — one tuple's values — filled
+        in, over the ``lifted`` constants of the running call."""
+        if lifted:
+            params = {**lifted, **params}
+        return substitute_params(template or self.template, params)
 
     def run_rows(self, source, context: "ExecutionContext", make_out):
         """Probe once per distinct input tuple (or once per batch).
@@ -580,7 +617,8 @@ class ParameterizedQueryNode(RowOperatorNode):
         row_query: list[int] = []
         for row in rows:
             query = self._instantiate_with(
-                {name: row[p] for name, p in param_positions}
+                {name: row[p] for name, p in param_positions},
+                lifted=context.params,
             )
             text = str(query)
             position = index_of.get(text)
@@ -675,8 +713,12 @@ class ParameterizedQueryNode(RowOperatorNode):
             if grouping:
                 first = next(iter(probes.values()))
                 rule = self._instantiate_with(
-                    {params[at]: first[at] for at in grouping}, rule
+                    {params[at]: first[at] for at in grouping},
+                    rule,
+                    context.params,
                 )
+            elif context.params:
+                rule = substitute_params(rule, context.params, partial=True)
             for name, members in routed.items():
                 if not members:
                     continue
@@ -716,10 +758,10 @@ class ParameterizedQueryNode(RowOperatorNode):
             for obj in matched[group_key][filter_key]:
                 add(row + (obj,))
         if context.statistics is not None and len(sink) == warned:
-            self._feed_statistics(context.statistics, params, groups, matched)
+            self._feed_statistics(context, params, groups, matched)
         return True
 
-    def _feed_statistics(self, statistics, params, groups, matched) -> None:
+    def _feed_statistics(self, context, params, groups, matched) -> None:
         """One cardinality observation per shipped group.
 
         A batch answer spans many probes, so the engine's per-call
@@ -731,14 +773,16 @@ class ParameterizedQueryNode(RowOperatorNode):
         for group_key, probes in groups.items():
             objects = sum(len(found) for found in matched[group_key].values())
             probe = self._instantiate_with(
-                dict(zip(params, next(iter(probes.values()))))
+                dict(zip(params, next(iter(probes.values())))),
+                lifted=context.params,
             )
             for condition in probe.pattern_conditions():
-                statistics.record(
+                context.statistics.record(
                     self.source, condition.pattern, objects / len(probes)
                 )
 
-    def describe(self) -> str:
+    def describe(self, params=None) -> str:
+        template = _shown(self.template, params)
         params = ", ".join(
             f"${name}<-{column}" for name, column in self.param_columns.items()
         )
@@ -755,19 +799,25 @@ class ParameterizedQueryNode(RowOperatorNode):
             if self.shard_names:
                 mode += f" x{len(self.shard_names)} shards"
             mode += ")"
-        return f"param-query {self.source}{mode} [{params}]: {self.template}"
+        return f"param-query {self.source}{mode} [{params}]: {template}"
 
 
 def build_comparison_keep(
-    comparison: Comparison, positions: Mapping[str, int]
+    comparison: Comparison,
+    positions: Mapping[str, int],
+    params: Mapping[str, object] | None = None,
 ):
-    """Positional keep-predicate for one comparison over raw row tuples."""
+    """Positional keep-predicate for one comparison over raw row tuples
+    (a placeholder operand reads its constant from ``params``)."""
 
     def accessor(term):
         # positional mirror of term_value over the row's variable
         # columns (the carrier columns are never comparison operands)
         if isinstance(term, Const):
             value = term.value
+            return lambda row, _v=value: (True, _v)
+        if isinstance(term, Param) and params and term.name in params:
+            value = params[term.name]
             return lambda row, _v=value: (True, _v)
         if (
             isinstance(term, Var)
@@ -788,7 +838,8 @@ def build_comparison_keep(
         right_ok, right_value = right(row)
         if not (left_ok and right_ok):
             raise MSLSemanticError(
-                f"comparison {comparison} evaluated with unbound operand"
+                f"comparison {_shown(comparison, params)} evaluated with"
+                " unbound operand"
             )
         return compare_values(op, left_value, right_value)
 
@@ -804,15 +855,17 @@ class FilterNode(RowOperatorNode):
 
     def run_rows(self, source, context: "ExecutionContext", make_out):
         positions = {name: i for i, name in enumerate(source.columns)}
-        keep = build_comparison_keep(self.comparison, positions)
+        keep = build_comparison_keep(
+            self.comparison, positions, context.params
+        )
         add, out = make_out(source.columns, context.governor)
         for row in source.rows:
             if keep(row):
                 add(row)
         return out
 
-    def describe(self) -> str:
-        return f"filter {self.comparison}"
+    def describe(self, params=None) -> str:
+        return f"filter {_shown(self.comparison, params)}"
 
 
 class JoinNode(PlanNode):
@@ -827,7 +880,7 @@ class JoinNode(PlanNode):
         left, right = inputs
         return left.natural_join(right)
 
-    def describe(self) -> str:
+    def describe(self, params=None) -> str:
         return "join"
 
 
@@ -846,7 +899,7 @@ class DedupNode(PlanNode):
         (table,) = inputs
         return table.distinct(self.columns)
 
-    def describe(self) -> str:
+    def describe(self, params=None) -> str:
         return "dedup" + (
             f" on {', '.join(self.columns)}" if self.columns else ""
         )
@@ -874,6 +927,17 @@ class ConstructorNode(RowOperatorNode):
         self.head = tuple(head)
         self.deduplicate = deduplicate
         self._needed = sorted(head_variables(self.head))
+        # the lifted constants the head mentions, in a fixed order: each
+        # call's values ride behind a row's variables, in columns named
+        # as the placeholders print
+        self._params: tuple[str, ...] = tuple(
+            dict.fromkeys(
+                name
+                for item in self.head
+                if isinstance(item, Pattern)
+                for name in pattern_params(item)
+            )
+        )
         # compiled head builders per projected column layout
         self._builders: dict[tuple[str, ...], tuple | None] = {}
 
@@ -900,10 +964,22 @@ class ConstructorNode(RowOperatorNode):
             projected = distinct
         objects: list[OEMObject] = []
         oidgen = context.oidgen
+        constants: tuple = ()
+        if self._params:
+            frame = context.params
+            missing = [name for name in self._params if name not in frame]
+            if missing:
+                raise MSLInstantiationError(
+                    f"no value supplied for parameter ${missing[0]}"
+                )
+            constants = tuple(frame[name] for name in self._params)
+            available += tuple(f"${name}" for name in self._params)
         builders = self._head_builders(available)
         for row in projected.rows:
             if governor is not None and not governor.charge_result_object():
                 break  # truncate mode: stop constructing, keep the run
+            if constants:
+                row += constants
             if builders is not None:
                 # compiled head instantiation: slot-layout closures read
                 # the projected rows positionally (see compile_head_item)
@@ -936,8 +1012,9 @@ class ConstructorNode(RowOperatorNode):
             )
         return self._builders[available]
 
-    def describe(self) -> str:
-        return f"construct {' '.join(str(h) for h in self.head)}"
+    def describe(self, params=None) -> str:
+        head = _shown(self.head, params)
+        return f"construct {' '.join(str(h) for h in head)}"
 
 
 class UnionNode(PlanNode):
@@ -970,7 +1047,7 @@ class UnionNode(PlanNode):
             result = result.distinct()
         return result
 
-    def describe(self) -> str:
+    def describe(self, params=None) -> str:
         return f"union of {len(self.inputs)}"
 
 
@@ -1055,15 +1132,16 @@ class PhysicalPlan:
         self._stages = [group for _, group in self._stage_starts]
         self._depth = max(end.values())
 
-    def describe(self) -> str:
-        """A numbered, indented description of the whole graph."""
+    def describe(self, params: Mapping[str, object] | None = None) -> str:
+        """A numbered, indented description of the whole graph (of a
+        template's plan as it runs under ``params``, when given)."""
         numbers = {id(node): i for i, node in enumerate(self.nodes(), 1)}
         lines = []
         for node in self.nodes():
             refs = ", ".join(str(numbers[id(c)]) for c in node.inputs)
             prefix = f"[{numbers[id(node)]}]"
             suffix = f"  <- [{refs}]" if refs else ""
-            lines.append(f"{prefix} {node.describe()}{suffix}")
+            lines.append(f"{prefix} {node.describe(params)}{suffix}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:

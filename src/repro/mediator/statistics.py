@@ -21,7 +21,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.msl.ast import Const, Pattern, PatternItem, SetPattern
+from repro.msl.ast import Const, Param, Pattern, PatternItem, SetPattern
+from repro.msl.lift import ValueDependent
 
 __all__ = [
     "SourceStatistics",
@@ -147,6 +148,13 @@ class SourceStatistics:
     _value_stats: dict[tuple[str, str, str, object], _LabelStats] = field(
         default_factory=dict
     )
+    # the (source, label, child) triples _value_stats has any value for
+    _sampled_children: set[tuple[str, str, str]] = field(default_factory=set)
+    #: Bumped by whatever changes the statistics other than by one more
+    #: observation — sampling, a restore, a clear, a breaker changing
+    #: state: a plan made before it is planned again (observations
+    #: drift; see ``Mediator``'s plan cache for how far they may).
+    generation: int = 0
     _source_costs: dict[str, _SourceCost] = field(default_factory=dict)
     _qerrors: dict[tuple[str, str, str], _QErrorWindow] = field(
         default_factory=dict
@@ -202,6 +210,8 @@ class SourceStatistics:
             return
         with self._lock:
             entry = self._source_costs.setdefault(source, _SourceCost())
+            if breaker_state not in (None, entry.breaker_state):
+                self.generation += 1
             entry.observe(latency, breaker_state)
 
     def cost_weight(self, source: str) -> float:
@@ -284,6 +294,8 @@ class SourceStatistics:
                     (name, label, child, value), _LabelStats()
                 )
                 entry.observe(int(count * scale))
+                self._sampled_children.add((name, label, child))
+            self.generation += 1
         return len(examined)
 
     def value_selectivity(
@@ -329,7 +341,20 @@ class SourceStatistics:
         estimate = base
         accounted = 0
         for child, value in constant_child_conditions(pattern):
-            estimate *= self.value_selectivity(source, label, child, value)
+            if value.__class__ is Param:
+                # a lifted constant: the default selectivity is what
+                # every value gets unless this child was sampled, and
+                # then the estimate is the value's own
+                if (source, label, child) in self._sampled_children:
+                    raise ValueDependent(
+                        f"sampled value statistics exist for"
+                        f" {source}/{label}/{child}"
+                    )
+                estimate *= self.selectivity
+            else:
+                estimate *= self.value_selectivity(
+                    source, label, child, value
+                )
             accounted += 1
         # remaining conditions (oid constants, top-level value constants)
         remaining = count_constant_conditions(pattern) - accounted
@@ -371,8 +396,10 @@ class SourceStatistics:
         with self._lock:
             self._stats.clear()
             self._value_stats.clear()
+            self._sampled_children.clear()
             self._source_costs.clear()
             self._qerrors.clear()
+            self.generation += 1
 
     # -- persistence ----------------------------------------------------------
 
@@ -455,38 +482,38 @@ class SourceStatistics:
                     average=float(row["average"]),
                     observations=int(row["observations"]),
                 )
+                self._sampled_children.add(key[:3])
             for row in snapshot.get("source_costs", ()):
                 self._source_costs[str(row["source"])] = _SourceCost(
                     latency=float(row["latency"]),
                     breaker_state=str(row["breaker_state"]),
                     observations=int(row["observations"]),
                 )
+            self.generation += 1
 
 
 def constant_child_conditions(
     pattern: Pattern,
 ) -> list[tuple[str, object]]:
     """(child label, constant value) filters of a pattern's direct items
-    (including rest conditions)."""
+    (including rest conditions).  A lifted constant of a query template
+    is a filter too; it is listed as its :class:`Param`."""
     found: list[tuple[str, object]] = []
     value = pattern.value
     if isinstance(value, SetPattern):
-        items = list(value.items)
-        conditions = (
-            list(value.rest.conditions) if value.rest is not None else []
-        )
-        for item in items:
-            if isinstance(item, PatternItem) and not item.descendant:
-                p = item.pattern
-                if isinstance(p.label, Const) and isinstance(p.value, Const):
+        children = [
+            item.pattern
+            for item in value.items
+            if isinstance(item, PatternItem) and not item.descendant
+        ]
+        if value.rest is not None:
+            children.extend(value.rest.conditions)
+        for p in children:
+            if isinstance(p.label, Const):
+                if isinstance(p.value, Const):
                     found.append((str(p.label.value), p.value.value))
-        for condition in conditions:
-            if isinstance(condition.label, Const) and isinstance(
-                condition.value, Const
-            ):
-                found.append(
-                    (str(condition.label.value), condition.value.value)
-                )
+                elif isinstance(p.value, Param):
+                    found.append((str(p.label.value), p.value))
     return found
 
 
@@ -516,8 +543,8 @@ def count_constant_conditions(pattern: Pattern) -> int:
 def _value_constants(p: Pattern) -> int:
     count = 1 if isinstance(p.oid, Const) else 0
     value = p.value
-    if isinstance(value, Const):
-        return count + 1
+    if isinstance(value, (Const, Param)):
+        return count + 1  # a parameter is some constant
     if isinstance(value, SetPattern):
         for item in value.items:
             if isinstance(item, PatternItem):

@@ -28,6 +28,7 @@ from typing import Iterator, Union
 
 from repro.msl.ast import (
     Const,
+    Param,
     Pattern,
     PatternItem,
     RestSpec,
@@ -38,6 +39,7 @@ from repro.msl.ast import (
     VarItem,
 )
 from repro.msl.errors import MSLSemanticError
+from repro.msl.lift import ValueDependent
 
 __all__ = ["Unifier", "unify_with_head", "apply_mapping_to_pattern"]
 
@@ -72,10 +74,18 @@ class Unifier:
             if resolved_old == resolved_new:
                 return self
             # two constants that disagree: dead end; two variables (or a
-            # variable and a constant): unify them transitively
-            if isinstance(resolved_old, Const) and isinstance(
-                resolved_new, Const
+            # variable and a constant): unify them transitively.  Two
+            # lifted parameters are two different constants (equal ones
+            # lift to one parameter); a parameter against a constant is
+            # a question only the parameter's value answers
+            if isinstance(resolved_old, (Const, Param)) and isinstance(
+                resolved_new, (Const, Param)
             ):
+                if not (
+                    isinstance(resolved_old, Const)
+                    and isinstance(resolved_new, Const)
+                ):
+                    _disagree(resolved_old, resolved_new)
                 return None
             if isinstance(resolved_old, Var):
                 updated = self.copy()
@@ -186,10 +196,19 @@ class Unifier:
 
 
 def _apply_term(term: Term | None, unifier: Unifier) -> Term | None:
+    """Resolve a label, type or oid slot.  These are structure — what
+    plans, statistics and capabilities are keyed by — so a variable
+    there may not resolve to a lifted constant of the query."""
     if term is None:
         return None
     if isinstance(term, (Var, SemOidTerm)):
-        return unifier.resolve(term)
+        resolved = unifier.resolve(term)
+        if isinstance(resolved, Param):
+            raise ValueDependent(
+                f"a constant of the query fills a label, type or oid"
+                f" slot of the view ({term} resolves to {resolved})"
+            )
+        return resolved
     return term
 
 
@@ -278,6 +297,21 @@ def _apply_to_definition(definition: Definition, unifier: Unifier) -> Definition
 # ---------------------------------------------------------------------------
 # unification of a query pattern with a rule head pattern
 # ---------------------------------------------------------------------------
+
+
+def _disagree(left: Term, right: Term) -> None:
+    """Two distinct terms, at least one a lifted parameter, meet where
+    two constants would be compared.  Two parameters stand for two
+    different constants and simply fail to unify; a parameter meeting
+    a constant of the specification unifies or not by its *value*, which
+    a template does not have."""
+    if isinstance(left, Param) and isinstance(right, Param):
+        return
+    raise ValueDependent(
+        f"a constant of the query ({left} against {right}) meets a"
+        " constant of the specification during unification"
+    )
+
 
 
 def _unify_slot(
@@ -373,8 +407,10 @@ def _unify_pattern(
     q_value = query.value
     h_value = head.value
 
-    if isinstance(q_value, Const):
+    if isinstance(q_value, (Const, Param)):
         if isinstance(h_value, Const):
+            if isinstance(q_value, Param):
+                _disagree(q_value, h_value)
             if q_value.value == h_value.value:
                 yield current
         elif isinstance(h_value, Var):

@@ -118,7 +118,7 @@ class ViewExpander:
             per_condition_options.append(options)
 
         logical_rules: list[LogicalRule] = []
-        seen: set[str] = set()
+        seen: set[Rule] = set()  # by structure: two rules may print alike
         for combo in itertools.product(*per_condition_options):
             merged: Unifier | None = Unifier()
             for option in combo:
@@ -140,10 +140,9 @@ class ViewExpander:
                 for condition in passthrough
             )
             rule = Rule(tuple(head), tuple(tail))
-            key = str(rule)
-            if key in seen:
+            if rule in seen:
                 continue
-            seen.add(key)
+            seen.add(rule)
             logical_rules.append(
                 LogicalRule(
                     rule,

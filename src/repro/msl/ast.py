@@ -17,6 +17,7 @@ syntax via :mod:`repro.msl.unparse` (their ``__str__``).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -62,6 +63,10 @@ def is_variable_name(name: str) -> bool:
 # terms: the things that fill pattern slots
 # ---------------------------------------------------------------------------
 
+#: What the lexer's string rule treats specially inside ``'...'``: each
+#: prints behind a backslash (``\\x`` lexes as ``x`` for every ``x``).
+_ESCAPES = re.compile(r"[\\'\n]")
+
 
 @dataclass(frozen=True, slots=True)
 class Const:
@@ -88,15 +93,17 @@ class Const:
     def __str__(self) -> str:
         if isinstance(self.value, str):
             # identifier-like constants (labels, type names) print bare,
-            # matching the paper's notation; anything else is quoted
+            # matching the paper's notation; anything else is quoted —
+            # including a word the parser would read back as a boolean
             if (
                 self.value
                 and not is_variable_name(self.value)
                 and self.value.replace("_", "a").isalnum()
-                and not self.value[0].isdigit()
+                and self.value[0].isalpha()  # as the lexer starts a word
+                and self.value.lower() not in ("true", "false")
             ):
                 return self.value
-            return "'" + self.value.replace("'", "\\'") + "'"
+            return "'" + _ESCAPES.sub(r"\\\g<0>", self.value) + "'"
         if isinstance(self.value, bool):
             return "true" if self.value else "false"
         return str(self.value)

@@ -68,10 +68,13 @@ from repro.msl.evaluate import (
     schedule_conditions,
     unschedulable_error,
 )
+from repro.msl.lift import lift, param_names
 from repro.msl.substitute import (
     head_variables,
     instantiate_head_item,
+    pattern_params,
     pattern_variables,
+    rule_params,
 )
 from repro.oem.compare import eliminate_duplicates
 from repro.oem.model import SET_TYPE, OEMObject
@@ -117,18 +120,41 @@ def _bindings_from(mapping: dict) -> Bindings:
 
 
 class SlotLayout:
-    """Variable-name → register-index mapping for one rule or pattern."""
+    """Variable-name → register-index mapping for one rule or pattern.
 
-    __slots__ = ("names", "index", "width", "empty_frame")
+    A template's ``$name`` parameters get registers too, after the
+    variables' (indexed under their printed name, which no variable
+    can have): a parameter is matched like a variable that is already
+    bound, so the constants of a call are just the frame it starts
+    from — :meth:`frame_for`.
+    """
 
-    def __init__(self, names: Sequence[str]) -> None:
+    __slots__ = ("names", "index", "width", "empty_frame", "params")
+
+    def __init__(
+        self, names: Sequence[str], params: Sequence[str] = ()
+    ) -> None:
         self.names = tuple(names)
         self.index = {name: i for i, name in enumerate(self.names)}
-        self.width = len(self.names)
+        self.params = tuple(
+            (name, len(self.names) + i) for i, name in enumerate(params)
+        )
+        for name, register in self.params:
+            self.index[f"${name}"] = register
+        self.width = len(self.names) + len(self.params)
         self.empty_frame: tuple = (UNBOUND,) * self.width
 
     def register(self, name: str) -> int:
         return self.index[name]
+
+    def frame_for(self, params: "Mapping[str, object] | None") -> tuple:
+        """The empty frame with the parameter registers loaded."""
+        if not self.params or not params:
+            return self.empty_frame
+        frame = list(self.empty_frame)
+        for name, register in self.params:
+            frame[register] = params.get(name, UNBOUND)
+        return tuple(frame)
 
     def seed(self, bindings: Bindings) -> tuple:
         """A frame pre-loaded with the layout's share of ``bindings``."""
@@ -209,9 +235,14 @@ def _compile_term_test(term: Term, layout: SlotLayout):
         return test_var
     if isinstance(term, Param):
         name = term.name
+        register = layout.index.get(str(term))
 
-        def test_param(actual, frame, _n=name):
-            raise _param_error(_n)
+        def test_param(actual, frame, _n=name, _r=register):
+            # a parameter register holds this call's constant; one
+            # nobody loaded is a template being matched as it stands
+            if _r is None or frame[_r] is UNBOUND:
+                raise _param_error(_n)
+            return frame if values_equal(frame[_r], actual) else None
 
         return test_param
     if isinstance(term, SemOidTerm):
@@ -253,8 +284,8 @@ def _constant_weight(pattern: Pattern) -> int:
     if isinstance(pattern.type, Const):
         weight += 1
     value = pattern.value
-    if isinstance(value, Const):
-        weight += 2
+    if isinstance(value, (Const, Param)):
+        weight += 2  # a parameter is a constant by the time it is matched
     elif isinstance(value, SetPattern):
         for item in value.items:
             if isinstance(item, PatternItem):
@@ -511,9 +542,19 @@ def _compile_value_step(pattern: Pattern, layout: SlotLayout):
         return step_var
     if isinstance(value, Param):
         name = value.name
+        register = layout.index.get(str(value))
 
-        def step_param(obj, frame, _n=name):
-            raise _param_error(_n)
+        def step_param(obj, frame, _n=name, _r=register):
+            want = UNBOUND if _r is None else frame[_r]
+            if want is UNBOUND:
+                raise _param_error(_n)
+            if obj.type != SET_TYPE and (
+                obj.value == want
+                if want.__class__ is str
+                else values_equal(want, obj.value)
+            ):
+                return [(frame, _NO_KEY)]
+            return _EMPTY
 
         return step_param
     message = f"cannot match value term {value!r}"
@@ -619,7 +660,7 @@ class CompiledPattern:
     ) -> None:
         self.pattern = pattern
         self.layout = layout or SlotLayout(
-            sorted(pattern_variables(pattern))
+            sorted(pattern_variables(pattern)), pattern_params(pattern)
         )
         self.match_keyed, self.label_const = _compile_matcher(
             pattern, self.layout
@@ -836,6 +877,13 @@ def _compile_slot_read(term: Term, index: Mapping[str, int]):
         if position is None:
             return None
         return lambda row, _p=position: row[_p]
+    if isinstance(term, Param):
+        # a lifted constant rides in the row, in a column named as the
+        # parameter prints (see ConstructorNode)
+        position = index.get(str(term))
+        if position is None:
+            return None
+        return lambda row, _p=position: row[_p]
     return None
 
 
@@ -996,10 +1044,13 @@ def _compile_build_object(pattern: Pattern, index: Mapping[str, int]):
             return OEMObject(label, _v, _t, oid)
 
         return build_const
-    if isinstance(value, Var):
-        if value.is_anonymous:
+    if isinstance(value, (Var, Param)):
+        if isinstance(value, Param):
+            position = index.get(str(value))
+        elif value.is_anonymous:
             return None
-        position = index.get(value.name)
+        else:
+            position = index.get(value.name)
         if position is None:
             return None
 
@@ -1087,6 +1138,9 @@ class CompiledRule:
         "steps",
         "leftover",
         "projection",
+        "params",
+        "template",
+        "accepted",
     )
 
     def __init__(
@@ -1094,10 +1148,18 @@ class CompiledRule:
     ) -> None:
         self.rule = rule
         self.registry = registry
+        # the constants of one call, for a rule compiled as a template
+        # (see bound()); a rule compiled as it stands has none
+        self.params: "Mapping[str, object] | None" = None
+        # the compiled rule the cache holds for this shape (bound()
+        # twins point back at it), and what a wrapper remembers there:
+        # the capability that checked and accepted the shape, if any
+        self.template = self
+        self.accepted: object = None
         names: set[str] = set(head_variables(rule.head))
         for condition in rule.tail:
             names |= condition_variables(condition)
-        layout = SlotLayout(sorted(names))
+        layout = SlotLayout(sorted(names), rule_params(rule))
         self.layout = layout
 
         ordered, leftover = schedule_conditions(rule, registry)
@@ -1201,17 +1263,21 @@ class CompiledRule:
             if isinstance(term, Const):
                 value = term.value
                 return lambda frame, _v=value: (True, _v)
+            register = None
             if isinstance(term, Var) and not term.is_anonymous:
                 register = layout.register(term.name)
+            elif isinstance(term, Param):
+                register = layout.index.get(str(term))
+            if register is None:
+                return lambda frame: (False, None)
 
-                def read(frame, _r=register):
-                    value = frame[_r]
-                    if value is UNBOUND:
-                        return False, None
-                    return True, value
+            def read(frame, _r=register):
+                value = frame[_r]
+                if value is UNBOUND:
+                    return False, None
+                return True, value
 
-                return read
-            return lambda frame: (False, None)
+            return read
 
         left = accessor(comparison.left)
         right = accessor(comparison.right)
@@ -1247,7 +1313,7 @@ class CompiledRule:
             check_rule(self.rule)
         if registry is None:
             registry = self.registry
-        frames: list[tuple] = [self.layout.empty_frame]
+        frames: list[tuple] = [self.layout.frame_for(self.params)]
         for step in self.steps:
             frames = step(frames, forests, registry)
             if not frames:
@@ -1287,6 +1353,21 @@ class CompiledRule:
                 )
         return eliminate_duplicates(objects)
 
+    def bound(self, rule: Rule, params: "Mapping[str, object]") -> "CompiledRule":
+        """This compiled template as the compiled form of ``rule``, the
+        rule it becomes under ``params``: the same steps, started from
+        a frame holding the call's constants."""
+        twin = CompiledRule.__new__(CompiledRule)
+        twin.rule = rule
+        twin.registry = self.registry
+        twin.layout = self.layout
+        twin.steps = self.steps
+        twin.leftover = self.leftover
+        twin.projection = self.projection
+        twin.params = params
+        twin.template = self
+        return twin
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledRule({self.rule})"
 
@@ -1300,10 +1381,11 @@ class CompileCache:
     """Bounded memo of compiled rules and patterns (FIFO eviction).
 
     Both the mediator and each wrapper hold one: repeated queries (and
-    every re-execution of a cached plan) skip compilation entirely.
-    AST nodes are frozen dataclasses, so rules and patterns hash by
-    structure; an unhashable rule (never produced by the parser) simply
-    bypasses the cache.
+    every re-execution of a cached plan) skip compilation entirely, and
+    so does a query of a shape seen before with other constants (see
+    :meth:`rule`).  AST nodes are frozen dataclasses, so rules and
+    patterns hash by structure, never by their text; an unhashable rule
+    (never produced by the parser) simply bypasses the cache.
     """
 
     __slots__ = (
@@ -1329,22 +1411,46 @@ class CompileCache:
         self.hits = 0
         self.misses = 0
 
-    def rule(self, rule: Rule) -> CompiledRule:
+    def rule(
+        self, rule: Rule, compile: bool = True
+    ) -> "CompiledRule | None":
+        """The compiled form of ``rule``, compiled once per *shape*.
+
+        The memo is keyed by the rule with its constants lifted out
+        (:func:`repro.msl.lift.lift`; ``rule`` must not be a lifted
+        template itself), so a query that differs from an earlier one
+        only in its constants is a hit; what comes back is the shared
+        compiled template bound to this rule's constants.  With
+        ``compile=False`` a shape not seen before is not compiled (nor
+        counted): the answer is ``None``.
+        """
         try:
+            template, constants = lift(rule)
             with self._lock:
-                cached = self._rules.get(rule)
+                cached = self._rules.get(template)
                 if cached is not None:
                     self.hits += 1
-                    return cached
-                self.misses += 1
+                elif not compile:
+                    return None
+                else:
+                    self.misses += 1
         except TypeError:
+            return CompiledRule(rule, self.registry) if compile else None
+        if cached is None:
+            cached = CompiledRule(template, self.registry)
+            with self._lock:
+                if len(self._rules) >= self.max_entries:
+                    self._rules.pop(next(iter(self._rules)))
+                self._rules[template] = cached
+        if not constants:
+            return cached
+        if cached.leftover:
+            # evaluating it can only raise, and the message quotes the
+            # conditions: compile the rule as written
             return CompiledRule(rule, self.registry)
-        compiled = CompiledRule(rule, self.registry)
-        with self._lock:
-            if len(self._rules) >= self.max_entries:
-                self._rules.pop(next(iter(self._rules)))
-            self._rules[rule] = compiled
-        return compiled
+        return cached.bound(
+            rule, dict(zip(param_names(len(constants)), constants))
+        )
 
     def pattern(self, pattern: Pattern) -> CompiledPattern:
         try:

@@ -18,11 +18,13 @@ Comments run from ``//`` or ``#`` to end of line.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cache
 
 from repro.msl.errors import MSLSyntaxError
 
-__all__ = ["Token", "tokenize"]
+__all__ = ["Token", "tokenize", "scan_literals"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,3 +204,70 @@ def tokenize(text: str) -> list[Token]:
             continue
         raise MSLSyntaxError(f"unexpected character {ch!r}", i, ln, col)
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# the literal scan
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _literal_scanner():
+    """One alternative per token class of :func:`tokenize` that can hold
+    a letter, a digit, a quote or a minus sign, in the tokenizer's own
+    order of precedence — so a digit inside a word, a quote inside a
+    comment and the ``-`` of ``:-`` are never mistaken for the start of
+    a literal.  Built on first use: importing the lexer compiles
+    nothing.
+    """
+    return re.compile(
+        r"""
+          (?P<other> \#[^\n]* | //[^\n]* | :- | [&$]\w+ )
+        | (?P<word> [^\W0-9]\w* )
+        | (?P<string> '(?:\\.|[^'\\\n])*' | "(?:\\.|[^"\\\n])*" )
+        | (?P<number> -?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)? )
+        """,
+        re.VERBOSE | re.DOTALL,
+    ).finditer
+
+
+_UNESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def scan_literals(text: str) -> tuple[str, list[object]]:
+    """``text`` split into its *skeleton* and its literal values.
+
+    The literals are what :func:`tokenize` would emit as ``string`` and
+    ``number`` tokens plus the bare words the parser reads as booleans,
+    with the same values, in text order; the skeleton is everything
+    else, verbatim, with a NUL where each literal stood.  Two texts with
+    equal skeletons therefore tokenize alike up to the values of their
+    literals, which is what lets a query's parse be remembered by
+    skeleton (:func:`repro.msl.lift.lift_text`).  Never raises: text
+    the tokenizer rejects yields some skeleton nobody memoizes.
+    """
+    pieces: list[str] = []
+    values: list[object] = []
+    last = 0
+    for match in _literal_scanner()(text):
+        kind = match.lastgroup
+        if kind == "other":
+            continue
+        raw = match.group()
+        if kind == "word":
+            if raw[0] not in "tf" or raw.lower() not in ("true", "false"):
+                continue
+            value: object = raw[0] == "t"
+        elif kind == "string":
+            value = raw[1:-1]
+            if "\\" in value:
+                value = _UNESCAPE.sub(r"\1", value)
+        elif "." in raw or "e" in raw or "E" in raw:
+            value = float(raw)
+        else:
+            value = int(raw)
+        pieces.append(text[last : match.start()])
+        values.append(value)
+        last = match.end()
+    pieces.append(text[last:])
+    return "\0".join(pieces), values

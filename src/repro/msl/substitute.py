@@ -18,12 +18,16 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.msl.ast import (
+    Comparison,
     Const,
+    ExternalCall,
     HeadItem,
     Param,
     Pattern,
+    PatternCondition,
     PatternItem,
     RestSpec,
+    Rule,
     SemOidTerm,
     SetPattern,
     Term,
@@ -39,10 +43,13 @@ __all__ = [
     "subst_term",
     "subst_pattern",
     "instantiate_params_in_pattern",
+    "substitute_params",
     "instantiate_head_item",
     "head_variables",
     "term_variables",
     "pattern_variables",
+    "pattern_params",
+    "rule_params",
 ]
 
 
@@ -97,6 +104,59 @@ def head_variables(head: tuple[HeadItem, ...]) -> set[str]:
         else:
             names |= pattern_variables(item)
     return names
+
+
+# ---------------------------------------------------------------------------
+# parameter inventory
+# ---------------------------------------------------------------------------
+
+
+def _collect_term_params(term: Term | None, found: dict[str, None]) -> None:
+    if term.__class__ is Param:
+        found[term.name] = None
+    elif term.__class__ is SemOidTerm:
+        for arg in term.args:
+            _collect_term_params(arg, found)
+
+
+def _collect_pattern_params(pattern: Pattern, found: dict[str, None]) -> None:
+    for term in (pattern.oid, pattern.label, pattern.type):
+        _collect_term_params(term, found)
+    value = pattern.value
+    if isinstance(value, SetPattern):
+        for item in value.items:
+            if isinstance(item, PatternItem):
+                _collect_pattern_params(item.pattern, found)
+        if value.rest is not None:
+            for condition in value.rest.conditions:
+                _collect_pattern_params(condition, found)
+    else:
+        _collect_term_params(value, found)
+
+
+def pattern_params(pattern: Pattern) -> tuple[str, ...]:
+    """Names of the ``$name`` placeholders in ``pattern``, in text order."""
+    found: dict[str, None] = {}
+    _collect_pattern_params(pattern, found)
+    return tuple(found)
+
+
+def rule_params(rule: Rule) -> tuple[str, ...]:
+    """Names of the ``$name`` placeholders anywhere in ``rule``."""
+    found: dict[str, None] = {}
+    for item in rule.head:
+        if isinstance(item, Pattern):
+            _collect_pattern_params(item, found)
+    for condition in rule.tail:
+        if isinstance(condition, PatternCondition):
+            _collect_pattern_params(condition.pattern, found)
+        elif isinstance(condition, Comparison):
+            _collect_term_params(condition.left, found)
+            _collect_term_params(condition.right, found)
+        else:
+            for arg in condition.args:
+                _collect_term_params(arg, found)
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------
@@ -194,66 +254,117 @@ def subst_pattern(pattern: Pattern, bindings: Bindings) -> Pattern:
 
 
 def instantiate_params_in_pattern(
-    pattern: Pattern, params: Mapping[str, object]
+    pattern: Pattern, params: Mapping[str, object], partial: bool = False
 ) -> Pattern:
     """Fill every ``$name`` placeholder from ``params``.
 
     Used by the parameterized-query node (Section 3.4): "the values for
     query parameters $R, $LN, and $FN are taken from ... the incoming
-    table".
+    table".  A placeholder ``params`` has no value for is an error,
+    unless ``partial`` (it is then left in place).  A pattern without
+    placeholders comes back as the same object.
     """
     value = pattern.value
-    if isinstance(value, SetPattern):
-        items: list[PatternItem | VarItem] = []
-        for item in value.items:
-            if isinstance(item, PatternItem):
-                items.append(
-                    PatternItem(
-                        instantiate_params_in_pattern(item.pattern, params),
-                        item.descendant,
-                    )
-                )
-            else:
-                items.append(item)
-        rest = value.rest
-        if rest is not None and rest.conditions:
-            rest = RestSpec(
-                rest.var,
-                tuple(
-                    instantiate_params_in_pattern(c, params)
-                    for c in rest.conditions
-                ),
-            )
-        new_value: Term | SetPattern = SetPattern(tuple(items), rest)
+    if value.__class__ is SetPattern:
+        new_value: Term | SetPattern = _fill_set(value, params, partial)
     else:
-        filled = _fill_param(value, params)
-        assert filled is not None
-        new_value = filled
+        new_value = _fill_param(value, params, partial)
+    label = _fill_param(pattern.label, params, partial)
+    type_ = _fill_param(pattern.type, params, partial)
+    oid = _fill_param(pattern.oid, params, partial)
+    if (
+        new_value is value
+        and label is pattern.label
+        and type_ is pattern.type
+        and oid is pattern.oid
+    ):
+        return pattern
+    return Pattern(label, new_value, type_, oid, pattern.object_var)
 
-    return Pattern(
-        label=_fill_param(pattern.label, params) or pattern.label,
-        value=new_value,
-        type=_fill_param(pattern.type, params),
-        oid=_fill_param(pattern.oid, params),
-        object_var=pattern.object_var,
-    )
+
+def _fill_set(
+    setpat: SetPattern, params: Mapping[str, object], partial: bool
+) -> SetPattern:
+    changed = False
+    items: list[PatternItem | VarItem] = []
+    for item in setpat.items:
+        if item.__class__ is PatternItem:
+            filled = instantiate_params_in_pattern(
+                item.pattern, params, partial
+            )
+            if filled is not item.pattern:
+                item = PatternItem(filled, item.descendant)
+                changed = True
+        items.append(item)
+    rest = setpat.rest
+    if rest is not None and rest.conditions:
+        conditions = tuple(
+            instantiate_params_in_pattern(c, params, partial)
+            for c in rest.conditions
+        )
+        if conditions != rest.conditions:  # identity first: cheap
+            rest = RestSpec(rest.var, conditions)
+            changed = True
+    return SetPattern(tuple(items), rest) if changed else setpat
 
 
 def _fill_param(
-    term: Term | None, params: Mapping[str, object]
+    term: Term | None, params: Mapping[str, object], partial: bool = False
 ) -> Term | None:
-    if isinstance(term, Param):
+    if term.__class__ is Param:
         if term.name not in params:
+            if partial:
+                return term
             raise MSLInstantiationError(
                 f"no value supplied for parameter ${term.name}"
             )
         return _atom_to_term(params[term.name])
-    if isinstance(term, SemOidTerm):
-        return SemOidTerm(
-            term.functor,
-            tuple(_fill_param(a, params) for a in term.args),  # type: ignore[misc]
-        )
+    if term.__class__ is SemOidTerm:
+        args = tuple(_fill_param(a, params, partial) for a in term.args)
+        if args != term.args:
+            return SemOidTerm(term.functor, args)  # type: ignore[arg-type]
     return term
+
+
+def substitute_params(
+    node, params: Mapping[str, object], partial: bool = False
+):
+    """``node`` with its ``$name`` placeholders filled from ``params``.
+
+    ``node`` is a rule, a condition, a pattern, a term, or a tuple of
+    those (a rule head).  This is where a template becomes the concrete
+    query a source sees: per input tuple for a bind join's template
+    (Section 3.4), per call for the constants :func:`repro.msl.lift.lift`
+    took out of a client query.  Parts without placeholders are shared
+    with ``node``, not copied.
+    """
+    cls = node.__class__
+    if cls is Pattern:
+        return instantiate_params_in_pattern(node, params, partial)
+    if cls is PatternCondition:
+        filled = instantiate_params_in_pattern(node.pattern, params, partial)
+        if filled is node.pattern:
+            return node
+        return PatternCondition(filled, node.source)
+    if cls is Comparison:
+        left = _fill_param(node.left, params, partial)
+        right = _fill_param(node.right, params, partial)
+        if left is node.left and right is node.right:
+            return node
+        return Comparison(left, node.op, right)  # type: ignore[arg-type]
+    if cls is ExternalCall:
+        args = tuple(_fill_param(a, params, partial) for a in node.args)
+        if args == node.args:
+            return node
+        return ExternalCall(node.name, args)  # type: ignore[arg-type]
+    if cls is tuple:
+        return tuple(substitute_params(n, params, partial) for n in node)
+    if cls is Rule:
+        return Rule(
+            substitute_params(node.head, params, partial),
+            substitute_params(node.tail, params, partial),
+        )
+    return _fill_param(node, params, partial)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +381,15 @@ def _slot_atom(term: Term, bindings: Bindings, slot: str) -> object:
                 f"unbound variable {term} in head {slot} slot"
             )
         return bindings[term.name]
+    if isinstance(term, Param):
+        # a lifted constant: its value rides in the environment under
+        # the parameter's printed name, which no variable can have
+        key = str(term)
+        if key not in bindings:
+            raise MSLInstantiationError(
+                f"no value supplied for parameter {key}"
+            )
+        return bindings[key]
     raise MSLInstantiationError(f"invalid head {slot} term {term}")
 
 
@@ -352,6 +472,10 @@ def _build_object(
         return OEMObject(label, children, SET_TYPE, oid)
     if isinstance(value, Const):
         return OEMObject(label, value.value, type_, oid)
+    if isinstance(value, Param):
+        return OEMObject(
+            label, _slot_atom(value, bindings, "value"), type_, oid
+        )
     if isinstance(value, Var):
         if value.is_anonymous or value.name not in bindings:
             raise MSLInstantiationError(

@@ -166,8 +166,9 @@ class QueryInsight:
 
     # -- plan registration -------------------------------------------------
 
-    def attach_plan(self, plan: Any) -> None:
-        """Register every node of ``plan`` (fused constituents too).
+    def attach_plan(self, plan: Any, params: Any = None) -> None:
+        """Register every node of ``plan`` (fused constituents too),
+        described as it runs under ``params`` when it is a template's.
 
         Nodes are keyed ``"3"`` in :meth:`PhysicalPlan.describe`'s
         numbering; the constituents of a fused pipeline get dotted keys
@@ -196,6 +197,7 @@ class QueryInsight:
                         f"{prefix}{numbers[id(child)]}"
                         for child in node.inputs
                     ),
+                    params=params,
                 )
                 constituents = getattr(node, "nodes", None)
                 if constituents and getattr(node, "fusion_width", 1) > 1:
@@ -205,6 +207,7 @@ class QueryInsight:
                             key=f"{key}.{offset}",
                             stage=starts[id(node)] + offset - 1,
                             parent=key,
+                            params=params,
                         )
                         record.constituents.append(child.key)
 
@@ -215,11 +218,12 @@ class QueryInsight:
         stage: int,
         inputs: Sequence[str] = (),
         parent: "str | None" = None,
+        params: Any = None,
     ) -> NodeObservation:
         record = NodeObservation(
             key=key,
             kind=type(node).__name__,
-            description=node.describe(),
+            description=node.describe(params),
             stage=stage,
             inputs=inputs,
             parent=parent,

@@ -238,28 +238,74 @@ class Telemetry:
 
         self.metrics.register_collector(collect)
 
-    def bind_compile_cache(self, cache: "CompileCache") -> None:
-        """Absorb the compiled-backend memo counters."""
+    def bind_compile_caches(self, cache: "CompileCache", sources) -> None:
+        """Absorb the compiled-matcher memo counters: the mediator's own
+        memo (``cache="mediator"``) and the one every registered wrapper
+        keeps for the queries shipped to it (``cache="source:<name>"``,
+        shards by their qualified names) — read from ``stats()``, so a
+        decorated source reports its wrapper's."""
 
         def collect():
-            stats = cache.stats()
+            held = [("mediator", cache.stats())] + [
+                (f"source:{name}", stats)
+                for name, stats in sources.compile_cache_stats()
+            ]
+            samples = []
+            for label, stats in held:
+                labels = (("cache", label),)
+                samples.append(
+                    Sample(
+                        "repro_compile_cache_hits_total", "counter",
+                        stats["hits"], labels=labels,
+                        help="Compiled rule/pattern cache hits.",
+                    )
+                )
+                samples.append(
+                    Sample(
+                        "repro_compile_cache_misses_total", "counter",
+                        stats["misses"], labels=labels,
+                    )
+                )
+                samples.append(
+                    Sample(
+                        "repro_compile_cache_rules", "gauge",
+                        stats["rules"], labels=labels,
+                        help="Compiled rules held.",
+                    )
+                )
+                if "patterns" in stats:
+                    samples.append(
+                        Sample(
+                            "repro_compile_cache_patterns", "gauge",
+                            stats["patterns"], labels=labels,
+                        )
+                    )
+            return samples
+
+        self.metrics.register_collector(collect)
+
+    def bind_plan_cache(self, plans) -> None:
+        """Absorb the plan cache's counters
+        (:class:`repro.mediator.plancache.PlanCache`)."""
+
+        def collect():
+            stats = plans.stats()
             return [
                 Sample(
-                    "repro_compile_cache_hits_total", "counter",
-                    stats["hits"],
-                    help="Compiled rule/pattern cache hits.",
+                    "repro_plan_cache_hits_total", "counter", stats["hits"],
+                    help="Queries run on a remembered plan.",
                 ),
                 Sample(
-                    "repro_compile_cache_misses_total", "counter",
+                    "repro_plan_cache_misses_total", "counter",
                     stats["misses"],
                 ),
                 Sample(
-                    "repro_compile_cache_rules", "gauge", stats["rules"],
-                    help="Compiled rules held.",
+                    "repro_plan_cache_replans_total", "counter",
+                    stats["replans"],
                 ),
                 Sample(
-                    "repro_compile_cache_patterns", "gauge",
-                    stats["patterns"],
+                    "repro_plan_cache_entries", "gauge", stats["entries"],
+                    help="Query shapes remembered.",
                 ),
             ]
 

@@ -265,9 +265,31 @@ class Wrapper(Source):
         """
         if getattr(query, "is_semijoin", False):
             return self.answer_semijoin(query)
-        check_source_query(query, self.name, self._capability)
-        forest = self.candidates(query)
-        return self._evaluate(query, forest)
+        compiled = self._admit(query)
+        return self._evaluate(compiled, self.candidates(query))
+
+    def _admit(self, query: Rule):
+        """Check ``query`` against what this source accepts and compile
+        it — each at most once per *shape*.
+
+        Both the verdict of :func:`check_source_query` and the compiled
+        matcher depend on the query's structure, never on the values of
+        its constants (a constant is filterable or not by the label it
+        sits under), so both are remembered on the compile cache's entry
+        for the query's shape: a query that differs from an accepted one
+        only in a constant skips the check and the compilation.  A
+        rejected query remembers nothing and is rejected again, with
+        its own text in the message, every time it is sent.
+        """
+        compiled = self._compile_cache.rule(query, compile=False)
+        if (
+            compiled is None
+            or compiled.template.accepted is not self._capability
+        ):
+            check_source_query(query, self.name, self._capability)
+            compiled = self._compile_cache.rule(query)
+            compiled.template.accepted = self._capability
+        return compiled
 
     def answer_semijoin(self, query) -> list[OEMObject]:
         """Evaluate one batched semi-join probe.
@@ -283,9 +305,8 @@ class Wrapper(Source):
                 f"source {self.name!r} does not accept batched semi-join"
                 f" filters (capability {self._capability.name!r})"
             )
-        check_source_query(query.rule, self.name, self._capability)
-        forest = self.semijoin_candidates(query)
-        return self._evaluate(query.rule, forest)
+        compiled = self._admit(query.rule)
+        return self._evaluate(compiled, self.semijoin_candidates(query))
 
     def semijoin_candidates(self, query) -> Sequence[OEMObject]:
         """Candidates passing the batch's value filters.
@@ -302,7 +323,7 @@ class Wrapper(Source):
         return forest
 
     def _evaluate(
-        self, query: Rule, forest: Sequence[OEMObject]
+        self, compiled, forest: Sequence[OEMObject]
     ) -> list[OEMObject]:
         # the logical alias mirrors check_source_query: a shard evaluates
         # queries still annotated with its logical source name
@@ -312,7 +333,7 @@ class Wrapper(Source):
             self.name.partition("#")[0]: forest,
         }
         try:
-            result = self._compile_cache.rule(query).evaluate(
+            result = compiled.evaluate(
                 forests, self._registry, self._oidgen, check=False
             )
         except MSLSemanticError as exc:
@@ -327,7 +348,11 @@ class Wrapper(Source):
         self.objects_returned = 0
 
     def stats(self) -> dict[str, object]:
+        compiled = self._compile_cache.stats()
         return {
             "queries_answered": self.queries_answered,
             "objects_returned": self.objects_returned,
+            "compile_hits": compiled["hits"],
+            "compile_misses": compiled["misses"],
+            "compile_rules": compiled["rules"],
         }

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from repro.msl.ast import (
     Comparison,
     Const,
+    Param,
     Pattern,
     PatternItem,
     RestSpec,
@@ -117,9 +118,11 @@ class Capability:
     ) -> Pattern:
         value = p.value
         # a constant value slot at depth>=1 is a filter on this label
+        # (a template's lifted constant included: whether it can be
+        # shipped depends on the label, not on the value)
         if (
             depth >= 1
-            and isinstance(value, Const)
+            and isinstance(value, (Const, Param))
             and not self.can_filter(_label_text(p.label))
         ):
             var = Var(f"_Cap{len(residual) + 1}")

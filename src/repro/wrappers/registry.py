@@ -21,6 +21,10 @@ class SourceRegistry:
 
     def __init__(self, *sources: Source) -> None:
         self._sources: dict[str, Source] = {}
+        #: Counts registrations and deregistrations: a plan made against
+        #: an earlier generation may name a source that has gone or
+        #: changed, and is planned again.
+        self.generation = 0
         for source in sources:
             self.register(source)
 
@@ -31,11 +35,13 @@ class SourceRegistry:
                 f"a source named {source.name!r} is already registered"
             )
         self._sources[source.name] = source
+        self.generation += 1
 
     def deregister(self, name: str) -> None:
         if name not in self._sources:
             raise SourceError(f"no source named {name!r}")
         del self._sources[name]
+        self.generation += 1
 
     def resolve(self, name: str | None) -> Source:
         """The source registered under ``name``.
@@ -99,6 +105,28 @@ class SourceRegistry:
         """
         for source in self:
             source.reset_counters()
+
+    def compile_cache_stats(self) -> list[tuple[str, dict[str, int]]]:
+        """``(source name, {hits, misses, rules})`` of the compiled-rule
+        memo each wrapper keeps for the queries shipped to it — shards
+        under their qualified names, a decorated wrapper through its
+        decorators' ``stats()``; sources without one are left out."""
+        found = []
+        for source in self:
+            for member in getattr(source, "shards", (source,)):
+                stats = member.stats()
+                if "compile_rules" in stats:
+                    found.append(
+                        (
+                            member.name,
+                            {
+                                "hits": stats["compile_hits"],
+                                "misses": stats["compile_misses"],
+                                "rules": stats["compile_rules"],
+                            },
+                        )
+                    )
+        return found
 
     def stats_snapshot(self) -> dict[str, dict[str, object]]:
         """Per-source operational stats, keyed by source name.

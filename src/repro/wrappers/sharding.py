@@ -25,10 +25,11 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.msl.ast import (
     Const,
+    Param,
     Pattern,
     PatternCondition,
     PatternItem,
@@ -328,7 +329,7 @@ class ShardedSource(Source):
         return [shard_name(self.name, i) for i in range(len(self.shards))]
 
     def prune_for_pattern(
-        self, pattern: Pattern
+        self, pattern: Pattern, params: "Mapping[str, object] | None" = None
     ) -> tuple[list[str], int]:
         """Surviving shard names for a shipped pattern + pruned count.
 
@@ -336,8 +337,42 @@ class ShardedSource(Source):
         the pattern's *direct* child items (descendant items don't
         constrain direct children, so they never prune).  Unroutable
         constants broadcast; conflicting constants prune everything.
+        A ``$name`` placeholder there routes by its value in ``params``
+        and prunes nothing when ``params`` has none for it — a template
+        is planned over every shard and pruned when it is bound (see
+        :meth:`routing_params`).
         """
         owners: set[int] | None = None
+        for term in self._partition_terms(pattern):
+            if isinstance(term, Const):
+                routed = self.partition.shard_of(term.value)
+            elif params is not None and term.name in params:
+                routed = self.partition.shard_of(params[term.name])
+            else:
+                continue
+            if routed is None:
+                continue
+            owned = {routed}
+            owners = owned if owners is None else owners & owned
+        if owners is None:
+            survivors = list(range(len(self.shards)))
+        else:
+            survivors = sorted(owners)
+        names = [shard_name(self.name, i) for i in survivors]
+        return names, len(self.shards) - len(survivors)
+
+    def routing_params(self, pattern: Pattern) -> tuple[str, ...]:
+        """The placeholders of ``pattern`` whose values would prune
+        shards: those sitting where :meth:`prune_for_pattern` looks."""
+        return tuple(
+            term.name
+            for term in self._partition_terms(pattern)
+            if isinstance(term, Param)
+        )
+
+    def _partition_terms(self, pattern: Pattern):
+        """Constant and placeholder values under the partition label
+        among ``pattern``'s direct child items."""
         value = pattern.value
         if isinstance(value, SetPattern):
             for item in value.items:
@@ -347,19 +382,9 @@ class ShardedSource(Source):
                 if (
                     isinstance(p.label, Const)
                     and str(p.label.value) == self.partition.label
-                    and isinstance(p.value, Const)
+                    and isinstance(p.value, (Const, Param))
                 ):
-                    routed = self.partition.shard_of(p.value.value)
-                    if routed is None:
-                        continue
-                    owned = {routed}
-                    owners = owned if owners is None else owners & owned
-        if owners is None:
-            survivors = list(range(len(self.shards)))
-        else:
-            survivors = sorted(owners)
-        names = [shard_name(self.name, i) for i in survivors]
-        return names, len(self.shards) - len(survivors)
+                    yield p.value
 
     # -- the Source interface ----------------------------------------------
 

@@ -124,3 +124,106 @@ def bind_join_scenarios(draw) -> dict:
         "emp": draw(rows),
         "stu": draw(rows),
     }
+
+
+# -- prepared ≡ unprepared ----------------------------------------------
+#
+# Worlds for the metamorphic law "a query answered on a remembered plan
+# equals the same query answered by a mediator that never saw its shape"
+# (tests/property/test_prepared_properties.py).  Each world is a
+# specification, the sources it ranges over, query shapes with ``{n}``
+# slots for constants, and the constants worth trying: the ones that
+# collide under Python ``==`` but not under MSL equality, a value the
+# view's head itself names, and values nothing matches.
+
+#: Constants as MSL text.  ``1`` / ``1.0`` / ``true`` / ``'1'`` /
+#: ``'true'`` are five different constants to MSL and (pairwise) equal
+#: or look-alike to Python or to a printer.
+tricky_constants = ["1", "1.0", "true", "'1'", "'true'", "2", "'x'", "'none'"]
+
+POINT_SPEC = "<item {<key K> <payload P>}> :- <rec {<key K> <payload P>}>@big"
+
+HEAD_CONSTANT_SPEC = (
+    "<view {<kind 'x'> <k K> <v V>}> :- <r {<k K> <v V>}>@s ;"
+    "<view {<kind 'y'> <k K> <v V>}> :- <q {<k K> <v V>}>@s"
+)
+
+LABEL_VARIABLE_SPEC = "<rel {<name L> <k K> | Rest}> :- <L {<k K> | Rest}>@s"
+
+PREPARED_WORLDS = {
+    # (shapes, constants per slot)
+    "point": (
+        [
+            "X :- X:<item {{<key {0}>}}>@med",
+            "X :- X:<item {{<key {0}> <payload {1}>}}>@med",
+            "<o {{<p P>}}> :- <item {{<key {0}> <payload P>}}>@med",
+            "X :- X:<item {{<key K> <payload {0}>}}>@med AND K >= {1}",
+            "X :- X:<item {{<key {0}>}}>@med AND <item {{<key {1}>}}>@med",
+        ],
+        tricky_constants + ["'p1'", "'ptrue'"],
+    ),
+    "ms1": (
+        [
+            "X :- X:<cs_person {{<name {0}>}}>@med",
+            "X :- X:<cs_person {{<year {0}>}}>@med",
+            "X :- X:<cs_person {{<rel {0}>}}>@med",
+            "X :- X:<cs_person {{<name N> <year Y>}}>@med AND Y > {0}",
+            "X :- X:<cs_person {{<year {0}> <rel {1}>}}>@med",
+            "<who {{<n N>}}> :- <cs_person {{<name N> <title {0}>}}>@med",
+        ],
+        ["'Joe Chung'", "'Nick Naive'", "3", "3.0", "'3'", "2", "'student'",
+         "'employee'", "'professor'", "'none'", "true"],
+    ),
+    "bib": (
+        [
+            "X :- X:<publication {{<year {0}>}}>@bib",
+            "X :- X:<publication {{<title {0}>}}>@bib",
+            "X :- X:<publication {{<author {0}>}}>@bib",
+            "X :- X:<publication {{<year {0}> <venue {1}>}}>@bib",
+            "X :- X:<publication {{<title T> <year Y>}}>@bib AND Y >= {0}",
+        ],
+        ["1993", "1995", "1995.0", "'1995'", "'ICDE'", "'VLDB'",
+         "'Views and Objects 1'", "'Mediators in Information Systems 1'",
+         "'Ullman, Jeffrey'", "'Jeffrey Ullman'", "'none'"],
+    ),
+    "head-constant": (
+        [
+            "X :- X:<view {{<kind {0}>}}>@med",
+            "X :- X:<view {{<kind {0}> <k {1}>}}>@med",
+            "X :- X:<view {{<k {0}> <v {1}>}}>@med",
+        ],
+        ["'x'", "'y'", "'z'"] + tricky_constants,
+    ),
+    "label-variable": (
+        [
+            "X :- X:<rel {{<name {0}>}}>@med",
+            "X :- X:<rel {{<name {0}> <k {1}>}}>@med",
+            "X :- X:<rel {{<k {0}>}}>@med",
+        ],
+        ["'emp'", "'stu'", "'ghost'"] + tricky_constants,
+    ),
+}
+
+
+@st.composite
+def prepared_cases(draw) -> dict:
+    """One world, one of its query shapes, and at least three constant
+    tuples for it: always one with a repeated constant and one drawn
+    freely (so: equal to the head's, or matching nothing, now and
+    then)."""
+    world = draw(st.sampled_from(sorted(PREPARED_WORLDS)))
+    shapes, constants = PREPARED_WORLDS[world]
+    shape = draw(st.sampled_from(shapes))
+    slots = 2 if "{1}" in shape else 1
+    constant = st.sampled_from(constants)
+    tuples = draw(
+        st.lists(st.tuples(*[constant] * slots), min_size=2, max_size=4)
+    )
+    repeated = draw(constant)
+    tuples.append((repeated,) * slots)
+    return {
+        "world": world,
+        "shape": shape,
+        "constants": tuples,
+        "seed": draw(st.integers(0, 3)),
+    }

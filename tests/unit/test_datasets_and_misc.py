@@ -222,6 +222,35 @@ class TestNoCyclicGarbage:
             store.close()
 
     @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_lookups_on_a_remembered_plan(self, parallelism):
+        # the warm path: plan looked up, constants bound, nothing
+        # planned or compiled — and still nothing for the collector
+        store = SQLiteOEMStoreWrapper("big")
+        store.load_records("rec", record_stream(200))
+        mediator = Mediator(
+            "med",
+            "<item {<key K> <payload P>}> :- <rec {<key K> <payload P>}>@big",
+            SourceRegistry(store),
+            default_registry(),
+            parallelism=parallelism,
+        )
+        keys = iter(range(200))
+
+        def lookup():
+            key = next(keys)
+            assert len(mediator.answer(f"X :- X:<item {{<key {key}>}}>@med")) == 1
+
+        try:
+            for _ in range(5):
+                lookup()  # past the cold-start re-plan
+            assert self._unreachable_after(lookup, times=50) == 0
+            stats = mediator._plans.stats()
+            assert stats["hits"] >= 50 and stats["entries"] == 1
+        finally:
+            mediator.close()
+            store.close()
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
     def test_ms1_export_with_bind_join(self, parallelism):
         scenario = build_scaled_scenario(20)
         mediator = Mediator(

@@ -511,4 +511,4 @@ class TestMetricCatalog:
         documented, registered = self.documented(), self.registered()
         assert documented - registered == set(), "documented, never registered"
         assert registered - documented == set(), "registered, not documented"
-        assert len(documented) == 46
+        assert len(documented) == 50

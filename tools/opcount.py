@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Machine-independent cost of one operation: calls, garbage, blocks.
+
+Wall-clock numbers move with the machine; these three do not, which
+makes them the evidence for *where* a saving sits when a timed row
+cannot say (EXPERIMENTS.md E14, E23 and E24 were first measured with
+scratch copies of these counters):
+
+* **calls per op** — Python and C function calls as ``cProfile`` counts
+  them, on the calling thread (a worker pool's calls are not seen);
+* **unreachable per op** — objects only the cycle collector can free
+  (``gc.collect()`` after a run with the collector off): 0 means
+  refcounting frees everything an operation allocates;
+* **blocks per op** — growth of ``sys.getallocatedblocks()`` across
+  the run, after a collection: what an operation leaves allocated.
+
+As a tool it measures the end-to-end suite's workloads
+(``benchmarks/e2e/workloads.py``) at the suite's ``QUICK`` scale::
+
+    PYTHONPATH=src python tools/opcount.py                 # all four
+    PYTHONPATH=src python tools/opcount.py --workload point_lookup --ops 1000
+
+As a module it counts any zero-argument callable
+(``tests/unit/test_plan_cache.py`` holds the warm point lookup to a
+budget with it).
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import gc
+import json
+import pstats
+import sys
+from pathlib import Path
+from typing import Callable
+
+ROOT = Path(__file__).resolve().parents[1]
+
+__all__ = [
+    "calls_per_op",
+    "unreachable_per_op",
+    "blocks_per_op",
+    "count",
+    "workload_operation",
+]
+
+
+def calls_per_op(operation: Callable[[], object], ops: int) -> float:
+    """Function calls (Python and C) per ``operation()``, over ``ops``."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        for _ in range(ops):
+            operation()
+    finally:
+        profiler.disable()
+    # the loop's own range() and the disable() call are the only extras
+    return (pstats.Stats(profiler).total_calls - 1) / ops
+
+
+def unreachable_per_op(operation: Callable[[], object], ops: int) -> float:
+    """Objects left for the cycle collector per ``operation()``."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(ops):
+            operation()
+        return gc.collect() / ops
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def blocks_per_op(operation: Callable[[], object], ops: int) -> float:
+    """Allocated memory blocks an ``operation()`` leaves behind."""
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for _ in range(ops):
+        operation()
+    gc.collect()
+    return (sys.getallocatedblocks() - before) / ops
+
+
+def count(
+    operation: Callable[[], object], ops: int, warmup: int = 20
+) -> dict[str, float]:
+    """All three counters for ``operation``, after ``warmup`` calls."""
+    for _ in range(warmup):
+        operation()
+    return {
+        "calls_per_op": round(calls_per_op(operation, ops), 1),
+        "unreachable_per_op": round(unreachable_per_op(operation, ops), 3),
+        "blocks_per_op": round(blocks_per_op(operation, ops), 2),
+    }
+
+
+def workload_operation(name: str, seed: int = 1996):
+    """``(operation, close)`` for one e2e workload at ``QUICK`` scale:
+    each ``operation()`` draws the next request and runs it, checked."""
+    for path in (ROOT / "src", ROOT / "benchmarks" / "e2e"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import workloads
+
+    workload = workloads.WORKLOADS[name](seed, workloads.QUICK)
+    workload.build()
+    workload.derive_expected()
+
+    def operation() -> None:
+        request = workload.request()
+        answer = workload.run(request)
+        if len(answer) != workload.expected_count(request):
+            raise AssertionError(
+                f"{name}: {len(answer)} object(s) for request {request!r},"
+                f" expected {workload.expected_count(request)}"
+            )
+
+    return operation, workload.close
+
+
+def main(argv: list[str] | None = None) -> int:
+    names = ["point_lookup", "view_export", "bib_fusion", "remote_probe"]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--workload", action="append", choices=names,
+        help="workload to count (repeatable; default: all four)",
+    )
+    parser.add_argument(
+        "--ops", type=int, default=200,
+        help="operations per counter (default 200)",
+    )
+    parser.add_argument("--seed", type=int, default=1996)
+    args = parser.parse_args(argv)
+    for name in args.workload or names:
+        operation, close = workload_operation(name, args.seed)
+        try:
+            row = count(operation, args.ops)
+        finally:
+            close()
+        print(json.dumps({"workload": name, "ops": args.ops, **row}))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
