@@ -10,11 +10,12 @@ Two promises the adaptive-statistics subsystem must keep
   (``--stats-out`` → ``--stats-in``) flips the join order and the warm
   mediator answers at least 1.2x faster.  Answers are asserted equal
   *before* anything is timed;
-* **cost** — the always-on observation hooks (q-error tracking,
-  misestimate detection) must stay within noise when nothing is
-  analyzing: the median paired ratio of the default engine against the
-  same engine with its ``observe_node`` hook stubbed out must be
-  <= 1.02, measured with :mod:`bench_obs`'s palindrome-cycle method.
+* **cost** — the always-on q-error recording (each executed node's
+  estimate against its actual rows, fed to the statistics database)
+  must stay within noise when nothing is analyzing: the median paired
+  ratio of the default engine against the same engine with
+  ``ExecutionContext.observe_node`` stubbed out must be <= 1.02,
+  measured with :mod:`bench_obs`'s palindrome-cycle method.
 
 Everything is deterministic: fixed datasets, no faults, no cache; the
 skew comes from call *counts* (400 probes vs 4) across a uniform

@@ -162,17 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--misestimate-factor",
-        type=float,
-        default=4.0,
-        metavar="F",
-        help=(
-            "flag a plan stage whose actual cardinality exceeds its"
-            " estimate by more than F and re-rank not-yet-dispatched"
-            " stages (default: 4.0; 0 disables)"
-        ),
-    )
-    parser.add_argument(
         "--stats-out",
         default=None,
         metavar="FILE",
@@ -705,7 +694,6 @@ def main(
             cache=cache,
             hedge=hedge,
             fuse=not args.no_fuse,
-            misestimate_factor=args.misestimate_factor,
             telemetry=telemetry,
             admission=admission,
         )

@@ -19,7 +19,6 @@ from repro.mediator.pipeline import (
 )
 from repro.mediator.plan import (
     ConstructorNode,
-    DedupNode,
     ExternalPredNode,
     ExtractorNode,
     FilterNode,
@@ -42,7 +41,6 @@ __all__ = [
     "ConstructorNode",
     "CostBasedOptimizer",
     "DatamergeEngine",
-    "DedupNode",
     "ExecutionContext",
     "ExpansionError",
     "ExternalPredNode",

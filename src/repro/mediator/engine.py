@@ -38,10 +38,10 @@ from typing import TYPE_CHECKING, Mapping
 from repro.exec.dispatcher import TaskScope, current_scope, scope_active
 from repro.mediator.events import Event, TraceEntry, TraceRecorder
 from repro.mediator.plan import PhysicalPlan, PlanNode, QueryNode
-from repro.mediator.statistics import qerror
 from repro.mediator.tables import BindingTable
 from repro.msl.ast import PatternCondition, Rule
 from repro.msl.compile import CompileCache
+from repro.obs.insight import q_error
 from repro.oem.model import OEMObject
 from repro.oem.oid import OidGenerator
 from repro.reliability.deadline import call_allowance_scope
@@ -115,15 +115,6 @@ class ExecutionContext:
     semijoin_probes: int = 0
     shards_scanned: int = 0
     shards_pruned: int = 0
-    # mid-query adaptivity: an operator whose actual rows exceed its
-    # estimate by this factor raises a misestimate event, records a
-    # correction ratio for its (source, label) bucket, and lets the
-    # engine re-rank not-yet-dispatched stages; 0 disables
-    misestimate_factor: float = 4.0
-    misestimate_events: int = 0
-    estimate_corrections: dict[tuple[str, str], float] = field(
-        default_factory=dict
-    )
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def run_scope(self) -> TaskScope:
@@ -154,14 +145,10 @@ class ExecutionContext:
         return max(0, self.semijoin_probes - self.semijoin_batches)
 
     def observe_node(self, node: PlanNode, rows_out: int) -> None:
-        """Hold one executed operator's rows against its estimate.
-
-        Nodes carrying an optimizer estimate key feed the statistics
-        database's q-error tracker; an underestimate beyond
-        ``misestimate_factor`` is big enough to react to mid-query.
-        Unannotated nodes make this a cheap no-op, so it is safe on
-        every operator of every run.
-        """
+        """Feed one executed operator's q-error to the statistics
+        database, under the ``(source, label, kind)`` key its estimate
+        came from.  Nodes without one make this a cheap no-op, so it is
+        safe on every operator of every run."""
         estimated = node.estimated_rows
         if estimated is None:
             return
@@ -169,39 +156,8 @@ class ExecutionContext:
         if key is not None and self.statistics is not None:
             source, label, kind = key
             self.statistics.record_qerror(
-                source, label, kind, qerror(estimated, rows_out)
+                source, label, kind, q_error(estimated, rows_out)
             )
-        factor = self.misestimate_factor
-        if not factor or rows_out <= max(estimated, 0.5) * factor:
-            return
-        correction = rows_out / max(estimated, 0.5)
-        with self._lock:
-            self.misestimate_events += 1
-            if key is not None:
-                bucket = (key[0], key[1])
-                if correction > self.estimate_corrections.get(bucket, 1.0):
-                    self.estimate_corrections[bucket] = correction
-        event = Event(
-            self.subscribers, "misestimate", type(node).__name__, node
-        )
-        event.attributes.update(
-            estimated_rows=estimated,
-            actual_rows=rows_out,
-            correction=correction,
-        )
-        event.end()
-
-    def corrected_estimate(self, node: PlanNode) -> "float | None":
-        """``estimated_rows`` adjusted by any recorded correction."""
-        estimated = node.estimated_rows
-        if estimated is None:
-            return None
-        key = node.estimate_key
-        if key is None:
-            return estimated
-        with self._lock:
-            ratio = self.estimate_corrections.get((key[0], key[1]), 1.0)
-        return estimated * ratio
 
     def send_query(self, source_name: str, query: Rule) -> list[OEMObject]:
         """Ship ``query`` to a source, with accounting and statistics.
@@ -403,6 +359,8 @@ def run_node(
     rows_out = len(result)
     if event.heard:
         event.attributes["rows_out"] = rows_out
+        if node.estimated_rows is not None:
+            event.attributes["estimated_rows"] = node.estimated_rows
         event.rows_in = rows_in
         event.attempts = scope.attempts - attempts_before
         event.latency = scope.latency - latency_before
@@ -410,46 +368,6 @@ def run_node(
         event.end()
     context.observe_node(node, rows_out)
     return result
-
-
-def _rerank_stage(
-    stage_index: int,
-    stage: list[PlanNode],
-    context: ExecutionContext,
-) -> list[PlanNode]:
-    """Re-order a not-yet-dispatched stage after a misestimate.
-
-    Within a stage every node is independent of the others, so order
-    only affects dispatch sequence (and warning interleaving), never
-    the answer.  Cheapest-corrected-estimate-first mirrors the
-    optimizer's smallest-first join ordering; nodes without estimates
-    keep their relative position at the end.  Runs only when at least
-    one node in the stage is touched by a recorded correction, and
-    raises the decision as an event when the order actually changes.
-    """
-    if len(stage) < 2:
-        return stage
-    affected = False
-    for node in stage:
-        key = node.estimate_key
-        if key is not None and (key[0], key[1]) in context.estimate_corrections:
-            affected = True
-            break
-    if not affected:
-        return stage
-    estimates = [context.corrected_estimate(node) for node in stage]
-    order = sorted(
-        range(len(stage)),
-        key=lambda i: (estimates[i] is None, estimates[i] or 0.0, i),
-    )
-    if order == list(range(len(stage))):
-        return stage
-    reranked = [stage[i] for i in order]
-    decision = (stage_index, stage, reranked)
-    Event(
-        context.subscribers, "rerank", f"stage-{stage_index}", decision
-    ).end()
-    return reranked
 
 
 class DatamergeEngine:
@@ -474,8 +392,10 @@ class DatamergeEngine:
         """
         trace = context.trace
         if self.trace_enabled and trace is None:
+            # a context runs one operation's plans, under one call's
+            # constants: the entries are described with them
             trace = context.trace = []
-            context.subscribers += (TraceRecorder(trace),)
+            context.subscribers += (TraceRecorder(trace, context.params),)
         traced = 0 if trace is None else len(trace)
         if context.governor is not None:
             context.governor.start()
@@ -496,8 +416,6 @@ class DatamergeEngine:
         outputs: dict[int, BindingTable] = {}
         with scope_active(context.run_scope()):
             for stage_index, stage in plan.stage_starts():
-                if context.estimate_corrections:
-                    stage = _rerank_stage(stage_index, stage, context)
                 if slicer is not None:
                     slicer.enter_stage(stage_index)
                     context.stage_base = stage_index

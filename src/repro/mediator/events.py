@@ -12,11 +12,10 @@ costs its raise site one constructor call and nothing else.
 The kinds are the span vocabulary: ``plan-stage``, ``plan-node`` /
 ``pipeline-stage`` (``subject`` the node; ``rows_in``, ``attempts``,
 ``latency`` and ``table`` slots), ``source-call`` (``name`` the source,
-``subject`` the query), ``pattern-match``, ``external-predicate``,
-``misestimate`` (``subject`` the node) and ``rerank`` (``subject``
-``(stage, nodes before, nodes after)``).  ``attributes`` holds what a
-span of the event shows; ``docs/observability.md`` has the table of
-payloads, raise sites and readers.
+``subject`` the query), ``pattern-match`` and ``external-predicate``.
+``attributes`` holds what a span of the event shows;
+``docs/observability.md`` has the table of payloads, raise sites and
+readers.
 
 A subscriber is any object with ``kinds`` (the kinds it wants at the
 end of the interval), ``opens`` (the kinds it also wants at the start —
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mediator.plan import PlanNode
@@ -90,32 +89,43 @@ class TraceEntry:
 
     ``attempts`` counts the source calls made while the node ran
     (retries included); ``latency`` is the clock time those calls took.
-    Both stay zero for nodes that never touch a source.
+    Both stay zero for nodes that never touch a source.  ``params`` are
+    the constants of the run, which a template's node is described
+    under.
     """
 
     node: "PlanNode"
     table: "BindingTable"
     attempts: int = 0
     latency: float = 0.0
+    params: "Mapping[str, object] | None" = None
 
     def render(self) -> str:
-        return f"{self.node.describe()}\n{self.table.render()}"
+        return f"{self.node.describe(self.params)}\n{self.table.render()}"
 
 
 class TraceRecorder:
     """The Figure 3.6 subscriber: every executed node with its table,
     appended to ``trace`` as the nodes finish (the engine puts a
-    plan's entries in plan order when the plan ends)."""
+    plan's entries in plan order when the plan ends), with the
+    constants of the run."""
 
     kinds = frozenset({"plan-node"})
     opens = frozenset()
 
-    def __init__(self, trace: list[TraceEntry]) -> None:
+    def __init__(
+        self, trace: list[TraceEntry], params: "Mapping[str, object]"
+    ) -> None:
         self.trace = trace
+        self.params = params
 
     def end(self, event: Event) -> None:
         self.trace.append(
             TraceEntry(
-                event.subject, event.table, event.attempts, event.latency
+                event.subject,
+                event.table,
+                event.attempts,
+                event.latency,
+                self.params,
             )
         )

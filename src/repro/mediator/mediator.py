@@ -117,11 +117,6 @@ __all__ = ["Mediator", "MediatorError"]
 #: receiving a zero or negative budget.
 _MIN_DEADLINE = 0.001
 
-#: How far a statistic a remembered plan was costed with may drift
-#: before the plan is made again, for a mediator whose own
-#: ``misestimate_factor`` is 0 (mid-query adaptivity off).
-_DRIFT_FACTOR = 4.0
-
 #: Rounds after which a recursive view that has not reached a fixpoint
 #: is declared divergent (a recursive OEM view can be genuinely
 #: infinite — e.g. ever-deeper nesting).
@@ -185,7 +180,6 @@ class Mediator(Source):
         admission: "AdmissionConfig | AdmissionController | bool | None" = None,
         bulkheads: "BulkheadRegistry | int | None" = None,
         semijoin: bool = True,
-        misestimate_factor: float = 4.0,
     ) -> None:
         if not name or not name.isidentifier():
             raise MediatorError(f"invalid mediator name {name!r}")
@@ -203,18 +197,6 @@ class Mediator(Source):
             raise MediatorError(
                 "on_malformed_answer must be 'error' or 'quarantine',"
                 f" got {on_malformed_answer!r}"
-            )
-        try:
-            misestimate_factor = float(misestimate_factor)
-        except (TypeError, ValueError):
-            raise MediatorError(
-                "misestimate_factor must be a number,"
-                f" got {misestimate_factor!r}"
-            ) from None
-        if misestimate_factor < 0:
-            raise MediatorError(
-                "misestimate_factor must be >= 0 (0 disables mid-query"
-                f" adaptivity), got {misestimate_factor!r}"
             )
         self.name = name
         if isinstance(specification, str):
@@ -259,9 +241,6 @@ class Mediator(Source):
         # filter per probe group and target per parameterized stage
         # instead of one probe per distinct input tuple
         self.semijoin = bool(semijoin)
-        # mid-query adaptivity: how far actual rows must exceed the
-        # estimate before a misestimate event fires (0 disables)
-        self.misestimate_factor = misestimate_factor
 
         self.on_source_failure = on_source_failure
         if isinstance(resilience, ResilienceConfig):
@@ -482,12 +461,9 @@ class Mediator(Source):
         verdict holds for every query of the shape); a rejected query
         remembers nothing.
         """
-        # the Figure 3.6 walkthrough prints every node's query: a
-        # traced mediator plans each query as written
-        lifting = not self.engine.trace_enabled
         if isinstance(query, str):
             key, constants = scan_shape(query)
-            shape = self._plans.text_shape(key) if lifting else None
+            shape = self._plans.text_shape(key)
             if shape is not None:
                 return shape, constants
             try:
@@ -501,14 +477,10 @@ class Mediator(Source):
             except MSLError as exc:
                 raise MediatorError(f"invalid MSL query: {exc}") from exc
             shape, lifted = self._shape_of(rule)
-            if (
-                lifting
-                and lifted == constants
-                and text_shape_is_liftable(key)
-            ):
+            if lifted == constants and text_shape_is_liftable(key):
                 self._plans.store_text(key, shape)
             return shape, lifted
-        template, constants = lift(query) if lifting else (query, ())
+        template, constants = lift(query)
         shape = self._plans.shape(template)
         if shape is None:
             try:
@@ -544,8 +516,8 @@ class Mediator(Source):
         remembered plan is reused while its stamp is current, the
         sources it ships to still advertise the capabilities it was
         split against, and the statistics it was costed with have not
-        drifted by more than the misestimate factor; otherwise the
-        shape is planned again (see :mod:`repro.mediator.plancache`).
+        drifted by more than ``MISESTIMATE_FACTOR``; otherwise the shape
+        is planned again (see :mod:`repro.mediator.plancache`).
         A shape whose planning must read a constant is planned per
         query, under the query as written.
         """
@@ -609,9 +581,7 @@ class Mediator(Source):
             now = source.capability
             if now is not capability and now != capability:
                 return f"the capability of {source.name!r} changed"
-        return planned.drift(
-            self.statistics, self.misestimate_factor or _DRIFT_FACTOR
-        )
+        return planned.drift(self.statistics)
 
     def _plan(self, template: "Rule | int", stamp: tuple) -> Planned:
         """Expand, optimize and fuse: a query template, or (by index)
@@ -740,8 +710,8 @@ class Mediator(Source):
         the answer plus, for every plan node (fused-chain constituents
         included), the optimizer's estimated cardinality next to the
         observed rows in/out, wall time, and source-call latency, and
-        any mid-query misestimate events with the re-rank decisions
-        they triggered.  ``report.render()`` is the annotated plan
+        the nodes whose actual rows exceeded the estimate by more than
+        ``MISESTIMATE_FACTOR``.  ``report.render()`` is the annotated plan
         tree; ``report.to_json()`` the structured export.  Recording is
         observation-only: the answer is bit-for-bit the one
         :meth:`answer` returns.
@@ -1219,7 +1189,6 @@ class Mediator(Source):
                 and not brownout.allows("parallelism")
             ),
             semijoin=self.semijoin,
-            misestimate_factor=self.misestimate_factor,
         )
         if op is not None:
             op.context = context

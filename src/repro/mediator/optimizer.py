@@ -19,9 +19,10 @@ discusses in Section 3.5:
   patterns) and pick the minimum under a simple cost model: per step,
   one query per outstanding binding plus the estimated objects shipped,
   with a selectivity discount per bind-join variable.
-* ``"fetch_all"`` — the ablation baseline: every pattern is fetched
-  independently with only its own constants pushed down, and results
-  are combined with mediator-side hash joins.
+* ``"fetch_all"`` — the ablation baseline: the bind-join pipeline
+  that never parameterizes, so every pattern is fetched independently
+  with only its own constants pushed down, and results are combined
+  with mediator-side hash joins.
 
 Source capabilities are honoured throughout: each pattern destined for a
 source is first :meth:`split <repro.wrappers.capability.Capability.split>`
@@ -172,10 +173,7 @@ class CostBasedOptimizer:
             raise PlanningError(f"logical rule has no source patterns: {rule}")
 
         ordered = self._order_patterns(patterns)
-        if self.strategy == "fetch_all":
-            node = self._build_fetch_all(ordered, externals, comparisons)
-        else:
-            node = self._build_bind_join(ordered, externals, comparisons)
+        node = self._build_bind_join(ordered, externals, comparisons)
         constructor = ConstructorNode(node, rule.head)
         return PhysicalPlan(constructor)
 
@@ -295,8 +293,8 @@ class CostBasedOptimizer:
 
         ``key`` is the ``(source, label, kind)`` statistics bucket the
         estimate came from; nodes without one (hash joins, extractors)
-        still display their estimate in EXPLAIN ANALYZE and trigger
-        misestimate events, but record no per-bucket q-error.
+        still display their estimate in EXPLAIN ANALYZE and are held
+        against it there, but record no per-bucket q-error.
         """
         node.estimated_rows = float(rows)
         node.estimate_key = key
@@ -357,6 +355,12 @@ class CostBasedOptimizer:
         externals: list[ExternalCall],
         comparisons: list[Comparison],
     ) -> PlanNode:
+        """The join pipeline over ``patterns``, in order: a pattern
+        sharing variables with what is bound so far is probed once per
+        binding with a parameterized query (a bind join), any other is
+        fetched whole and hash-joined.  The ``fetch_all`` strategy never
+        parameterizes, so all of its joins are hash joins."""
+        fetch_all = self.strategy == "fetch_all"
         node: PlanNode | None = None
         bound: set[str] = set()
         pending_externals = list(externals)
@@ -379,7 +383,10 @@ class CostBasedOptimizer:
             produced = max(estimate * (selectivity**shared), 0.01)
 
             variables = sorted(pattern_variables(relaxed))
-            param_vars = sorted(_parameterizable_vars(relaxed) & bound)
+            param_vars = (
+                [] if fetch_all
+                else sorted(_parameterizable_vars(relaxed) & bound)
+            )
             # a comparison over a parameter stays at the mediator: the
             # shipped template binds the parameter as a constant, not
             # as the variable the comparison names
@@ -388,74 +395,64 @@ class CostBasedOptimizer:
                 set(variables) - set(param_vars),
                 pending_comparisons,
             )
-            if node is None:
-                query = _projection_query(
-                    source_name, relaxed, variables, shipped
+            if param_vars:
+                template_pattern = _parameterize(relaxed, set(param_vars))
+                out_vars = sorted(pattern_variables(template_pattern))
+                template = _projection_query(
+                    source_name, template_pattern, out_vars, shipped
                 )
-                node = self._source_leaf(source_name, relaxed, query)
+                node = ParameterizedQueryNode(
+                    node,
+                    source_name,
+                    template,
+                    {name: name for name in param_vars},
+                    **self._batch_spec(
+                        source_name,
+                        capability,
+                        relaxed,
+                        variables,
+                        shipped,
+                        param_vars,
+                    ),
+                )
                 self._annotate(
-                    node, estimate, (source_name, label, "scan")
+                    node,
+                    bindings_est * produced,
+                    (source_name, label, "join"),
                 )
                 node = ExtractorNode(
                     node,
+                    _extractor_pattern(
+                        template.head[0], template_pattern  # type: ignore[arg-type]
+                    ),
+                    out_vars,
+                )
+                self._annotate(node, bindings_est * produced)
+            else:
+                query = _projection_query(
+                    source_name, relaxed, variables, shipped
+                )
+                leaf: PlanNode = self._source_leaf(
+                    source_name, relaxed, query
+                )
+                self._annotate(leaf, estimate, (source_name, label, "scan"))
+                leaf = ExtractorNode(
+                    leaf,
                     _extractor_pattern(query.head[0], relaxed),  # type: ignore[arg-type]
                     variables,
                 )
-                self._annotate(node, produced)
-            else:
-                if param_vars:
-                    template_pattern = _parameterize(relaxed, set(param_vars))
-                    out_vars = sorted(
-                        pattern_variables(template_pattern)
+                if node is None:
+                    # the bindings the joins start from: floored like
+                    # every step's, except under fetch_all, whose plans
+                    # have always shown the leaf's own estimate here
+                    node = self._annotate(
+                        leaf, estimate if fetch_all else produced
                     )
-                    template = _projection_query(
-                        source_name, template_pattern, out_vars, shipped
-                    )
-                    node = ParameterizedQueryNode(
-                        node,
-                        source_name,
-                        template,
-                        {name: name for name in param_vars},
-                        **self._batch_spec(
-                            source_name,
-                            capability,
-                            relaxed,
-                            variables,
-                            shipped,
-                            param_vars,
-                        ),
-                    )
-                    self._annotate(
-                        node,
-                        bindings_est * produced,
-                        (source_name, label, "join"),
-                    )
-                    node = ExtractorNode(
-                        node,
-                        _extractor_pattern(
-                            template.head[0], template_pattern  # type: ignore[arg-type]
-                        ),
-                        out_vars,
-                    )
-                    self._annotate(node, bindings_est * produced)
                 else:
-                    query = _projection_query(
-                        source_name, relaxed, variables, shipped
+                    self._annotate(leaf, estimate)
+                    node = self._annotate(
+                        JoinNode(node, leaf), bindings_est * produced
                     )
-                    right: PlanNode = self._source_leaf(
-                        source_name, relaxed, query
-                    )
-                    self._annotate(
-                        right, estimate, (source_name, label, "scan")
-                    )
-                    right = ExtractorNode(
-                        right,
-                        _extractor_pattern(query.head[0], relaxed),  # type: ignore[arg-type]
-                        variables,
-                    )
-                    self._annotate(right, estimate)
-                    node = JoinNode(node, right)
-                    self._annotate(node, bindings_est * produced)
             bindings_est *= produced
             bound |= set(variables)
             node = self._drain_ready(
@@ -524,62 +521,6 @@ class CostBasedOptimizer:
             spec["shard_names"] = names
             spec["partition"] = resolved.partition
         return spec
-
-    # -- fetch-all-and-join pipeline -----------------------------------------
-
-    def _build_fetch_all(
-        self,
-        patterns: list[PatternCondition],
-        externals: list[ExternalCall],
-        comparisons: list[Comparison],
-    ) -> PlanNode:
-        node: PlanNode | None = None
-        bound: set[str] = set()
-        pending_externals = list(externals)
-        pending_comparisons = list(comparisons)
-        selectivity = self.statistics.selectivity
-        bindings_est = 1.0
-        for condition in patterns:
-            source_name = condition.source
-            assert source_name is not None
-            capability = self.sources.resolve(source_name).capability
-            relaxed, residual = capability.split(condition.pattern)
-            pending_comparisons.extend(residual)
-            estimate = self._estimate(condition)
-            label = _label_of(relaxed) or "_"
-            shared = len(
-                (_parameterizable_vars(relaxed) | _rest_vars(relaxed))
-                & bound
-            )
-            produced = max(estimate * (selectivity**shared), 0.01)
-            variables = sorted(pattern_variables(relaxed))
-            shipped = self._shippable_comparisons(
-                capability, set(variables), pending_comparisons
-            )
-            query = _projection_query(source_name, relaxed, variables, shipped)
-            leaf: PlanNode = self._source_leaf(source_name, relaxed, query)
-            self._annotate(leaf, estimate, (source_name, label, "scan"))
-            leaf = ExtractorNode(
-                leaf,
-                _extractor_pattern(query.head[0], relaxed),  # type: ignore[arg-type]
-                variables,
-            )
-            self._annotate(leaf, estimate)
-            if node is None:
-                node = leaf
-            else:
-                node = JoinNode(node, leaf)
-                self._annotate(node, bindings_est * produced)
-            bindings_est *= produced
-            bound |= set(variables)
-            node = self._drain_ready(
-                node, bound, pending_externals, pending_comparisons
-            )
-        assert node is not None
-        node = self._drain_ready(
-            node, bound, pending_externals, pending_comparisons, final=True
-        )
-        return node
 
     # -- placing externals and comparisons ---------------------------------------
 

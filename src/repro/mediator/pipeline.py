@@ -19,7 +19,7 @@ style of ngraph's greedy dataflow fusion (SNIPPETS.md Snippet 1):
 * only the five operator types above are fusible;
 * **fan-out is a barrier** — a producer with more than one consumer
   ends its chain (each consumer sees the one materialized output);
-* **joins, dedup, and union are barriers** — they need whole
+* **joins and unions are barriers** — they need whole
   materialized inputs (and, for joins, the columnar key arrays of
   :mod:`repro.mediator.tables`);
 * **dispatcher stage boundaries are barriers** — leaf ``QueryNode``\\ s
@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 #: The straight-line operator types a chain may contain.  Everything
-#: else — joins, dedup, union, and source query leaves — is a barrier.
+#: else — joins, unions, and source query leaves — is a barrier.
 FUSIBLE_TYPES = (
     ExtractorNode,
     FilterNode,

@@ -15,8 +15,10 @@ executed by the engine".  The node types of Figure 3.6 are all here —
 
 plus the supporting nodes a complete engine needs: :class:`FilterNode`
 (mediator-side compensation of conditions a source cannot evaluate),
-:class:`JoinNode` (for fetch-all plans), :class:`DedupNode`, and
-:class:`UnionNode` (multi-rule logical programs).
+:class:`JoinNode` (hash joins of independently fetched patterns), and
+:class:`UnionNode` (multi-rule logical programs).  Duplicates are
+eliminated where the semantics needs it: by the constructor and the
+union.
 
 Each node consumes the tables of its input nodes and produces one
 table; the engine (:mod:`repro.mediator.engine`) runs the graph
@@ -90,7 +92,6 @@ __all__ = [
     "ParameterizedQueryNode",
     "FilterNode",
     "JoinNode",
-    "DedupNode",
     "ConstructorNode",
     "UnionNode",
     "PhysicalPlan",
@@ -122,7 +123,7 @@ class PlanNode(abc.ABC):
     #: ``(source, label, kind)`` statistics key the estimate derives
     #: from (``kind`` is ``"scan"`` for leaf fetches, ``"join"`` for
     #: bind-join probes).  Read by EXPLAIN ANALYZE, the q-error
-    #: tracker, and the engine's mid-query misestimate detector.
+    #: tracker and the telemetry counters, never by the engine.
     estimated_rows: "float | None" = None
     estimate_key: "tuple[str, str, str] | None" = None
 
@@ -882,27 +883,6 @@ class JoinNode(PlanNode):
 
     def describe(self, params=None) -> str:
         return "join"
-
-
-class DedupNode(PlanNode):
-    """Duplicate elimination over (a subset of) columns."""
-
-    def __init__(
-        self, input_node: PlanNode, columns: Sequence[str] | None = None
-    ) -> None:
-        super().__init__((input_node,))
-        self.columns = tuple(columns) if columns is not None else None
-
-    def execute(
-        self, inputs: list[BindingTable], context: "ExecutionContext"
-    ) -> BindingTable:
-        (table,) = inputs
-        return table.distinct(self.columns)
-
-    def describe(self, params=None) -> str:
-        return "dedup" + (
-            f" on {', '.join(self.columns)}" if self.columns else ""
-        )
 
 
 class ConstructorNode(RowOperatorNode):

@@ -17,8 +17,10 @@ When a remembered plan is *not* reused:
   and compared as one :attr:`Planned.stamp`;
 * what makes it possibly **not the cheapest** is drift: the plan
   records the statistics it was costed with, and a value now off by
-  more than the factor the engine calls a misestimate plans it again
-  (cold-start learning re-plans as it always did; steady state hits);
+  more than :data:`~repro.obs.insight.MISESTIMATE_FACTOR` plans it
+  again (cold-start learning re-plans as it always did; steady state
+  hits).  This is the one reaction to a wrong estimate: what a run
+  learns reaches the next call of the shape, never the run itself;
 * a shape whose planning would have to *read* a lifted constant
   (:class:`~repro.msl.lift.ValueDependent`) is marked
   :attr:`Shape.per_query` and planned per query, with its constants in
@@ -38,9 +40,10 @@ from typing import Hashable
 
 from repro.mediator.logical import LogicalDatamergeProgram
 from repro.mediator.plan import PhysicalPlan
-from repro.mediator.statistics import SourceStatistics, qerror
+from repro.mediator.statistics import SourceStatistics
 from repro.msl.ast import Rule
 from repro.msl.lift import param_names
+from repro.obs.insight import MISESTIMATE_FACTOR, q_error
 
 __all__ = ["PLAN_CACHE_ENTRIES", "Shape", "Planned", "PlanCache"]
 
@@ -107,18 +110,19 @@ class Planned:
         plan.stage_starts()
         plan.depth()
 
-    def drift(self, statistics: SourceStatistics, factor: float) -> str | None:
-        """Which recorded statistic is now off by more than ``factor``."""
+    def drift(self, statistics: SourceStatistics) -> str | None:
+        """Which recorded statistic is now off by more than
+        :data:`~repro.obs.insight.MISESTIMATE_FACTOR`."""
         for source, label, then in self.cardinalities:
             now = statistics.base_cardinality(source, label)
-            if now != then and qerror(then, now) > factor:
+            if now != then and q_error(then, now) > MISESTIMATE_FACTOR:
                 return (
                     f"cardinality of {source}/{label} drifted"
                     f" {then:.0f} -> {now:.0f}"
                 )
         for source, then in self.weights:
             now = statistics.cost_weight(source)
-            if now != then and qerror(then, now) > factor:
+            if now != then and q_error(then, now) > MISESTIMATE_FACTOR:
                 return (
                     f"cost weight of {source} drifted {then:.2f} -> {now:.2f}"
                 )

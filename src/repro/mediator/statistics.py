@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_CARDINALITY",
     "DEFAULT_SELECTIVITY",
     "REFERENCE_LATENCY",
-    "qerror",
 ]
 
 #: Assumed result size for a never-seen (source, label) pair.
@@ -51,17 +50,6 @@ _BREAKER_PENALTY = {"closed": 1.0, "half_open": 10.0, "open": 100.0}
 
 #: Q-error observations kept per (source, label) window.
 _QERROR_WINDOW = 64
-
-
-def qerror(estimated: float, actual: float) -> float:
-    """The symmetric estimate-error factor ``max(est/act, act/est)``.
-
-    Both sides are floored at 0.5 so empty results (actual 0) against a
-    small estimate read as a bounded factor instead of infinity.
-    """
-    est = max(float(estimated), 0.5)
-    act = max(float(actual), 0.5)
-    return est / act if est >= act else act / est
 
 
 @dataclass

@@ -7,13 +7,18 @@ subscribes to the event stream of one operation
 (:mod:`repro.mediator.events`) and records, per plan node — including
 the constituents inside fused pipeline chains — the optimizer's
 estimated cardinality next to the actual rows in/out, wall time, and
-source-call latency, plus any mid-query misestimate events, the stage
-re-rank decisions they triggered, and the whole-source exports a
-materialized answer made.  :class:`AnalyzeReport` wraps a finished
-insight together with the operation's answer: ``render()`` is the
-annotated plan tree (with a misestimate-factor column) that
+source-call latency, plus the nodes whose actual rows exceeded the
+estimate by more than :data:`MISESTIMATE_FACTOR`, and the whole-source
+exports a materialized answer made.  :class:`AnalyzeReport` wraps a
+finished insight together with the operation's answer: ``render()`` is
+the annotated plan tree (with a misestimate-factor column) that
 ``--explain-analyze`` prints, ``to_dict()``/``to_json()`` the
 structured export CI validates.
+
+:func:`q_error` and :data:`MISESTIMATE_FACTOR` are the one definition
+of "how wrong was an estimate" and "wrong enough to count": this
+report, the telemetry counter, the statistics database's q-error
+windows and the plan cache's drift check all read them.
 
 The module is deliberately import-light (plan nodes are duck-typed via
 ``estimated_rows`` / ``estimate_key`` / ``fusion_width``), so
@@ -26,17 +31,40 @@ import json
 import threading
 from typing import Any, Iterator, Sequence
 
-__all__ = ["AnalyzeReport", "NodeObservation", "QueryInsight"]
+__all__ = [
+    "AnalyzeReport",
+    "MISESTIMATE_FACTOR",
+    "NodeObservation",
+    "QueryInsight",
+    "q_error",
+    "underestimated",
+]
+
+#: How far actual rows may exceed an estimate before the node counts as
+#: misestimated — and how far a statistic a remembered plan was costed
+#: with may drift before the plan is made again.
+MISESTIMATE_FACTOR = 4.0
 
 #: Actual-vs-estimate floor: zero-row stages still produce a finite
-#: q-error (mirrors ``repro.mediator.statistics.qerror``).
+#: q-error.
 _FLOOR = 0.5
 
 
 def q_error(estimated: float, actual: float) -> float:
+    """The symmetric estimate-error factor ``max(est/act, act/est)``.
+
+    Both sides are floored at 0.5 so empty results (actual 0) against a
+    small estimate read as a bounded factor instead of infinity.
+    """
     est = max(float(estimated), _FLOOR)
     act = max(float(actual), _FLOOR)
     return est / act if est >= act else act / est
+
+
+def underestimated(estimated: float, actual: float) -> bool:
+    """Did ``actual`` rows exceed the (floored) estimate by more than
+    :data:`MISESTIMATE_FACTOR`?"""
+    return actual > max(estimated, _FLOOR) * MISESTIMATE_FACTOR
 
 
 class NodeObservation:
@@ -98,9 +126,9 @@ class NodeObservation:
         """The rendered misestimate column: ``2.4x under`` style.
 
         ``under`` means the optimizer *under*-estimated (actual
-        exceeded the estimate), the direction that triggers mid-query
-        re-ranking; ``over`` the reverse; ``-`` when the node carries
-        no estimate or never ran.
+        exceeded the estimate), the direction the ``misestimates`` list
+        reports; ``over`` the reverse; ``-`` when the node carries no
+        estimate or never ran.
         """
         error = self.qerror
         if error is None:
@@ -144,15 +172,13 @@ class QueryInsight:
 
     ``explain_analyze`` subscribes one insight to its operation's event
     stream: every executed operator (fused constituents too) arrives as
-    a ``plan-node`` / ``pipeline-stage`` event, misestimates and
-    re-rank decisions as events of their own, whole-source exports as
+    a ``plan-node`` / ``pipeline-stage`` event, held against its
+    estimate as it arrives; whole-source exports arrive as
     ``source-call`` events.  Leaf queries finish on pool workers, hence
     the lock.
     """
 
-    kinds = frozenset(
-        {"plan-node", "pipeline-stage", "source-call", "misestimate", "rerank"}
-    )
+    kinds = frozenset({"plan-node", "pipeline-stage", "source-call"})
     opens = frozenset()
 
     def __init__(self) -> None:
@@ -160,7 +186,6 @@ class QueryInsight:
         self.nodes: list[NodeObservation] = []
         self._by_id: dict[int, NodeObservation] = {}
         self.misestimates: list[dict[str, Any]] = []
-        self.reranks: list[dict[str, Any]] = []
         self.exports: list[dict[str, Any]] = []
         self.plans = 0
 
@@ -238,12 +263,10 @@ class QueryInsight:
 
     def end(self, event: Any) -> None:
         """Fold one engine event into the report."""
-        kind = event.kind
         attributes = event.attributes
-        record = self._by_id.get(id(event.subject))
-        with self._lock:
-            if kind == "source-call":
-                if attributes.get("export"):
+        if event.kind == "source-call":
+            if attributes.get("export"):
+                with self._lock:
                     self.exports.append(
                         {
                             "source": event.name,
@@ -251,56 +274,34 @@ class QueryInsight:
                             "seconds": event.seconds,
                         }
                     )
-            elif kind == "rerank":
-                stage, before, after = event.subject
-                self.reranks.append(
-                    {
-                        "stage": stage,
-                        "before": [self._key_of(node) for node in before],
-                        "after": [self._key_of(node) for node in after],
-                    }
-                )
-            elif kind == "misestimate":
+            return
+        node = event.subject
+        rows = attributes["rows_out"]
+        estimated = node.estimated_rows
+        record = self._by_id.get(id(node))
+        with self._lock:
+            if record is not None:
+                record.calls += 1
+                record.rows_in += event.rows_in
+                record.rows_out += rows
+                record.seconds += event.seconds
+                record.latency += event.latency
+            if estimated is not None and underestimated(estimated, rows):
                 if record is not None:
                     record.misestimates += 1
                 self.misestimates.append(
-                    self._misestimate(event.subject, record, attributes)
+                    {
+                        "node": record.key if record is not None else None,
+                        "description": (
+                            type(node).__name__
+                            if record is None
+                            else record.description
+                        ),
+                        "estimated_rows": float(estimated),
+                        "actual_rows": int(rows),
+                        "qerror": q_error(estimated, rows),
+                    }
                 )
-            elif record is not None:
-                record.calls += 1
-                record.rows_in += event.rows_in
-                record.rows_out += attributes["rows_out"]
-                record.seconds += event.seconds
-                record.latency += event.latency
-
-    def _misestimate(
-        self, node: Any, record: "NodeObservation | None", attributes: dict
-    ) -> dict[str, Any]:
-        """One mid-query misestimate event and what was done about it."""
-        key = node.estimate_key
-        action = "noted (no statistics bucket to correct)"
-        if key is not None:
-            action = (
-                f"recorded {attributes['correction']:.1f}x correction for"
-                f" {key[0]}/{key[1]}; undispatched stages re-rank"
-                " against it"
-            )
-        estimated = attributes["estimated_rows"]
-        actual = attributes["actual_rows"]
-        return {
-            "node": record.key if record is not None else None,
-            "description": (
-                type(node).__name__ if record is None else record.description
-            ),
-            "estimated_rows": float(estimated),
-            "actual_rows": int(actual),
-            "qerror": q_error(estimated, actual),
-            "action": action,
-        }
-
-    def _key_of(self, node: Any) -> str:
-        record = self._by_id.get(id(node))
-        return record.key if record is not None else type(node).__name__
 
     # -- views -------------------------------------------------------------
 
@@ -329,14 +330,13 @@ class AnalyzeReport:
 
     def to_dict(self) -> dict[str, Any]:
         report = {
-            "version": 1,
+            "version": 2,
             "query": self.query,
             "seconds": self.seconds,
             "result_objects": len(self.objects),
             "warnings": len(self.warnings),
             "nodes": [record.to_dict() for record in self.insight.nodes],
             "misestimates": list(self.insight.misestimates),
-            "reranks": list(self.insight.reranks),
         }
         if self.insight.exports:
             # present only for answers computed over materialized views
@@ -389,23 +389,14 @@ class AnalyzeReport:
                 )
         if self.insight.misestimates:
             lines.append("")
-            lines.append("misestimate events:")
-            for event in self.insight.misestimates:
+            lines.append(
+                f"misestimates (actual > {MISESTIMATE_FACTOR:g}x estimate):"
+            )
+            for entry in self.insight.misestimates:
                 lines.append(
-                    f"  [{event['node']}] estimated"
-                    f" {event['estimated_rows']:.0f}, actual"
-                    f" {event['actual_rows']}"
-                    f" ({event['qerror']:.1f}x) -> {event['action']}"
-                )
-        if self.insight.reranks:
-            lines.append("")
-            lines.append("re-rank decisions:")
-            for decision in self.insight.reranks:
-                before = ", ".join(decision["before"])
-                after = ", ".join(decision["after"])
-                lines.append(
-                    f"  stage {decision['stage']}:"
-                    f" [{before}] -> [{after}]"
+                    f"  [{entry['node']}] estimated"
+                    f" {entry['estimated_rows']:.0f}, actual"
+                    f" {entry['actual_rows']} ({entry['qerror']:.1f}x)"
                 )
         return "\n".join(lines)
 

@@ -65,7 +65,6 @@ SPAN_KINDS = (
     "source-call",
     "pattern-match",
     "external-predicate",
-    "misestimate",
 )
 
 #: The terminal statuses a span may carry.

@@ -14,7 +14,9 @@ separate places:
   external-predicate), the engine's part of it as a subscriber of the
   run's event stream (:mod:`repro.mediator.events`);
 * the facade subscribes to the same stream for the per-node row
-  histogram, the estimate q-error and the misestimate counter, and
+  histogram, the estimate q-error and the misestimate counter (a node
+  whose actual rows exceed its estimate by more than
+  :data:`~repro.obs.insight.MISESTIMATE_FACTOR`), and
   reads a run's per-source call and sharding totals off its execution
   context once, when the operation ends;
 * the registry absorbs the scattered counters — answer-cache hits,
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.obs.insight import q_error
+from repro.obs.insight import q_error, underestimated
 from repro.obs.metrics import (
     DEFAULT_QERROR_BUCKETS,
     DEFAULT_ROWS_BUCKETS,
@@ -57,7 +59,7 @@ _BREAKER_STATES = {"closed": 0, "half_open": 1, "open": 2}
 class Telemetry:
     """A tracer and a metrics registry, wired to mediator components."""
 
-    kinds = frozenset({"plan-node", "pipeline-stage", "misestimate"})
+    kinds = frozenset({"plan-node", "pipeline-stage"})
     opens = frozenset()
 
     def __init__(
@@ -463,12 +465,7 @@ class Telemetry:
             self.shards_pruned_total.inc(context.shards_pruned)
 
     def end(self, event) -> None:
-        """One finished node run or misestimate off the event stream."""
-        node = event.subject
-        key = node.estimate_key
-        if event.kind == "misestimate":
-            self.misestimate_events_total.inc(source=key[0] if key else "")
-            return
+        """One finished node run off the event stream."""
         # label-bound children: this is the hottest metric path
         rows = event.attributes["rows_out"]
         child = self._rows_children.get(event.name)
@@ -477,7 +474,12 @@ class Telemetry:
                 self.plan_node_rows.labels(node=event.name)
             )
         child.observe(rows)
-        if key is not None and node.estimated_rows is not None:
+        node = event.subject
+        estimated = node.estimated_rows
+        if estimated is None:
+            return
+        key = node.estimate_key
+        if key is not None:
             child = self._qerror_children.get(key)
             if child is None:
                 child = self._qerror_children[key] = (
@@ -485,7 +487,9 @@ class Telemetry:
                         source=key[0], label=key[1], kind=key[2]
                     )
                 )
-            child.observe(q_error(node.estimated_rows, rows))
+            child.observe(q_error(estimated, rows))
+        if underestimated(estimated, rows):
+            self.misestimate_events_total.inc(source=key[0] if key else "")
 
     # -- views -------------------------------------------------------------
 

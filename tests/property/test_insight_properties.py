@@ -5,10 +5,8 @@ analyzed run (``explain_analyze``) produces bit-for-bit the same result
 objects (by structural key — oids are run-specific) and the same
 warnings as the plain ``query`` path, across dataset seeds, parallelism
 1 and 8, fusion on and off, and a retry-masked fault schedule.  The
-insight recorder only *reads* the rows flowing between operators;
-misestimate-driven re-ranking is gated on the misestimate factor, which
-is identical in both runs, and only reorders independent nodes within a
-stage.
+insight recorder only *reads* the rows flowing between operators, and
+a misestimate it reports changes nothing about the run it was seen in.
 """
 
 from hypothesis import given, settings

@@ -532,7 +532,7 @@ class TestExplainAnalyzeFlags:
         assert len(lines) == 2
         for line in lines:
             doc = json.loads(line)
-            assert doc["version"] == 1
+            assert doc["version"] == 2
             assert doc["result_objects"] == 1
             assert doc["nodes"]
 
@@ -603,7 +603,7 @@ class TestStatisticsFlags:
 
 class TestPublicSurface:
     def test_knobs_are_spelled_out(self):
-        # every constructor keyword (24) and CLI option (40), as
+        # every constructor keyword (23) and CLI option (39), as
         # literals: a new knob, or a removed one, is a reviewed diff of
         # this test, not a number someone re-counts by hand
         import inspect
@@ -619,7 +619,7 @@ class TestPublicSurface:
             "clock", "budget", "budget_mode", "on_malformed_answer",
             "cancellation", "parallelism", "cache", "fuse", "telemetry",
             "hedge", "admission",
-            "bulkheads", "semijoin", "misestimate_factor",
+            "bulkheads", "semijoin",
         ]
         options = sorted(
             option
@@ -633,7 +633,7 @@ class TestPublicSurface:
             "--explain", "--explain-analyze", "--export", "--format",
             "--hedge", "--hedge-delay", "--max-concurrent",
             "--max-result-objects", "--max-rows", "--max-total-rows",
-            "--mediator", "--metrics-out", "--misestimate-factor",
+            "--mediator", "--metrics-out",
             "--no-fuse", "--no-semijoin", "--parallelism", "--priority",
             "--push-mode", "--quarantine-malformed", "--query",
             "--queue-depth", "--retries", "--shard", "--slow-query-ms",

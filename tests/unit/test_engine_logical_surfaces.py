@@ -61,7 +61,7 @@ class TestTraceRendering:
         for entry in trace:
             assert isinstance(entry, TraceEntry)
             rendered = entry.render()
-            assert entry.node.describe() in rendered
+            assert entry.node.describe(entry.params) in rendered
 
     def test_trace_disabled_by_default(self):
         scenario = build_scenario()

@@ -33,7 +33,7 @@ ALL_QUERY = "ALL :- ALL:<cs_person {}>@med"
 EVERY_KIND = frozenset(
     {
         "plan-stage", "plan-node", "pipeline-stage", "source-call",
-        "pattern-match", "external-predicate", "misestimate", "rerank",
+        "pattern-match", "external-predicate",
     }
 )
 
@@ -61,9 +61,10 @@ class Recording:
         self.events.append((event.kind, *row))
 
 
-def watch(mediator, monkeypatch):
-    """Subscribe a :class:`Recording` to every run of ``mediator``."""
-    recording = Recording()
+def watch(mediator, monkeypatch, recording=None):
+    """Subscribe ``recording`` (a :class:`Recording` by default) to
+    every run of ``mediator``."""
+    recording = Recording() if recording is None else recording
     build = mediator._context
 
     def watched():
@@ -181,6 +182,66 @@ def test_source_call_events_match_shipped_queries_on_a_fan_out(monkeypatch):
                 calls[event[1]] = calls.get(event[1], 0) + 1
         assert calls == mediator.last_context.queries_sent
         assert sum(calls.values()) > 24  # one probe per person, at least
+
+
+class NodeOrder:
+    """A subscriber that writes down which node each run was."""
+
+    kinds = frozenset({"plan-node"})
+    opens = frozenset()
+
+    def __init__(self):
+        self.nodes = []
+
+    def end(self, event):
+        self.nodes.append(event.subject)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_a_misestimate_leaves_later_stages_in_plan_order(
+    parallelism, monkeypatch
+):
+    # a stage-1 leaf comes back far beyond 4x its estimate; nothing
+    # about the run reacts — every later stage runs its nodes in the
+    # order the plan lists them — and the next call is planned again
+    scenario = build_scaled_scenario(60)
+    mediator = Mediator(
+        "med",
+        scenario.mediator.specification,
+        scenario.registry,
+        scenario.externals,
+        register=False,
+        parallelism=parallelism,
+    )
+    order = watch(mediator, monkeypatch, NodeOrder())
+    try:
+        plan = mediator._planned(*mediator._shape_of(ALL_QUERY))[0].plan
+        report = mediator.explain_analyze(ALL_QUERY)
+        assert mediator._plans.stats()["replans"] == 0
+        mediator.answer(ALL_QUERY)
+        assert mediator._plans.stats()["replans"] == 1
+    finally:
+        mediator.close()
+    doc = report.to_dict()
+    stage_one = {n["key"] for n in doc["nodes"] if n["stage"] == 1}
+    assert any(
+        entry["node"] in stage_one
+        and entry["actual_rows"] > 4 * entry["estimated_rows"]
+        for entry in doc["misestimates"]
+    )
+    stage_of = {
+        id(node): start
+        for start, group in plan.stage_starts()
+        for node in group
+    }
+    nodes = plan.nodes()
+    ran = order.nodes[: len(nodes)]  # the analyzed run's
+    later = [node for node in ran if stage_of[id(node)] > 1]
+    assert len(later) == sum(stage_of[id(node)] > 1 for node in nodes) > 0
+    assert later == sorted(
+        later,
+        key=lambda node: (stage_of[id(node)], nodes.index(node)),
+    )
 
 
 # -- (ii) watching changes nothing ------------------------------------------

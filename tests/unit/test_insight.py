@@ -2,23 +2,21 @@
 
 Covers EXPLAIN ANALYZE (report shape, rendering, per-constituent
 attribution under fusion), q-error tracking into the statistics store
-and the telemetry registry, mid-query misestimate events with stage
-re-ranking, the observed-cost feedback loop into the optimizer, and
-statistics snapshot/restore persistence.
+and the telemetry registry, misestimates as the analyze report and the
+telemetry counter see them, the observed-cost feedback loop into the
+optimizer, and statistics snapshot/restore persistence.
 """
 
 import json
 import time
-from types import SimpleNamespace
 
 import pytest
 
 from repro.datasets import JOE_CHUNG_QUERY, MS1, build_scenario
 from repro.datasets.staff import build_scaled_scenario
 from repro.mediator import Mediator, MediatorError, SourceStatistics
-from repro.mediator.engine import ExecutionContext, _rerank_stage
-from repro.mediator.statistics import qerror
 from repro.obs import AnalyzeReport, QueryInsight
+from repro.obs.insight import MISESTIMATE_FACTOR, q_error
 from repro.oem import atom, obj, structural_key
 from repro.wrappers import OEMStoreWrapper, SourceRegistry
 
@@ -45,14 +43,14 @@ def fresh_mediator(scenario, **kwargs):
 
 class TestQError:
     def test_symmetric_factor(self):
-        assert qerror(10, 10) == 1.0
-        assert qerror(2, 8) == 4.0
-        assert qerror(8, 2) == 4.0
+        assert q_error(10, 10) == 1.0
+        assert q_error(2, 8) == 4.0
+        assert q_error(8, 2) == 4.0
 
     def test_zero_rows_are_floored(self):
-        assert qerror(0, 0) == 1.0
-        assert qerror(1, 0) == 2.0  # act floored at 0.5
-        assert qerror(0, 5) == 10.0  # est floored at 0.5
+        assert q_error(0, 0) == 1.0
+        assert q_error(1, 0) == 2.0  # act floored at 0.5
+        assert q_error(0, 5) == 10.0  # est floored at 0.5
 
 
 # -- EXPLAIN ANALYZE ----------------------------------------------------------
@@ -74,7 +72,8 @@ class TestExplainAnalyze:
             JOE_CHUNG_QUERY
         )
         doc = report.to_dict()
-        assert doc["version"] == 1
+        assert doc["version"] == 2
+        assert "reranks" not in doc
         assert doc["result_objects"] == 1
         estimated = [
             n for n in doc["nodes"] if n["estimated_rows"] is not None
@@ -206,95 +205,47 @@ class TestExplainAnalyze:
         assert "q-error" in text
 
 
-# -- misestimate events and re-ranking ----------------------------------------
+# -- misestimates -------------------------------------------------------------
+
+
+def misestimate_count(mediator):
+    """The ``repro_misestimate_events_total`` samples, summed."""
+    return sum(
+        float(line.rsplit(" ", 1)[1])
+        for line in mediator.metrics_text().splitlines()
+        if line.startswith("repro_misestimate_events_total{")
+    )
 
 
 class TestMisestimates:
     def test_underestimate_fires_event(self):
         # 60 persons behind an estimate discounted by the constant
         # conditions: actual exceeds the estimate far beyond 4x
-        med = build_scaled_scenario(60).mediator
+        med = fresh_mediator(build_scaled_scenario(60), telemetry=True)
         report = med.explain_analyze(ALL_QUERY)
         doc = report.to_dict()
         assert doc["misestimates"]
-        event = doc["misestimates"][0]
-        assert event["actual_rows"] > event["estimated_rows"] * 4
-        assert "correction" in event["action"]
-        context = med.last_context
-        assert context.misestimate_events >= 1
-        assert context.estimate_corrections
-        assert "misestimate events:" in report.render()
-
-    def test_factor_zero_disables_detection(self):
-        scenario = build_scaled_scenario(60)
-        med = fresh_mediator(scenario, misestimate_factor=0)
-        report = med.explain_analyze(ALL_QUERY)
-        assert report.to_dict()["misestimates"] == []
-        assert med.last_context.misestimate_events == 0
-
-    def test_invalid_factor_rejected(self):
-        scenario = build_scenario()
-        with pytest.raises(MediatorError):
-            fresh_mediator(scenario, misestimate_factor=-1)
-        with pytest.raises(MediatorError):
-            fresh_mediator(scenario, misestimate_factor="big")
+        entry = doc["misestimates"][0]
+        assert entry["actual_rows"] > (
+            entry["estimated_rows"] * MISESTIMATE_FACTOR
+        )
+        assert set(entry) == {
+            "node", "description", "estimated_rows", "actual_rows", "qerror"
+        }
+        flagged = [n for n in doc["nodes"] if n["misestimates"]]
+        assert entry["node"] in {n["key"] for n in flagged}
+        assert "misestimates (actual > 4x estimate):" in report.render()
+        # the counter flags the same nodes the report lists
+        assert misestimate_count(med) == len(doc["misestimates"])
+        med.close()
 
     def test_analyze_off_still_detects(self):
-        # the adaptive loop is driven by misestimate_factor, not by
-        # --explain-analyze: a plain query records events too
-        med = build_scaled_scenario(60).mediator
+        # the counter is telemetry's, not --explain-analyze's: a plain
+        # query counts its misestimates too
+        med = fresh_mediator(build_scaled_scenario(60), telemetry=True)
         med.answer(ALL_QUERY)
-        assert med.last_context.misestimate_events >= 1
-
-
-class TestRerankStage:
-    def node(self, est, key):
-        return SimpleNamespace(estimated_rows=est, estimate_key=key)
-
-    def context(self, corrections):
-        context = ExecutionContext(sources=None, externals=None)
-        context.estimate_corrections.update(corrections)
-        return context
-
-    def test_corrected_estimates_reorder_cheapest_first(self):
-        small = self.node(5.0, ("s", "a", "join"))
-        ballooned = self.node(2.0, ("s", "b", "join"))
-        context = self.context({("s", "b"): 100.0})
-        reranked = _rerank_stage(2, [ballooned, small], context)
-        assert reranked == [small, ballooned]
-
-    def test_unaffected_stage_is_untouched(self):
-        stage = [self.node(9.0, ("s", "a", "join")),
-                 self.node(1.0, ("s", "b", "join"))]
-        context = self.context({("other", "x"): 50.0})
-        assert _rerank_stage(2, stage, context) is stage
-
-    def test_estimate_free_nodes_sort_last_stably(self):
-        bare_a = self.node(None, None)
-        bare_b = self.node(None, None)
-        cheap = self.node(1.0, ("s", "a", "join"))
-        context = self.context({("s", "a"): 1.0})
-        reranked = _rerank_stage(3, [bare_a, bare_b, cheap], context)
-        assert reranked == [cheap, bare_a, bare_b]
-
-    def test_decision_recorded_in_insight(self):
-        # unregistered nodes fall back to their type names in the
-        # decision record, so give the two fakes distinct types
-        ballooned = type("Ballooned", (SimpleNamespace,), {})(
-            estimated_rows=2.0, estimate_key=("s", "b", "join")
-        )
-        small = type("Small", (SimpleNamespace,), {})(
-            estimated_rows=5.0, estimate_key=("s", "a", "join")
-        )
-        insight = QueryInsight()
-        context = self.context({("s", "b"): 100.0})
-        context.subscribers = (insight,)
-        _rerank_stage(2, [ballooned, small], context)
-        assert insight.reranks
-        decision = insight.reranks[0]
-        assert decision["stage"] == 2
-        assert decision["before"] == ["Ballooned", "Small"]
-        assert decision["after"] == ["Small", "Ballooned"]
+        assert misestimate_count(med) >= 1
+        med.close()
 
 
 # -- the statistics feedback loop ---------------------------------------------
@@ -332,9 +283,9 @@ class TestFeedbackLoop:
             assert learned[True].has_observations("cs", label)
             batched = learned[True].base_cardinality("cs", label)
             per_tuple = learned[False].base_cardinality("cs", label)
-            # agreement within the factor the engine itself treats as
-            # "estimate was right" (the default misestimate_factor)
-            assert qerror(batched, per_tuple) <= 4.0
+            # agreement within the factor below which an estimate
+            # counts as right
+            assert q_error(batched, per_tuple) <= MISESTIMATE_FACTOR
         assert (
             learned[True].qerror_summary() == learned[False].qerror_summary()
         )

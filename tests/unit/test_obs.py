@@ -13,7 +13,11 @@ import re
 
 import pytest
 
-from repro.datasets import JOE_CHUNG_QUERY, build_scenario
+from repro.datasets import (
+    JOE_CHUNG_QUERY,
+    build_scaled_scenario,
+    build_scenario,
+)
 from repro.exec import AnswerCache
 from repro.governor.budget import QueryBudget
 from repro.mediator import Mediator
@@ -197,8 +201,11 @@ class TestTracer:
         assert NOOP_TRACER.stats() == {"enabled": False}
 
     def test_span_kinds_catalog_matches_hierarchy(self):
-        assert SPAN_KINDS[0] == "query"
-        assert "source-call" in SPAN_KINDS
+        assert SPAN_KINDS == (
+            "query", "view-expansion", "plan-stage", "plan-node",
+            "pipeline-stage", "source-call", "pattern-match",
+            "external-predicate",
+        )
 
 
 class TestMetrics:
@@ -407,6 +414,29 @@ class TestMediatorIntegration:
         )
         kinds = {s.kind for s in spans}
         assert {"query", "plan-stage", "plan-node", "source-call"} <= kinds
+
+    def test_a_misestimated_node_carries_its_estimate(self):
+        # 60 persons behind a discounted estimate: the node's own span
+        # shows both numbers; no span of its own marks the miss
+        scenario = build_scaled_scenario(60)
+        mediator = Mediator(
+            "med",
+            scenario.mediator.specification,
+            scenario.registry,
+            scenario.externals,
+            register=False,
+            telemetry=True,
+        )
+        mediator.answer("ALL :- ALL:<cs_person {}>@med")
+        spans = mediator.telemetry.tracer.spans()
+        assert {s.kind for s in spans} <= set(SPAN_KINDS)
+        estimated = [
+            s.attributes for s in spans if "estimated_rows" in s.attributes
+        ]
+        assert estimated
+        assert any(
+            a["rows_out"] > 4 * a["estimated_rows"] for a in estimated
+        )
 
     def test_stage_spans_are_real_intervals_at_one_worker(self):
         # sequential execution is the one-worker case of the stage

@@ -685,11 +685,30 @@ class TestVisibility:
         assert 'cache="source:big#0"' in text
         assert 'cache="source:big#1"' in text
 
-    def test_traced_mediators_plan_each_query_as_written(self):
+    def test_traced_mediators_print_the_calls_constants(self):
         scenario = build_scenario(trace=True)
         scenario.mediator.answer(JOE)
         rendered = scenario.mediator.engine.render_trace()
         assert "'Joe Chung'" in rendered and "$#" not in rendered
+
+    def test_a_traced_lookup_with_a_new_constant_is_a_hit(self):
+        # a traced mediator plans through the same shapes as any other:
+        # its trace is described under the call's constants instead
+        mediator = build_scenario(trace=True).mediator
+        mediator.answer(JOE)
+        before = mediator._plans.stats()
+        (nick,) = mediator.answer(
+            "X :- X:<cs_person {<name 'Nick Naive'>}>@med"
+        )
+        assert nick.get("name") == "Nick Naive"
+        after = mediator._plans.stats()
+        assert after["hits"] == before["hits"] + 1
+        assert (after["misses"], after["entries"]) == (
+            before["misses"], before["entries"]
+        )
+        rendered = mediator.engine.render_trace()
+        assert "'Nick Naive'" in rendered and "'Joe Chung'" not in rendered
+        assert "$#" not in rendered
 
 
 # -- two constants that used to print alike ----------------------------------

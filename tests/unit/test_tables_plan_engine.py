@@ -9,7 +9,6 @@ from repro.mediator import (
     BindingTable,
     ConstructorNode,
     DatamergeEngine,
-    DedupNode,
     ExecutionContext,
     ExternalPredNode,
     ExtractorNode,
@@ -183,7 +182,7 @@ class TestPlanNodes:
     def test_external_pred_node(self, context):
         source = BindingTable(["N"], [("Joe Chung",)])
         node = ExternalPredNode(
-            DedupNode(QueryNode("whois", parse_rule("<a B> :- <person B>"))),
+            QueryNode("whois", parse_rule("<a B> :- <person B>")),
             ExternalCall("decomp", (Var("N"), Var("LN"), Var("FN"))),
         )
         table = node.execute([source], context)
@@ -199,7 +198,7 @@ class TestPlanNodes:
             "<$R {<first_name $FN> <last_name $LN> | Rest2}>"
         )
         node = ParameterizedQueryNode(
-            DedupNode(QueryNode("cs", template)),
+            QueryNode("cs", template),
             "cs",
             template,
             {"R": "R", "LN": "LN", "FN": "FN"},
@@ -214,7 +213,7 @@ class TestPlanNodes:
     def test_filter_node(self, context):
         table = BindingTable(["Y"], [(2,), (4,)])
         node = FilterNode(
-            DedupNode(QueryNode("cs", parse_rule("<a B> :- <student B>"))),
+            QueryNode("cs", parse_rule("<a B> :- <student B>")),
             Comparison(Var("Y"), ">", Const(3)),
         )
         assert node.execute([table], context).rows == [(4,)]
@@ -225,14 +224,13 @@ class TestPlanNodes:
         right = BindingTable(["k", "v"], [("a", 1)])
         joined = JoinNode(q, q).execute([left, right], context)
         assert len(joined) == 2
-        assert len(DedupNode(q).execute([joined], context)) == 1
+        # no plan node deduplicates: the table does, where asked to
+        assert len(joined.distinct()) == 1
 
     def test_constructor_node(self, context):
         rule = parse_rule("<who {<name N>}> :- <person {<name N>}>@whois")
         table = BindingTable(["N"], [("A",), ("A",), ("B",)])
-        node = ConstructorNode(
-            DedupNode(QueryNode("whois", rule)), rule.head
-        )
+        node = ConstructorNode(QueryNode("whois", rule), rule.head)
         result = node.execute([table], context)
         assert result.columns == (RESULT_COLUMN,)
         assert len(result) == 2  # dedup
@@ -241,7 +239,7 @@ class TestPlanNodes:
         rule = parse_rule("<who {<name N>}> :- <person {<name N>}>@whois")
         table = BindingTable(["N"], [("A",), ("A",)])
         node = ConstructorNode(
-            DedupNode(QueryNode("whois", rule)), rule.head, deduplicate=False
+            QueryNode("whois", rule), rule.head, deduplicate=False
         )
         assert len(node.execute([table], context)) == 2
 
