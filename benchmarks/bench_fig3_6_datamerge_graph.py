@@ -1,8 +1,8 @@
 """Experiment F3.6 — Figure 3.6: physical datamerge graph execution.
 
 Regenerates the figure's walkthrough: the graph for logical rule Q3,
-every node's flowing table (Qw result, extractor bindings, decomp
-output, parameterized queries Qcs1/Qcs2, constructor output), and
+every node's flowing table (Qw's bindings, decomp output,
+parameterized queries Qcs1/Qcs2, constructor output), and
 measures graph execution node by node.
 """
 

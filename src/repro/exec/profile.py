@@ -4,8 +4,9 @@ Records two families of counters while a plan runs:
 
 * **per-node**: one row per physical plan node class/name — calls, rows
   produced, and wall-clock seconds spent in ``execute``;
-* **per-pattern**: one row per extractor pattern — objects inspected,
-  matches produced, and seconds spent inside the matcher.
+* **per-pattern**: one row per carrier pattern matched against an OEM
+  answer — objects inspected, matches produced, and seconds spent
+  inside the matcher.
 
 The profiler is owned by the :class:`~repro.mediator.mediator.Mediator`
 and subscribes to every run's event stream (``plan-node`` /

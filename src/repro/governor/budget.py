@@ -422,8 +422,10 @@ class QueryGovernor:
 
     def sanitize_answer(
         self, source: str, objects: list, sink: list | None = None
-    ) -> "list[OEMObject]":
-        """Run ``objects`` through the attached sanitizer, if any.
+    ) -> list:
+        """Run ``objects`` — an answer's objects or its
+        :class:`~repro.wrappers.base.BindingRows` — through the attached
+        sanitizer, if any.
 
         Quarantine warnings go to ``sink`` (default: the governor's own
         warning list).  In strict sanitizer mode this raises

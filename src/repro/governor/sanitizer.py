@@ -28,6 +28,13 @@ dropped, its well-formed siblings survive (parents are rebuilt via
 :class:`~repro.reliability.health.SourceWarning` per issue is attached
 to the run.  In **strict** mode the first pass collects all issues and
 raises :class:`~repro.wrappers.base.MalformedAnswerError` naming them.
+
+A :class:`~repro.wrappers.base.BindingRows` answer is checked as the
+carrier objects its rows stand for: a row is a depth-1 object with one
+depth-2 child per cell, and the objects a cell holds sit below that
+child.  It gets the issues, verdicts and repairs those carriers would —
+a row whose carrier would lose a column, or an object column its
+object, no longer matches, and is dropped.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from repro.oem.model import (
     infer_type,
 )
 from repro.reliability.health import SourceWarning
-from repro.wrappers.base import MalformedAnswerError
+from repro.wrappers.base import BindingRows, MalformedAnswerError
 
 __all__ = ["AnswerSanitizer", "DEFAULT_MAX_DEPTH"]
 
@@ -93,19 +100,26 @@ class AnswerSanitizer:
 
     def sanitize(
         self, source: str, objects: Sequence[object]
-    ) -> tuple[list[OEMObject], list[SourceWarning]]:
+    ) -> tuple[list, list[SourceWarning]]:
         """Validate one answer from ``source``.
 
-        Returns the surviving objects plus one warning per quarantined
-        issue; raises :class:`MalformedAnswerError` in strict mode as
-        soon as any issue is found.
+        Returns the surviving objects (or rows, for a
+        :class:`~repro.wrappers.base.BindingRows` answer) plus one
+        warning per quarantined issue; raises
+        :class:`MalformedAnswerError` in strict mode as soon as any
+        issue is found.
         """
         issues: list[str] = []
         counter = [0]  # objects admitted so far, shared down the walk
-        clean: list[OEMObject] = []
+        if isinstance(objects, BindingRows):
+            clean: list = BindingRows(objects.columns)
+            keep = self._sanitize_row
+        else:
+            clean = []
+            keep = self._sanitize_root
         try:
-            for obj in objects:
-                kept = self._sanitize(obj, 1, frozenset(), issues, counter)
+            for item in objects:
+                kept = keep(item, issues, counter)
                 if kept is not None:
                     clean.append(kept)
         except _Quarantined:
@@ -126,6 +140,63 @@ class AnswerSanitizer:
         issues.append(issue)
         if self.mode == "strict":
             raise _Quarantined
+
+    def _sanitize_root(self, obj, issues, counter) -> OEMObject | None:
+        return self._sanitize(obj, 1, frozenset(), issues, counter)
+
+    def _sanitize_row(self, row: tuple, issues, counter) -> tuple | None:
+        """One row as its carrier: the row itself at depth 1, a child
+        per cell at depth 2, a cell's objects from depth 3."""
+        if not self._room(1, issues, counter):
+            return None
+        counter[0] += 1
+        cells: list[object] = []
+        matches = True
+        for cell in row:
+            if not self._room(2, issues, counter):
+                matches = False
+                continue
+            counter[0] += 1
+            if isinstance(cell, OEMObject):
+                cell = self._sanitize(cell, 3, frozenset(), issues, counter)
+                matches = matches and cell is not None
+            elif isinstance(cell, tuple):
+                kept = [
+                    member
+                    for member in (
+                        self._sanitize(m, 3, frozenset(), issues, counter)
+                        for m in cell
+                    )
+                    if member is not None
+                ]
+                if len(kept) != len(cell) or any(
+                    a is not b for a, b in zip(kept, cell)
+                ):
+                    cell = tuple(kept)
+            cells.append(cell)
+        return tuple(cells) if matches else None
+
+    def _room(self, depth: int, issues: list[str], counter: list[int]) -> bool:
+        """The depth and answer-size limits, for one more object at
+        ``depth``."""
+        if self.max_depth is not None and depth > self.max_depth:
+            self._reject(
+                issues,
+                f"nesting depth {depth} exceeds limit {self.max_depth};"
+                " subtree quarantined",
+            )
+            return False
+        if (
+            self.max_objects is not None
+            and counter[0] >= self.max_objects
+        ):
+            self._reject(
+                issues,
+                f"answer exceeds {self.max_objects} objects;"
+                " remainder quarantined",
+            )
+            return False
+        return True
 
     def _sanitize(
         self,
@@ -148,22 +219,7 @@ class AnswerSanitizer:
                 " back-edge quarantined",
             )
             return None
-        if self.max_depth is not None and depth > self.max_depth:
-            self._reject(
-                issues,
-                f"nesting depth {depth} exceeds limit {self.max_depth};"
-                " subtree quarantined",
-            )
-            return None
-        if (
-            self.max_objects is not None
-            and counter[0] >= self.max_objects
-        ):
-            self._reject(
-                issues,
-                f"answer exceeds {self.max_objects} objects;"
-                " remainder quarantined",
-            )
+        if not self._room(depth, issues, counter):
             return None
         label = obj.label
         if not isinstance(label, str) or not label:

@@ -20,10 +20,8 @@ from repro.mediator.pipeline import (
 from repro.mediator.plan import (
     ConstructorNode,
     ExternalPredNode,
-    ExtractorNode,
     FilterNode,
     JoinNode,
-    OBJECT_COLUMN,
     ParameterizedQueryNode,
     PhysicalPlan,
     PlanNode,
@@ -44,7 +42,6 @@ __all__ = [
     "ExecutionContext",
     "ExpansionError",
     "ExternalPredNode",
-    "ExtractorNode",
     "FilterNode",
     "FusedPipelineNode",
     "FusionDecision",
@@ -53,7 +50,6 @@ __all__ = [
     "LogicalRule",
     "Mediator",
     "MediatorError",
-    "OBJECT_COLUMN",
     "ParameterizedQueryNode",
     "PhysicalPlan",
     "PlanNode",

@@ -15,7 +15,9 @@ path.  Every node — pooled, inline, or a constituent of a fused
 pipeline — goes through :func:`run_node`, the only place a node meets
 the governor and the one place its run is raised as an event; every
 source call, whole-source exports included, goes through
-:meth:`ExecutionContext.send_query`.  Whoever watches a query
+:meth:`ExecutionContext.send_query`, which is also where an OEM answer
+to a projection query is matched for its bindings (Figure 3.6's
+extractor).  Whoever watches a query
 subscribes to those events (:mod:`repro.mediator.events`); the engine
 knows none of them by name.
 
@@ -38,7 +40,7 @@ from typing import TYPE_CHECKING, Mapping
 from repro.exec.dispatcher import TaskScope, current_scope, scope_active
 from repro.mediator.events import Event, TraceEntry, TraceRecorder
 from repro.mediator.plan import PhysicalPlan, PlanNode, QueryNode
-from repro.mediator.tables import BindingTable
+from repro.mediator.tables import BindingTable, TableError
 from repro.msl.ast import PatternCondition, Rule
 from repro.msl.compile import CompileCache
 from repro.obs.insight import q_error
@@ -47,7 +49,7 @@ from repro.oem.oid import OidGenerator
 from repro.reliability.deadline import call_allowance_scope
 from repro.reliability.health import SourceWarning
 from repro.reliability.hedging import current_hedge_role
-from repro.wrappers.base import SourceError
+from repro.wrappers.base import BindingRows, Carrier, SourceError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.dispatcher import SourceDispatcher
@@ -159,12 +161,18 @@ class ExecutionContext:
                 source, label, kind, q_error(estimated, rows_out)
             )
 
-    def send_query(self, source_name: str, query: Rule) -> list[OEMObject]:
+    def send_query(
+        self, source_name: str, query: Rule, carrier: Carrier | None = None
+    ) -> list:
         """Ship ``query`` to a source, with accounting and statistics.
 
         The one source-call site: :data:`EXPORT` in place of a query
         ships the source's whole view through the same gates (the
-        materialization routes).
+        materialization routes), and comes back as objects.  A query
+        is a projection query whose head is ``carrier``, and comes
+        back as the carrier's binding rows: the source's own
+        :meth:`~repro.wrappers.base.Source.answer_bindings` rows, or
+        the rows matched out of its OEM answer here.
 
         With a :class:`ResilienceManager` attached, the source is
         called through its resilient wrapper (timeout + retry +
@@ -185,7 +193,7 @@ class ExecutionContext:
             # driving a node or this method directly) has no scope: lend
             # it one that records straight into this context
             with scope_active(self.run_scope()):
-                return self.send_query(source_name, query)
+                return self.send_query(source_name, query, carrier)
         if self.governor is not None and not self.governor.allow_source_call(
             source_name
         ):
@@ -197,23 +205,23 @@ class ExecutionContext:
             return dispatcher.fetch(
                 source_name,
                 str(query),
-                lambda: self._ship(source_name, query),
+                lambda: self._ship(source_name, query, carrier),
             )
-        return self._ship(source_name, query)[0]
+        return self._ship(source_name, query, carrier)[0]
 
     def _ship(
-        self, source_name: str, query: Rule
-    ) -> tuple[list[OEMObject], bool]:
+        self, source_name: str, query: Rule, carrier: Carrier | None
+    ) -> tuple[list, bool]:
         """One source call under its deadline slice (see `_ship_now`)."""
         slicer = self.slicer
         if slicer is None:
-            return self._ship_now(source_name, query)
+            return self._ship_now(source_name, query, carrier)
         with call_allowance_scope(slicer.call_allowance(source_name)):
-            return self._ship_now(source_name, query)
+            return self._ship_now(source_name, query, carrier)
 
     def _ship_now(
-        self, source_name: str, query: Rule
-    ) -> tuple[list[OEMObject], bool]:
+        self, source_name: str, query: Rule, carrier: Carrier | None
+    ) -> tuple[list, bool]:
         """The real source call (reliability-wrapped), raised as one
         ``source-call`` event, with accounting.
 
@@ -237,7 +245,7 @@ class ExecutionContext:
             if query is EXPORT:
                 result = list(source.export())
             else:
-                result = source.answer(query)
+                result = source.answer_bindings(query)
             if self.governor is not None:
                 # strict sanitation raises MalformedAnswerError, which
                 # is a SourceError: degrade mode treats a malformed
@@ -311,7 +319,35 @@ class ExecutionContext:
                         self.statistics.record(
                             source_name, condition.pattern, len(result)
                         )
+        if (
+            carrier is not None
+            and not degraded
+            and not isinstance(result, BindingRows)
+        ):
+            result = self._match(result, carrier)
         return result, not degraded
+
+    def _match(self, objects: list, carrier: Carrier) -> list[tuple]:
+        """The rows of an OEM answer to a projection query: one per
+        match of the carrier's extractor pattern on each object, in
+        answer order (Figure 3.6's extractor ``epw``)."""
+        event = Event(self.subscribers, "pattern-match", carrier.text)
+        compiled = self.compiler.pattern(carrier.pattern)
+        index = compiled.layout.index
+        registers = tuple(index[name] for name in carrier.columns)
+        empty = compiled.layout.empty_frame
+        match_keyed = compiled.match_keyed
+        rows = []
+        for obj in objects:
+            if not isinstance(obj, OEMObject):
+                raise TableError(f"answer holds non-object {obj!r}")
+            for frame, _key in match_keyed(obj, empty):
+                rows.append(tuple(frame[r] for r in registers))
+        if event.heard:
+            event.attributes["objects"] = len(objects)
+            event.attributes["matches"] = len(rows)
+            event.end()
+        return rows
 
     @property
     def total_queries(self) -> int:

@@ -31,8 +31,8 @@ mediator-side :class:`FilterNode`s (the compensation of [PGH]).
 
 The wire protocol is the paper's: a shipped query projects the needed
 bindings into a synthetic ``<bind_for_... {...}>`` object (Qw/Qcs of
-Section 3.1) and an extractor node recovers the bindings at the
-mediator.
+Section 3.1), a :class:`~repro.wrappers.base.Carrier`, and the node
+that ships it outputs the carried bindings as its columns.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from repro.mediator.logical import LogicalDatamergeProgram, LogicalRule
 from repro.mediator.plan import (
     ConstructorNode,
     ExternalPredNode,
-    ExtractorNode,
     FilterNode,
     JoinNode,
     ParameterizedQueryNode,
@@ -292,9 +291,9 @@ class CostBasedOptimizer:
         """Stamp the planner's cardinality estimate onto ``node``.
 
         ``key`` is the ``(source, label, kind)`` statistics bucket the
-        estimate came from; nodes without one (hash joins, extractors)
-        still display their estimate in EXPLAIN ANALYZE and are held
-        against it there, but record no per-bucket q-error.
+        estimate came from; nodes without one (hash joins) still
+        display their estimate in EXPLAIN ANALYZE and are held against
+        it there, but record no per-bucket q-error.
         """
         node.estimated_rows = float(rows)
         node.estimate_key = key
@@ -420,14 +419,6 @@ class CostBasedOptimizer:
                     bindings_est * produced,
                     (source_name, label, "join"),
                 )
-                node = ExtractorNode(
-                    node,
-                    _extractor_pattern(
-                        template.head[0], template_pattern  # type: ignore[arg-type]
-                    ),
-                    out_vars,
-                )
-                self._annotate(node, bindings_est * produced)
             else:
                 query = _projection_query(
                     source_name, relaxed, variables, shipped
@@ -436,20 +427,9 @@ class CostBasedOptimizer:
                     source_name, relaxed, query
                 )
                 self._annotate(leaf, estimate, (source_name, label, "scan"))
-                leaf = ExtractorNode(
-                    leaf,
-                    _extractor_pattern(query.head[0], relaxed),  # type: ignore[arg-type]
-                    variables,
-                )
                 if node is None:
-                    # the bindings the joins start from: floored like
-                    # every step's, except under fetch_all, whose plans
-                    # have always shown the leaf's own estimate here
-                    node = self._annotate(
-                        leaf, estimate if fetch_all else produced
-                    )
+                    node = leaf
                 else:
-                    self._annotate(leaf, estimate)
                     node = self._annotate(
                         JoinNode(node, leaf), bindings_est * produced
                     )
@@ -486,8 +466,9 @@ class CostBasedOptimizer:
         one batch ships per distinct combination of their values.  The
         batch query projects the same variables a leaf fetch of the
         pattern would (minus the grouping parameters, which are
-        constants within a group), so the downstream extractor reads
-        batch answers exactly like per-tuple ones.  Sharded sources
+        constants within a group), so a batch answer row carries the
+        template's columns plus the filtered parameters' values, which
+        route it to its probes.  Sharded sources
         additionally get their surviving shard names and the partition,
         for per-probe routing.
         """
@@ -608,8 +589,9 @@ def _projection_query(
     Builds ``<bind_for_src {<bind_for_V1 V1> ...}> :- pattern`` —
     compare Qw and Qcs in Section 3.1.  An *object* variable ``V`` is
     projected as ``<bind_for_V {V}>`` (the matched object spliced into a
-    singleton set) so that the extractor pattern ``<bind_for_V {V:<_>}>``
-    recovers the object itself rather than its value.
+    singleton set) so that the carrier's extractor pattern
+    ``<bind_for_V {V:<_ _>}>`` recovers the object itself rather than
+    its value (:class:`~repro.wrappers.base.Carrier`).
     """
     object_vars = _object_vars(pattern)
     items: list[PatternItem] = []
@@ -637,47 +619,6 @@ def _projection_query(
     if comparisons:
         tail = tail + tuple(comparisons)
     return Rule((head,), tail)
-
-
-def _extractor_pattern(query_head: Pattern, pattern: Pattern) -> Pattern:
-    """The pattern an extractor uses on ``query_head``-shaped objects.
-
-    Identical to the head except that object-variable projections
-    ``<bind_for_V {V}>`` become ``<bind_for_V {V:<_ _>}>`` so matching
-    binds ``V`` to the wrapped object.
-    """
-    object_vars = _object_vars(pattern)
-    if not object_vars:
-        return query_head
-    value = query_head.value
-    assert isinstance(value, SetPattern)
-    items: list[PatternItem | VarItem] = []
-    for item in value.items:
-        replaced = item
-        if isinstance(item, PatternItem):
-            inner = item.pattern.value
-            if isinstance(inner, SetPattern) and any(
-                isinstance(member, VarItem)
-                and member.var.name in object_vars
-                for member in inner.items
-            ):
-                (member,) = inner.items
-                assert isinstance(member, VarItem)
-                wrapped = Pattern(
-                    label=Var("_"),
-                    value=Var("_"),
-                    object_var=member.var,
-                )
-                replaced = PatternItem(
-                    Pattern(
-                        label=item.pattern.label,
-                        value=SetPattern((PatternItem(wrapped),), None),
-                    )
-                )
-        items.append(replaced)
-    return Pattern(
-        label=query_head.label, value=SetPattern(tuple(items), None)
-    )
 
 
 def _object_vars(pattern: Pattern) -> set[str]:

@@ -8,15 +8,15 @@ the engine pays per-node dispatch, span, and admission overhead
 between every pair of operators.  This module fuses maximal
 straight-line chains of row-at-a-time operators —
 
-    extractor -> filter -> external-predicate -> parameterized-query
-    probe -> constructor
+    filter -> external-predicate -> parameterized-query probe ->
+    constructor
 
 — into one :class:`FusedPipelineNode` whose ``execute`` drives raw row
 tuples from the source answer to the chain's output without building
 the intermediate tables.  The fusibility policy is explicit, in the
 style of ngraph's greedy dataflow fusion (SNIPPETS.md Snippet 1):
 
-* only the five operator types above are fusible;
+* only the four operator types above are fusible;
 * **fan-out is a barrier** — a producer with more than one consumer
   ends its chain (each consumer sees the one materialized output);
 * **joins and unions are barriers** — they need whole
@@ -55,7 +55,6 @@ from repro.mediator.engine import run_node
 from repro.mediator.plan import (
     ConstructorNode,
     ExternalPredNode,
-    ExtractorNode,
     FilterNode,
     ParameterizedQueryNode,
     PhysicalPlan,
@@ -80,7 +79,6 @@ __all__ = [
 #: The straight-line operator types a chain may contain.  Everything
 #: else — joins, unions, and source query leaves — is a barrier.
 FUSIBLE_TYPES = (
-    ExtractorNode,
     FilterNode,
     ExternalPredNode,
     ParameterizedQueryNode,

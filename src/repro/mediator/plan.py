@@ -5,8 +5,6 @@ Section 3.4: the optimizer turns a logical datamerge rule into "a
 executed by the engine".  The node types of Figure 3.6 are all here —
 
 * :class:`QueryNode` — sends a fixed MSL query to a source;
-* :class:`ExtractorNode` — extracts variable bindings from result
-  objects via an object pattern (the paper's ``epw``);
 * :class:`ExternalPredNode` — invokes an external predicate per tuple;
 * :class:`ParameterizedQueryNode` — per input tuple, instantiates a
   query template (``$R``, ``$LN``, ``$FN``) and sends it to a source;
@@ -19,6 +17,12 @@ plus the supporting nodes a complete engine needs: :class:`FilterNode`
 :class:`UnionNode` (multi-rule logical programs).  Duplicates are
 eliminated where the semantics needs it: by the constructor and the
 union.
+
+The figure's extractor (``epw``) is not a node of its own: every
+query a node ships is a projection query, and its answer enters the
+plan as binding columns — matched out of the carrier objects where the
+answer arrives (:meth:`~repro.mediator.engine.ExecutionContext.send_query`),
+or handed over as rows by a wrapper that already holds them.
 
 Each node consumes the tables of its input nodes and produces one
 table; the engine (:mod:`repro.mediator.engine`) runs the graph
@@ -60,7 +64,7 @@ from repro.msl.ast import (
     Var,
 )
 from repro.msl.bindings import Bindings, values_equal
-from repro.msl.compile import compile_head_item, run_row_extractor
+from repro.msl.compile import compile_head_item
 from repro.msl.errors import MSLInstantiationError, MSLSemanticError
 from repro.msl.evaluate import compare_values
 from repro.msl.substitute import (
@@ -73,6 +77,7 @@ from repro.msl.substitute import (
 from repro.oem.compare import eliminate_duplicates
 from repro.oem.model import OEMObject
 from repro.oem.oid import OidGenerator
+from repro.wrappers.base import Carrier
 from repro.wrappers.sharding import (
     SemiJoinFilter,
     SemiJoinQuery,
@@ -87,7 +92,6 @@ __all__ = [
     "PlanNode",
     "QueryNode",
     "ShardedQueryNode",
-    "ExtractorNode",
     "ExternalPredNode",
     "ParameterizedQueryNode",
     "FilterNode",
@@ -95,13 +99,10 @@ __all__ = [
     "ConstructorNode",
     "UnionNode",
     "PhysicalPlan",
-    "OBJECT_COLUMN",
     "RESULT_COLUMN",
     "build_comparison_keep",
 ]
 
-#: Column name carrying raw result objects out of query nodes.
-OBJECT_COLUMN = "_obj"
 #: Column name carrying constructed result objects out of constructors.
 RESULT_COLUMN = "_result"
 #: Value types a shipped semi-join filter may carry: what the source
@@ -209,9 +210,10 @@ class RowOperatorNode(PlanNode):
 class QueryNode(PlanNode):
     """Leaf: send a fixed MSL query to one source.
 
-    The output table has a single :data:`OBJECT_COLUMN` column holding
-    the returned top-level objects, exactly like the ``Qw Result`` table
-    at the bottom of Figure 3.6.
+    The query is a projection query (its head a
+    :class:`~repro.wrappers.base.Carrier`), and the output table has one
+    column per projected variable — Figure 3.6's ``Qw Result`` table as
+    the extractor above it would have left it.
     """
 
     def __init__(self, source: str, query: Rule) -> None:
@@ -219,21 +221,27 @@ class QueryNode(PlanNode):
         self.source = source
         self.query = query
         self.templated = bool(rule_params(query))
+        self.carrier = _carrier_of(query)
 
     def execute(
         self, inputs: list[BindingTable], context: "ExecutionContext"
     ) -> BindingTable:
-        objects = context.send_query(
-            self.source, _bound_query(self, context)
+        rows = context.send_query(
+            self.source, _bound_query(self, context), self.carrier
         )
         return BindingTable(
-            (OBJECT_COLUMN,),
-            ([obj] for obj in objects),
-            governor=context.governor,
+            self.carrier.columns, rows, governor=context.governor
         )
 
     def describe(self, params=None) -> str:
         return f"query {self.source}: {_shown(self.query, params)}"
+
+
+def _carrier_of(query: Rule) -> Carrier:
+    carrier = Carrier.of(query)
+    if carrier is None:
+        raise MSLSemanticError(f"not a projection query: {query}")
+    return carrier
 
 
 def _bound_query(node, context: "ExecutionContext") -> Rule:
@@ -244,8 +252,9 @@ def _bound_query(node, context: "ExecutionContext") -> Rule:
     return node.query
 
 
-def _fan_queries(context, pairs):
-    """Send ``(source, query)`` pairs, in parallel when possible.
+def _fan_queries(context, pairs, carrier: Carrier):
+    """Send ``(source, query)`` pairs, in parallel when possible; every
+    query's head is ``carrier``, and each answer comes back as its rows.
 
     Answers come back in pair order.  Sequential runs send directly
     (failing fast, like the per-row path always did); parallel runs let
@@ -254,10 +263,13 @@ def _fan_queries(context, pairs):
     """
     dispatcher = context.dispatcher
     if dispatcher is None or not dispatcher.parallel or len(pairs) <= 1:
-        return [context.send_query(source, query) for source, query in pairs]
+        return [
+            context.send_query(source, query, carrier)
+            for source, query in pairs
+        ]
     outcomes = dispatcher.run_tasks(
         [
-            (lambda s=source, q=query: context.send_query(s, q))
+            (lambda s=source, q=query: context.send_query(s, q, carrier))
             for source, query in pairs
         ]
     )
@@ -300,6 +312,7 @@ class ShardedQueryNode(PlanNode):
         self.query = query
         self.pruned = pruned
         self.templated = bool(rule_params(query))
+        self.carrier = _carrier_of(query)
         # the shipped pattern, when a placeholder sits on the partition
         # label: the shards are then pruned per call, by its value
         self.routed = routed
@@ -314,10 +327,12 @@ class ShardedQueryNode(PlanNode):
             ).prune_for_pattern(self.routed, context.params)
         context.record_shard_fanout(len(names), pruned)
         query = _bound_query(self, context)
-        answers = _fan_queries(context, [(name, query) for name in names])
+        answers = _fan_queries(
+            context, [(name, query) for name in names], self.carrier
+        )
         return BindingTable(
-            (OBJECT_COLUMN,),
-            ([obj] for answer in answers for obj in answer or ()),
+            self.carrier.columns,
+            (row for answer in answers for row in answer or ()),
             governor=context.governor,
         )
 
@@ -328,67 +343,6 @@ class ShardedQueryNode(PlanNode):
             f" [{len(self.shard_names)}/{total} shards]:"
             f" {_shown(self.query, params)}"
         )
-
-
-class ExtractorNode(RowOperatorNode):
-    """Extract variable bindings from the objects of one column.
-
-    Parameters mirror the paper's extractor: "the first is the ...
-    object pattern [that] indicates where the desired bindings are found
-    in the result objects; the second parameter indicates the column of
-    the input table that contains the objects".  The input column is
-    always discarded (footnote 8).
-    """
-
-    def __init__(
-        self,
-        input_node: PlanNode,
-        pattern: Pattern,
-        variables: Sequence[str],
-        column: str = OBJECT_COLUMN,
-    ) -> None:
-        super().__init__((input_node,))
-        self.pattern = pattern
-        self.pattern_text = str(pattern)
-        self.variables = tuple(variables)
-        self.column = column
-
-    def run_rows(self, source, context: "ExecutionContext", make_out):
-        rows = source.rows
-        positions = {name: i for i, name in enumerate(source.columns)}
-        position = positions[self.column]
-        carried = [c for c in source.columns if c != self.column]
-        carried_positions = [positions[c] for c in carried]
-        new_columns = [v for v in self.variables if v not in carried]
-        add, out = make_out(carried + new_columns, context.governor)
-        event = Event(context.subscribers, "pattern-match", self.pattern_text)
-        compiled = context.compiler.pattern(self.pattern)
-        index = compiled.layout.index
-        # a variable colliding with a carried column is a join:
-        # keep the row only when the values agree
-        carried_checks = tuple(
-            (positions[c], index[c]) for c in carried if c in index
-        )
-        new_registers = tuple(index.get(v) for v in new_columns)
-        matches = run_row_extractor(
-            compiled,
-            rows,
-            position,
-            carried_positions,
-            carried_checks,
-            new_registers,
-            add,
-            self.column,
-            TableError,
-        )
-        if event.heard:
-            event.attributes["objects"] = len(rows)
-            event.attributes["matches"] = matches
-            event.end()
-        return out
-
-    def describe(self, params=None) -> str:
-        return f"extract {', '.join(self.variables)} via {self.pattern}"
 
 
 class ExternalPredNode(RowOperatorNode):
@@ -531,7 +485,9 @@ class ParameterizedQueryNode(RowOperatorNode):
     source cs requesting bindings ... The values for query parameters
     $R, $LN, and $FN are taken from ... the incoming table."  Input
     columns are kept (the node's keep/discard parameter, fixed to keep),
-    and the returned objects land in :data:`OBJECT_COLUMN`.
+    followed by the template's projected variables.  A projected
+    variable the input already carries is a join: an answer row counts
+    for an input row only when the two values agree.
     """
 
     def __init__(
@@ -548,6 +504,7 @@ class ParameterizedQueryNode(RowOperatorNode):
         super().__init__((input_node,))
         self.source = source
         self.template = template
+        self.carrier = _carrier_of(template)
         self.param_columns = dict(param_columns)
         # semi-join shipping spec (optimizer-attached when the source
         # advertises batch filters): the projection rule to ship once
@@ -561,6 +518,19 @@ class ParameterizedQueryNode(RowOperatorNode):
         self.param_labels = dict(param_labels) if param_labels else {}
         self.shard_names = tuple(shard_names) if shard_names else ()
         self.partition = partition
+        if batch_query is not None:
+            # a batch answer row carries the template's columns and the
+            # filtered parameters' values, which route it to its probes
+            self.batch_carrier = _carrier_of(batch_query)
+            columns = self.batch_carrier.columns
+            self._template_cells = tuple(
+                columns.index(name) for name in self.carrier.columns
+            )
+            self._filter_cells = tuple(
+                columns.index(name)
+                for name in self.param_columns
+                if name in self.param_labels
+            )
 
     def instantiate(self, row: Mapping[str, object]) -> Rule:
         """The concrete query for one input tuple (Qcs1/Qcs2 style)."""
@@ -603,14 +573,25 @@ class ParameterizedQueryNode(RowOperatorNode):
             (name, positions[column])
             for name, column in self.param_columns.items()
         ]
-        add, out = make_out(
-            source.columns + (OBJECT_COLUMN,), context.governor
+        carried = self.carrier.columns
+        checks = tuple(
+            (positions[name], at)
+            for at, name in enumerate(carried)
+            if name in positions
         )
+        fresh = tuple(
+            at for at, name in enumerate(carried) if name not in positions
+        )
+        add, out = make_out(
+            source.columns + tuple(carried[at] for at in fresh),
+            context.governor,
+        )
+        emit = _joining(add, checks, fresh, len(carried))
         if (
             rows
             and self.batch_query is not None
             and context.semijoin
-            and self._run_semijoin(rows, param_positions, context, add)
+            and self._run_semijoin(rows, param_positions, context, emit)
         ):
             return out
         unique: list[Rule] = []
@@ -628,11 +609,11 @@ class ParameterizedQueryNode(RowOperatorNode):
                 unique.append(query)
             row_query.append(position)
         answers = _fan_queries(
-            context, [(self.source, query) for query in unique]
+            context, [(self.source, query) for query in unique], self.carrier
         )
         for row, position in zip(rows, row_query):
-            for obj in answers[position] or ():
-                add(row + (obj,))
+            for cells in answers[position] or ():
+                emit(row, cells)
         return out
 
     def _run_semijoin(
@@ -640,7 +621,7 @@ class ParameterizedQueryNode(RowOperatorNode):
         rows: Sequence[tuple[object, ...]],
         param_positions: Sequence[tuple[str, int]],
         context: "ExecutionContext",
-        add,
+        emit,
     ) -> bool:
         """Ship one batched value filter per group and target.
 
@@ -652,14 +633,14 @@ class ParameterizedQueryNode(RowOperatorNode):
         :class:`~repro.wrappers.sharding.SemiJoinQuery` — routed to
         the owning shard when the partition label is among the
         filtered parameters, otherwise to every target.  Returned
-        objects are demultiplexed back onto their probe by the
-        ``bind_for_*`` values, and an object counts for a probe only
-        if that probe was shipped to the answering target, which drops
-        the filters' cross-product false positives and keeps
-        cross-shard duplicates out.  Emits the same rows, in the same
-        input order, as the per-tuple path.  Returns ``False`` (caller
-        falls back to per-tuple probes) if a filtered parameter value
-        is not a plain atom.
+        rows are demultiplexed back onto their probe by their filtered
+        parameters' cells, and a row counts for a probe only if that
+        probe was shipped to the answering target, which drops the
+        filters' cross-product false positives and keeps cross-shard
+        duplicates out.  Emits the same rows, in the same input order,
+        as the per-tuple path.  Returns ``False`` (caller falls back to
+        per-tuple probes) if a filtered parameter value is not a plain
+        atom.
         """
         params = [name for name, _ in param_positions]
         filtered = [
@@ -738,26 +719,29 @@ class ParameterizedQueryNode(RowOperatorNode):
         # this node's scope; such a batch is an absence, not an observation
         sink = current_scope().warnings
         warned = len(sink)
-        answers = _fan_queries(context, pairs)
+        answers = _fan_queries(context, pairs, self.batch_carrier)
         context.record_semijoin(
             len(pairs), sum(len(probes) for probes in groups.values())
         )
-        bind_labels = [f"bind_for_{params[at]}" for at in filtered]
-        matched: dict[tuple, dict[tuple, list[OEMObject]]] = {
+        filter_cells = self._filter_cells
+        template_cells = self._template_cells
+        matched: dict[tuple, dict[tuple, list[tuple]]] = {
             group_key: {filter_key: [] for filter_key in probes}
             for group_key, probes in groups.items()
         }
         for (group_key, admitted), answer in zip(shipped, answers):
             found = matched[group_key]
-            for obj in answer or ():
+            for cells in answer or ():
                 filter_key = tuple(
-                    encode_value(obj.get(label)) for label in bind_labels
+                    encode_value(cells[at]) for at in filter_cells
                 )
                 if filter_key in admitted:
-                    found[filter_key].append(obj)
+                    found[filter_key].append(
+                        tuple(cells[at] for at in template_cells)
+                    )
         for row, (group_key, filter_key) in zip(rows, row_key):
-            for obj in matched[group_key][filter_key]:
-                add(row + (obj,))
+            for cells in matched[group_key][filter_key]:
+                emit(row, cells)
         if context.statistics is not None and len(sink) == warned:
             self._feed_statistics(context, params, groups, matched)
         return True
@@ -803,6 +787,23 @@ class ParameterizedQueryNode(RowOperatorNode):
         return f"param-query {self.source}{mode} [{params}]: {template}"
 
 
+def _joining(add, checks, fresh, width: int):
+    """``emit(row, cells)``: the input ``row`` extended by the answer
+    ``cells`` at ``fresh`` positions, kept only when every cell the
+    input already carries agrees with it (``checks``: ``(row position,
+    cell position)`` pairs)."""
+    if not checks and len(fresh) == width:
+        return lambda row, cells: add(row + cells)
+
+    def emit(row, cells):
+        for position, at in checks:
+            if not values_equal(cells[at], row[position]):
+                return
+        add(row + tuple(cells[at] for at in fresh))
+
+    return emit
+
+
 def build_comparison_keep(
     comparison: Comparison,
     positions: Mapping[str, int],
@@ -813,7 +814,7 @@ def build_comparison_keep(
 
     def accessor(term):
         # positional mirror of term_value over the row's variable
-        # columns (the carrier columns are never comparison operands)
+        # columns (the result column is never a comparison operand)
         if isinstance(term, Const):
             value = term.value
             return lambda row, _v=value: (True, _v)
@@ -824,7 +825,7 @@ def build_comparison_keep(
             isinstance(term, Var)
             and not term.is_anonymous
             and term.name in positions
-            and term.name not in (OBJECT_COLUMN, RESULT_COLUMN)
+            and term.name != RESULT_COLUMN
         ):
             p = positions[term.name]
             return lambda row, _p=p: (True, row[_p])

@@ -94,7 +94,6 @@ __all__ = [
     "compile_pattern",
     "compile_rule",
     "evaluate_rule_compiled",
-    "run_row_extractor",
 ]
 
 
@@ -737,68 +736,6 @@ class CompiledPattern:
         return f"CompiledPattern({self.pattern})"
 
 
-def run_row_extractor(
-    compiled: CompiledPattern,
-    rows: Iterable[tuple],
-    object_position: int,
-    carried_positions: Sequence[int],
-    carried_checks: Sequence[tuple[int, int]],
-    new_registers: Sequence[object],
-    add,
-    column_name: str,
-    error_class: type[Exception] = TypeError,
-) -> int:
-    """Drive a compiled pattern over raw binding-table row tuples.
-
-    The extractor hot loop, shared between ``ExtractorNode`` and the
-    fused pipeline (:mod:`repro.mediator.pipeline`) so both reuse the
-    same slot-layout frames (``layout.empty_frame``) and emit identical
-    output rows in identical order.  ``carried_checks`` is a sequence
-    of ``(row position, register)`` pairs: a pattern variable that
-    collides with a carried column is a join, and the row survives only
-    when the freshly bound value agrees with the carried one.
-    ``new_registers`` maps each output column to its register (or
-    ``None`` when the pattern never binds it).  Returns the number of
-    matches; rows whose object cell is not an OEM object raise
-    ``error_class``.
-    """
-    empty = compiled.layout.empty_frame
-    match_keyed = compiled.match_keyed
-    matches = 0
-    carried_positions = tuple(carried_positions)
-    carried_checks = tuple(carried_checks)
-    new_registers = tuple(new_registers)
-    for row in rows:
-        obj = row[object_position]
-        if not isinstance(obj, OEMObject):
-            raise error_class(
-                f"extractor column {column_name!r} holds non-object"
-                f" {obj!r}"
-            )
-        for frame, _key in match_keyed(obj, empty):
-            consistent = True
-            for row_position, register in carried_checks:
-                bound = frame[register]
-                if bound is not UNBOUND and not values_equal(
-                    bound, row[row_position]
-                ):
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-            matches += 1
-            add(
-                tuple(row[p] for p in carried_positions)
-                + tuple(
-                    frame[r]
-                    if r is not None and frame[r] is not UNBOUND
-                    else None
-                    for r in new_registers
-                )
-            )
-    return matches
-
-
 # ---------------------------------------------------------------------------
 # compiled head instantiation
 # ---------------------------------------------------------------------------
@@ -1141,6 +1078,7 @@ class CompiledRule:
         "params",
         "template",
         "accepted",
+        "carried",
     )
 
     def __init__(
@@ -1153,9 +1091,11 @@ class CompiledRule:
         self.params: "Mapping[str, object] | None" = None
         # the compiled rule the cache holds for this shape (bound()
         # twins point back at it), and what a wrapper remembers there:
-        # the capability that checked and accepted the shape, if any
+        # the capability that checked and accepted the shape, if any,
+        # and how it reads the head's columns out of a frame
         self.template = self
         self.accepted: object = None
+        self.carried: object = None
         names: set[str] = set(head_variables(rule.head))
         for condition in rule.tail:
             names |= condition_variables(condition)
@@ -1308,7 +1248,19 @@ class CompiledRule:
         oidgen: OidGenerator | None = None,
         check: bool = True,
     ) -> list[OEMObject]:
-        """Drop-in equivalent of :func:`repro.msl.evaluate.evaluate_rule`."""
+        """Drop-in equivalent of :func:`repro.msl.evaluate.evaluate_rule`:
+        :meth:`frames`, then :meth:`build`."""
+        return self.build(self.frames(forests, registry, check), oidgen)
+
+    def frames(
+        self,
+        forests: Mapping[str | None, Sequence[OEMObject]],
+        registry: "ExternalRegistry | None" = None,
+        check: bool = True,
+    ) -> list[tuple]:
+        """The bindings the head is built from: one frame per distinct
+        projection onto the head variables (footnote 3), in solution
+        order.  A head variable sits at ``layout.index[name]``."""
         if check:
             check_rule(self.rule)
         if registry is None:
@@ -1320,9 +1272,6 @@ class CompiledRule:
                 return []
         if self.leftover:
             raise unschedulable_error(self.leftover)
-
-        # footnote 3: project onto head variables, eliminate duplicated
-        # bindings, then create an object per surviving binding set
         projection = self.projection
         seen: set[tuple] = set()
         survivors: list[tuple] = []
@@ -1335,11 +1284,18 @@ class CompiledRule:
             if key not in seen:
                 seen.add(key)
                 survivors.append(frame)
+        return survivors
 
+    def build(
+        self, frames: Sequence[tuple], oidgen: OidGenerator | None = None
+    ) -> list[OEMObject]:
+        """One instantiation of the head per frame of :meth:`frames`,
+        structural duplicates eliminated."""
         generator = oidgen or OidGenerator("&v")
         head = self.rule.head
+        projection = self.projection
         objects: list[OEMObject] = []
-        for frame in survivors:
+        for frame in frames:
             env = _bindings_from(
                 {
                     name: frame[register]

@@ -170,7 +170,7 @@ class FaultInjectingSource(Source):
             return "malformed"
         return "ok"
 
-    def _deliver(self, produce) -> list[OEMObject]:
+    def _deliver(self, produce) -> list:
         self.calls += 1
         if self.die_after is not None and self.calls > self.die_after:
             self.dead = True
@@ -212,6 +212,11 @@ class FaultInjectingSource(Source):
 
     def answer(self, query: Rule) -> list[OEMObject]:
         return self._deliver(lambda: self.inner.answer(query))
+
+    def answer_bindings(self, query: Rule) -> list:
+        # an injected empty or malformed answer stays OEM: the mediator
+        # sanitizes and matches it like any OEM answer
+        return self._deliver(lambda: self.inner.answer_bindings(query))
 
     def export(self) -> Sequence[OEMObject]:
         return self._deliver(lambda: list(self.inner.export()))

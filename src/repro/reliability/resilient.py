@@ -11,8 +11,9 @@ stack:
    (a single-threaded engine cannot abort a call midway, so timeouts
    are enforced post-hoc — honest, and fully deterministic with a
    :class:`~repro.reliability.clock.ManualClock`);
-3. the answer is validated — anything that is not a list of OEM objects
-   is a :class:`MalformedResponseError`;
+3. the answer is validated — anything that is neither a list of OEM
+   objects nor a :class:`~repro.wrappers.base.BindingRows` answer is a
+   :class:`MalformedResponseError`;
 4. failures are retried per :class:`RetryPolicy` (seeded backoff
    jitter, per-query deadline budget), every event lands in the shared
    :class:`HealthRegistry`, and an exhausted budget raises
@@ -42,7 +43,7 @@ from repro.reliability.deadline import (
 from repro.reliability.health import HealthRegistry
 from repro.reliability.hedging import HedgeAbandoned, current_abandon
 from repro.reliability.policy import CircuitBreaker, RetryPolicy
-from repro.wrappers.base import Source, SourceError
+from repro.wrappers.base import BindingRows, Source, SourceError
 
 __all__ = [
     "SourceTimeoutError",
@@ -59,7 +60,7 @@ class SourceTimeoutError(SourceError):
 
 
 class MalformedResponseError(SourceError):
-    """A source returned something that is not a list of OEM objects."""
+    """A source returned something that is not an answer."""
 
 
 class SourceUnavailable(SourceError):
@@ -75,8 +76,11 @@ class SourceUnavailable(SourceError):
         self.cause = cause
 
 
-def validate_answer(source: str, result: object) -> list[OEMObject]:
-    """Reject anything that is not a list of OEM objects."""
+def validate_answer(source: str, result: object) -> list:
+    """Reject anything that is neither a list of OEM objects nor a
+    rows answer."""
+    if isinstance(result, BindingRows):
+        return result
     if not isinstance(result, list) or not all(
         isinstance(item, OEMObject) for item in result
     ):
@@ -153,7 +157,7 @@ class ResilientSource(Source):
             timeout = allowance if timeout is None else min(timeout, allowance)
         return timeout
 
-    def _call(self, produce: Callable[[], object]) -> list[OEMObject]:
+    def _call(self, produce: Callable[[], object]) -> list:
         started = self.clock.now()
         last_error: SourceError | None = None
         attempts = 0
@@ -239,6 +243,9 @@ class ResilientSource(Source):
 
     def answer(self, query: Rule) -> list[OEMObject]:
         return self._call(lambda: self.inner.answer(query))
+
+    def answer_bindings(self, query: Rule) -> list:
+        return self._call(lambda: self.inner.answer_bindings(query))
 
     def export(self) -> Sequence[OEMObject]:
         return self._call(lambda: list(self.inner.export()))

@@ -7,6 +7,13 @@ this codebase every queryable component — wrapper or mediator — is a
 and advertises a :class:`~repro.wrappers.capability.Capability`.
 Mediators compose because they are Sources themselves.
 
+The mediator ships each pattern as a *projection query* whose head is
+a :class:`Carrier` (Section 3.1's Qw and Qcs) and asks for the answer
+through :meth:`Source.answer_bindings`.  Any source may answer with the
+carrier objects, which the mediator matches to read the bindings back
+(the paper's extractor); a :class:`Wrapper` answers with the bindings
+its matcher already holds, as :class:`BindingRows`.
+
 :class:`Wrapper` adds the bookkeeping shared by concrete wrappers:
 query counting (for the statistics module), capability enforcement, and
 the default answer path through the compiled MSL evaluator.
@@ -15,7 +22,7 @@ the default answer path through the compiled MSL evaluator.
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.external.registry import ExternalRegistry
 from repro.msl.analysis import check_rule
@@ -27,11 +34,14 @@ from repro.msl.ast import (
     PatternItem,
     Rule,
     SetPattern,
+    Var,
+    VarItem,
 )
 from repro.msl.compile import CompileCache
 from repro.msl.errors import MSLSemanticError
+from repro.oem.compare import structural_key
 from repro.oem.model import OEMObject
-from repro.oem.oid import OidGenerator
+from repro.oem.oid import Oid, OidGenerator
 from repro.wrappers.capability import (
     Capability,
     CapabilityViolation,
@@ -39,6 +49,8 @@ from repro.wrappers.capability import (
 )
 
 __all__ = [
+    "BindingRows",
+    "Carrier",
     "Source",
     "Wrapper",
     "SourceError",
@@ -160,6 +172,195 @@ class MalformedAnswerError(SourceError):
         self.issues = list(issues)
 
 
+def _bare(pattern: Pattern) -> bool:
+    return (
+        pattern.oid is None
+        and pattern.type is None
+        and pattern.object_var is None
+    )
+
+
+class Carrier:
+    """The head of a projection query, read as the columns it carries.
+
+    Section 3.1 ships each pattern as a projection query whose head is
+    a synthetic *carrier* object (Qw, Qcs) with one child per projected
+    variable, in column order: ``<bind_for_src {<bind_for_V V> ...}>``,
+    an object variable ``O`` spliced in as ``<bind_for_O {O}>``.  An OEM
+    answer holds such objects; matching :attr:`pattern` against them
+    reads the bindings back — the paper's extractor ``epw``, whose
+    output row is one cell per column: an atom (an oid-slot variable
+    as its text), the tuple a set-valued or Rest variable holds, or the
+    object an object variable matched.
+    """
+
+    __slots__ = ("columns", "objects", "pattern", "text")
+
+    def __init__(
+        self, columns: Sequence[str], objects: frozenset, pattern: Pattern
+    ) -> None:
+        self.columns = tuple(columns)
+        #: the columns projected as objects
+        self.objects = objects
+        #: the extractor pattern: the head, with each object column
+        #: written ``<bind_for_O {O:<_ _>}>`` so it binds the object
+        self.pattern = pattern
+        self.text = str(pattern)
+
+    @classmethod
+    def of(cls, query) -> "Carrier | None":
+        """The carrier ``query``'s head is, or ``None`` when it is not
+        one (one child per distinct variable, each labelled
+        ``bind_for_<variable>``)."""
+        if len(query.head) != 1:
+            return None
+        (head,) = query.head
+        if not (
+            isinstance(head, Pattern)
+            and _bare(head)
+            and isinstance(head.label, Const)
+            and isinstance(head.value, SetPattern)
+            and head.value.rest is None
+        ):
+            return None
+        columns: list[str] = []
+        objects: set[str] = set()
+        items: list[PatternItem] = []
+        for item in head.value.items:
+            if not isinstance(item, PatternItem) or item.descendant:
+                return None
+            child = item.pattern
+            value = child.value
+            if isinstance(value, SetPattern) and value.rest is None:
+                if len(value.items) != 1 or not isinstance(
+                    value.items[0], VarItem
+                ):
+                    return None
+                var = value.items[0].var
+                objects.add(var.name)
+                item = PatternItem(
+                    Pattern(
+                        label=child.label,
+                        value=SetPattern(
+                            (
+                                PatternItem(
+                                    Pattern(
+                                        Var("_"), Var("_"), object_var=var
+                                    )
+                                ),
+                            )
+                        ),
+                    )
+                )
+            elif isinstance(value, Var):
+                var = value
+            else:
+                return None
+            if (
+                not _bare(child)
+                or var.is_anonymous
+                or var.name in columns
+                or child.label != Const(f"bind_for_{var.name}")
+            ):
+                return None
+            columns.append(var.name)
+            items.append(item)
+        pattern = Pattern(label=head.label, value=SetPattern(tuple(items)))
+        return cls(columns, frozenset(objects), pattern)
+
+
+class BindingRows(list):
+    """A projection query answered as rows (:meth:`Source.answer_bindings`).
+
+    One tuple per object the query's :class:`Carrier` head would have
+    built, in answer order, with the cells the carrier's extractor
+    would read back out of it, in ``columns`` order.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(
+        self, columns: Sequence[str], rows: Iterable[tuple] = ()
+    ) -> None:
+        super().__init__(rows)
+        self.columns = tuple(columns)
+
+
+#: Exact atom types a carrier child holds unchanged, with the OEM type
+#: it infers for them (part of the child's structural key).
+_CARRIED_ATOMS = {
+    int: "integer",
+    float: "real",
+    bool: "boolean",
+    bytes: "bytes",
+    type(None): "null",
+}
+
+
+def _carried_rows(compiled, frames: Sequence[tuple]) -> "BindingRows | None":
+    """``frames`` as the rows the mediator would read back out of the
+    carrier objects built from them, or ``None`` when the rule's head is
+    not a :class:`Carrier` or a cell would not come back as it is.
+
+    The carrier round trip turns an oid into its text and an object in
+    a value slot into a one-member set.  Carriers are deduplicated
+    structurally, so the rows are too, on the key each cell's carrier
+    child has: a string by itself, another atom with its OEM type, a
+    set by its members' keys, a spliced object by its own.
+    """
+    template = compiled.template
+    carried = template.carried
+    if carried is None:
+        carrier = Carrier.of(template.rule)
+        index = template.layout.index
+        carried = template.carried = (
+            False
+            if carrier is None
+            else (
+                carrier.columns,
+                tuple(
+                    (index[name], name in carrier.objects)
+                    for name in carrier.columns
+                ),
+            )
+        )
+    if carried is False:
+        return None
+    columns, registers = carried
+    rows = BindingRows(columns)
+    seen: set[tuple] = set()
+    for frame in frames:
+        cells: list[object] = []
+        key: list[object] = []
+        for register, spliced in registers:
+            value = frame[register]
+            kind = type(value)
+            if spliced:
+                if kind is not OEMObject:
+                    return None
+                key.append(structural_key(value))
+            elif kind is str:
+                key.append(value)
+            elif kind is tuple:
+                key.append(frozenset(structural_key(m) for m in value))
+            elif kind in _CARRIED_ATOMS:
+                key.append((_CARRIED_ATOMS[kind], value))
+            elif isinstance(value, Oid):
+                value = value.text
+                key.append(value)
+            elif kind is OEMObject:
+                key.append(frozenset((structural_key(value),)))
+                value = (value,)
+            else:
+                return None
+            cells.append(value)
+        distinct = tuple(key)
+        if distinct not in seen:
+            seen.add(distinct)
+            rows.append(tuple(cells))
+    return rows
+
+
 class Source(abc.ABC):
     """Anything that answers MSL queries with OEM objects."""
 
@@ -168,6 +369,16 @@ class Source(abc.ABC):
     @abc.abstractmethod
     def answer(self, query: Rule) -> list[OEMObject]:
         """Evaluate ``query`` and return the materialized result objects."""
+
+    def answer_bindings(self, query: Rule) -> "list[OEMObject] | BindingRows":
+        """Answer a projection query — the form the mediator ships.
+
+        The answer is either the OEM objects of :meth:`answer` (this
+        default: the mediator matches the :class:`Carrier` pattern
+        against them) or, from a source that can do better, the
+        :class:`BindingRows` that match would produce.
+        """
+        return self.answer(query)
 
     @abc.abstractmethod
     def export(self) -> Sequence[OEMObject]:
@@ -263,10 +474,65 @@ class Wrapper(Source):
         structurally to keep this module import-free of the sharding
         layer.
         """
+        compiled, frames = self._solve(query)
+        return self._answered(compiled.build(frames, self._oidgen))
+
+    def answer_bindings(self, query: Rule) -> "list[OEMObject] | BindingRows":
+        """Answer a projection query with the rows the matcher holds.
+
+        The cells are the ones the mediator would read back out of the
+        carrier objects :meth:`answer` builds (:class:`Carrier`), in the
+        same order and with the carriers' structural duplicates dropped
+        — without building a carrier or minting its oids.  Anything the
+        round trip would not carry unchanged (a query that is not a
+        projection, a cell outside the carrier's atom types) is
+        answered with the objects instead.  So is every query to a
+        wrapper whose :meth:`answer` was redefined, on its class or on
+        the instance: that method says what the source answers.
+        """
+        redefined = type(self).answer is not Wrapper.answer
+        if redefined or "answer" in self.__dict__:
+            return self.answer(query)
+        compiled, frames = self._solve(query)
+        rows = _carried_rows(compiled, frames)
+        if rows is None:
+            return self._answered(compiled.build(frames, self._oidgen))
+        return self._answered(rows)
+
+    def _solve(self, query) -> tuple:
+        """``(compiled rule, frames)``: ``query`` admitted, its
+        candidates fetched and matched.
+
+        A semi-join probe's filters restrict the candidates to objects
+        whose direct children pass every value filter (a superset of
+        the probe tuples' matches — the mediator demultiplexes
+        exactly): one call replaces one wire probe per distinct
+        parameter tuple.
+        """
         if getattr(query, "is_semijoin", False):
-            return self.answer_semijoin(query)
-        compiled = self._admit(query)
-        return self._evaluate(compiled, self.candidates(query))
+            if not self._capability.supports_batch_filters:
+                raise SourceError(
+                    f"source {self.name!r} does not accept batched semi-join"
+                    f" filters (capability {self._capability.name!r})"
+                )
+            compiled = self._admit(query.rule)
+            forest = self.semijoin_candidates(query)
+        else:
+            compiled = self._admit(query)
+            forest = self.candidates(query)
+        # the logical alias mirrors check_source_query: a shard evaluates
+        # queries still annotated with its logical source name
+        forests = {
+            None: forest,
+            self.name: forest,
+            self.name.partition("#")[0]: forest,
+        }
+        try:
+            return compiled, compiled.frames(
+                forests, self._registry, check=False
+            )
+        except MSLSemanticError as exc:
+            raise SourceError(f"{self.name}: {exc}") from exc
 
     def _admit(self, query: Rule):
         """Check ``query`` against what this source accepts and compile
@@ -291,23 +557,6 @@ class Wrapper(Source):
             compiled.template.accepted = self._capability
         return compiled
 
-    def answer_semijoin(self, query) -> list[OEMObject]:
-        """Evaluate one batched semi-join probe.
-
-        The shipped rule is the projection query; the filters restrict
-        candidates to objects whose direct children pass every value
-        filter (a superset of the probe tuples' matches — the mediator
-        demultiplexes exactly).  One call replaces one wire probe per
-        distinct parameter tuple.
-        """
-        if not self._capability.supports_batch_filters:
-            raise SourceError(
-                f"source {self.name!r} does not accept batched semi-join"
-                f" filters (capability {self._capability.name!r})"
-            )
-        compiled = self._admit(query.rule)
-        return self._evaluate(compiled, self.semijoin_candidates(query))
-
     def semijoin_candidates(self, query) -> Sequence[OEMObject]:
         """Candidates passing the batch's value filters.
 
@@ -322,22 +571,7 @@ class Wrapper(Source):
             ]
         return forest
 
-    def _evaluate(
-        self, compiled, forest: Sequence[OEMObject]
-    ) -> list[OEMObject]:
-        # the logical alias mirrors check_source_query: a shard evaluates
-        # queries still annotated with its logical source name
-        forests = {
-            None: forest,
-            self.name: forest,
-            self.name.partition("#")[0]: forest,
-        }
-        try:
-            result = compiled.evaluate(
-                forests, self._registry, self._oidgen, check=False
-            )
-        except MSLSemanticError as exc:
-            raise SourceError(f"{self.name}: {exc}") from exc
+    def _answered(self, result: list) -> list:
         self.queries_answered += 1
         self.objects_returned += len(result)
         return result

@@ -36,11 +36,16 @@ from repro.msl.ast import (
     Rule,
     SetPattern,
 )
-from repro.msl.compile import evaluate_rule_compiled
+from repro.msl.compile import compile_head_item, evaluate_rule_compiled
 from repro.msl.errors import MSLSemanticError
 from repro.oem.model import OEMObject
 from repro.oem.oid import OidGenerator
-from repro.wrappers.base import Source, SourceError, check_source_query
+from repro.wrappers.base import (
+    BindingRows,
+    Source,
+    SourceError,
+    check_source_query,
+)
 from repro.wrappers.capability import Capability, FULL_CAPABILITY
 
 __all__ = [
@@ -297,9 +302,11 @@ class ShardedSource(Source):
         self.name = name
         self.shards = tuple(shards)
         self.partition = partition
-        # cross-shard joins answered here, over the union forest
+        # cross-shard joins answered here, over the union forest, their
+        # objects numbered by one generator, as a wrapper's are
         self.queries_answered = 0
         self.objects_returned = 0
+        self._oidgen = OidGenerator(f"&{name}_")
 
     @classmethod
     def build(
@@ -393,21 +400,73 @@ class ShardedSource(Source):
         return self.shards[0].capability if self.shards else FULL_CAPABILITY
 
     def answer(self, query) -> list[OEMObject]:
+        shards = self._fanned(query)
+        if shards is None:
+            return self._answer_joined(query)
+        result: list[OEMObject] = []
+        for shard in shards:
+            result.extend(shard.answer(query))
+        return result
+
+    def answer_bindings(self, query) -> "list[OEMObject] | BindingRows":
+        """The answers of the shards ``query`` fans out to, concatenated
+        in shard order: rows when every shard answered with rows,
+        otherwise objects, each rows answer built back into the carrier
+        objects it stands for."""
+        shards = self._fanned(query)
+        if shards is None:
+            return self._answer_joined(query)
+        answers = [shard.answer_bindings(query) for shard in shards]
+        if answers and all(isinstance(a, BindingRows) for a in answers):
+            return BindingRows(
+                answers[0].columns, (row for a in answers for row in a)
+            )
+        result: list[OEMObject] = []
+        for answer in answers:
+            if isinstance(answer, BindingRows):
+                build = compile_head_item(query.head[0], answer.columns)
+                for row in answer:
+                    result.extend(build(row, self._oidgen))
+            else:
+                result.extend(answer)
+        return result
+
+    def _fanned(self, query) -> "list[Source] | None":
+        """The shards ``query`` goes to, in shard order, or ``None`` for
+        a multi-pattern tail, which joins across shards.
+
+        A single pattern is pruned on its partition-label constants; a
+        semi-join batch is routed by its filter on the partition label.
+        """
         if isinstance(query, SemiJoinQuery):
-            return self._answer_semijoin(query)
+            route = next(
+                (
+                    f
+                    for f in query.filters
+                    if f.label == self.partition.label
+                ),
+                None,
+            )
+            if route is None:
+                return list(self.shards)
+            owned: set[int] = set()
+            for value in route.values:
+                routed = self.partition.shard_of(value)
+                if routed is None:
+                    return list(self.shards)
+                owned.add(routed)
+            return [self.shards[index] for index in sorted(owned)]
         patterns = [
             c for c in query.tail if isinstance(c, PatternCondition)
         ]
-        if len(patterns) == 1:
-            names, _ = self.prune_for_pattern(patterns[0].pattern)
-            survivors = [int(n.rpartition("#")[2]) for n in names]
-            result: list[OEMObject] = []
-            for index in survivors:
-                result.extend(self.shards[index].answer(query))
-            return result
-        # multi-pattern tails join across shards: no per-shard
-        # decomposition exists, so evaluate over the union forest —
-        # after the checks any one shard would have made
+        if len(patterns) != 1:
+            return None
+        names, _ = self.prune_for_pattern(patterns[0].pattern)
+        return [self.shards[int(n.rpartition("#")[2])] for n in names]
+
+    def _answer_joined(self, query) -> list[OEMObject]:
+        # no per-shard decomposition exists, so evaluate over the union
+        # forest — after the checks any one shard would have made
         check_source_query(query, self.name, self.capability)
         forest = list(self.export())
         try:
@@ -415,38 +474,13 @@ class ShardedSource(Source):
                 query,
                 {None: forest, self.name: forest},
                 None,
-                OidGenerator(f"&{self.name}_"),
+                self._oidgen,
                 check=False,
             )
         except MSLSemanticError as exc:
             raise SourceError(f"{self.name}: {exc}") from exc
         self.queries_answered += 1
         self.objects_returned += len(result)
-        return result
-
-    def _answer_semijoin(self, query: SemiJoinQuery) -> list[OEMObject]:
-        route = next(
-            (
-                f
-                for f in query.filters
-                if f.label == self.partition.label
-            ),
-            None,
-        )
-        if route is None:
-            survivors = range(len(self.shards))
-        else:
-            owned: set[int] = set()
-            for value in route.values:
-                routed = self.partition.shard_of(value)
-                if routed is None:
-                    owned = set(range(len(self.shards)))
-                    break
-                owned.add(routed)
-            survivors = sorted(owned)
-        result: list[OEMObject] = []
-        for index in survivors:
-            result.extend(self.shards[index].answer(query))
         return result
 
     def export(self) -> Sequence[OEMObject]:

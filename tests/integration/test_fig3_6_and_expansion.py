@@ -17,11 +17,11 @@ from repro.datasets import (
 from repro.mediator import (
     ConstructorNode,
     ExternalPredNode,
-    ExtractorNode,
     ParameterizedQueryNode,
     QueryNode,
 )
 from repro.msl import parse_query
+from tests.reference import OEMOnly
 
 
 @pytest.fixture
@@ -94,14 +94,14 @@ class TestFigure36GraphExecution:
         return scenario.mediator.last_context.trace
 
     def test_node_sequence(self, scenario):
+        # the paper's extractors read the carrier objects back where
+        # the answers arrive: each query node emits the bindings
         trace = self.trace_for(scenario, JOE_CHUNG_QUERY)
         kinds = [type(entry.node).__name__ for entry in trace]
         assert kinds == [
             "QueryNode",
-            "ExtractorNode",
             "ExternalPredNode",
             "ParameterizedQueryNode",
-            "ExtractorNode",
             "ConstructorNode",
         ]
 
@@ -110,28 +110,38 @@ class TestFigure36GraphExecution:
         query_entry = trace[0]
         assert isinstance(query_entry.node, QueryNode)
         assert query_entry.node.source == "whois"
-        # Qw returns one bind_for_whois object (only Joe matches)
-        assert len(query_entry.table) == 1
+        # Qw's one binding (only Joe matches): N is the query's constant,
+        # R = 'employee', Rest1 = { e_mail }
         (row,) = query_entry.table.rows
-        assert row[0].label == "bind_for_whois"
+        values = query_entry.table.row_dict(row)
+        r_column = [c for c in query_entry.table.columns if c.startswith("R_")]
+        rest_column = [
+            c for c in query_entry.table.columns if c.startswith("Rest1")
+        ]
+        assert values[r_column[0]] == "employee"
+        assert [o.label for o in values[rest_column[0]]] == ["e_mail"]
 
     def test_extractor_table_bindings(self, scenario):
+        # whois speaking OEM only answers Qw with one bind_for_whois
+        # object; the extractor at the call site recovers the same row
+        scenario.registry.deregister("whois")
+        scenario.registry.register(OEMOnly(scenario.whois))
         trace = self.trace_for(scenario, JOE_CHUNG_QUERY)
-        extract = trace[1]
-        assert isinstance(extract.node, ExtractorNode)
-        (row,) = extract.table.rows
-        values = extract.table.row_dict(row)
+        query_entry = trace[0]
+        assert isinstance(query_entry.node, QueryNode)
+        (row,) = query_entry.table.rows
+        values = query_entry.table.row_dict(row)
         # R = 'employee', Rest1 = { e_mail }
-        r_column = [c for c in extract.table.columns if c.startswith("R_")]
+        r_column = [c for c in query_entry.table.columns if c.startswith("R_")]
         rest_column = [
-            c for c in extract.table.columns if c.startswith("Rest1")
+            c for c in query_entry.table.columns if c.startswith("Rest1")
         ]
         assert values[r_column[0]] == "employee"
         assert [o.label for o in values[rest_column[0]]] == ["e_mail"]
 
     def test_decomp_table(self, scenario):
         trace = self.trace_for(scenario, JOE_CHUNG_QUERY)
-        external = trace[2]
+        external = trace[1]
         assert isinstance(external.node, ExternalPredNode)
         (row,) = external.table.rows
         values = external.table.row_dict(row)
@@ -142,10 +152,10 @@ class TestFigure36GraphExecution:
 
     def test_parameterized_query_emits_qcs(self, scenario):
         trace = self.trace_for(scenario, JOE_CHUNG_QUERY)
-        param = trace[3]
+        param = trace[2]
         assert isinstance(param.node, ParameterizedQueryNode)
         assert param.node.source == "cs"
-        row = trace[2].table.row_dict(trace[2].table.rows[0])
+        row = trace[1].table.row_dict(trace[1].table.rows[0])
         concrete = param.node.instantiate(row)
         text = str(concrete)
         # Qcs2 of the paper: the employee-relation query

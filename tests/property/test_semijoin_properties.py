@@ -48,7 +48,7 @@ def build_forests(scenario):
     return driver, target
 
 
-def build_mediator(scenario, forests, **kwargs):
+def build_registry(scenario, forests) -> SourceRegistry:
     driver, target = forests
     if scenario["relational"]:
         database = Database("tgt")
@@ -62,9 +62,15 @@ def build_mediator(scenario, forests, **kwargs):
         tgt = RelationalWrapper("tgt", database)
     else:
         tgt = OEMStoreWrapper("tgt", target)
-    registry = SourceRegistry(OEMStoreWrapper("drv", driver), tgt)
+    return SourceRegistry(OEMStoreWrapper("drv", driver), tgt)
+
+
+def build_mediator(scenario, forests, **kwargs):
     return Mediator(
-        "med", BIND_JOIN_SPECS[scenario["spec"]] + " ;", registry, **kwargs
+        "med",
+        BIND_JOIN_SPECS[scenario["spec"]] + " ;",
+        build_registry(scenario, forests),
+        **kwargs,
     )
 
 

@@ -11,6 +11,10 @@ then matched against that materialized view.
 
 Reference objects carry the reference's own oids, so comparisons go
 through :func:`canonical`, which ignores oids and order.
+
+:class:`OEMOnly` is the reference for the source protocol: a source
+that answers every query with objects, which the mediator must then
+match for their bindings itself.
 """
 
 from collections import Counter
@@ -21,6 +25,30 @@ from repro.msl.evaluate import evaluate_rule
 from repro.msl.parser import parse_query
 from repro.oem.compare import eliminate_duplicates, structural_key
 from repro.oem.oid import OidGenerator
+from repro.wrappers import Source
+
+
+class OEMOnly(Source):
+    """``inner`` speaking OEM only: its ``answer`` and ``export``, and
+    what planning reads (capability, schema facts)."""
+
+    def __init__(self, inner: Source) -> None:
+        self.inner = inner
+        self.name = inner.name
+
+    @property
+    def capability(self):
+        return self.inner.capability
+
+    @property
+    def schema_facts(self):
+        return self.inner.schema_facts
+
+    def answer(self, query):
+        return self.inner.answer(query)
+
+    def export(self):
+        return self.inner.export()
 
 
 def canonical(objects) -> Counter:

@@ -29,6 +29,8 @@ from repro.reliability import (
 )
 from repro.wrappers import OEMStoreWrapper, SourceRegistry
 
+from ..reference import OEMOnly
+
 ALL_QUERY = "ALL :- ALL:<cs_person {}>@med"
 EVERY_KIND = frozenset(
     {
@@ -79,23 +81,20 @@ def watch(mediator, monkeypatch, recording=None):
 
 # -- (i) the exact sequence -------------------------------------------------
 
-#: Figure 3.6, bottom-up: Qw, the extractor, the external predicate,
-#: the parameterized query into cs, its extractor, the constructor —
-#: ``(node class, rows in, rows out)`` plus what each raises underneath.
+#: Figure 3.6, bottom-up: Qw, the external predicate, the
+#: parameterized query into cs, the constructor — ``(node class, rows
+#: in, rows out)`` plus what each raises underneath.  The wrappers
+#: answer with rows, so no answer is matched for its bindings.
 FIGURE_3_6 = [
     [("source-call", "whois", 1)],
-    [("pattern-match", 1, 1)],
     [("external-predicate", "decomp")],
     [("source-call", "cs", 1)],
-    [("pattern-match", 1, 1)],
     [],
 ]
 NODES = [
     ("QueryNode", 0, 1),
-    ("ExtractorNode", 1, 1),
     ("ExternalPredNode", 1, 1),
     ("ParameterizedQueryNode", 1, 1),
-    ("ExtractorNode", 1, 1),
     ("ConstructorNode", 1, 1),
 ]
 
@@ -107,7 +106,7 @@ def expected_sequence(fused):
             events += inner
             events += [("plan-node", *node), ("plan-stage", f"stage-{stage}")]
         return events
-    # the leaf is a barrier; the other five run as one pipeline node
+    # the leaf is a barrier; the other three run as one pipeline node
     events += FIGURE_3_6[0]
     events += [("plan-node", *NODES[0]), ("plan-stage", "stage-1")]
     for inner, node in zip(FIGURE_3_6[1:], NODES[1:]):
@@ -157,6 +156,40 @@ def test_figure_3_6_event_sequence(kwargs, fused, monkeypatch):
         assert [
             type(entry.node).__name__ for entry in context.trace
         ] == [name for name, _, _ in NODES]
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_an_oem_answer_is_matched_where_it_arrives(parallelism, monkeypatch):
+    # sources that speak OEM only: each answer's carrier objects are
+    # matched right after the call, inside the node that made it
+    scenario = build_scenario(push_mode="needed")
+    mediator = Mediator(
+        "med",
+        scenario.mediator.specification,
+        SourceRegistry(*(OEMOnly(s) for s in (scenario.whois, scenario.cs))),
+        scenario.externals,
+        push_mode="needed",
+        register=False,
+        fuse=False,
+        parallelism=parallelism,
+    )
+    recording = watch(mediator, monkeypatch)
+    try:
+        assert len(mediator.answer(JOE_CHUNG_QUERY)) == 1
+    finally:
+        mediator.close()
+    events = [e for e in recording.events if e[0] != "plan-stage"]
+    assert events == [
+        ("source-call", "whois", 1),
+        ("pattern-match", 1, 1),
+        ("plan-node", *NODES[0]),
+        ("external-predicate", "decomp"),
+        ("plan-node", *NODES[1]),
+        ("source-call", "cs", 1),
+        ("pattern-match", 1, 1),
+        ("plan-node", *NODES[2]),
+        ("plan-node", *NODES[3]),
+    ]
 
 
 def test_source_call_events_match_shipped_queries_on_a_fan_out(monkeypatch):

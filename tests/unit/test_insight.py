@@ -165,9 +165,9 @@ class TestExplainAnalyze:
         assert leaf["seconds"] >= leaf["source_seconds"] >= 0.005
         context = med.last_context
         assert context.source_latency >= 0.005
-        # trace mode runs the unfused plan: query, extractor, constructor
-        assert [e.latency >= 0.005 for e in context.trace] == [True, False, False]
-        assert [e.attempts for e in context.trace] == [1, 0, 0]
+        # trace mode runs the unfused plan: query, constructor
+        assert [e.latency >= 0.005 for e in context.trace] == [True, False]
+        assert [e.attempts for e in context.trace] == [1, 0]
 
     def test_render_is_an_annotated_tree(self):
         report = build_scenario().mediator.explain_analyze(

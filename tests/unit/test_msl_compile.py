@@ -245,12 +245,12 @@ class TestProfiler:
 
     def test_render_mentions_both_sections(self):
         profiler = Profiler()
-        profiler.record_node("ExtractorNode", 1, 0.001)
+        profiler.record_node("QueryNode", 1, 0.001)
         profiler.record_pattern("<a A>", 2, 1, 0.001)
         text = profiler.render()
         assert "plan nodes" in text
         assert "patterns" in text
-        assert "ExtractorNode" in text
+        assert "QueryNode" in text
 
     def test_reset_clears_everything(self):
         profiler = Profiler()

@@ -65,14 +65,12 @@ class TestHeuristicPlanning:
         optimizer.bind_external_registry(scenario.mediator.externals)
         plan = optimizer.plan_rule(LogicalRule(RULE))
         kinds = node_kinds(plan)
-        # the Section 3.1 plan: query -> extract -> external ->
-        # param-query -> extract -> construct
+        # the Section 3.1 plan: query -> external -> param-query ->
+        # construct, each query node emitting the bindings it carries
         assert kinds == [
             "QueryNode",
-            "ExtractorNode",
             "ExternalPredNode",
             "ParameterizedQueryNode",
-            "ExtractorNode",
             "ConstructorNode",
         ]
 

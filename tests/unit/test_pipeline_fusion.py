@@ -6,11 +6,9 @@ import math
 import pytest
 
 from repro.cli import main as cli_main
-from repro.datasets import MS1
 from repro.datasets.staff import MS1_FUSION
 from repro.datasets.staff import build_scaled_scenario
 from repro.mediator import (
-    ExtractorNode,
     FilterNode,
     FusedPipelineNode,
     JoinNode,
@@ -21,7 +19,7 @@ from repro.mediator import (
     fuse_plan,
 )
 from repro.mediator.tables import BindingTable, key_array
-from repro.msl.ast import Comparison, Const, PatternCondition, Var
+from repro.msl.ast import Comparison, Const, Var
 from repro.msl.parser import parse_query, parse_specification
 from repro.oem import OEMObject, atom
 from repro.msl.bindings import value_key
@@ -29,6 +27,9 @@ from repro.msl.bindings import value_key
 from ..reference import canonical, reference_answer
 
 FANOUT_QUERY = "S :- S:<cs_person {<rel 'student'>}>@med"
+WHOIS_NAMES = parse_query(
+    "<bind_for_whois {<bind_for_N N>}> :- <person {<name N>}>@whois"
+)
 
 
 def plan_for(mediator, query):
@@ -50,8 +51,7 @@ class TestFusePlan:
         root = fused.root
         assert isinstance(root, FusedPipelineNode)
         # everything downstream of the source scan collapses into one
-        # pipeline: Extract => ExternalPred => ParamQuery => Extract
-        # => Construct
+        # pipeline: ExternalPred => ParamQuery => Construct
         assert [type(n).__name__ for n in root.nodes] == unfused_names[1:]
         assert root.fusion_width == len(root.nodes)
         (query_node,) = root.inputs
@@ -101,21 +101,22 @@ class TestFusePlan:
 
     def test_fetch_all_join_is_a_barrier(self):
         mediator = scaled_mediator(strategy="fetch_all")
-        fused, _ = fuse_plan(plan_for(mediator, FANOUT_QUERY))
+        fused, decisions = fuse_plan(plan_for(mediator, FANOUT_QUERY))
         names = [type(n).__name__ for n in fused.nodes()]
         assert "JoinNode" in names
-        assert "FusedPipelineNode" in names
+        # the constructor reads the join, so it stays a single operator
+        assert "FusedPipelineNode" not in names
+        assert any(
+            "upstream JoinNode is a fusion barrier" in d.reason
+            for d in decisions
+        )
 
     def test_fan_out_is_a_barrier(self):
         """A node with two consumers ends the chain; the consumers stay
         single operators and are rewired onto the fused producer."""
-        rule = parse_specification(MS1).rules[0]
-        pattern = next(
-            c.pattern for c in rule.tail if isinstance(c, PatternCondition)
-        )
-        query = QueryNode("whois", rule)
-        extract = ExtractorNode(query, pattern, ("N",))
-        shared = FilterNode(extract, Comparison(Var("N"), "!=", Const("x")))
+        query = QueryNode("whois", WHOIS_NAMES)
+        first = FilterNode(query, Comparison(Var("N"), "!=", Const("w")))
+        shared = FilterNode(first, Comparison(Var("N"), "!=", Const("x")))
         left = FilterNode(shared, Comparison(Var("N"), "!=", Const("y")))
         right = FilterNode(shared, Comparison(Var("N"), "!=", Const("z")))
         fused, decisions = fuse_plan(PhysicalPlan(JoinNode(left, right)))
@@ -123,10 +124,7 @@ class TestFusePlan:
             n for n in fused.nodes() if isinstance(n, FusedPipelineNode)
         ]
         assert len(pipelines) == 1
-        assert [type(n).__name__ for n in pipelines[0].nodes] == [
-            "ExtractorNode",
-            "FilterNode",
-        ]
+        assert pipelines[0].nodes == (first, shared)
         # both branches now read from the same fused producer
         assert left.inputs[0] is pipelines[0]
         assert right.inputs[0] is pipelines[0]
@@ -134,8 +132,7 @@ class TestFusePlan:
         assert any("fans out to 2" in reason for reason in reasons)
 
     def test_plan_without_chains_is_returned_unchanged(self):
-        rule = parse_specification(MS1).rules[0]
-        plan = PhysicalPlan(QueryNode("whois", rule))
+        plan = PhysicalPlan(QueryNode("whois", WHOIS_NAMES))
         fused, decisions = fuse_plan(plan)
         assert fused is plan
         assert decisions == []
@@ -174,7 +171,7 @@ class TestMediatorSurface:
         assert mediator.last_fusion == []
         traced = [type(e.node).__name__ for e in mediator.engine.last_trace]
         assert "FusedPipelineNode" not in traced
-        assert "ExtractorNode" in traced
+        assert "ParameterizedQueryNode" in traced
         assert "-- operator fusion --" not in mediator.explain(FANOUT_QUERY)
 
     def test_fused_profile_attributes_constituents(self):
@@ -183,7 +180,9 @@ class TestMediatorSurface:
         snap = mediator.profiler.snapshot()
         assert snap["fusion"]["chains"] >= 1
         assert snap["fusion"]["operators"] >= 2
-        for name in ("ExtractorNode", "ConstructorNode", "FusedPipelineNode"):
+        for name in (
+            "ParameterizedQueryNode", "ConstructorNode", "FusedPipelineNode"
+        ):
             assert name in snap["nodes"]
         assert "operator fusion:" in mediator.profiler.render()
 

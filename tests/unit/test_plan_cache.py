@@ -46,6 +46,7 @@ from repro.wrappers import (
     SourceError,
     SourceRegistry,
     SQLiteOEMStoreWrapper,
+    Wrapper,
     partition_forest,
     shard_name,
 )
@@ -134,6 +135,25 @@ class TestWarmPathBudget:
         counted = opcount.count(operation, ops=200)
         # 2 343 at the parent of the plan cache, 1 514 of them shape-only
         assert counted["calls_per_op"] <= 1200
+        assert counted["unreachable_per_op"] == 0
+
+    def test_a_warm_export_mints_no_wrapper_oid(self):
+        # the wrappers answer the export's projection queries with the
+        # rows their matchers hold: no carrier object, so no oid
+        operation, workload = opcount.workload_operation("view_export")
+        minted = []
+        try:
+            for source in workload.mediator.sources:
+                if isinstance(source, Wrapper):
+                    source._oidgen = (
+                        lambda mint=source._oidgen: minted.append(1) or mint()
+                    )
+            counted = opcount.count(operation, ops=20)
+        finally:
+            workload.close()
+        assert minted == []
+        # 38 604 before the wrappers answered with rows, 21 382 after
+        assert counted["calls_per_op"] <= 23_500
         assert counted["unreachable_per_op"] == 0
 
     def test_parsed_queries_hit_the_same_shape(self, point):

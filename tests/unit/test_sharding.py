@@ -33,6 +33,8 @@ from repro.wrappers import (
 )
 from repro.wrappers.sharding import encode_value
 
+from ..reference import OEMOnly
+
 SPEC = (
     "<hit {<k K> <p P>}> :- <probe {<key K>}>@driver"
     " AND <rec {<key K> <payload P>}>@big"
@@ -337,6 +339,42 @@ class TestShardedSource:
         assert stats["objects_returned"] == 1
         capable.reset_counters()
         assert capable.stats()["queries_answered"] == 0
+
+    def test_cross_shard_answers_carry_disjoint_oids(self):
+        # the union-forest path mints the oids of the objects it builds:
+        # like a wrapper's, they never repeat from one answer to the next
+        sharded = make_sharded(make_records(12), 3)
+        join = parse_query(
+            "<pair {<a P>}> :- <rec {<key K> <payload P>}>@big"
+            " AND <rec {<key K>}>@big"
+        )
+        first, second = sharded.answer(join), sharded.answer(join)
+        oids = [str(o.oid) for o in first + second]
+        assert len(first) == 12
+        assert len(set(oids)) == len(oids) == 24
+
+    def test_bindings_of_mixed_shards_are_their_carriers(self):
+        # a shard answering with objects turns the whole answer into
+        # objects: the other shards' rows become the carriers they are
+        records = make_records(12)
+        sharded = make_sharded(records, 3)
+        oem_only = OEMOnly(sharded.shards[1])
+        mixed = ShardedSource(
+            "big",
+            [sharded.shards[0], oem_only, sharded.shards[2]],
+            sharded.partition,
+        )
+        rule = parse_query(
+            "<bind_for_big {<bind_for_K K> <bind_for_P P>}> :-"
+            " <rec {<key K> <payload P>}>@big"
+        )
+        rows = sharded.answer_bindings(rule)
+        assert rows.columns == ("K", "P")
+        assert sorted(rows) == [(k, f"p{k}") for k in range(12)]
+        objects = mixed.answer_bindings(rule)
+        assert canonical(objects) == canonical(
+            OEMStoreWrapper("big", records).answer(rule)
+        )
 
     def test_describe_mentions_partition(self):
         source = make_sharded(make_records(4), 2)

@@ -1,12 +1,18 @@
 """The plans of all four strategies, pinned node for node.
 
 ``fetch_all`` is the bind-join pipeline that never parameterizes, not a
-builder of its own; these pins (taken while it still was one) hold the
-plan section of ``explain()`` — logical program, physical graph and
-fusion decisions, as a digest — and every node's ``estimated_rows``, in
-analyze order, for the MS1, bibliography and campus scenarios.  Each
-scenario's queries run in sequence on one mediator, so the later ones
-are planned under statistics the earlier ones taught it.
+builder of its own; these pins hold the plan section of ``explain()`` —
+logical program, physical graph and fusion decisions, as a digest — and
+every node's ``estimated_rows``, in analyze order, for the MS1,
+bibliography and campus scenarios.  Each scenario's queries run in
+sequence on one mediator, so the later ones are planned under
+statistics the earlier ones taught it.
+
+The estimates were first taken while ``fetch_all`` still had a builder
+of its own, and again when the extractor nodes went: each list then
+lost its extractors' entries (and, under ``fetch_all`` on MS1, the
+entry of the extractor → external-predicate pipeline, which left a
+single operator), every other value unchanged.
 """
 
 import hashlib
@@ -44,64 +50,56 @@ _P = 4.7125
 PINS = {
     ("ms1", JOE_CHUNG_QUERY): {
         BIND_JOIN: (
-            "755cca91e6a0b929",
-            [1.0, None, 1.0, None, _J, _J, None,
-             1.0, None, 1.0, None, _J, _J, None, None],
+            "aec6c885adbad7d3",
+            [1.0, None, None, _J, None, 1.0, None, None, _J, None, None],
         ),
         ("fetch_all",): (
-            "61c6591ce23c3f43",
-            [1.0, None, 1.0, None, 100.0, 100.0, _J, None,
-             1.0, None, 1.0, None, 100.0, 100.0, _J, None, None],
+            "96f8eeac3f0a629a",
+            [1.0, None, 100.0, _J, None, 1.0, None, 100.0, _J, None, None],
         ),
     },
     ("ms1", YEAR3_QUERY): {
         BIND_JOIN: (
-            "b3d3d878845d8c7d",
-            [_Y, None, _Y, None, 0.049500000000000016, 0.049500000000000016,
-             None, 4.95, None, 4.95, None, 0.04950000000000001,
+            "e6278c9e8a19e5dc",
+            [_Y, None, None, 0.049500000000000016, None, 4.95, None, None,
              0.04950000000000001, None, None],
         ),
         ("fetch_all",): (
-            "5d516aa860a50aad",
-            [_Y, None, _Y, None, 100.0, 100.0, 0.049500000000000016, None,
-             4.95, None, 4.95, None, 10.0, 10.0, 0.04950000000000001, None,
-             None],
+            "4ce5d0018ee3c554",
+            [_Y, None, 100.0, 0.049500000000000016, None, 4.95, None, 10.0,
+             0.04950000000000001, None, None],
         ),
     },
     ("ms1", ALL_PERSONS): {
         BIND_JOIN: (
-            "81c21a8c6d44c782",
-            [_P, None, _P, None, 0.4712500000000001, 0.4712500000000001,
-             None],
+            "0db66d9c60f739a5",
+            [_P, None, None, 0.4712500000000001, None],
         ),
         ("fetch_all",): (
-            "f9df7a817e8bdeb1",
-            [_P, None, _P, None, 100.0, 100.0, 0.4712500000000001, None],
+            "b9e56d53d113f4d0",
+            [_P, None, 100.0, 0.4712500000000001, None],
         ),
     },
     ("bibliography", BIB_ANY): {
         STRATEGIES: (
-            "c46ed1cc10b63b44",
-            [100.0, None, 100.0, None, None] * 3 + [None],
+            "12a2c1eefa43632b",
+            [100.0, None, None, None] * 3 + [None],
         ),
     },
     ("bibliography", BIB_1995): {
         STRATEGIES: (
-            "b8926054753d7721",
-            [1.0, None, 1.0, None, None] + [0.45, None, 0.45, None, None] * 2
-            + [None],
+            "d2536213b69f8144",
+            [1.0, None, None, None] + [0.45, None, None, None] * 2 + [None],
         ),
     },
     ("campus", GOLD): {
         BIND_JOIN: (
-            "176f8b6097413c9d",
-            [10.0, None, 10.0, 10.0, 10.0, 100.0, 100.0, 1000.0, 1000.0,
-             None],
+            "0bc6a7345c4b76a0",
+            [10.0, None, 10.0, 100.0, 1000.0, None],
         ),
         ("fetch_all",): (
-            "33b73aefee6dbf6f",
-            [10.0, 10.0, 10.0, 10.0, 10.0, 100.0, 100.0, 100.0, 100.0,
-             100.0, 1000.0, None],
+            "f6dc87674301da49",
+            [10.0, 10.0, 10.0, 100.0, 100.0, 100.0, 1000.0, None],
         ),
     },
 }

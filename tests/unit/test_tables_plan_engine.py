@@ -11,10 +11,8 @@ from repro.mediator import (
     DatamergeEngine,
     ExecutionContext,
     ExternalPredNode,
-    ExtractorNode,
     FilterNode,
     JoinNode,
-    OBJECT_COLUMN,
     ParameterizedQueryNode,
     PhysicalPlan,
     QueryNode,
@@ -22,15 +20,35 @@ from repro.mediator import (
     TableError,
     UnionNode,
 )
+from repro.msl.errors import MSLSemanticError
 from repro.msl import (
     Comparison,
     Const,
     ExternalCall,
     Var,
-    parse_pattern,
     parse_rule,
 )
 from repro.oem import atom, obj
+from repro.wrappers import Source
+from tests.reference import OEMOnly
+
+#: Qw projecting the names: a query node's query, and the stand-in input
+#: of nodes a test feeds a table of its own
+WHOIS_NAMES = parse_rule(
+    "<bind_for_whois {<bind_for_N N>}> :- <person {<name N>}>"
+)
+
+
+class Junk(Source):
+    """A source whose answer holds something that is not an object."""
+
+    name = "junk"
+
+    def answer(self, query):
+        return [42]
+
+    def export(self):
+        return []
 
 
 class TestBindingTable:
@@ -124,65 +142,66 @@ def context(scenario):
 
 class TestPlanNodes:
     def test_query_node(self, context):
-        node = QueryNode(
-            "whois",
-            parse_rule(
-                "<bind_for_whois {<bind_for_N N>}> :- <person {<name N>}>"
-            ),
-        )
+        # Qw's answer enters the plan as the bindings it carries
+        node = QueryNode("whois", WHOIS_NAMES)
         table = node.execute([], context)
-        assert table.columns == (OBJECT_COLUMN,)
-        assert len(table) == 2
-        assert context.queries_sent == {"whois": 1}
-
-    def test_extractor_node(self, context):
-        query = QueryNode(
-            "whois",
-            parse_rule(
-                "<bind_for_whois {<bind_for_N N>}> :- <person {<name N>}>"
-            ),
-        )
-        extract = ExtractorNode(
-            query, parse_pattern("<bind_for_whois {<bind_for_N N>}>"), ["N"]
-        )
-        table = extract.execute([query.execute([], context)], context)
         assert table.columns == ("N",)
         assert sorted(r[0] for r in table.rows) == ["Joe Chung", "Nick Naive"]
+        assert context.queries_sent == {"whois": 1}
 
-    def test_extractor_rejects_non_objects(self, context):
-        node = ExtractorNode(
-            QueryNode("whois", parse_rule("<a B> :- <person B>")),
-            parse_pattern("<a B>"),
-            ["B"],
-            column=OBJECT_COLUMN,
+    def test_extractor_node(self, scenario, context):
+        # a source speaking OEM only answers with the carrier objects;
+        # the extractor at the call site reads Qw's names back from them
+        context.sources.deregister("whois")
+        context.sources.register(OEMOnly(scenario.whois))
+        node = QueryNode("whois", WHOIS_NAMES)
+        table = node.execute([], context)
+        assert table.columns == ("N",)
+        assert sorted(r[0] for r in table.rows) == ["Joe Chung", "Nick Naive"]
+        assert context.queries_sent == {"whois": 1}
+
+    def test_a_non_object_in_an_oem_answer_is_rejected(self, context):
+        context.sources.register(Junk())
+        node = QueryNode(
+            "junk",
+            parse_rule("<bind_for_junk {<bind_for_B B>}> :- <person B>"),
         )
-        bad = BindingTable([OBJECT_COLUMN], [(42,)])
         with pytest.raises(TableError, match="non-object"):
-            node.execute([bad], context)
+            node.execute([], context)
 
-    def test_extractor_collision_filters(self, context):
-        # carried column N must agree with extracted N
-        query = QueryNode(
-            "whois",
-            parse_rule(
-                "<bind_for_whois {<bind_for_N N>}> :- <person {<name N>}>"
-            ),
+    def test_a_query_node_ships_only_projection_queries(self):
+        with pytest.raises(MSLSemanticError, match="not a projection"):
+            QueryNode("whois", parse_rule("<a B> :- <person B>"))
+
+    def test_param_query_joins_carried_columns(self, context):
+        # a projected variable the input already carries is a join: an
+        # answer row counts only where the two values agree
+        template = parse_rule(
+            "<bind_for_whois {<bind_for_N N>}> :- "
+            "<person {<relation $R> <name N>}>"
         )
-        raw = query.execute([], context)
-        carried = BindingTable(
-            ["N", OBJECT_COLUMN],
-            [("Joe Chung", row[0]) for row in raw.rows],
+        source = BindingTable(
+            ["R", "N"],
+            [
+                ("employee", "Joe Chung"),
+                ("employee", "Nick Naive"),
+                ("student", "Nick Naive"),
+            ],
         )
-        node = ExtractorNode(
-            query, parse_pattern("<bind_for_whois {<bind_for_N N>}>"), ["N"]
+        node = ParameterizedQueryNode(
+            QueryNode("whois", WHOIS_NAMES), "whois", template, {"R": "R"}
         )
-        table = node.execute([carried], context)
-        assert [r[0] for r in table.rows] == ["Joe Chung"]
+        table = node.execute([source], context)
+        assert table.columns == ("R", "N")
+        assert table.rows == [
+            ("employee", "Joe Chung"),
+            ("student", "Nick Naive"),
+        ]
 
     def test_external_pred_node(self, context):
         source = BindingTable(["N"], [("Joe Chung",)])
         node = ExternalPredNode(
-            QueryNode("whois", parse_rule("<a B> :- <person B>")),
+            QueryNode("whois", WHOIS_NAMES),
             ExternalCall("decomp", (Var("N"), Var("LN"), Var("FN"))),
         )
         table = node.execute([source], context)
@@ -198,13 +217,13 @@ class TestPlanNodes:
             "<$R {<first_name $FN> <last_name $LN> | Rest2}>"
         )
         node = ParameterizedQueryNode(
-            QueryNode("cs", template),
+            QueryNode("whois", WHOIS_NAMES),
             "cs",
             template,
             {"R": "R", "LN": "LN", "FN": "FN"},
         )
         table = node.execute([source], context)
-        assert table.columns == ("R", "LN", "FN", OBJECT_COLUMN)
+        assert table.columns == ("R", "LN", "FN", "Rest2")
         assert len(table) == 1
         concrete = node.instantiate(source.row_dict(source.rows[0]))
         assert "$" not in str(concrete)
@@ -213,13 +232,13 @@ class TestPlanNodes:
     def test_filter_node(self, context):
         table = BindingTable(["Y"], [(2,), (4,)])
         node = FilterNode(
-            QueryNode("cs", parse_rule("<a B> :- <student B>")),
+            QueryNode("whois", WHOIS_NAMES),
             Comparison(Var("Y"), ">", Const(3)),
         )
         assert node.execute([table], context).rows == [(4,)]
 
     def test_join_and_dedup_nodes(self, context):
-        q = QueryNode("cs", parse_rule("<a B> :- <student B>"))
+        q = QueryNode("whois", WHOIS_NAMES)
         left = BindingTable(["k"], [("a",), ("a",)])
         right = BindingTable(["k", "v"], [("a", 1)])
         joined = JoinNode(q, q).execute([left, right], context)
@@ -230,7 +249,7 @@ class TestPlanNodes:
     def test_constructor_node(self, context):
         rule = parse_rule("<who {<name N>}> :- <person {<name N>}>@whois")
         table = BindingTable(["N"], [("A",), ("A",), ("B",)])
-        node = ConstructorNode(QueryNode("whois", rule), rule.head)
+        node = ConstructorNode(QueryNode("whois", WHOIS_NAMES), rule.head)
         result = node.execute([table], context)
         assert result.columns == (RESULT_COLUMN,)
         assert len(result) == 2  # dedup
@@ -239,19 +258,19 @@ class TestPlanNodes:
         rule = parse_rule("<who {<name N>}> :- <person {<name N>}>@whois")
         table = BindingTable(["N"], [("A",), ("A",)])
         node = ConstructorNode(
-            QueryNode("whois", rule), rule.head, deduplicate=False
+            QueryNode("whois", WHOIS_NAMES), rule.head, deduplicate=False
         )
         assert len(node.execute([table], context)) == 2
 
     def test_union_node(self, context):
         a = BindingTable([RESULT_COLUMN], [(atom("x", 1),)])
         b = BindingTable([RESULT_COLUMN], [(atom("x", 1),), (atom("y", 2),)])
-        q = QueryNode("cs", parse_rule("<a B> :- <student B>"))
+        q = QueryNode("whois", WHOIS_NAMES)
         union = UnionNode([q, q])
         assert len(union.execute([a, b], context)) == 2
 
     def test_union_rejects_non_result_tables(self, context):
-        q = QueryNode("cs", parse_rule("<a B> :- <student B>"))
+        q = QueryNode("whois", WHOIS_NAMES)
         with pytest.raises(TableError):
             UnionNode([q]).execute([BindingTable(["x"])], context)
 
@@ -274,10 +293,10 @@ def engine_context(request, scenario):
 
 class TestPhysicalPlanAndEngine:
     def test_topological_order(self):
-        q = QueryNode("whois", parse_rule("<a B> :- <person B>"))
-        e = ExtractorNode(q, parse_pattern("<a B>"), ["B"])
-        plan = PhysicalPlan(e)
-        assert plan.nodes() == [q, e]
+        q = QueryNode("whois", WHOIS_NAMES)
+        f = FilterNode(q, Comparison(Var("N"), "!=", Const("x")))
+        plan = PhysicalPlan(f)
+        assert plan.nodes() == [q, f]
         assert "[1]" in plan.describe()
 
     def test_engine_executes_and_traces(self, scenario, engine_context):

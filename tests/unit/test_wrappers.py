@@ -5,6 +5,7 @@ import pytest
 from repro.datasets import build_cs_database, build_whois_objects
 from repro.msl import Comparison, parse_pattern, parse_rule
 from repro.oem import atom, obj, parse_oem
+from repro.reliability import FaultInjectingSource, ResilientSource
 from repro.wrappers import (
     Capability,
     CapabilityViolation,
@@ -15,6 +16,15 @@ from repro.wrappers import (
     SemiJoinQuery,
     SourceError,
     SourceRegistry,
+)
+from repro.wrappers.base import BindingRows, Carrier
+
+#: Qw of Section 3.1, projecting an oid-slot, an object and a Rest
+#: variable besides two atoms
+QW = parse_rule(
+    "<bind_for_whois {<bind_for_N N> <bind_for_O O> <bind_for_P {P}>"
+    " <bind_for_R R> <bind_for_Rest Rest>}> :-"
+    " P:<O person {<name N> <dept 'CS'> <relation R> | Rest}>"
 )
 
 
@@ -269,6 +279,62 @@ class TestRelationalWrapper:
         cs.database.table("student").insert("Pat", "Px", 2, "1970-05-05")
         pat = [o for o in cs.export() if o.get("first_name") == "Pat"][0]
         assert pat.get("birthday") == "1970-05-05"
+
+
+class TestAnswerBindings:
+    @pytest.fixture
+    def whois(self):
+        return OEMStoreWrapper("whois", build_whois_objects())
+
+    def test_the_carrier_of_a_projection_query(self):
+        carrier = Carrier.of(QW)
+        assert carrier.columns == ("N", "O", "P", "R", "Rest")
+        assert carrier.objects == {"P"}
+        assert "<bind_for_P {P:<_ _>}>" in carrier.text
+        for text in (
+            "<a B> :- <person B>",
+            "<bind_for_Rest2 Rest2> :- <employee {| Rest2}>",
+            "<bind_for_s {<bind_for_N M>}> :- <person {<name M>}>",
+            "<bind_for_s {<bind_for_N N> <bind_for_N N>}> :-"
+            " <person {<name N>}>",
+        ):
+            assert Carrier.of(parse_rule(text)) is None, text
+
+    def test_rows_are_what_the_carriers_carry(self, whois):
+        rows = whois.answer_bindings(QW)
+        assert isinstance(rows, BindingRows)
+        assert rows.columns == ("N", "O", "P", "R", "Rest")
+        carriers = OEMStoreWrapper("whois", build_whois_objects()).answer(QW)
+        assert len(rows) == len(carriers) == 2
+        for row, carrier in zip(rows, carriers):
+            name, oid, person, relation, rest = row
+            assert name == carrier.get("bind_for_N")
+            assert oid == carrier.get("bind_for_O") == str(person.oid)
+            assert person.label == "person"
+            assert relation == carrier.get("bind_for_R")
+            assert isinstance(rest, tuple)
+
+    def test_no_carrier_is_built_and_no_oid_minted(self, whois):
+        whois.answer_bindings(QW)
+        assert str(whois._oidgen()) == "&whois_1"
+        assert whois.stats()["objects_returned"] == 2
+
+    def test_other_queries_are_answered_with_objects(self, whois):
+        query = parse_rule("<x N> :- <person {<name N>}>")
+        assert [o.label for o in whois.answer_bindings(query)] == ["x", "x"]
+
+    def test_a_redefined_answer_says_what_the_source_answers(self, whois):
+        whois.answer = lambda query: []
+        assert whois.answer_bindings(QW) == []
+
+    def test_the_decorators_forward_rows(self, whois):
+        for decorated in (
+            ResilientSource(whois),
+            FaultInjectingSource(whois),
+            ResilientSource(FaultInjectingSource(whois)),
+        ):
+            rows = decorated.answer_bindings(QW)
+            assert isinstance(rows, BindingRows) and len(rows) == 2
 
 
 class TestSourceRegistry:

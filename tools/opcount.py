@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Machine-independent cost of one operation: calls, garbage, blocks.
+"""Machine-independent cost of one operation: calls, oids, garbage, blocks.
 
-Wall-clock numbers move with the machine; these three do not, which
+Wall-clock numbers move with the machine; these four do not, which
 makes them the evidence for *where* a saving sits when a timed row
 cannot say (EXPERIMENTS.md E14, E23 and E24 were first measured with
 scratch copies of these counters):
 
 * **calls per op** — Python and C function calls as ``cProfile`` counts
   them, on the calling thread (a worker pool's calls are not seen);
+* **oids per op** — the calls of ``OidGenerator.__call__`` in the same
+  profile: object ids minted, by the mediator or a source;
 * **unreachable per op** — objects only the cycle collector can free
   (``gc.collect()`` after a run with the collector off): 0 means
   refcounting frees everything an operation allocates;
@@ -21,8 +23,8 @@ As a tool it measures the end-to-end suite's workloads
     PYTHONPATH=src python tools/opcount.py --workload point_lookup --ops 1000
 
 As a module it counts any zero-argument callable
-(``tests/unit/test_plan_cache.py`` holds the warm point lookup to a
-budget with it).
+(``tests/unit/test_plan_cache.py`` holds the warm point lookup and the
+warm export to budgets with it).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable
 ROOT = Path(__file__).resolve().parents[1]
 
 __all__ = [
-    "calls_per_op",
+    "profile_per_op",
     "unreachable_per_op",
     "blocks_per_op",
     "count",
@@ -47,8 +49,13 @@ __all__ = [
 ]
 
 
-def calls_per_op(operation: Callable[[], object], ops: int) -> float:
-    """Function calls (Python and C) per ``operation()``, over ``ops``."""
+def profile_per_op(
+    operation: Callable[[], object], ops: int
+) -> tuple[float, float]:
+    """Function calls (Python and C) and oids minted per
+    ``operation()``, over ``ops``, from one ``cProfile`` run."""
+    from repro.oem.oid import OidGenerator
+
     profiler = cProfile.Profile()
     profiler.enable()
     try:
@@ -56,8 +63,13 @@ def calls_per_op(operation: Callable[[], object], ops: int) -> float:
             operation()
     finally:
         profiler.disable()
+    stats = pstats.Stats(profiler)
+    code = OidGenerator.__call__.__code__
+    minted = stats.stats.get(
+        (code.co_filename, code.co_firstlineno, code.co_name), (0, 0)
+    )[1]
     # the loop's own range() and the disable() call are the only extras
-    return (pstats.Stats(profiler).total_calls - 1) / ops
+    return (stats.total_calls - 1) / ops, minted / ops
 
 
 def unreachable_per_op(operation: Callable[[], object], ops: int) -> float:
@@ -87,19 +99,22 @@ def blocks_per_op(operation: Callable[[], object], ops: int) -> float:
 def count(
     operation: Callable[[], object], ops: int, warmup: int = 20
 ) -> dict[str, float]:
-    """All three counters for ``operation``, after ``warmup`` calls."""
+    """All four counters for ``operation``, after ``warmup`` calls."""
     for _ in range(warmup):
         operation()
+    calls, oids = profile_per_op(operation, ops)
     return {
-        "calls_per_op": round(calls_per_op(operation, ops), 1),
+        "calls_per_op": round(calls, 1),
+        "oids_per_op": round(oids, 1),
         "unreachable_per_op": round(unreachable_per_op(operation, ops), 3),
         "blocks_per_op": round(blocks_per_op(operation, ops), 2),
     }
 
 
 def workload_operation(name: str, seed: int = 1996):
-    """``(operation, close)`` for one e2e workload at ``QUICK`` scale:
-    each ``operation()`` draws the next request and runs it, checked."""
+    """``(operation, workload)`` for one e2e workload at ``QUICK`` scale:
+    each ``operation()`` draws the next request and runs it, checked;
+    ``workload.close()`` releases what it built."""
     for path in (ROOT / "src", ROOT / "benchmarks" / "e2e"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
@@ -118,7 +133,7 @@ def workload_operation(name: str, seed: int = 1996):
                 f" expected {workload.expected_count(request)}"
             )
 
-    return operation, workload.close
+    return operation, workload
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,11 +150,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1996)
     args = parser.parse_args(argv)
     for name in args.workload or names:
-        operation, close = workload_operation(name, args.seed)
+        operation, workload = workload_operation(name, args.seed)
         try:
             row = count(operation, args.ops)
         finally:
-            close()
+            workload.close()
         print(json.dumps({"workload": name, "ops": args.ops, **row}))
     return 0
 
