@@ -398,32 +398,35 @@ class ExternalPredNode(RowOperatorNode):
         out_vars: Sequence[str],
         context: "ExecutionContext",
     ):
-        """Per-row expansion closure over a fixed argument plan."""
+        """Per-row expansion closure over a fixed argument plan.
+
+        The plan fixes which arguments are available, so the
+        implementation is chosen once, at the first charged row: over
+        no rows an unexecutable adornment raises nothing, over one or
+        more it raises what :meth:`ExternalRegistry.select` raises.
+        """
         governor = context.governor
         n_out = len(out_vars)
         unset = object()
+        available = [kind in ("const", "col") for kind, _ in specs]
+        invoke = None
 
         def expand(row: tuple[object, ...]) -> Iterable[Sequence[object]]:
+            nonlocal invoke
             # each invocation is charged against the external-call
             # budget; in truncate mode an exhausted budget skips the
             # call, dropping the row (a subset, never invented data)
             if governor is not None and not governor.charge_external_call():
                 return
-            args: list[object] = []
-            available: list[bool] = []
-            for kind, payload in specs:
-                if kind == "const":
-                    args.append(payload)
-                    available.append(True)
-                elif kind == "col":
-                    args.append(row[payload])
-                    available.append(True)
-                else:
-                    args.append(None)
-                    available.append(False)
-            for full in context.externals.evaluate(
-                self.call.name, args, available
-            ):
+            if invoke is None:
+                invoke = context.externals.resolve(self.call.name, available)
+            args = [
+                payload
+                if kind == "const"
+                else row[payload] if kind == "col" else None
+                for kind, payload in specs
+            ]
+            for full in invoke(args):
                 produced: list[object] = [unset] * n_out
                 consistent = True
                 for (kind, payload), value in zip(specs, full):

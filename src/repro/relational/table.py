@@ -21,12 +21,26 @@ class IntegrityError(SchemaError):
 
 
 class Table:
-    """One relation instance: schema + tuples."""
+    """One relation instance: schema + tuples.
+
+    :attr:`version` counts the mutations that change what the table
+    holds — an insert, a delete that removed rows, an attribute added
+    or dropped — so a reader that remembered something derived from
+    the table knows when to derive it again.
+
+    >>> t = Table(RelationSchema('r', ['a']))
+    >>> t.version
+    0
+    >>> _ = t.insert('x'); t.delete_where(lambda r: False); t.version
+    0
+    1
+    """
 
     def __init__(self, schema: RelationSchema) -> None:
         self.schema = schema
         self._rows: list[tuple] = []
         self._key_index: dict[tuple, int] = {}
+        self.version = 0
 
     # -- basic accessors ------------------------------------------------
 
@@ -87,6 +101,7 @@ class Table:
                 )
             self._key_index[key] = len(self._rows)
         self._rows.append(row)
+        self.version += 1
         return row
 
     def insert_many(self, rows: Iterable[tuple]) -> int:
@@ -110,6 +125,7 @@ class Table:
         if removed:
             self._rows = keep
             self._rebuild_key_index()
+            self.version += 1
         return removed
 
     def _rebuild_key_index(self) -> None:
@@ -130,14 +146,16 @@ class Table:
         specifications written with Rest variables pick the new attribute
         up automatically.
         """
-        self.schema = self.schema.with_attribute(attribute)
-        new_attr = self.schema.attributes[-1]
+        schema = self.schema.with_attribute(attribute)
+        new_attr = schema.attributes[-1]
         if not new_attr.admits(default):
             raise SchemaError(
                 f"default {default!r} does not fit new attribute"
                 f" {new_attr.name!r}"
             )
+        self.schema = schema
         self._rows = [row + (default,) for row in self._rows]
+        self.version += 1
 
     def drop_attribute(self, attribute: str) -> None:
         """Remove an attribute and its column from every tuple."""
@@ -147,6 +165,7 @@ class Table:
             row[:position] + row[position + 1 :] for row in self._rows
         ]
         self._rebuild_key_index()
+        self.version += 1
 
     def __repr__(self) -> str:
         return (

@@ -15,11 +15,19 @@ schema into data is what lets MSL variables range over relation names
 
 NULL attributes are simply omitted from the exported object: relational
 missing values become OEM irregularity, which MSL handles natively.
+
+A tuple is translated once per table version, not once per query: the
+wrapper keeps a :class:`_Snapshot` of each table — its rows and schema
+as of one :attr:`~repro.relational.table.Table.version`, plus one slot
+per row for that row's OEM object, filled the first time a scan
+selects the row.  Objects are immutable, so every later answer hands
+out the same instances until the table changes.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import re
+from typing import Iterable, Sequence
 
 from repro.external.registry import ExternalRegistry
 from repro.msl.ast import Const, Pattern, Rule
@@ -32,6 +40,46 @@ from repro.wrappers.base import Wrapper, first_pattern, labelled_children
 from repro.wrappers.capability import BATCH_CAPABILITY, Capability
 
 __all__ = ["RelationalWrapper"]
+
+#: A relation name that ends in a digit, or holds a digit followed by
+#: ``_``: its row numbers would run into the name (``t1`` row 1 and
+#: ``t`` row 11 both read ``t11``), so they are set off with ``.``.
+_RUNS_ON = re.compile(r"[0-9](?:_|$)")
+
+
+def _row_separator(relation: str) -> str:
+    """What stands between a relation name and a row number in an oid.
+
+    Nothing, for a name no row number can run into — today's oids —
+    else ``.``, which no identifier contains and the OEM parser
+    accepts in an oid.
+    """
+    return "." if _RUNS_ON.search(relation) else ""
+
+
+class _Snapshot:
+    """One version of one table, as the wrapper serves it.
+
+    The version is read before the schema and rows, so a mutation that
+    races the copy leaves the snapshot already stale, never stale
+    unnoticed.  A scan tests the snapshot's own rows against its own
+    schema: one answer never mixes two versions.
+    """
+
+    __slots__ = ("table", "version", "schema", "rows", "objects", "stem")
+
+    def __init__(self, wrapper: str, table: Table) -> None:
+        self.table = table
+        self.version = table.version
+        self.schema = table.schema
+        self.rows = table.rows()
+        #: the OEM object of each row, translated on first use
+        self.objects: list[OEMObject | None] = [None] * len(self.rows)
+        #: every oid of the table starts with this, then the row number
+        self.stem = f"&{wrapper}_{table.name}{_row_separator(table.name)}"
+
+    def current(self, table: Table) -> bool:
+        return self.table is table and self.version == table.version
 
 
 class RelationalWrapper(Wrapper):
@@ -56,6 +104,9 @@ class RelationalWrapper(Wrapper):
     ) -> None:
         super().__init__(name, capability or BATCH_CAPABILITY, registry)
         self.database = database
+        # table name -> its latest snapshot; a table dropped and
+        # re-created under the name is a different table object
+        self._snapshots: dict[str, _Snapshot] = {}
 
     @property
     def schema_facts(self):
@@ -75,30 +126,49 @@ class RelationalWrapper(Wrapper):
     # -- OEM translation -----------------------------------------------------
 
     def _tuple_to_oem(
-        self, table: Table, row_number: int, row: tuple
+        self, snapshot: _Snapshot, row_number: int, row: tuple
     ) -> OEMObject:
         """One relational tuple as an OEM object (Figure 2.2's shape)."""
+        stem = f"{snapshot.stem}{row_number}"
         children = []
-        for attr, value in zip(table.schema.attributes, row):
+        for attr, value in zip(snapshot.schema.attributes, row):
             if value is None:
                 continue  # NULL: the sub-object is simply absent
-            oid = Oid(f"&{self.name}_{table.name}{row_number}_{attr.name}")
+            oid = Oid(f"{stem}_{attr.name}")
             children.append(OEMObject(attr.name, value, None, oid))
-        return OEMObject(
-            table.name,
-            children,
-            SET_TYPE,
-            Oid(f"&{self.name}_{table.name}{row_number}"),
-        )
+        return OEMObject(snapshot.schema.name, children, SET_TYPE, Oid(stem))
+
+    def _snapshot(self, table: Table) -> _Snapshot:
+        snapshot = self._snapshots.get(table.name)
+        if snapshot is None or not snapshot.current(table):
+            snapshot = self._snapshots[table.name] = _Snapshot(
+                self.name, table
+            )
+        return snapshot
+
+    def _objects(
+        self, snapshot: _Snapshot, positions: Iterable[int]
+    ) -> list[OEMObject]:
+        """The objects of the snapshot's rows at ``positions``,
+        translating each row the first time it is asked for."""
+        slots, rows = snapshot.objects, snapshot.rows
+        objects = []
+        for at in positions:
+            obj = slots[at]
+            if obj is None:
+                # the row number is the row's position in the table, so
+                # equal tuples keep distinct oids, stable across answers
+                obj = self._tuple_to_oem(snapshot, at + 1, rows[at])
+                slots[at] = obj
+            objects.append(obj)
+        return objects
 
     def export(self) -> Sequence[OEMObject]:
-        # row numbers are positions in the table, so oids are stable
-        # across repeated exports of unchanged data
-        return [
-            self._tuple_to_oem(table, number, row)
-            for table in self.database.tables()
-            for number, row in enumerate(table, 1)
-        ]
+        objects: list[OEMObject] = []
+        for table in self.database.tables():
+            snapshot = self._snapshot(table)
+            objects.extend(self._objects(snapshot, range(len(snapshot.rows))))
+        return objects
 
     # -- native access path ------------------------------------------------
 
@@ -141,7 +211,8 @@ class RelationalWrapper(Wrapper):
         required.update(shipped.label for shipped in filters)
         objects: list[OEMObject] = []
         for table in tables:
-            schema = table.schema
+            snapshot = self._snapshot(table)
+            schema = snapshot.schema
             if any(not schema.has_attribute(attr) for attr in required):
                 continue
             tests = [
@@ -150,12 +221,17 @@ class RelationalWrapper(Wrapper):
                 (schema.position(shipped.label), shipped.admits)
                 for shipped in filters
             ]
-            # the row number rides along with the selected tuple, so a
-            # probe costs O(matches) and equal tuples keep distinct oids
+            # rows are tested before any is translated: a cold probe
+            # translates only its matches
             objects.extend(
-                self._tuple_to_oem(table, number, row)
-                for number, row in enumerate(table, 1)
-                if all(holds(row[at]) for at, holds in tests)
+                self._objects(
+                    snapshot,
+                    [
+                        at
+                        for at, row in enumerate(snapshot.rows)
+                        if all(holds(row[column]) for column, holds in tests)
+                    ],
+                )
             )
         return objects
 

@@ -15,10 +15,14 @@ through :func:`canonical`, which ignores oids and order.
 :class:`OEMOnly` is the reference for the source protocol: a source
 that answers every query with objects, which the mediator must then
 match for their bindings itself.
+
+:func:`reference_evaluate` is the reference for external predicates:
+an implementation selected for every call, then the post-filter loop.
 """
 
 from collections import Counter
 
+from repro.external.registry import ExternalFunctionError, _normalise
 from repro.mediator.fusion import fuse_objects, has_semantic_oids
 from repro.msl.ast import PatternCondition
 from repro.msl.evaluate import evaluate_rule
@@ -49,6 +53,34 @@ class OEMOnly(Source):
 
     def export(self):
         return self.inner.export()
+
+
+def reference_evaluate(registry, predicate, args, available):
+    """``registry.evaluate(predicate, args, available)`` with no
+    resolution kept: :meth:`~ExternalRegistry.select` per call, then
+    each result checked against the available arguments and filled in
+    for the others."""
+    impl = registry.select(predicate, available)
+    call_args = [args[i] for i in impl.bound_positions]
+    try:
+        raw = impl.function(*call_args)
+    except Exception as exc:
+        raise ExternalFunctionError(
+            f"external function {impl.function_name!r} raised: {exc}"
+        ) from exc
+    free = impl.free_positions
+    for out in _normalise(raw, len(free), impl):
+        full = list(args)
+        ok = True
+        for position, value in zip(free, out):
+            if available[position]:
+                if full[position] != value:
+                    ok = False
+                    break
+            else:
+                full[position] = value
+        if ok:
+            yield tuple(full)
 
 
 def canonical(objects) -> Counter:

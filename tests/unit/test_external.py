@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datasets import build_scenario
 from repro.external import (
     ExternalFunctionError,
     ExternalRegistry,
@@ -14,6 +15,22 @@ from repro.external import (
     add,
     to_lower,
     to_upper,
+)
+from repro.governor import QueryBudget, QueryGovernor
+from repro.mediator import (
+    BindingTable,
+    ExecutionContext,
+    ExternalPredNode,
+    QueryNode,
+)
+from repro.msl import ExternalCall, Var, parse_rule
+from repro.wrappers import SourceRegistry
+
+ALL_PERSONS = "P :- P:<cs_person {}>@med"
+DECOMP = ExternalCall("decomp", (Var("N"), Var("LN"), Var("FN")))
+#: a stand-in input node: the tests feed the node a table of their own
+WHOIS_NAMES = parse_rule(
+    "<bind_for_whois {<bind_for_N N>}> :- <person {<name N>}>"
 )
 
 
@@ -189,3 +206,87 @@ class TestRegistry:
         registry = default_registry()
         for name in ("name_to_lnfn", "lnfn_to_name", "to_upper", "concat"):
             assert registry.has_function(name)
+
+
+NAMES = [("Joe Chung",), ("Nick Naive",), ("Prince",), ("Ann Ace",)]
+
+
+def ms1_externals():
+    """MS1's ``EXT`` declarations of ``decomp``."""
+    registry = default_registry()
+    registry.declare("decomp", ("b", "f", "f"), "name_to_lnfn")
+    registry.declare("decomp", ("f", "b", "b"), "lnfn_to_name")
+    return registry
+
+
+def run_node(externals, call, rows, governor=None):
+    """``call``'s external-predicate node over an input of names."""
+    context = ExecutionContext(
+        sources=SourceRegistry(), externals=externals, governor=governor
+    )
+    node = ExternalPredNode(QueryNode("whois", WHOIS_NAMES), call)
+    return node.execute([BindingTable(["N"], rows)], context)
+
+
+class TestResolvedOncePerRun:
+    """An external-predicate node picks MS1's ``decomp`` implementation
+    once per run: which arguments are bound is fixed by its plan."""
+
+    @pytest.fixture
+    def selects(self, monkeypatch):
+        calls = []
+        original = ExternalRegistry.select
+
+        def counted(registry, predicate, bound):
+            calls.append((predicate, tuple(bound)))
+            return original(registry, predicate, bound)
+
+        monkeypatch.setattr(ExternalRegistry, "select", counted)
+        return calls
+
+    def test_select_runs_once_per_node_run(self, selects):
+        table = run_node(ms1_externals(), DECOMP, NAMES)
+        assert selects == [("decomp", (True, False, False))]
+        assert table.rows == [
+            ("Joe Chung", "Chung", "Joe"),
+            ("Nick Naive", "Naive", "Nick"),
+            ("Ann Ace", "Ace", "Ann"),
+        ]
+
+    def test_select_runs_once_per_mediated_run(self, selects):
+        mediator = build_scenario().mediator
+        for _ in range(3):  # plan, and settle the statistics
+            mediator.answer(ALL_PERSONS)
+        selects.clear()
+        assert len(mediator.answer(ALL_PERSONS)) == 2
+        assert selects == [("decomp", (True, False, False))]
+
+    def test_an_unexecutable_adornment_raises_only_over_rows(self):
+        # no decomp implementation takes all three arguments free
+        unbound = ExternalCall("decomp", (Var("X"), Var("LN"), Var("FN")))
+        assert len(run_node(ms1_externals(), unbound, [])) == 0
+        # nor over rows never charged: the budget was spent
+        spent = QueryGovernor(QueryBudget(max_external_calls=1), "truncate")
+        assert spent.charge_external_call()
+        assert len(run_node(ms1_externals(), unbound, NAMES, spent)) == 0
+        with pytest.raises(
+            ExternalFunctionError,
+            match=r"^no implementation of 'decomp' callable with"
+            r" bound-pattern fff$",
+        ):
+            run_node(ms1_externals(), unbound, NAMES[:1])
+
+    def test_an_exhausted_budget_drops_the_same_rows(self):
+        invoked = []
+        externals = default_registry()
+        externals.register_function(
+            "counted", lambda name: invoked.append(name) or name_to_lnfn(name)
+        )
+        externals.declare("decomp", ("b", "f", "f"), "counted")
+        governor = QueryGovernor(QueryBudget(max_external_calls=2), "truncate")
+        table = run_node(externals, DECOMP, NAMES, governor)
+        # charged before each call: the third row finds the budget spent
+        assert invoked == ["Joe Chung", "Nick Naive"]
+        assert [row[0] for row in table.rows] == ["Joe Chung", "Nick Naive"]
+        assert governor.external_calls == 2
+        assert [w.budget for w in governor.warnings] == ["max_external_calls"]

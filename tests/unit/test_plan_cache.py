@@ -18,7 +18,7 @@ import pytest
 
 from repro.datasets import build_scaled_scenario, build_scenario, record_stream
 from repro.exec import AnswerCache
-from repro.external.registry import default_registry
+from repro.external.registry import ExternalRegistry, default_registry
 from repro.governor import BudgetExceeded, QueryBudget
 from repro.mediator import Mediator
 from repro.mediator import mediator as mediator_module
@@ -42,6 +42,7 @@ from repro.wrappers import (
     Source,
     HashPartition,
     OEMStoreWrapper,
+    RelationalWrapper,
     ShardedSource,
     SourceError,
     SourceRegistry,
@@ -152,9 +153,39 @@ class TestWarmPathBudget:
         finally:
             workload.close()
         assert minted == []
-        # 38 604 before the wrappers answered with rows, 21 382 after
-        assert counted["calls_per_op"] <= 23_500
+        # 38 604 before the wrappers answered with rows, 21 382 after,
+        # 16 251 once tuples were translated once per table version
+        # and decomp resolved once per node run
+        assert counted["calls_per_op"] <= 17_800
         assert counted["unreachable_per_op"] == 0
+
+    def test_a_warm_export_translates_no_tuple_and_resolves_once(
+        self, monkeypatch
+    ):
+        operation, workload = opcount.workload_operation("view_export")
+        calls = {"_tuple_to_oem": 0, "select": 0}
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        try:
+            for _ in range(5):
+                operation()
+            spy(RelationalWrapper, "_tuple_to_oem")
+            spy(ExternalRegistry, "select")
+            for _ in range(10):
+                operation()
+        finally:
+            workload.close()
+        # per op, 51 and 60 before: a translation per cs tuple probed,
+        # a selection per whois person
+        assert calls == {"_tuple_to_oem": 0, "select": 10}
 
     def test_parsed_queries_hit_the_same_shape(self, point):
         mediator, _ = point

@@ -110,8 +110,13 @@ class TestTable:
 
     def test_add_attribute_bad_default(self):
         table = Table(RelationSchema("r", ["a"]))
+        table.insert("x")
         with pytest.raises(SchemaError):
             table.add_attribute(Attribute("n", "integer"), default="zero")
+        # a rejected default leaves the table as it was
+        assert table.schema.attribute_names == ("a",)
+        assert table.rows() == [("x",)]
+        assert table.version == 1
 
     def test_drop_attribute(self):
         table = Table(RelationSchema("r", ["a", "b"]))

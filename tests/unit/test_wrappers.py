@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.datasets import build_cs_database, build_whois_objects
+from repro.datasets import (
+    JOE_CHUNG_QUERY,
+    build_cs_database,
+    build_scenario,
+    build_whois_objects,
+)
 from repro.msl import Comparison, parse_pattern, parse_rule
 from repro.oem import atom, obj, parse_oem
 from repro.reliability import FaultInjectingSource, ResilientSource
@@ -279,6 +284,101 @@ class TestRelationalWrapper:
         cs.database.table("student").insert("Pat", "Px", 2, "1970-05-05")
         pat = [o for o in cs.export() if o.get("first_name") == "Pat"][0]
         assert pat.get("birthday") == "1970-05-05"
+
+
+def joe(mediator) -> list[dict]:
+    """MS1's answer for Joe Chung, each object as label -> value."""
+    return [
+        {child.label: child.value for child in found.children}
+        for found in mediator.answer(JOE_CHUNG_QUERY)
+    ]
+
+
+class TestRelationalSnapshots:
+    """A tuple is translated once per table version: every change to a
+    table shows in the next answer, and nothing else re-translates."""
+
+    @pytest.fixture
+    def scenario(self):
+        scenario = build_scenario()
+        # warm: the employee table's snapshot exists before each change
+        assert len(joe(scenario.mediator)) == 1
+        assert len(scenario.cs.export()) == 2
+        return scenario
+
+    def employee(self, scenario):
+        return scenario.cs.database.table("employee")
+
+    def test_insert(self, scenario):
+        self.employee(scenario).insert("Joe", "Chung", "dean", "Nobody")
+        assert sorted(j["title"] for j in joe(scenario.mediator)) == [
+            "dean", "professor",
+        ]
+        assert len(scenario.cs.export()) == 3
+
+    def test_delete_where(self, scenario):
+        removed = self.employee(scenario).delete_where(
+            lambda row: row["last_name"] == "Chung"
+        )
+        assert removed == 1
+        assert joe(scenario.mediator) == []
+        assert [o.label for o in scenario.cs.export()] == ["student"]
+
+    def test_add_attribute_reaches_a_rest_variable(self, scenario):
+        # the paper's "birthday appears": Rest2 picks it up unedited
+        self.employee(scenario).add_attribute("birthday", "1950-07-04")
+        (found,) = joe(scenario.mediator)
+        assert found["birthday"] == "1950-07-04"
+        exported = scenario.cs.export()[0]
+        assert str(exported.first("birthday").oid) == "&cs_employee1_birthday"
+
+    def test_drop_attribute(self, scenario):
+        self.employee(scenario).drop_attribute("title")
+        (found,) = joe(scenario.mediator)
+        assert "title" not in found
+        assert scenario.cs.export()[0].first("title") is None
+
+    def test_drop_and_recreate_under_the_same_name(self, scenario):
+        database = scenario.cs.database
+        schema = self.employee(scenario).schema
+        database.drop_table("employee")
+        assert joe(scenario.mediator) == []
+        database.create_table(schema).insert(
+            "Joe", "Chung", "emeritus", "Nobody"
+        )
+        (found,) = joe(scenario.mediator)
+        assert found["title"] == "emeritus"
+        assert scenario.cs.export()[0].get("title") == "emeritus"
+
+    def test_unchanged_tables_hand_out_the_same_objects(self, scenario):
+        first, second = scenario.cs.export(), scenario.cs.export()
+        assert len(first) == len(second) == 2
+        assert all(a is b for a, b in zip(first, second))
+        probe = parse_rule("<x T> :- <employee {<title T>}>")
+        (probed,) = scenario.cs.candidates(probe)
+        assert probed is first[0]
+
+    def test_a_cold_probe_translates_only_its_matches(self, monkeypatch):
+        students = [(f"N{i}", f"L{i}", i % 4) for i in range(200)]
+        wrapper = RelationalWrapper(
+            "cs", build_cs_database(extra_students=students)
+        )
+        translated = []
+        original = wrapper._tuple_to_oem
+
+        def counted(snapshot, number, row):
+            translated.append(number)
+            return original(snapshot, number, row)
+
+        monkeypatch.setattr(wrapper, "_tuple_to_oem", counted)
+        probe = parse_rule("<x Y> :- <student {<first_name 'N7'> <year Y>}>")
+        assert len(wrapper.answer(probe)) == 1
+        assert translated == [9]  # Nick is row 1; N7 is row 9
+        assert len(wrapper.export()) == 202
+        assert len(translated) == 202  # each row once, the probe's too
+        wrapper.export()
+        wrapper.answer(probe)
+        assert len(translated) == 202
 
 
 class TestAnswerBindings:

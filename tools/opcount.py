@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Machine-independent cost of one operation: calls, oids, garbage, blocks.
+"""Machine-independent cost of one operation: calls, oids, objects,
+garbage, blocks.
 
-Wall-clock numbers move with the machine; these four do not, which
+Wall-clock numbers move with the machine; these five do not, which
 makes them the evidence for *where* a saving sits when a timed row
 cannot say (EXPERIMENTS.md E14, E23 and E24 were first measured with
 scratch copies of these counters):
@@ -10,6 +11,9 @@ scratch copies of these counters):
   them, on the calling thread (a worker pool's calls are not seen);
 * **oids per op** — the calls of ``OidGenerator.__call__`` in the same
   profile: object ids minted, by the mediator or a source;
+* **objects per op** — the calls of ``OEMObject.__init__`` and of the
+  compiled builders' ``_fast_atom`` / ``_fast_set`` in the same
+  profile: OEM objects built, by the mediator or a source;
 * **unreachable per op** — objects only the cycle collector can free
   (``gc.collect()`` after a run with the collector off): 0 means
   refcounting frees everything an operation allocates;
@@ -51,9 +55,11 @@ __all__ = [
 
 def profile_per_op(
     operation: Callable[[], object], ops: int
-) -> tuple[float, float]:
-    """Function calls (Python and C) and oids minted per
-    ``operation()``, over ``ops``, from one ``cProfile`` run."""
+) -> tuple[float, float, float]:
+    """Function calls (Python and C), oids minted and OEM objects built
+    per ``operation()``, over ``ops``, from one ``cProfile`` run."""
+    from repro.msl import compile as compiled
+    from repro.oem.model import OEMObject
     from repro.oem.oid import OidGenerator
 
     profiler = cProfile.Profile()
@@ -64,12 +70,21 @@ def profile_per_op(
     finally:
         profiler.disable()
     stats = pstats.Stats(profiler)
-    code = OidGenerator.__call__.__code__
-    minted = stats.stats.get(
-        (code.co_filename, code.co_firstlineno, code.co_name), (0, 0)
-    )[1]
+
+    def calls_of(*functions) -> int:
+        return sum(
+            stats.stats.get(
+                (code.co_filename, code.co_firstlineno, code.co_name), (0, 0)
+            )[1]
+            for code in (function.__code__ for function in functions)
+        )
+
+    minted = calls_of(OidGenerator.__call__)
+    built = calls_of(
+        OEMObject.__init__, compiled._fast_atom, compiled._fast_set
+    )
     # the loop's own range() and the disable() call are the only extras
-    return (stats.total_calls - 1) / ops, minted / ops
+    return (stats.total_calls - 1) / ops, minted / ops, built / ops
 
 
 def unreachable_per_op(operation: Callable[[], object], ops: int) -> float:
@@ -99,13 +114,14 @@ def blocks_per_op(operation: Callable[[], object], ops: int) -> float:
 def count(
     operation: Callable[[], object], ops: int, warmup: int = 20
 ) -> dict[str, float]:
-    """All four counters for ``operation``, after ``warmup`` calls."""
+    """All five counters for ``operation``, after ``warmup`` calls."""
     for _ in range(warmup):
         operation()
-    calls, oids = profile_per_op(operation, ops)
+    calls, oids, objects = profile_per_op(operation, ops)
     return {
         "calls_per_op": round(calls, 1),
         "oids_per_op": round(oids, 1),
+        "objects_per_op": round(objects, 1),
         "unreachable_per_op": round(unreachable_per_op(operation, ops), 3),
         "blocks_per_op": round(blocks_per_op(operation, ops), 2),
     }
