@@ -63,13 +63,12 @@ from repro.msl.ast import (
     Rule,
     Var,
 )
-from repro.msl.bindings import Bindings, values_equal
+from repro.msl.bindings import values_equal
 from repro.msl.compile import compile_head_item
 from repro.msl.errors import MSLInstantiationError, MSLSemanticError
 from repro.msl.evaluate import compare_values
 from repro.msl.substitute import (
     head_variables,
-    instantiate_head_item,
     pattern_params,
     rule_params,
     substitute_params,
@@ -898,7 +897,9 @@ class ConstructorNode(RowOperatorNode):
     bindings are projected and deduplicated first (the MSL semantics of
     footnote 3), and structurally duplicated objects are eliminated —
     the feature the authors' engine lacked (footnote 9) but the
-    semantics prescribe.
+    semantics prescribe.  Every object is built by the compiled head
+    builders (:func:`~repro.msl.compile.compile_head_item`), which also
+    raise the head's instantiation errors.
     """
 
     def __init__(
@@ -923,7 +924,7 @@ class ConstructorNode(RowOperatorNode):
             )
         )
         # compiled head builders per projected column layout
-        self._builders: dict[tuple[str, ...], tuple | None] = {}
+        self._builders: dict[tuple[str, ...], tuple] = {}
 
     def run_rows(self, source, context: "ExecutionContext", make_out):
         positions = {name: i for i, name in enumerate(source.columns)}
@@ -958,43 +959,26 @@ class ConstructorNode(RowOperatorNode):
                 )
             constants = tuple(frame[name] for name in self._params)
             available += tuple(f"${name}" for name in self._params)
-        builders = self._head_builders(available)
+        builders = self._builders.get(available)
+        if builders is None:
+            # slot-layout closures that read the projected rows
+            # positionally (see compile_head_item)
+            builders = self._builders[available] = tuple(
+                compile_head_item(item, available) for item in self.head
+            )
         for row in projected.rows:
             if governor is not None and not governor.charge_result_object():
                 break  # truncate mode: stop constructing, keep the run
             if constants:
                 row += constants
-            if builders is not None:
-                # compiled head instantiation: slot-layout closures read
-                # the projected rows positionally (see compile_head_item)
-                for build in builders:
-                    objects.extend(build(row, oidgen))
-            else:
-                env = Bindings(dict(zip(available, row)))
-                for item in self.head:
-                    objects.extend(instantiate_head_item(item, env, oidgen))
+            for build in builders:
+                objects.extend(build(row, oidgen))
         if self.deduplicate:
             objects = eliminate_duplicates(objects)
         add, out = make_out((RESULT_COLUMN,), governor)
         for obj in objects:
             add((obj,))
         return out
-
-    def _head_builders(self, available: tuple[str, ...]):
-        """Compiled per-item head builders for one column layout.
-
-        ``None`` when a head item falls outside the compiled subset
-        (shapes whose only behaviour is an instantiation error) — the
-        constructor then runs ``instantiate_head_item`` for its message.
-        """
-        if available not in self._builders:
-            builders = [
-                compile_head_item(item, available) for item in self.head
-            ]
-            self._builders[available] = (
-                None if None in builders else tuple(builders)
-            )
-        return self._builders[available]
 
     def describe(self, params=None) -> str:
         head = _shown(self.head, params)

@@ -71,13 +71,12 @@ from repro.msl.evaluate import (
 from repro.msl.lift import lift, param_names
 from repro.msl.substitute import (
     head_variables,
-    instantiate_head_item,
     pattern_params,
     pattern_variables,
     rule_params,
 )
 from repro.oem.compare import eliminate_duplicates
-from repro.oem.model import SET_TYPE, OEMObject
+from repro.oem.model import SET_TYPE, OEMError, OEMObject
 from repro.oem.oid import Oid, OidGenerator, SemanticOid, fresh_oid
 from repro.oem.traverse import descendants, walk
 
@@ -744,17 +743,19 @@ class CompiledPattern:
 # head is lowered once, per slot layout, to closures that read binding
 # rows positionally — no per-row ``Bindings`` dict, no per-row AST
 # dispatch, and (for the exact atom types) no re-validation inside
-# ``OEMObject.__init__``.  ``ConstructorNode`` builds every result
-# object this way, inside a fused pipeline or on its own;
+# ``OEMObject.__init__``.  This is the one production head builder:
+# ``ConstructorNode`` builds every mediator result object with it, and
+# :meth:`CompiledRule.build` every object a source or the
+# materialization route derives.
 # :func:`repro.msl.substitute.instantiate_head_item` is the reference
-# the builders are checked against.
+# the builders are checked against, and runs only in tests.
 #
 # Equivalence contract: same objects (labels, types, checked values),
-# same oid-generator call sequence (parent before children, items in
-# written order), same duplicate elimination, same errors with the same
-# messages.  ``compile_head_item`` returns ``None`` for any head shape
-# outside the compiled subset, and the caller falls back to the
-# reference builder.
+# same oid-generator call sequence (label, oid tick, type, value, set
+# children in written order), same duplicate elimination, same errors
+# with the same messages after the same ticks.  Every head shape
+# compiles: one whose reference behaviour is an error compiles to a
+# builder that raises that error at that slot.
 
 #: Exact Python types whose inferred OEM type and checked value are
 #: knowable without running ``infer_type``/``_check_atom``.  Keyed by
@@ -772,8 +773,16 @@ _ATOM_TYPE_NAMES: dict[type, str] = {
 _object_setattr = object.__setattr__
 
 
-def _fast_atom(label: str, type_: str, value: object, oid: Oid) -> OEMObject:
-    """Construct a validated-by-construction atomic OEM object."""
+def _fast_object(
+    label: str, type_: str, value: object, oid: Oid | None
+) -> OEMObject:
+    """Construct an OEM object whose value is valid by construction: an
+    atom of ``type_``, or a set of known OEM objects.  The label check
+    and the late oid allocation are ``OEMObject.__init__``'s."""
+    if not label:
+        raise OEMError(f"label must be a non-empty string, got {label!r}")
+    if oid is None:
+        oid = fresh_oid()
     obj = OEMObject.__new__(OEMObject)
     _object_setattr(obj, "oid", oid)
     _object_setattr(obj, "label", label)
@@ -784,66 +793,77 @@ def _fast_atom(label: str, type_: str, value: object, oid: Oid) -> OEMObject:
     return obj
 
 
-def _fast_set(
-    label: str, children: tuple[OEMObject, ...], oid: Oid
-) -> OEMObject:
-    """Construct a set object whose members are known OEM objects."""
-    obj = OEMObject.__new__(OEMObject)
-    _object_setattr(obj, "oid", oid)
-    _object_setattr(obj, "label", label)
-    _object_setattr(obj, "type", SET_TYPE)
-    _object_setattr(obj, "value", children)
-    _object_setattr(obj, "_hash", None)
-    _object_setattr(obj, "_skey", None)
-    return obj
+def _raise(message: str):
+    """A reader or builder that raises the reference's error."""
+
+    def fail(*_args, _m=message):
+        raise MSLInstantiationError(_m)
+
+    return fail
 
 
-def _compile_slot_read(term: Term, index: Mapping[str, int]):
-    """Accessor ``row -> slot value`` for a head slot term, or ``None``.
+def _compile_slot_read(term: Term, index: Mapping[str, int], slot: str):
+    """Accessor ``row -> slot value`` for a head slot term.
 
-    ``None`` means the term is a shape (anonymous variable, variable
-    outside the row layout, parameter...) whose reference behaviour is
-    an error — the whole item then falls back to the interpretive
-    builder, which raises the canonical message.
+    It raises what the reference's ``_slot_atom`` raises: for a variable
+    that is anonymous, outside the row layout or :data:`UNBOUND` in the
+    row, for a parameter with no value, and for a term no slot holds.
     """
     if isinstance(term, Const):
-        value = term.value
-        return lambda row, _v=value: _v
-    if isinstance(term, Var) and not term.is_anonymous:
-        position = index.get(term.name)
-        if position is None:
-            return None
-        return lambda row, _p=position: row[_p]
-    if isinstance(term, Param):
+        return lambda row, _v=term.value: _v
+    if isinstance(term, Var):
+        message = f"unbound variable {term} in head {slot} slot"
+        position = None if term.is_anonymous else index.get(term.name)
+    elif isinstance(term, Param):
         # a lifted constant rides in the row, in a column named as the
         # parameter prints (see ConstructorNode)
+        message = f"no value supplied for parameter {term}"
         position = index.get(str(term))
-        if position is None:
-            return None
-        return lambda row, _p=position: row[_p]
-    return None
+    else:
+        return _raise(f"invalid head {slot} term {term}")
+    if position is None:
+        return _raise(message)
+
+    def read(row, _p=position, _m=message):
+        value = row[_p]
+        if value is UNBOUND:
+            raise MSLInstantiationError(_m)
+        return value
+
+    return read
+
+
+def _compile_string_slot(term: Term, index: Mapping[str, int], slot: str):
+    """Accessor ``row -> str`` for a head label or type slot."""
+    if isinstance(term, Const) and isinstance(term.value, str):
+        return lambda row, _v=term.value: _v
+
+    def read_string(row, _r=_compile_slot_read(term, index, slot), _s=slot):
+        value = _r(row)
+        if not isinstance(value, str):
+            raise MSLInstantiationError(
+                f"head {_s} evaluated to non-string {value!r}"
+            )
+        return value
+
+    return read_string
 
 
 def _compile_head_oid(term: Term | None, index: Mapping[str, int]):
-    """Lower a head oid term to ``(row, oidgen) -> Oid``, or ``None``."""
+    """Lower a head oid term to ``(row, oidgen) -> Oid | None``."""
     if term is None:
         def generated(row, oidgen):
-            # reference: _head_oid returns oidgen() (or None, in which
-            # case OEMObject.__init__ allocates a fresh synthetic oid)
-            return oidgen() if oidgen is not None else fresh_oid()
+            # with no generator the object allocates a fresh synthetic
+            # oid when it is constructed, after its children
+            return oidgen() if oidgen is not None else None
 
         return generated
     if isinstance(term, SemOidTerm):
-        readers = []
-        for arg in term.args:
-            reader = _compile_slot_read(arg, index)
-            if reader is None:
-                return None
-            readers.append((arg, reader))
-        readers_t = tuple(readers)
-        functor = term.functor
+        readers = tuple(
+            (arg, _compile_slot_read(arg, index, "oid")) for arg in term.args
+        )
 
-        def semantic(row, oidgen, _readers=readers_t, _f=functor):
+        def semantic(row, oidgen, _readers=readers, _f=term.functor):
             args = []
             for arg, reader in _readers:
                 value = reader(row)
@@ -855,11 +875,10 @@ def _compile_head_oid(term: Term | None, index: Mapping[str, int]):
             return SemanticOid(_f, args)
 
         return semantic
-    reader = _compile_slot_read(term, index)
-    if reader is None:
-        return None
 
-    def plain(row, oidgen, _r=reader, _t=term):
+    def plain(
+        row, oidgen, _r=_compile_slot_read(term, index, "oid"), _t=term
+    ):
         value = _r(row)
         if isinstance(value, Oid):
             return value
@@ -875,79 +894,54 @@ def _compile_head_oid(term: Term | None, index: Mapping[str, int]):
 def _compile_build_object(pattern: Pattern, index: Mapping[str, int]):
     """Lower a head pattern to ``(row, oidgen) -> OEMObject``.
 
-    Returns ``None`` when any slot is outside the compiled subset.
     Slot evaluation order matches ``_build_object``: label, oid (the
-    oid-generator tick), then value — with set children built in
+    oid-generator tick), type, then value — with set children built in
     written order, each taking its own generator ticks.
     """
-    label_term = pattern.label
-    if isinstance(label_term, Const):
-        if not isinstance(label_term.value, str):
-            return None
-        get_label = lambda row, _l=label_term.value: _l  # noqa: E731
-    elif isinstance(label_term, Var) and not label_term.is_anonymous:
-        position = index.get(label_term.name)
-        if position is None:
-            return None
-
-        def get_label(row, _p=position):
-            label = row[_p]
-            if not isinstance(label, str):
-                raise MSLInstantiationError(
-                    f"head label evaluated to non-string {label!r}"
-                )
-            return label
-
-    else:
-        return None
-
+    get_label = _compile_string_slot(pattern.label, index, "label")
     build_oid = _compile_head_oid(pattern.oid, index)
-    if build_oid is None:
-        return None
-
-    type_ = None
+    get_type = None
     if pattern.type is not None:
-        if not (
-            isinstance(pattern.type, Const)
-            and isinstance(pattern.type.value, str)
-        ):
-            return None
-        type_ = pattern.type.value
-
+        get_type = _compile_string_slot(pattern.type, index, "type")
     value = pattern.value
     if isinstance(value, SetPattern):
-        if value.rest is not None and value.rest.conditions:
-            return None
+        # members in written order: (None, build) for a built child or
+        # an error, (var, position) for a spliced variable
+        specs = []
         items: list = list(value.items)
-        if value.rest is not None:
+        if value.rest is not None and value.rest.conditions:
+            specs.append((None, _raise(
+                "conditions on a Rest variable are not allowed in a rule"
+                " head"
+            )))
+            items = []
+        elif value.rest is not None:
             # head semantics: '{a b | R}' splices R's members in
             items.append(VarItem(value.rest.var))
-        specs = []
         for item in items:
-            if isinstance(item, PatternItem):
-                if item.descendant:
-                    return None
-                child = _compile_build_object(item.pattern, index)
-                if child is None:
-                    return None
-                specs.append((None, child))
-            elif isinstance(item, VarItem):
-                var = item.var
-                if var.is_anonymous:
-                    return None
-                position = index.get(var.name)
-                if position is None:
-                    return None
-                specs.append((var, position))
-            else:  # pragma: no cover - no other item kinds exist
-                return None
-        specs_t = tuple(specs)
+            if isinstance(item, PatternItem) and item.descendant:
+                specs.append((None, _raise(
+                    "a descendant item ('..') is not allowed in a rule head"
+                )))
+            elif isinstance(item, PatternItem):
+                specs.append(
+                    (None, _compile_build_object(item.pattern, index))
+                )
+            elif item.var.is_anonymous or item.var.name not in index:
+                specs.append((None, _raise(
+                    f"unbound variable {item.var} inside head braces"
+                )))
+            else:
+                specs.append((item.var, index[item.var.name]))
 
         def build_set(
-            row, oidgen, _gl=get_label, _go=build_oid, _specs=specs_t
+            row, oidgen, _gl=get_label, _go=build_oid, _gt=get_type,
+            _specs=tuple(specs),
         ):
             label = _gl(row)
             oid = _go(row, oidgen)
+            if _gt is not None:
+                _gt(row)  # checked, then ignored: a set is a set
             children: list[OEMObject] = []
             for var, payload in _specs:
                 if var is None:
@@ -958,106 +952,110 @@ def _compile_build_object(pattern: Pattern, index: Mapping[str, int]):
                     children.extend(bound)
                 elif isinstance(bound, OEMObject):
                     children.append(bound)
+                elif bound is UNBOUND:
+                    raise MSLInstantiationError(
+                        f"unbound variable {var} inside head braces"
+                    )
                 else:
                     raise MSLInstantiationError(
                         f"variable {var} inside head braces is bound to"
                         f" the atom {bound!r}; only objects and sets can"
                         f" be spliced in"
                     )
-            return _fast_set(
-                label, tuple(eliminate_duplicates(children)), oid
+            return _fast_object(
+                label, SET_TYPE, tuple(eliminate_duplicates(children)), oid
             )
 
         return build_set
-    if isinstance(value, Const):
-        const_value = value.value
-
-        def build_const(
-            row, oidgen, _gl=get_label, _go=build_oid,
-            _v=const_value, _t=type_,
+    named = isinstance(value, Var) and not value.is_anonymous
+    if not (named and value.name in index):
+        # a constant, a parameter, or a shape whose reading raises
+        def build_read(
+            row, oidgen, _gl=get_label, _go=build_oid, _gt=get_type,
+            _r=_compile_slot_read(value, index, "value"),
         ):
             label = _gl(row)
             oid = _go(row, oidgen)
-            return OEMObject(label, _v, _t, oid)
+            type_ = None if _gt is None else _gt(row)
+            value = _r(row)
+            if type_ is None:
+                type_name = _ATOM_TYPE_NAMES.get(type(value))
+                if type_name is not None:
+                    return _fast_object(label, type_name, value, oid)
+            return OEMObject(label, value, type_, oid)
 
-        return build_const
-    if isinstance(value, (Var, Param)):
-        if isinstance(value, Param):
-            position = index.get(str(value))
-        elif value.is_anonymous:
-            return None
-        else:
-            position = index.get(value.name)
-        if position is None:
-            return None
+        return build_read
 
-        def build_var(
-            row, oidgen, _gl=get_label, _go=build_oid,
-            _p=position, _t=type_,
-        ):
-            label = _gl(row)
-            oid = _go(row, oidgen)
-            bound = row[_p]
-            if _t is None:
-                cls = type(bound)
-                if cls is OEMObject:
-                    return _fast_set(label, (bound,), oid)
-                if cls is not tuple:
-                    type_name = _ATOM_TYPE_NAMES.get(cls)
-                    if type_name is not None:
-                        return _fast_atom(label, type_name, bound, oid)
-            # subclasses, Oids, declared types: reference dispatch
-            if isinstance(bound, tuple):
-                return OEMObject(label, bound, SET_TYPE, oid)
-            if isinstance(bound, OEMObject):
-                return OEMObject(label, (bound,), SET_TYPE, oid)
-            if isinstance(bound, Oid):
-                return OEMObject(label, bound.text, _t, oid)
-            return OEMObject(label, bound, _t, oid)
+    def build_var(
+        row, oidgen, _gl=get_label, _go=build_oid, _gt=get_type,
+        _p=index[value.name], _v=value,
+    ):
+        label = _gl(row)
+        oid = _go(row, oidgen)
+        type_ = None if _gt is None else _gt(row)
+        bound = row[_p]
+        if type_ is None:
+            cls = type(bound)
+            if cls is OEMObject:
+                return _fast_object(label, SET_TYPE, (bound,), oid)
+            if cls is not tuple:
+                type_name = _ATOM_TYPE_NAMES.get(cls)
+                if type_name is not None:
+                    return _fast_object(label, type_name, bound, oid)
+        # subclasses, Oids, declared types: reference dispatch
+        if isinstance(bound, tuple):
+            return OEMObject(label, bound, SET_TYPE, oid)
+        if isinstance(bound, OEMObject):
+            return OEMObject(label, (bound,), SET_TYPE, oid)
+        if isinstance(bound, Oid):
+            return OEMObject(label, bound.text, type_, oid)
+        if bound is UNBOUND:
+            raise MSLInstantiationError(
+                f"unbound variable {_v} in head value slot"
+            )
+        return OEMObject(label, bound, type_, oid)
 
-        return build_var
-    return None
+    return build_var
 
 
-def compile_head_item(item: object, columns: Sequence[str]):
+def compile_head_item(
+    item: object, columns: "Sequence[str] | dict[str, int]"
+):
     """Lower one rule-head item to ``build(row, oidgen) -> [OEMObject]``.
 
     ``columns`` names the positions of the binding rows the builder will
-    read (the constructor's projected column layout).  Returns ``None``
-    when the item uses a shape outside the compiled subset; callers fall
-    back to :func:`repro.msl.substitute.instantiate_head_item`, whose
-    output the compiled builder reproduces bit-for-bit otherwise.
+    read: the constructor's projected column layout, or a name →
+    register mapping over a frame.  Every item compiles, and the builder
+    reproduces :func:`repro.msl.substitute.instantiate_head_item`
+    bit-for-bit, errors included; a variable outside ``columns``, or
+    :data:`UNBOUND` in a row, is an unbound one.
     """
-    index = {name: i for i, name in enumerate(columns)}
+    index = columns if isinstance(columns, dict) else {
+        name: i for i, name in enumerate(columns)
+    }
     if isinstance(item, Var):
-        if item.is_anonymous:
-            return None
-        position = index.get(item.name)
-        if position is None:
-            return None
+        if item.is_anonymous or item.name not in index:
+            return _raise(f"unbound head variable {item}")
 
-        def build_bare(row, oidgen, _p=position, _i=item):
+        def build_bare(row, oidgen, _p=index[item.name], _i=item):
             bound = row[_p]
             if isinstance(bound, OEMObject):
                 return [bound]
             if isinstance(bound, tuple):
                 return list(bound)
+            if bound is UNBOUND:
+                raise MSLInstantiationError(f"unbound head variable {_i}")
             raise MSLInstantiationError(
                 f"head variable {_i} bound to atom {bound!r};"
                 f" wrap it in a pattern to emit it as an object"
             )
 
         return build_bare
-    if isinstance(item, Pattern):
-        build = _compile_build_object(item, index)
-        if build is None:
-            return None
 
-        def build_pattern(row, oidgen, _b=build):
-            return [_b(row, oidgen)]
+    def build_pattern(row, oidgen, _b=_compile_build_object(item, index)):
+        return [_b(row, oidgen)]
 
-        return build_pattern
-    return None
+    return build_pattern
 
 
 class CompiledRule:
@@ -1079,6 +1077,7 @@ class CompiledRule:
         "template",
         "accepted",
         "carried",
+        "builders",
     )
 
     def __init__(
@@ -1092,10 +1091,12 @@ class CompiledRule:
         # the compiled rule the cache holds for this shape (bound()
         # twins point back at it), and what a wrapper remembers there:
         # the capability that checked and accepted the shape, if any,
-        # and how it reads the head's columns out of a frame
+        # and how it reads the head's columns out of a frame; and the
+        # head builders (see build())
         self.template = self
         self.accepted: object = None
         self.carried: object = None
+        self.builders: tuple | None = None
         names: set[str] = set(head_variables(rule.head))
         for condition in rule.tail:
             names |= condition_variables(condition)
@@ -1290,23 +1291,22 @@ class CompiledRule:
         self, frames: Sequence[tuple], oidgen: OidGenerator | None = None
     ) -> list[OEMObject]:
         """One instantiation of the head per frame of :meth:`frames`,
-        structural duplicates eliminated."""
+        structural duplicates eliminated.  The head builders read the
+        head variables' registers; they are compiled once, on the
+        template (lifting leaves heads alone), for all its twins."""
+        template = self.template
+        builders = template.builders
+        if builders is None:
+            registers = dict(template.projection)
+            builders = template.builders = tuple(
+                compile_head_item(item, registers)
+                for item in template.rule.head
+            )
         generator = oidgen or OidGenerator("&v")
-        head = self.rule.head
-        projection = self.projection
         objects: list[OEMObject] = []
         for frame in frames:
-            env = _bindings_from(
-                {
-                    name: frame[register]
-                    for name, register in projection
-                    if frame[register] is not UNBOUND
-                }
-            )
-            for item in head:
-                objects.extend(
-                    instantiate_head_item(item, env, generator)
-                )
+            for build in builders:
+                objects.extend(build(frame, generator))
         return eliminate_duplicates(objects)
 
     def bound(self, rule: Rule, params: "Mapping[str, object]") -> "CompiledRule":

@@ -81,7 +81,19 @@ class SemanticOid(Oid):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SemanticOid):
-            return self.functor == other.functor and self.args == other.args
+            # MSL keeps booleans apart from numbers (values_equal), even
+            # though Python's 1 == True; equal texts have equal booleans
+            return (
+                self.functor == other.functor
+                and self.args == other.args
+                and (
+                    self.text == other.text
+                    or all(
+                        isinstance(a, bool) is isinstance(b, bool)
+                        for a, b in zip(self.args, other.args)
+                    )
+                )
+            )
         return False
 
     def __hash__(self) -> int:
@@ -93,6 +105,10 @@ class SemanticOid(Oid):
 
 def _render(arg: object) -> str:
     if isinstance(arg, str):
+        if "'" in arg or "\\" in arg:
+            # escaped as the OEM printer escapes strings, so that
+            # distinct argument lists never share a text
+            arg = arg.replace("\\", "\\\\").replace("'", "\\'")
         return f"'{arg}'"
     return str(arg)
 

@@ -1,4 +1,5 @@
-"""Property: the compiled matcher is bit-for-bit the interpretive one.
+"""Property: the compiled matcher is bit-for-bit the interpretive one,
+and the compiled head builder the reference one.
 
 The equivalence contract of :mod:`repro.msl.compile`
 (docs/performance.md): for every pattern, forest and rule, the compiled
@@ -11,8 +12,10 @@ the compiled matcher is the only one there is, whole answers are
 checked against the planner-free reference of ``tests/reference.py``.
 """
 
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import (
@@ -35,15 +38,20 @@ from repro.msl import (
 )
 from repro.msl.ast import (
     Const,
+    Param,
     Pattern,
     PatternItem,
     RestSpec,
+    SemOidTerm,
     SetPattern,
     Var,
+    VarItem,
 )
 from repro.msl.bindings import Bindings
+from repro.msl.compile import UNBOUND, compile_head_item
 from repro.msl.errors import MSLError
-from repro.oem.oid import OidGenerator
+from repro.msl.substitute import instantiate_head_item
+from repro.oem.oid import Oid, OidGenerator, SemanticOid
 from repro.reliability import (
     FaultInjectingSource,
     ManualClock,
@@ -264,6 +272,161 @@ class TestCompiledRuleEquivalence:
             assert [repr(o) for o in observed] == [
                 repr(o) for o in expected
             ]
+
+
+# -- head builders: compiled vs reference, in lockstep ------------------
+#
+# Rows bind the head's variables (and the lifted parameter ``$p``) by
+# column; a column may be missing, or — on the frame side, where the
+# builders read registers — hold UNBOUND.  A tuple cell is a set value.
+
+HEAD_COLUMNS = ("A", "B", "C", "L", "$p")
+head_vars = st.sampled_from(["A", "B", "C", "L", "_"]).map(Var)
+# label and type variables: mostly L, which mostly holds a usable string
+slot_vars = st.sampled_from(["L", "L", "L", "A", "_"]).map(Var)
+# slot constants; an empty label or oid text is an error
+head_strings = st.sampled_from(["hit", "name", "string", "integer", ""])
+# usable as a label or type, so construction gets past those slots
+usable = st.sampled_from(["hit", "string"])
+head_cells = st.one_of(
+    usable,
+    usable,
+    atom_values,
+    st.none(),
+    st.sampled_from(["&o1", "x', 'y"]).map(Oid),
+    st.just(SemanticOid("f", [1])),
+    oem_objects(max_depth=2),
+    st.lists(oem_objects(max_depth=2), max_size=3).map(tuple),
+)
+head_oids = st.one_of(
+    st.none(),
+    st.none(),
+    head_strings.map(Const),
+    head_vars,
+    st.lists(
+        st.one_of(atom_values.map(Const), head_vars), max_size=2
+    ).map(lambda args: SemOidTerm("f", tuple(args))),
+)
+
+
+@st.composite
+def head_patterns(draw, depth: int = 2) -> Pattern:
+    values = [
+        atom_values.map(Const),
+        head_vars,
+        st.just(Param("p")),
+    ]
+    if depth > 1:
+        values += [head_sets(depth), head_sets(depth)]
+    return Pattern(
+        label=draw(
+            st.one_of(
+                usable.map(Const),
+                usable.map(Const),
+                head_strings.map(Const),
+                slot_vars,
+            )
+        ),
+        value=draw(st.one_of(*values)),
+        type=draw(
+            st.one_of(
+                st.none(), st.none(), head_strings.map(Const), slot_vars
+            )
+        ),
+        oid=draw(head_oids),
+    )
+
+
+@st.composite
+def head_sets(draw, depth: int) -> SetPattern:
+    items = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if draw(st.integers(0, 2)) == 0:
+            items.append(VarItem(draw(head_vars)))  # a splice
+        else:
+            items.append(
+                PatternItem(
+                    draw(head_patterns(depth=depth - 1)),
+                    descendant=draw(st.integers(0, 5)) == 0,
+                )
+            )
+    rest = None
+    if draw(st.booleans()):
+        conditions = () if draw(st.integers(0, 5)) else (
+            Pattern(Const("tag"), Var("A")),
+        )
+        rest = RestSpec(draw(head_vars), conditions)
+    return SetPattern(tuple(items), rest)
+
+
+def built(thunk, renumber=False):
+    """``thunk()``'s objects (or error), canonicalised for comparison;
+    with ``renumber`` the process-wide fresh oids become their order."""
+    try:
+        result = repr(thunk())
+    except Exception as exc:  # every error must match, whatever its type
+        result = (type(exc).__name__, str(exc))
+    if renumber and isinstance(result, str):
+        numbers = sorted({int(n) for n in re.findall(r"&_(\d+)", result)})
+        rank = {str(n): str(i) for i, n in enumerate(numbers)}
+        result = re.sub(r"&_(\d+)", lambda m: "&_" + rank[m[1]], result)
+    return result
+
+
+class TestCompiledHeadBuilderLockstep:
+    @given(
+        item=st.one_of(
+            head_patterns(), head_patterns(), head_patterns(), head_vars
+        ),
+        cells=st.fixed_dictionaries(
+            {
+                name: st.one_of(usable, usable, head_cells)
+                if name == "L"
+                else head_cells
+                for name in HEAD_COLUMNS
+            }
+        ),
+        present=st.lists(
+            st.integers(0, 3).map(bool), min_size=5, max_size=5
+        ),
+        frame=st.booleans(),
+    )
+    @example(  # construction-time label check, after the children
+        item=Pattern(Const(""), SetPattern((PatternItem(
+            Pattern(Const("hit"), Const(1))
+        ),))),
+        cells=dict.fromkeys(HEAD_COLUMNS, 1),
+        present=[True] * 5,
+        frame=False,
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_compiled_builder_is_the_reference(
+        self, item, cells, present, frame
+    ):
+        bound = {
+            name: cells[name]
+            for name, keep in zip(HEAD_COLUMNS, present)
+            if keep
+        }
+        if frame:
+            # a frame: every register, UNBOUND where nothing is bound
+            index = {name: i for i, name in enumerate(HEAD_COLUMNS)}
+            row = tuple(bound.get(name, UNBOUND) for name in HEAD_COLUMNS)
+        else:
+            index = tuple(bound)
+            row = tuple(bound.values())
+        build = compile_head_item(item, index)
+        env = Bindings(bound)
+        compiled_gen, reference_gen = OidGenerator("&v"), OidGenerator("&v")
+        # same objects or the same error, after the same generator ticks
+        assert built(lambda: build(row, compiled_gen)) == built(
+            lambda: instantiate_head_item(item, env, reference_gen)
+        )
+        assert repr(compiled_gen()) == repr(reference_gen())
+        # with no generator, fresh oids are allocated in the same order
+        assert built(lambda: build(row, None), renumber=True) == built(
+            lambda: instantiate_head_item(item, env, None), renumber=True
+        )
 
 
 # -- mediator level: the production matcher against the oracle -----------

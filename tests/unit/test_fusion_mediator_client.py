@@ -81,6 +81,27 @@ class TestFusion:
         (fused,) = fuse_objects([a, b])
         assert len(fused.children) == 1
 
+    def test_boolean_and_number_arguments_are_two_objects(self):
+        # &p(true) and &p(1) are different semantic oids in MSL, so the
+        # two records must not fuse into one p(1)
+        store = OEMStoreWrapper(
+            "s",
+            [
+                obj("r", atom("k", 1), atom("v", "a")),
+                obj("r", atom("k", True), atom("v", "b")),
+            ],
+        )
+        mediator = Mediator(
+            "med",
+            "<&p(K) e {<v V>}> :- <r {<k K> <v V>}>@s ;",
+            SourceRegistry(store),
+        )
+        exported = {
+            o.oid.text: [c.value for c in o.children]
+            for o in mediator.export()
+        }
+        assert exported == {"p(1)": ["a"], "p(True)": ["b"]}
+
 
 class TestMediatorFacade:
     def test_answer_accepts_text_queries(self):

@@ -1,14 +1,22 @@
 """Unit tests for the compiled pattern backend and its support layers.
 
-Covers the pattern compiler (:mod:`repro.msl.compile`), structural-key
-memoization, the ``value_key`` bag canonicalisation, the positional
-table fast paths, and the execution profiler — the pieces the compiled
-backend leans on for its equivalence and performance guarantees.
+Covers the pattern and head compilers (:mod:`repro.msl.compile`) and
+the guard that keeps their interpretive references out of production
+code, structural-key memoization, the ``value_key`` bag
+canonicalisation, the positional table fast paths, and the execution
+profiler — the pieces the compiled backend leans on for its
+equivalence and performance guarantees.
 """
+
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.msl.substitute as substitute
 from repro.exec import Profiler
+from repro.mediator import Mediator
 from repro.mediator.tables import BindingTable, TableError
 from repro.msl import (
     CompileCache,
@@ -24,7 +32,12 @@ from repro.msl import (
     parse_rule,
 )
 from repro.msl.bindings import Bindings, value_key
+from repro.msl.compile import compile_head_item
+from repro.msl.errors import MSLInstantiationError
+from repro.msl.parser import parse_query, parse_specification
+from repro.msl.substitute import instantiate_head_item
 from repro.oem import (
+    OEMObject,
     atom,
     eliminate_duplicates,
     key_computations,
@@ -32,6 +45,9 @@ from repro.oem import (
     structural_key,
 )
 from repro.oem.oid import OidGenerator
+from repro.wrappers import OEMStoreWrapper, SourceRegistry
+
+from ..reference import canonical, reference_answer, reference_export
 
 
 def joe():
@@ -156,6 +172,186 @@ class TestCompileCache:
         cache = CompileCache()
         rule = parse_rule("<n N> :- <person {<name N>}>@s")
         assert isinstance(cache.rule(rule), CompiledRule)
+
+
+class TestCompiledHeadInstantiation:
+    """compile_head_item lowers rule heads to row closures; its output
+    must be bit-for-bit what instantiate_head_item builds from the same
+    bindings — same labels/types/values, same oid-generator ticks in
+    the same order, same errors.  Every head compiles: a shape whose
+    reference behaviour is an error raises that error."""
+
+    # (head text, columns, row) — each row position binds the column name
+    CASES = [
+        ("<hit {<name N> <year Y>}>", ("N", "Y"), ("Joe", 1995)),
+        ("<hit {<name N>}>", ("N",), (None,)),  # null atom child
+        ("<hit {<a 'x'> <b 3> <c 2.5> <d 'y'>}>", (), ()),
+        ("<hit N>", ("N",), ("Joe",)),  # atom value slot
+        ("<&person(N) hit {<name N>}>", ("N",), ("Sue",)),  # semantic oid
+        ("<&fixed hit {<name N>}>", ("N",), ("Joe",)),  # constant oid
+    ]
+
+    @staticmethod
+    def build_head(text):
+        spec = parse_specification(f"{text} :- <person {{<name N>}}>@s ;")
+        return spec.rules[0].head
+
+    @pytest.mark.parametrize("text,columns,row", CASES)
+    def test_matches_interpretive(self, text, columns, row):
+        for item in self.build_head(text):
+            build = compile_head_item(item, columns)
+            gen_a, gen_b = OidGenerator("&v"), OidGenerator("&v")
+            compiled = build(row, gen_a)
+            env = Bindings(dict(zip(columns, row)))
+            reference = instantiate_head_item(item, env, gen_b)
+            assert [repr(o) for o in compiled] == [
+                repr(o) for o in reference
+            ]
+            # generators ticked in lockstep (same number of fresh oids)
+            assert repr(gen_a()) == repr(gen_b())
+
+    def test_bare_head_variable(self):
+        item = parse_query("S :- S:<person {<name N>}>@s").head[0]
+        build = compile_head_item(item, ("N", "S"))
+        person = OEMObject("person", [atom("name", "Joe")], "set", "&p1")
+        assert build(("Joe", person), None) == [person]
+        rest = (atom("a", 1), atom("b", 2))
+        assert build(("Joe", rest), None) == list(rest)
+
+    def test_splice_and_rest_in_head(self):
+        """'{<name N> | R}' head: R's members spliced, duplicates
+        eliminated, oids identical to the interpretive builder."""
+        (item,) = self.build_head("<hit {<name N> | R}>")
+        columns = ("N", "R")
+        rest = (atom("year", 1995), atom("year", 1995), atom("dept", "CS"))
+        row = ("Joe", rest)
+        compiled = compile_head_item(item, columns)(row, OidGenerator("&v"))
+        reference = instantiate_head_item(
+            item, Bindings(dict(zip(columns, row))), OidGenerator("&v")
+        )
+        assert [repr(o) for o in compiled] == [repr(o) for o in reference]
+
+    def test_out_of_layout_variable_raises_the_reference_message(self):
+        # a variable outside the row layout is an unbound one: the
+        # builder raises the reference's error, after the same ticks
+        (item,) = self.build_head("<hit {<name N>}>")
+        build = compile_head_item(item, ("OTHER",))
+        gen_a, gen_b = OidGenerator("&v"), OidGenerator("&v")
+        with pytest.raises(MSLInstantiationError) as compiled_err:
+            build(("Joe",), gen_a)
+        with pytest.raises(MSLInstantiationError) as reference_err:
+            instantiate_head_item(item, Bindings({"OTHER": "Joe"}), gen_b)
+        assert str(compiled_err.value) == str(reference_err.value)
+        assert str(compiled_err.value) == (
+            "unbound variable N in head value slot"
+        )
+        assert repr(gen_a()) == repr(gen_b())
+
+    def test_atom_errors_match_interpretive(self):
+        item = parse_query("S :- S:<person {<name N>}>@s").head[0]
+        build = compile_head_item(item, ("N", "S"))
+        row = ("Joe", 42)  # head variable bound to an atom
+        with pytest.raises(MSLInstantiationError) as compiled_err:
+            build(row, None)
+        with pytest.raises(MSLInstantiationError) as reference_err:
+            instantiate_head_item(
+                item, Bindings({"N": "Joe", "S": 42}), None
+            )
+        assert str(compiled_err.value) == str(reference_err.value)
+
+    # a valid head with a type variable: once the shape every builder
+    # declined, so every route built it with the reference builder
+    TYPED = "<O hit T V> :- <O x T V>@s ;"
+
+    @staticmethod
+    def typed_store():
+        return OEMStoreWrapper(
+            "s",
+            [
+                OEMObject("x", "one", "string", "&a1"),
+                OEMObject("x", 7, "integer", "&a2"),
+                OEMObject("y", 1, None, "&a3"),
+            ],
+        )
+
+    def typed_mediator(self, spec=TYPED):
+        return Mediator("med", spec, SourceRegistry(self.typed_store()))
+
+    @staticmethod
+    def interpretive_builds(monkeypatch, operation):
+        """``operation()`` and how many objects the reference builder
+        built meanwhile."""
+        calls = []
+        reference = substitute._build_object
+
+        def counting(*args):
+            calls.append(args)
+            return reference(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(substitute, "_build_object", counting)
+            result = operation()
+        return result, len(calls)
+
+    def test_type_variable_head_is_compiled_on_every_route(
+        self, monkeypatch
+    ):
+        expected = [
+            "<&a1, hit, string, 'one'>",
+            "<&a2, hit, integer, 7>",
+        ]
+        query = "X :- X:<hit V>@med"
+        answer, built = self.interpretive_builds(
+            monkeypatch, lambda: self.typed_mediator().answer(query)
+        )
+        assert built == 0
+        assert [repr(o) for o in answer] == expected
+        assert canonical(answer) == canonical(
+            reference_answer(self.typed_mediator(), query)
+        )
+
+        rule = parse_query(self.TYPED.rstrip(" ;"))
+        store = self.typed_store()
+        direct, built = self.interpretive_builds(
+            monkeypatch, lambda: store.answer(rule)
+        )
+        assert built == 0
+        forest = list(store.export())
+        assert [repr(o) for o in direct] == [
+            repr(o)
+            for o in evaluate_rule(rule, {"s": forest, None: forest})
+        ]
+
+        recursive = self.typed_mediator(
+            self.TYPED + " <O hit T V> :- <O hit T V>@med ;"
+        )
+        exported, built = self.interpretive_builds(
+            monkeypatch, recursive.export
+        )
+        assert recursive.is_recursive
+        assert built == 0
+        assert [repr(o) for o in exported] == expected
+        assert canonical(exported) == canonical(
+            reference_export(self.typed_mediator())
+        )
+
+
+def test_reference_evaluators_stay_in_msl():
+    """The interpretive matcher, evaluator and head builder are the
+    reference the compiled ones are tested against: no production
+    module outside repro.msl calls them."""
+    root = Path(repro.__file__).parent
+    reference = re.compile(
+        r"instantiate_head_item|match_pattern\(|[^_]evaluate_rule\("
+    )
+    offenders = [
+        f"{path.relative_to(root)}:{number}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).parts[0] != "msl"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if reference.search(line)
+    ]
+    assert offenders == []
 
 
 class TestStructuralKeyMemoization:

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.msl.bindings import value_key
 from repro.oem import Oid, OidGenerator, SemanticOid, fresh_oid
 
 
@@ -54,6 +55,23 @@ class TestSemanticOid:
 
     def test_multiple_args_order_matters(self):
         assert SemanticOid("f", [1, 2]) != SemanticOid("f", [2, 1])
+
+    def test_booleans_are_not_numbers(self):
+        # MSL's values_equal keeps true apart from 1; equal hashes are a
+        # legal collision, not an equality
+        assert SemanticOid("p", [1]) != SemanticOid("p", [True])
+        assert SemanticOid("p", [1.0]) == SemanticOid("p", [1])
+        assert len({SemanticOid("p", [1]), SemanticOid("p", [True])}) == 2
+
+    def test_text_escapes_quotes_and_backslashes(self):
+        # value_key keys an oid by its text, so equal texts would make
+        # frame dedup conflate two different oids
+        joined = SemanticOid("p", ["x', 'y"])
+        split = SemanticOid("p", ["x", "y"])
+        assert joined.text == "p('x\\', \\'y')"
+        assert joined.text != split.text
+        assert value_key(joined) != value_key(split)
+        assert SemanticOid("p", ["a\\"]).text == "p('a\\\\')"
 
 
 class TestOidGenerator:

@@ -345,100 +345,9 @@ class TestColumnarTables:
 
 
 class TestCompiledHeadInstantiation:
-    """compile_head_item lowers rule heads to row closures; its output
-    must be bit-for-bit what instantiate_head_item builds from the same
-    bindings — same labels/types/values, same oid-generator ticks in
-    the same order, same errors — and unsupported shapes must decline
-    (return None) rather than approximate."""
-
-    # (head text, columns, row) — each row position binds the column name
-    CASES = [
-        ("<hit {<name N> <year Y>}>", ("N", "Y"), ("Joe", 1995)),
-        ("<hit {<name N>}>", ("N",), (None,)),  # null atom child
-        ("<hit {<a 'x'> <b 3> <c 2.5> <d 'y'>}>", (), ()),
-        ("<hit N>", ("N",), ("Joe",)),  # atom value slot
-        ("<&person(N) hit {<name N>}>", ("N",), ("Sue",)),  # semantic oid
-        ("<&fixed hit {<name N>}>", ("N",), ("Joe",)),  # constant oid
-    ]
-
-    @staticmethod
-    def build_head(text):
-        spec = parse_specification(f"{text} :- <person {{<name N>}}>@s ;")
-        return spec.rules[0].head
-
-    @pytest.mark.parametrize("text,columns,row", CASES)
-    def test_matches_interpretive(self, text, columns, row):
-        from repro.msl.bindings import Bindings
-        from repro.msl.compile import compile_head_item
-        from repro.msl.substitute import instantiate_head_item
-        from repro.oem.oid import OidGenerator
-
-        for item in self.build_head(text):
-            build = compile_head_item(item, columns)
-            assert build is not None, f"declined {item}"
-            gen_a, gen_b = OidGenerator("&v"), OidGenerator("&v")
-            compiled = build(row, gen_a)
-            env = Bindings(dict(zip(columns, row)))
-            reference = instantiate_head_item(item, env, gen_b)
-            assert [repr(o) for o in compiled] == [
-                repr(o) for o in reference
-            ]
-            # generators ticked in lockstep (same number of fresh oids)
-            assert repr(gen_a()) == repr(gen_b())
-
-    def test_bare_head_variable(self):
-        from repro.msl.compile import compile_head_item
-
-        item = parse_query("S :- S:<person {<name N>}>@s").head[0]
-        build = compile_head_item(item, ("N", "S"))
-        obj = OEMObject("person", [atom("name", "Joe")], "set", "&p1")
-        assert build(("Joe", obj), None) == [obj]
-        rest = (atom("a", 1), atom("b", 2))
-        assert build(("Joe", rest), None) == list(rest)
-
-    def test_splice_and_rest_in_head(self):
-        """'{<name N> | R}' head: R's members spliced, duplicates
-        eliminated, oids identical to the interpretive builder."""
-        from repro.msl.bindings import Bindings
-        from repro.msl.compile import compile_head_item
-        from repro.msl.substitute import instantiate_head_item
-        from repro.oem.oid import OidGenerator
-
-        (item,) = self.build_head("<hit {<name N> | R}>")
-        columns = ("N", "R")
-        rest = (atom("year", 1995), atom("year", 1995), atom("dept", "CS"))
-        row = ("Joe", rest)
-        build = compile_head_item(item, columns)
-        assert build is not None
-        compiled = build(row, OidGenerator("&v"))
-        reference = instantiate_head_item(
-            item, Bindings(dict(zip(columns, row))), OidGenerator("&v")
-        )
-        assert [repr(o) for o in compiled] == [repr(o) for o in reference]
-
-    def test_unsupported_shapes_decline(self):
-        from repro.msl.compile import compile_head_item
-
-        # variable outside the row layout: fallback, not a KeyError
-        (item,) = self.build_head("<hit {<name N>}>")
-        assert compile_head_item(item, ("OTHER",)) is None
-
-    def test_atom_errors_match_interpretive(self):
-        from repro.msl.bindings import Bindings
-        from repro.msl.compile import compile_head_item
-        from repro.msl.errors import MSLInstantiationError
-        from repro.msl.substitute import instantiate_head_item
-
-        item = parse_query("S :- S:<person {<name N>}>@s").head[0]
-        build = compile_head_item(item, ("N", "S"))
-        row = ("Joe", 42)  # head variable bound to an atom
-        with pytest.raises(MSLInstantiationError) as compiled_err:
-            build(row, None)
-        with pytest.raises(MSLInstantiationError) as reference_err:
-            instantiate_head_item(
-                item, Bindings({"N": "Joe", "S": 42}), None
-            )
-        assert str(compiled_err.value) == str(reference_err.value)
+    """The constructor builds with the compiled head builders whether it
+    stands alone or ends a fused chain (the builders themselves are
+    tested in tests/unit/test_msl_compile.py)."""
 
     def test_chain_of_one_constructor_uses_compiled_builders(self):
         # the constructor has one body: alone behind a join (a chain of

@@ -12,8 +12,8 @@ scratch copies of these counters):
 * **oids per op** — the calls of ``OidGenerator.__call__`` in the same
   profile: object ids minted, by the mediator or a source;
 * **objects per op** — the calls of ``OEMObject.__init__`` and of the
-  compiled builders' ``_fast_atom`` / ``_fast_set`` in the same
-  profile: OEM objects built, by the mediator or a source;
+  compiled builders' ``_fast_object`` in the same profile: OEM objects
+  built, by the mediator or a source;
 * **unreachable per op** — objects only the cycle collector can free
   (``gc.collect()`` after a run with the collector off): 0 means
   refcounting frees everything an operation allocates;
@@ -21,9 +21,13 @@ scratch copies of these counters):
   the run, after a collection: what an operation leaves allocated.
 
 As a tool it measures the end-to-end suite's workloads
-(``benchmarks/e2e/workloads.py``) at the suite's ``QUICK`` scale::
+(``benchmarks/e2e/workloads.py``) at the suite's ``QUICK`` scale, and
+then the materialization route, which no workload takes: a point query
+on ``benchmarks/bench_recursive.py``'s transitive-closure view of a
+16-edge chain, answered by exporting the whole closure (at most
+``MATERIALIZATION_OPS`` operations: one takes ~0.1 s)::
 
-    PYTHONPATH=src python tools/opcount.py                 # all four
+    PYTHONPATH=src python tools/opcount.py                 # all five
     PYTHONPATH=src python tools/opcount.py --workload point_lookup --ops 1000
 
 As a module it counts any zero-argument callable
@@ -50,7 +54,12 @@ __all__ = [
     "blocks_per_op",
     "count",
     "workload_operation",
+    "materialization_operation",
 ]
+
+MATERIALIZATION = "materialization"
+MATERIALIZATION_QUERY = "P :- P:<path {<src 'n0'> <dst 'n1'>}>@tc"
+MATERIALIZATION_OPS = 10
 
 
 def profile_per_op(
@@ -80,9 +89,7 @@ def profile_per_op(
         )
 
     minted = calls_of(OidGenerator.__call__)
-    built = calls_of(
-        OEMObject.__init__, compiled._fast_atom, compiled._fast_set
-    )
+    built = calls_of(OEMObject.__init__, compiled._fast_object)
     # the loop's own range() and the disable() call are the only extras
     return (stats.total_calls - 1) / ops, minted / ops, built / ops
 
@@ -152,12 +159,33 @@ def workload_operation(name: str, seed: int = 1996):
     return operation, workload
 
 
+def materialization_operation(length: int = 16):
+    """One point query on the recursive view of ``bench_recursive``'s
+    ``length``-edge chain, checked: the materialization route."""
+    path = ROOT / "benchmarks"
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+    import bench_recursive
+
+    mediator = bench_recursive.chain_mediator(length)
+
+    def operation() -> None:
+        answer = mediator.answer(MATERIALIZATION_QUERY)
+        if len(answer) != 1:
+            raise AssertionError(
+                f"{MATERIALIZATION}: {len(answer)} object(s), expected 1"
+            )
+
+    return operation
+
+
 def main(argv: list[str] | None = None) -> int:
     names = ["point_lookup", "view_export", "bib_fusion", "remote_probe"]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--workload", action="append", choices=names,
-        help="workload to count (repeatable; default: all four)",
+        "--workload", action="append", choices=names + [MATERIALIZATION],
+        help="workload to count (repeatable; default: all four, then"
+        f" the {MATERIALIZATION} route)",
     )
     parser.add_argument(
         "--ops", type=int, default=200,
@@ -165,7 +193,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=1996)
     args = parser.parse_args(argv)
-    for name in args.workload or names:
+    for name in args.workload or names + [MATERIALIZATION]:
+        if name == MATERIALIZATION:
+            # informational: the route's cost, next to the workloads'
+            ops = min(args.ops, MATERIALIZATION_OPS)
+            row = count(materialization_operation(), ops, warmup=2)
+            print(json.dumps({"route": name, "ops": ops, **row}))
+            continue
         operation, workload = workload_operation(name, args.seed)
         try:
             row = count(operation, args.ops)
