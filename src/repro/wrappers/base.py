@@ -12,7 +12,8 @@ a :class:`Carrier` (Section 3.1's Qw and Qcs) and asks for the answer
 through :meth:`Source.answer_bindings`.  Any source may answer with the
 carrier objects, which the mediator matches to read the bindings back
 (the paper's extractor); a :class:`Wrapper` answers with the bindings
-its matcher already holds, as :class:`BindingRows`.
+its matcher already holds, or that its source computes natively
+(:meth:`Wrapper._native_rows`), as :class:`BindingRows`.
 
 :class:`Wrapper` adds the bookkeeping shared by concrete wrappers:
 query counting (for the statistics module), capability enforcement, and
@@ -474,7 +475,8 @@ class Wrapper(Source):
         structurally to keep this module import-free of the sharding
         layer.
         """
-        compiled, frames = self._solve(query)
+        compiled = self._admitted(query)
+        frames = self._frames(compiled, query)
         return self._answered(compiled.build(frames, self._oidgen))
 
     def answer_bindings(self, query: Rule) -> "list[OEMObject] | BindingRows":
@@ -493,15 +495,40 @@ class Wrapper(Source):
         redefined = type(self).answer is not Wrapper.answer
         if redefined or "answer" in self.__dict__:
             return self.answer(query)
-        compiled, frames = self._solve(query)
-        rows = _carried_rows(compiled, frames)
+        compiled = self._admitted(query)
+        rows = self._native_rows(compiled, query)
         if rows is None:
-            return self._answered(compiled.build(frames, self._oidgen))
+            frames = self._frames(compiled, query)
+            rows = _carried_rows(compiled, frames)
+            if rows is None:
+                return self._answered(compiled.build(frames, self._oidgen))
         return self._answered(rows)
 
-    def _solve(self, query) -> tuple:
-        """``(compiled rule, frames)``: ``query`` admitted, its
-        candidates fetched and matched.
+    def _admitted(self, query):
+        """The compiled rule of ``query`` (of a semi-join probe's rule),
+        admitted by :meth:`_admit`.
+
+        A semi-join probe is accepted only when the capability
+        advertises ``supports_batch_filters``.
+        """
+        if getattr(query, "is_semijoin", False):
+            if not self._capability.supports_batch_filters:
+                raise SourceError(
+                    f"source {self.name!r} does not accept batched semi-join"
+                    f" filters (capability {self._capability.name!r})"
+                )
+            return self._admit(query.rule)
+        return self._admit(query)
+
+    def _native_rows(self, compiled, query) -> "BindingRows | None":
+        """The rows of an admitted projection query, computed in the
+        source's own language, or ``None``: match the candidates (the
+        default).  Rows must equal what :meth:`answer_bindings` reads
+        off the matched frames, cell for cell and in order."""
+        return None
+
+    def _frames(self, compiled, query) -> list[tuple]:
+        """The frames of an admitted ``query``: its candidates, matched.
 
         A semi-join probe's filters restrict the candidates to objects
         whose direct children pass every value filter (a superset of
@@ -510,15 +537,8 @@ class Wrapper(Source):
         parameter tuple.
         """
         if getattr(query, "is_semijoin", False):
-            if not self._capability.supports_batch_filters:
-                raise SourceError(
-                    f"source {self.name!r} does not accept batched semi-join"
-                    f" filters (capability {self._capability.name!r})"
-                )
-            compiled = self._admit(query.rule)
             forest = self.semijoin_candidates(query)
         else:
-            compiled = self._admit(query)
             forest = self.candidates(query)
         # the logical alias mirrors check_source_query: a shard evaluates
         # queries still annotated with its logical source name
@@ -528,9 +548,7 @@ class Wrapper(Source):
             self.name.partition("#")[0]: forest,
         }
         try:
-            return compiled, compiled.frames(
-                forests, self._registry, check=False
-            )
+            return compiled.frames(forests, self._registry, check=False)
         except MSLSemanticError as exc:
             raise SourceError(f"{self.name}: {exc}") from exc
 

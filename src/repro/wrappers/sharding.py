@@ -65,9 +65,10 @@ def encode_value(value: object) -> bytes:
 
     Values that compare equal must encode equal — numerics are the trap
     (``1 == 1.0`` but ``repr`` differs), so every int/float exactly
-    representable as a float encodes through ``float.hex()``.  Used by
-    hash partitioning and by the mediator's probe demultiplexer, so the
-    two must never disagree.
+    representable as a float encodes through ``float.hex()``, and both
+    zeros (``0.0 == -0.0``) as ``0.0``.  Used by hash partitioning, by
+    the mediator's probe demultiplexer and by the SQLite store's value
+    index, so they must never disagree.
     """
     if isinstance(value, bool):
         return b"b:1" if value else b"b:0"
@@ -77,7 +78,7 @@ def encode_value(value: object) -> bytes:
         except OverflowError:
             return f"i:{value!r}".encode()
         if as_float == value:
-            return f"n:{as_float.hex()}".encode()
+            return f"n:{(as_float or 0.0).hex()}".encode()
         return f"i:{value!r}".encode()
     if isinstance(value, str):
         return b"s:" + value.encode("utf-8", "surrogatepass")

@@ -20,6 +20,11 @@ laws, on generated worlds:
 And a governor's sanitizer reads a rows answer as the carriers it
 stands for: same quarantine warnings, same strict verdict, same rows
 surviving.
+
+And the SQLite store's native answer — one SQL join over its node
+table for a flat projection query — is its object path's answer: the
+same rows, cell for cell and in order, the same counters, on generated
+irregular stores.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -29,10 +34,23 @@ from repro.external import default_registry
 from repro.governor import AnswerSanitizer, QueryGovernor
 from repro.mediator import ExecutionContext, Mediator
 from repro.msl import parse_rule
+from repro.msl.ast import (
+    Const,
+    Param,
+    Pattern,
+    PatternCondition,
+    PatternItem,
+    Rule,
+    SetPattern,
+    Var,
+)
 from repro.oem import atom, obj
 from repro.wrappers import (
+    BATCH_CAPABILITY,
     HashPartition,
     OEMStoreWrapper,
+    SemiJoinFilter,
+    SemiJoinQuery,
     ShardedSource,
     Source,
     SourceRegistry,
@@ -41,6 +59,7 @@ from repro.wrappers import (
     shard_name,
 )
 from repro.wrappers.base import Carrier, MalformedAnswerError
+from repro.wrappers.sharding import encode_value
 
 from tests.property.strategies import (
     BIND_JOIN_SPECS,
@@ -287,3 +306,201 @@ class TestSanitizedRowsAreSanitizedCarriers:
                 return exc.issues
 
         assert verdict(store) == verdict(OEMOnly(store))
+
+
+# -- the SQLite store's native answer ----------------------------------------
+
+NAN = float("nan")
+#: Values that the index and the matcher must agree on: numerics equal
+#: across types but not with booleans, both zeros, NaN (equal to
+#: nothing), and one of every other atom type.
+NATIVE_VALUES = [1, 1.0, True, False, 0, -0.0, 2.5, "1", "a", b"a", None, NAN]
+NATIVE_LABELS = ["k", "v"]
+
+
+class ObjectPath(SQLiteOEMStoreWrapper):
+    """The same store, answering every query by matching objects."""
+
+    def _native_rows(self, compiled, query):
+        return None
+
+
+#: Stored atoms: NaN rarely, as one in a column sends the answer to
+#: the object path.
+atoms = st.tuples(
+    st.sampled_from(NATIVE_LABELS),
+    st.sampled_from(NATIVE_VALUES[:-1] * 3 + [NAN]),
+)
+
+
+@st.composite
+def irregular(draw):
+    """A top-level object off the records' regular shape: another
+    label, a set-valued child, or an atom where a set belongs."""
+    children = [
+        atom(label, value)
+        for label, value in draw(st.lists(atoms, max_size=4))
+    ]
+    if draw(st.booleans()):
+        children.insert(
+            draw(st.integers(0, len(children))),
+            obj(draw(st.sampled_from(NATIVE_LABELS)), atom("x", 1)),
+        )
+    label = draw(st.sampled_from(["rec", "rec", "other"]))
+    if not children and draw(st.booleans()):
+        return atom(label, draw(st.sampled_from(NATIVE_VALUES)))
+    return obj(label, *children)
+
+
+@st.composite
+def flat_queries(draw):
+    """A flat projection query: ``<rec {...}>`` items with constant,
+    anonymous, once-occurring variable and unfilled ``$param`` terms,
+    a carrier over some of its variables in any order, and maybe
+    semi-join filters, some with more values than a statement binds."""
+    items = []
+    variables = []
+    kinds = ["const"] * 2 + ["var"] * 4 + ["anon"] * 2 + ["param"]
+    for position in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "const":
+            term = Const(draw(st.sampled_from(NATIVE_VALUES)))
+        elif kind == "var":
+            term = Var(f"V{position}")
+            variables.append(term.name)
+        elif kind == "anon":
+            term = Var("_")
+        else:
+            term = Param("p")
+        label = draw(st.sampled_from(NATIVE_LABELS))
+        items.append(PatternItem(Pattern(Const(label), term)))
+    columns = draw(st.permutations(variables))
+    columns = columns[draw(st.integers(0, 1)):]
+    head = Pattern(
+        Const("bind_for_s"),
+        SetPattern(
+            tuple(
+                PatternItem(Pattern(Const(f"bind_for_{name}"), Var(name)))
+                for name in columns
+            )
+        ),
+    )
+    top = draw(st.sampled_from(["rec", "rec", "rec", "other"]))
+    rule = Rule(
+        (head,),
+        (PatternCondition(Pattern(Const(top), SetPattern(tuple(items)))),),
+    )
+    filters = []
+    shipped = st.lists(st.sampled_from(NATIVE_LABELS), min_size=1, max_size=2)
+    for label in draw(st.one_of(st.just([]), shipped)):
+        values = draw(st.lists(st.sampled_from(NATIVE_VALUES), max_size=6))
+        if draw(st.integers(0, 4)) == 0:
+            values += range(3, 1200)
+        filters.append(SemiJoinFilter("F", label, frozenset(values)))
+    return SemiJoinQuery(rule, filters) if filters else rule
+
+
+def outcome(store, query):
+    """``(rows as the law compares them, rows)``, or the error's type
+    and message: both paths must fail alike."""
+    try:
+        rows = store.answer_bindings(query)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc)), None
+    return [tuple(map(cell, row)) for row in rows], rows
+
+
+def admitted(stored, query) -> bool:
+    """Does ``stored`` pass every filter ``query`` ships: a direct atom
+    child of the filter's label whose value encodes as one of the
+    filter's values?  (A filter admits by encoding, a superset of the
+    matches the mediator demultiplexes exactly.)"""
+    for shipped in getattr(query, "filters", ()):
+        wanted = {encode_value(value) for value in shipped.values}
+        if not stored.is_set or not any(
+            child.label == shipped.label
+            and not child.is_set
+            and encode_value(child.value) in wanted
+            for child in stored.children
+        ):
+            return False
+    return True
+
+
+def carried_unchanged(rows) -> bool:
+    """Does no row hold a cell the native answer leaves to objects: a
+    set-valued child, or a NaN?"""
+    return all(
+        not isinstance(value, tuple) and value == value
+        for row in rows
+        for value in row
+    )
+
+
+class TestNativeAnswerIsTheObjectPath:
+    @given(
+        st.sampled_from(["rec", "other"]),
+        st.lists(
+            st.lists(atoms, min_size=1, max_size=5), min_size=1, max_size=8
+        ),
+        st.lists(irregular(), max_size=4),
+        st.lists(flat_queries(), min_size=1, max_size=4),
+    )
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_same_rows_counters_and_native_route(
+        self, label, records, objects, queries
+    ):
+        native, reference = SQLiteOEMStoreWrapper("s"), ObjectPath("s")
+        stored = [
+            obj(label, *(atom(field, value) for field, value in record))
+            for record in records
+        ] + objects
+        try:
+            for store in (native, reference):
+                store.load_records(label, records)
+                store.add(*objects)
+            for query in queries:
+                before = native.native_answers
+                (got, _), (expected, rows) = (
+                    outcome(native, query),
+                    outcome(reference, query),
+                )
+                assert got == expected, str(query)
+                counters = ("queries_answered", "objects_returned")
+                assert [native.stats()[c] for c in counters] == [
+                    reference.stats()[c] for c in counters
+                ]
+                rule = getattr(query, "rule", query)
+                terms = [
+                    item.pattern.value
+                    for item in rule.tail[0].pattern.value.items
+                ]
+                # an unfilled parameter, or a NaN constant, which the
+                # index would equate with every stored NaN
+                undecidable = any(
+                    isinstance(term, Param)
+                    or (isinstance(term, Const) and term.value != term.value)
+                    for term in terms
+                )
+                ran = native.native_answers - before
+                if undecidable or rows is None:
+                    assert ran == 0
+                    continue
+                assert ran == carried_unchanged(rows)
+                if ran:
+                    # a reference sharing no SQL with the store: the
+                    # plain rule, matched in memory over the stored
+                    # objects the shipped filters admit
+                    memory = OEMStoreWrapper(
+                        "s",
+                        [o for o in stored if admitted(o, query)],
+                        capability=BATCH_CAPABILITY,
+                    )
+                    assert outcome(memory, rule)[0] == expected
+        finally:
+            native.close()
+            reference.close()

@@ -108,6 +108,42 @@ class TestEncodeValue:
         encoded = {encode_value(v) for v in values}
         assert len(encoded) == len(values)
 
+    def test_zeros_encode_equal(self):
+        # 0.0 == -0.0, so the two must hash, route and index alike
+        assert encode_value(-0.0) == encode_value(0.0) == encode_value(0)
+        partition = HashPartition("k", 4)
+        assert partition.shard_of(-0.0) == partition.shard_of(0.0)
+
+    @pytest.mark.parametrize("store", ["memory", "sqlite", "sharded"])
+    def test_both_zeros_answer_a_zero_constant(self, store):
+        records = [
+            obj("r", atom("k", -0.0), atom("v", "negative")),
+            obj("r", atom("k", 0), atom("v", "integer")),
+        ]
+        if store == "memory":
+            source = OEMStoreWrapper("s", records)
+        elif store == "sqlite":
+            source = SQLiteOEMStoreWrapper("s", objects=records)
+        else:
+            partition = HashPartition("k", 4)
+            source = ShardedSource(
+                "s",
+                [
+                    OEMStoreWrapper(shard_name("s", index), forest)
+                    for index, forest in enumerate(
+                        partition_forest(records, partition)
+                    )
+                ],
+                partition,
+            )
+        query = parse_query(
+            "<bind_for_s {<bind_for_V V>}> :- <r {<k 0> <v V>}>"
+        )
+        assert sorted(source.answer_bindings(query)) == [
+            ("integer",),
+            ("negative",),
+        ]
+
     def test_huge_int_distinct_from_neighbour(self):
         # 2**63 and 2**63 + 1 collapse to the same float; the encoding
         # must keep them apart (they are != as ints)
@@ -402,6 +438,27 @@ class TestSQLiteStore:
         assert canonical(store.export()) == canonical([rich])
         store.close()
 
+    def test_reopening_an_older_file_re_encodes_negative_zero(self, tmp_path):
+        path = str(tmp_path / "store.db")
+        store = SQLiteOEMStoreWrapper("s", path)
+        store.add(obj("r", atom("k", -0.0), atom("v", "negative")))
+        # as an older version wrote it: -0.0 under an encoding of its
+        # own, and no user_version
+        store._conn.execute(
+            "UPDATE nodes SET enc = ? WHERE label = 'k'", (b"n:-0x0.0p+0",)
+        )
+        store._conn.execute("PRAGMA user_version = 0")
+        store._conn.commit()
+        store.close()
+        query = parse_query(
+            "<bind_for_s {<bind_for_V V>}> :- <r {<k 0> <v V>}>"
+        )
+        reopened = SQLiteOEMStoreWrapper("s", path)
+        assert list(reopened.answer_bindings(query)) == [("negative",)]
+        version = reopened._conn.execute("PRAGMA user_version").fetchone()
+        assert version == (1,)
+        reopened.close()
+
     def test_matches_in_memory_wrapper(self):
         records = make_records(40)
         disk = SQLiteOEMStoreWrapper("big")
@@ -456,6 +513,79 @@ class TestSQLiteStore:
                 )
                 assert part.shard_of(key) == index
             store.close()
+
+    @pytest.mark.parametrize(
+        "text, filters, index",
+        [
+            ("<rec {<key 7> <payload P>}>", [], "nodes_child_value"),
+            (
+                "<rec {<key K> <payload P>}>",
+                [("key", [1, 5, 9])],
+                "nodes_child_value",
+            ),
+            (
+                "<rec {<payload 'p3'> <key K>}>",
+                [("key", [3, 4])],
+                "nodes_child_value",
+            ),
+            (
+                "<rec {<key K>}>",
+                [("key", [3]), ("payload", ["p3"])],
+                "nodes_child_value",
+            ),
+            ("<rec {<key K> <payload P>}>", [], "nodes_top_label"),
+        ],
+        ids=["point", "semijoin", "two-item", "two-filter", "extent"],
+    )
+    def test_statements_are_index_driven(self, text, filters, index):
+        # a statement must reach the records through an index or the
+        # primary key: a full SCAN of nodes is a whole-store read per
+        # probe, and driving a selective query from the label extent
+        # (the plan a correlated ``t.root IN (...)`` filter gets) is a
+        # whole-extent read
+        store = SQLiteOEMStoreWrapper("big")
+        store.add(*make_records(50))
+        variables = sorted(
+            {t for t in text.replace(">", " ").split() if t.isupper()}
+        )
+        head = " ".join(f"<bind_for_{v} {v}>" for v in variables)
+        rule = parse_query(f"<bind_for_big {{{head}}}> :- {text}")
+        shipped = [
+            SemiJoinFilter(label, label, frozenset(values))
+            for label, values in filters
+        ]
+        query = SemiJoinQuery(rule, shipped) if shipped else rule
+        executed = []
+        store._conn.set_trace_callback(executed.append)
+        native = store.answer_bindings(query)
+        objects = store.answer(query)
+        store._conn.set_trace_callback(None)
+        assert len(native) == len(objects) > 0
+        assert store.stats()["native_answers"] == 1
+        assert len(executed) == 2  # one per answer
+        for statement in executed:
+            steps = [
+                row[3]
+                for row in store._conn.execute(
+                    "EXPLAIN QUERY PLAN " + statement
+                )
+            ]
+            # a step names its table by alias; a scan of a derived
+            # root set (a CO-ROUTINE or MATERIALIZE step) is allowed
+            derived = {
+                step.split()[-1]
+                for step in steps
+                if step.startswith(("CO-ROUTINE", "MATERIALIZE"))
+            }
+            scans = [
+                step
+                for step in steps
+                if step.startswith("SCAN") and step.split()[1] not in derived
+            ]
+            assert steps and not scans, steps
+            first = next(s for s in steps if s.startswith(("SEARCH", "SCAN")))
+            assert index in first, steps
+        store.close()
 
     def test_probe_keys_is_deterministic(self):
         assert probe_keys(20, 100, seed=5) == probe_keys(20, 100, seed=5)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Machine-independent cost of one operation: calls, oids, objects,
-garbage, blocks.
+garbage, blocks, SQL statements.
 
-Wall-clock numbers move with the machine; these five do not, which
+Wall-clock numbers move with the machine; these six do not, which
 makes them the evidence for *where* a saving sits when a timed row
 cannot say (EXPERIMENTS.md E14, E23 and E24 were first measured with
 scratch copies of these counters):
@@ -18,7 +18,11 @@ scratch copies of these counters):
   (``gc.collect()`` after a run with the collector off): 0 means
   refcounting frees everything an operation allocates;
 * **blocks per op** — growth of ``sys.getallocatedblocks()`` across
-  the run, after a collection: what an operation leaves allocated.
+  the run, after a collection: what an operation leaves allocated;
+* **statements per op** — SQL statements the workload's SQLite stores
+  run, counted by each connection's trace callback on whichever thread
+  runs them (a dispatcher pool's statements included, which cProfile
+  does not see).
 
 As a tool it measures the end-to-end suite's workloads
 (``benchmarks/e2e/workloads.py``) at the suite's ``QUICK`` scale, and
@@ -44,7 +48,7 @@ import json
 import pstats
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,8 +56,10 @@ __all__ = [
     "profile_per_op",
     "unreachable_per_op",
     "blocks_per_op",
+    "statements_per_op",
     "count",
     "workload_operation",
+    "workload_stores",
     "materialization_operation",
 ]
 
@@ -118,10 +124,30 @@ def blocks_per_op(operation: Callable[[], object], ops: int) -> float:
     return (sys.getallocatedblocks() - before) / ops
 
 
+def statements_per_op(
+    operation: Callable[[], object], ops: int, stores: Sequence = ()
+) -> float:
+    """SQL statements the SQLite ``stores`` run per ``operation()``."""
+    executed: list[str] = []  # list.append is atomic across threads
+    for store in stores:
+        store._conn.set_trace_callback(executed.append)
+    try:
+        for _ in range(ops):
+            operation()
+    finally:
+        for store in stores:
+            store._conn.set_trace_callback(None)
+    return len(executed) / ops
+
+
 def count(
-    operation: Callable[[], object], ops: int, warmup: int = 20
+    operation: Callable[[], object],
+    ops: int,
+    warmup: int = 20,
+    stores: Sequence = (),
 ) -> dict[str, float]:
-    """All five counters for ``operation``, after ``warmup`` calls."""
+    """All six counters for ``operation``, after ``warmup`` calls;
+    statements are those of the SQLite ``stores``."""
     for _ in range(warmup):
         operation()
     calls, oids, objects = profile_per_op(operation, ops)
@@ -131,6 +157,9 @@ def count(
         "objects_per_op": round(objects, 1),
         "unreachable_per_op": round(unreachable_per_op(operation, ops), 3),
         "blocks_per_op": round(blocks_per_op(operation, ops), 2),
+        "statements_per_op": round(
+            statements_per_op(operation, ops, stores), 2
+        ),
     }
 
 
@@ -157,6 +186,19 @@ def workload_operation(name: str, seed: int = 1996):
             )
 
     return operation, workload
+
+
+def workload_stores(workload) -> list:
+    """The SQLite stores a workload built (none for the export
+    workloads)."""
+    from repro.wrappers import SQLiteOEMStoreWrapper
+
+    found = []
+    for value in vars(workload).values():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, SQLiteOEMStoreWrapper):
+                found.append(item)
+    return found
 
 
 def materialization_operation(length: int = 16):
@@ -202,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
             continue
         operation, workload = workload_operation(name, args.seed)
         try:
-            row = count(operation, args.ops)
+            row = count(operation, args.ops, stores=workload_stores(workload))
         finally:
             workload.close()
         print(json.dumps({"workload": name, "ops": args.ops, **row}))
