@@ -76,13 +76,7 @@ from repro.mediator.plancache import PlanCache, Planned, Shape
 from repro.mediator.statistics import SourceStatistics
 from repro.mediator.view_expander import ViewExpander
 from repro.msl.analysis import check_rule, check_specification_rule
-from repro.msl.ast import (
-    PatternCondition,
-    PatternItem,
-    Rule,
-    SetPattern,
-    Specification,
-)
+from repro.msl.ast import PatternCondition, Rule, Specification
 from repro.msl.compile import CompileCache
 from repro.msl.errors import MSLError, MSLSemanticError, MSLSyntaxError
 from repro.msl.lift import (
@@ -93,6 +87,7 @@ from repro.msl.lift import (
 )
 from repro.msl.parser import parse_query, parse_specification
 from repro.msl.substitute import substitute_params
+from repro.msl.walk import TYPE, descendants, slots
 from repro.obs.insight import AnalyzeReport, QueryInsight
 from repro.obs.span import current_span, status_of_exception
 from repro.obs.telemetry import Telemetry
@@ -618,25 +613,16 @@ class Mediator(Source):
         at any depth of a condition addressed to this view."""
         if self.is_recursive:
             return "the view is recursive"
-        pending = [
-            condition.pattern
+        conditions = tuple(
+            condition
             for condition in query.tail
             if isinstance(condition, PatternCondition)
             and condition.source in (None, self.name)
-        ]
-        while pending:
-            pattern = pending.pop()
-            if pattern.type is not None:
-                return "the query constrains a type slot"
-            value = pattern.value
-            if isinstance(value, SetPattern):
-                for item in value.items:
-                    if isinstance(item, PatternItem):
-                        if item.descendant:
-                            return "the query uses descendant (..) wildcards"
-                        pending.append(item.pattern)
-                if value.rest is not None:
-                    pending.extend(value.rest.conditions)
+        )
+        if any(kind is TYPE for kind, _, _ in slots(conditions)):
+            return "the query constrains a type slot"
+        if descendants(conditions):
+            return "the query uses descendant (..) wildcards"
         return None
 
     def _fusion_active(self) -> bool:

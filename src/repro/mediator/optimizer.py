@@ -38,6 +38,7 @@ that ships it outputs the carried bindings as its columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.mediator.logical import LogicalDatamergeProgram, LogicalRule
 from repro.mediator.plan import (
@@ -65,16 +66,25 @@ from repro.msl.ast import (
     Pattern,
     PatternCondition,
     PatternItem,
-    RestSpec,
     Rule,
     SetPattern,
-    Term,
     Var,
     VarItem,
 )
 from repro.msl.errors import MSLSemanticError
 from repro.msl.lift import ValueDependent
 from repro.msl.substitute import pattern_variables, term_variables
+from repro.msl.walk import (
+    LABEL,
+    OBJECT_VAR,
+    OID,
+    REST_VAR,
+    SEMOID_ARG,
+    TYPE,
+    VALUE,
+    rebuild,
+    slots,
+)
 from repro.wrappers.registry import SourceRegistry
 from repro.wrappers.sharding import ShardedSource
 
@@ -593,7 +603,7 @@ def _projection_query(
     ``<bind_for_V {V:<_ _>}>`` recovers the object itself rather than
     its value (:class:`~repro.wrappers.base.Carrier`).
     """
-    object_vars = _object_vars(pattern)
+    object_vars = _slot_vars(pattern, (OBJECT_VAR,))
     items: list[PatternItem] = []
     for name in variables:
         if name in object_vars:
@@ -621,69 +631,64 @@ def _projection_query(
     return Rule((head,), tail)
 
 
-def _object_vars(pattern: Pattern) -> set[str]:
-    """Variables bound to whole objects anywhere in ``pattern``."""
+def _slot_vars(pattern: Pattern, kinds: tuple[str, ...]) -> set[str]:
+    """Named variables in ``pattern``'s slots of the given kinds."""
+    return {
+        term.name
+        for kind, term, _ in slots(pattern)
+        if kind in kinds and term.__class__ is Var and not term.is_anonymous
+    }
+
+
+def _rest_vars(pattern: Pattern) -> set[str]:
+    return _slot_vars(pattern, (REST_VAR,))
+
+
+def _oid_slot_vars(pattern: Pattern) -> set[str]:
+    """Variables in an oid slot anywhere in ``pattern``."""
     found: set[str] = set()
-    _collect_object_vars(pattern, found)
+    for kind, term, _ in slots(pattern):
+        if kind is OID:
+            found |= term_variables(term)
     return found
 
 
-# the recursive collectors below are module-level functions taking the
-# accumulator, not closures over it: a closure that calls itself is a
-# reference cycle, and planning runs them for every query
-
-
-def _collect_object_vars(p: Pattern, found: set[str]) -> None:
-    if p.object_var is not None and not p.object_var.is_anonymous:
-        found.add(p.object_var.name)
-    value = p.value
-    if isinstance(value, SetPattern):
-        for item in value.items:
-            if isinstance(item, PatternItem):
-                _collect_object_vars(item.pattern, found)
-        if value.rest is not None:
-            for condition in value.rest.conditions:
-                _collect_object_vars(condition, found)
+#: Slots a bind join can fill with a constant: never an object, brace
+#: or Rest variable (those carry objects and sets, which cannot be
+#: inlined as constants).
+_PARAMETER_SLOTS = (LABEL, TYPE, OID, VALUE, SEMOID_ARG)
 
 
 def _parameterizable_vars(pattern: Pattern) -> set[str]:
-    """Variables usable as ``$`` parameters: those in label/type/oid
-    slots or as direct item values — never rest or object variables
-    (those carry sets/objects, which cannot be inlined as constants)."""
-    result: set[str] = set()
-    # note: the *top-level* value variable of the whole pattern is fine
-    # to parameterize only if atomic; we cannot know, so we restrict to
-    # nested occurrences, which the paper's examples cover
-    value = pattern.value
-    for term in (pattern.label, pattern.type, pattern.oid):
-        result.update(term_variables(term))
-    if isinstance(value, SetPattern):
-        for item in value.items:
-            if isinstance(item, PatternItem):
-                _collect_parameterizable(item.pattern, result)
-        if value.rest is not None:
-            for condition in value.rest.conditions:
-                _collect_parameterizable(condition, result)
-    # rest variables are set-valued: exclude them everywhere
-    result -= _rest_vars(pattern)
-    return result
+    """Variables usable as ``$`` parameters: those :func:`_parameterize`
+    replaces, except a variable only the whole pattern's value holds
+    (fine only if atomic, which cannot be known) and a variable also
+    used as a Rest variable."""
+    names = {
+        term.name
+        for kind, term, owner in slots(pattern)
+        if kind in _PARAMETER_SLOTS
+        and term.__class__ is Var
+        and not term.is_anonymous
+        and not (kind is VALUE and owner is pattern)
+    }
+    return names - _rest_vars(pattern)
 
 
-def _collect_parameterizable(p: Pattern, result: set[str]) -> None:
-    for term in (p.label, p.type, p.oid):
-        result.update(term_variables(term))
-    value = p.value
-    if isinstance(value, Var):
-        if not value.is_anonymous:
-            result.add(value.name)
-        return
-    if isinstance(value, SetPattern):
-        for item in value.items:
-            if isinstance(item, PatternItem):
-                _collect_parameterizable(item.pattern, result)
-        if value.rest is not None:
-            for condition in value.rest.conditions:
-                _collect_parameterizable(condition, result)
+def _parameterize(pattern: Pattern, names: set[str]) -> Pattern:
+    """Replace occurrences of ``names`` with ``$`` parameters — in
+    semantic-oid arguments too."""
+    return rebuild(pattern, partial(_as_param, names))
+
+
+def _as_param(names: set[str], kind: str, term, owner):
+    if (
+        term.__class__ is Var
+        and term.name in names
+        and kind in _PARAMETER_SLOTS
+    ):
+        return Param(term.name)
+    return term
 
 
 def _semijoin_param_labels(
@@ -719,79 +724,3 @@ def _semijoin_param_labels(
     return labels
 
 
-def _oid_slot_vars(pattern: Pattern) -> set[str]:
-    """Variables in an oid slot anywhere in ``pattern``."""
-    found = set(term_variables(pattern.oid))
-    value = pattern.value
-    if isinstance(value, SetPattern):
-        nested = [
-            item.pattern
-            for item in value.items
-            if isinstance(item, PatternItem)
-        ]
-        if value.rest is not None:
-            nested.extend(value.rest.conditions)
-        for sub in nested:
-            found |= _oid_slot_vars(sub)
-    return found
-
-
-def _rest_vars(pattern: Pattern) -> set[str]:
-    found: set[str] = set()
-    _collect_rest_vars(pattern, found)
-    return found
-
-
-def _collect_rest_vars(p: Pattern, found: set[str]) -> None:
-    value = p.value
-    if isinstance(value, SetPattern):
-        if value.rest is not None and not value.rest.var.is_anonymous:
-            found.add(value.rest.var.name)
-        for item in value.items:
-            if isinstance(item, PatternItem):
-                _collect_rest_vars(item.pattern, found)
-        if value.rest is not None:
-            for condition in value.rest.conditions:
-                _collect_rest_vars(condition, found)
-
-
-def _parameterize(pattern: Pattern, names: set[str]) -> Pattern:
-    """Replace occurrences of ``names`` with ``$`` parameters."""
-
-    def conv(term: Term | None) -> Term | None:
-        if isinstance(term, Var) and term.name in names:
-            return Param(term.name)
-        return term
-
-    value = pattern.value
-    if isinstance(value, SetPattern):
-        items: list[PatternItem | VarItem] = []
-        for item in value.items:
-            if isinstance(item, PatternItem):
-                items.append(
-                    PatternItem(
-                        _parameterize(item.pattern, names), item.descendant
-                    )
-                )
-            else:
-                items.append(item)
-        rest = value.rest
-        if rest is not None and rest.conditions:
-            rest = RestSpec(
-                rest.var,
-                tuple(_parameterize(c, names) for c in rest.conditions),
-            )
-        new_value: Term | SetPattern = SetPattern(tuple(items), rest)
-    else:
-        converted = conv(value)
-        assert converted is not None
-        new_value = converted
-    label = conv(pattern.label)
-    assert label is not None
-    return Pattern(
-        label=label,
-        value=new_value,
-        type=conv(pattern.type),
-        oid=conv(pattern.oid),
-        object_var=pattern.object_var,
-    )

@@ -21,8 +21,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.msl.ast import Const, Param, Pattern, PatternItem, SetPattern
+from repro.msl.ast import Const, Param, Pattern
 from repro.msl.lift import ValueDependent
+from repro.msl.walk import OID, VALUE, children, slots
 
 __all__ = [
     "SourceStatistics",
@@ -486,23 +487,16 @@ def constant_child_conditions(
     """(child label, constant value) filters of a pattern's direct items
     (including rest conditions).  A lifted constant of a query template
     is a filter too; it is listed as its :class:`Param`."""
-    found: list[tuple[str, object]] = []
-    value = pattern.value
-    if isinstance(value, SetPattern):
-        children = [
-            item.pattern
-            for item in value.items
-            if isinstance(item, PatternItem) and not item.descendant
-        ]
-        if value.rest is not None:
-            children.extend(value.rest.conditions)
-        for p in children:
-            if isinstance(p.label, Const):
-                if isinstance(p.value, Const):
-                    found.append((str(p.label.value), p.value.value))
-                elif isinstance(p.value, Param):
-                    found.append((str(p.label.value), p.value))
-    return found
+    return [
+        (str(child.label.value), _filter_value(child.value))
+        for child in children(pattern)
+        if child.label.__class__ is Const
+        and child.value.__class__ in (Const, Param)
+    ]
+
+
+def _filter_value(term) -> object:
+    return term.value if term.__class__ is Const else term
 
 
 def _label_of(pattern: Pattern) -> str | None:
@@ -518,26 +512,15 @@ def count_constant_conditions(pattern: Pattern) -> int:
     outer patterns of the join order are the ones that have the greatest
     number of conditions".  A *condition* is a constant that narrows the
     result: the top-level label (it selects the collection/relation), a
-    constant oid, and every constant **value** at any depth.  Constant
-    sub-object labels with variable values (``<name N>``) are structural
-    requirements, not filters, and do not count.
+    constant oid, and every constant **value** at any depth (a lifted
+    parameter is some constant).  Constant sub-object labels with
+    variable values (``<name N>``) are structural requirements, not
+    filters, and do not count.
     """
-    count = _value_constants(pattern)
-    if isinstance(pattern.label, Const):
-        count += 1
-    return count
-
-
-def _value_constants(p: Pattern) -> int:
-    count = 1 if isinstance(p.oid, Const) else 0
-    value = p.value
-    if isinstance(value, (Const, Param)):
-        return count + 1  # a parameter is some constant
-    if isinstance(value, SetPattern):
-        for item in value.items:
-            if isinstance(item, PatternItem):
-                count += _value_constants(item.pattern)
-        if value.rest is not None:
-            for condition in value.rest.conditions:
-                count += _value_constants(condition)
+    count = 1 if isinstance(pattern.label, Const) else 0
+    for kind, term, _ in slots(pattern):
+        if (kind is OID and term.__class__ is Const) or (
+            kind is VALUE and term.__class__ in (Const, Param)
+        ):
+            count += 1
     return count

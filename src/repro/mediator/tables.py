@@ -53,6 +53,24 @@ def key_array(column: Sequence[object]) -> tuple[list[object], bool]:
     return list(column), True
 
 
+def _join_keys(column: tuple[list, bool]) -> tuple[list, bool]:
+    """A :func:`key_array` column as join keys: ``values_equal`` makes
+    ``1`` and ``1.0`` (and ``0`` and ``-0.0``) one value, so an integral
+    float keys as the int it equals.  Deduplication keeps the
+    type-strict keys."""
+    keys, exact = column
+    if exact or not any(
+        key[0] == "atom" and key[1] == "float" for key in keys
+    ):
+        return column
+    return [
+        ("atom", "int", int(key[2]))
+        if key[0] == "atom" and key[1] == "float" and key[2].is_integer()
+        else key
+        for key in keys
+    ], False
+
+
 def add_distinct(
     rows: Sequence[tuple[object, ...]],
     key_cols: Sequence[Sequence[object]],
@@ -277,16 +295,17 @@ class BindingTable:
                         + tuple(right[p] for p in cross_positions)
                     )
             return result
-        # Build/probe on memoized key columns.  ``value_key`` equality
-        # implies ``values_equal`` for every value class (atoms carry
-        # their type name in the key, so bool/int never alias; objects
-        # and object sets key on the same structural identity that
-        # ``values_equal`` compares), so no per-row verification pass
-        # is needed after the hash lookup.
+        # Build/probe on memoized key columns, with numbers keyed as
+        # ``values_equal`` compares them (:func:`_join_keys`).  Key
+        # equality is then ``values_equal`` for every value class
+        # (atoms carry their type name in the key, so bool/int never
+        # alias; objects and object sets key on the same structural
+        # identity that ``values_equal`` compares), so no per-row
+        # verification pass is needed after the hash lookup.
         shared_other = [other.position(c) for c in shared]
         shared_self = [self.position(c) for c in shared]
-        right_keys = [other.key_column(p) for p in shared_other]
-        left_keys = [self.key_column(p) for p in shared_self]
+        right_keys = [_join_keys(other.key_column(p)) for p in shared_other]
+        left_keys = [_join_keys(self.key_column(p)) for p in shared_self]
         # An exact (raw-string) key column only hashes compatibly with
         # another exact column; against a canonical column, lift the
         # raw strings to their canonical atom keys on the fly.

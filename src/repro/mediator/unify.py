@@ -40,6 +40,16 @@ from repro.msl.ast import (
 )
 from repro.msl.errors import MSLSemanticError
 from repro.msl.lift import ValueDependent
+from repro.msl.walk import (
+    ITEM_VAR,
+    LABEL,
+    OBJECT_VAR,
+    OID,
+    REST_VAR,
+    TYPE,
+    VALUE,
+    rebuild,
+)
 
 __all__ = ["Unifier", "unify_with_head", "apply_mapping_to_pattern"]
 
@@ -164,16 +174,65 @@ class Unifier:
         for name in self.mappings:
             final.mappings[name] = self.resolve(Var(name))
         final.set_conditions = {
-            name: tuple(
-                apply_mapping_to_pattern(c, self) for c in conditions
-            )
+            name: tuple(map(self.apply, conditions))
             for name, conditions in self.set_conditions.items()
         }
         final.definitions = {
-            name: _apply_to_definition(definition, self)
+            name: self.apply(definition)
             for name, definition in self.definitions.items()
         }
         return final
+
+    # -- application ----------------------------------------------------------
+
+    def apply(self, node):
+        """``node`` — a pattern, set pattern, condition or tuple of
+        conditions — with the mappings substituted through it.
+
+        Set-conditions are *also* applied: when a substituted value
+        variable or rest variable has pushed conditions, they are
+        attached in place (the ``Rest1:{<year 3>}`` notation).
+        """
+        return rebuild(node, self.slot, self.attach)
+
+    def slot(self, kind: str, term, pattern) -> object:
+        """One slot under the mappings.  Label, type and oid slots are
+        structure — what plans, statistics and capabilities are keyed
+        by — so a variable there may not resolve to a lifted constant of
+        the query.  Brace and Rest variables stay: their sets are
+        spliced or constrained, not substituted."""
+        if term.__class__ is not Var or kind is ITEM_VAR or kind is REST_VAR:
+            return term
+        resolved = self.resolve(term)
+        if kind is VALUE:
+            pushed = self.set_conditions.get(term.name)
+            if pushed and resolved.__class__ is Var:
+                # a set-valued variable with attached conditions becomes
+                # {| V:{conditions}} — V still binds all members, and the
+                # conditions must hold among them
+                return SetPattern(
+                    (), RestSpec(resolved, tuple(map(self.apply, pushed)))
+                )
+        elif kind is OBJECT_VAR:
+            if term.is_anonymous:
+                return term
+            return resolved if resolved.__class__ is Var else None
+        elif kind in (LABEL, TYPE, OID) and resolved.__class__ is Param:
+            raise ValueDependent(
+                f"a constant of the query fills a label, type or oid"
+                f" slot of the view ({term} resolves to {resolved})"
+            )
+        return resolved
+
+    def attach(self, braces: SetPattern, pattern) -> SetPattern:
+        """``braces`` with the conditions pushed into its Rest variable."""
+        rest = braces.rest
+        if rest is None or not self.set_conditions.get(rest.var.name):
+            return braces
+        pushed = tuple(map(self.apply, self.set_conditions[rest.var.name]))
+        return SetPattern(
+            braces.items, RestSpec(rest.var, rest.conditions + pushed)
+        )
 
     def __str__(self) -> str:
         parts = [
@@ -190,108 +249,10 @@ class Unifier:
         return "[" + ", ".join(parts) + "]"
 
 
-# ---------------------------------------------------------------------------
-# applying a unifier's mappings to patterns
-# ---------------------------------------------------------------------------
-
-
-def _apply_term(term: Term | None, unifier: Unifier) -> Term | None:
-    """Resolve a label, type or oid slot.  These are structure — what
-    plans, statistics and capabilities are keyed by — so a variable
-    there may not resolve to a lifted constant of the query."""
-    if term is None:
-        return None
-    if isinstance(term, (Var, SemOidTerm)):
-        resolved = unifier.resolve(term)
-        if isinstance(resolved, Param):
-            raise ValueDependent(
-                f"a constant of the query fills a label, type or oid"
-                f" slot of the view ({term} resolves to {resolved})"
-            )
-        return resolved
-    return term
-
-
-def apply_mapping_to_pattern(pattern: Pattern, unifier: Unifier) -> Pattern:
-    """Substitute the unifier's mappings through ``pattern``.
-
-    Set-conditions are *also* applied: when a substituted value variable
-    or rest variable has pushed conditions, they are attached in place
-    (the ``Rest1:{<year 3>}`` notation).
-    """
-    label = _apply_term(pattern.label, unifier)
-    assert label is not None
-    oid = _apply_term(pattern.oid, unifier)
-    type_ = _apply_term(pattern.type, unifier)
-
-    value = pattern.value
-    new_value: Term | SetPattern
-    if isinstance(value, SetPattern):
-        items: list[PatternItem | VarItem] = []
-        for item in value.items:
-            if isinstance(item, PatternItem):
-                items.append(
-                    PatternItem(
-                        apply_mapping_to_pattern(item.pattern, unifier),
-                        item.descendant,
-                    )
-                )
-            else:
-                items.append(item)
-        rest = value.rest
-        if rest is not None:
-            pushed = unifier.set_conditions.get(rest.var.name, ())
-            conditions = tuple(
-                apply_mapping_to_pattern(c, unifier)
-                for c in rest.conditions + pushed
-            )
-            rest = RestSpec(rest.var, conditions)
-        new_value = SetPattern(tuple(items), rest)
-    elif isinstance(value, Var):
-        resolved = unifier.resolve(value)
-        pushed = unifier.set_conditions.get(value.name, ())
-        if pushed and isinstance(resolved, Var):
-            # a set-valued variable with attached conditions becomes
-            # {| V:{conditions}} — V still binds all members, and the
-            # conditions must hold among them
-            conditions = tuple(
-                apply_mapping_to_pattern(c, unifier) for c in pushed
-            )
-            new_value = SetPattern((), RestSpec(resolved, conditions))
-        else:
-            new_value = resolved
-    else:
-        new_value = value
-
-    object_var = pattern.object_var
-    if object_var is not None and not object_var.is_anonymous:
-        resolved_ov = unifier.resolve(object_var)
-        object_var = resolved_ov if isinstance(resolved_ov, Var) else None
-
-    return Pattern(
-        label=label,
-        value=new_value,
-        type=type_,
-        oid=oid,
-        object_var=object_var,
-    )
-
-
-def _apply_to_definition(definition: Definition, unifier: Unifier) -> Definition:
-    if isinstance(definition, Pattern):
-        return apply_mapping_to_pattern(definition, unifier)
-    items: list[PatternItem | VarItem] = []
-    for item in definition.items:
-        if isinstance(item, PatternItem):
-            items.append(
-                PatternItem(
-                    apply_mapping_to_pattern(item.pattern, unifier),
-                    item.descendant,
-                )
-            )
-        else:
-            items.append(item)
-    return SetPattern(tuple(items), definition.rest)
+def apply_mapping_to_pattern(pattern: Definition, unifier: Unifier):
+    """Substitute the unifier's mappings through ``pattern`` (or set
+    pattern): :meth:`Unifier.apply`."""
+    return unifier.apply(pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -27,22 +27,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from repro.mediator.logical import LogicalDatamergeProgram, LogicalRule
-from repro.mediator.unify import (
-    Unifier,
-    apply_mapping_to_pattern,
-    unify_with_head,
-)
+from repro.mediator.unify import Unifier, unify_with_head
 from repro.msl.analysis import rename_apart
 from repro.msl.ast import (
-    Comparison,
     Condition,
-    ExternalCall,
     HeadItem,
     Pattern,
     PatternCondition,
     PatternItem,
+    RestSpec,
     Rule,
     SetPattern,
     Specification,
@@ -50,6 +46,7 @@ from repro.msl.ast import (
     VarItem,
 )
 from repro.msl.errors import MSLSemanticError
+from repro.msl.walk import VALUE, keep, rebuild
 
 __all__ = ["ViewExpander", "ExpansionError"]
 
@@ -131,14 +128,8 @@ class ViewExpander:
             head = _apply_to_head(query.head, theta)
             tail: list[Condition] = []
             for option in combo:
-                tail.extend(
-                    _apply_to_condition(condition, theta)
-                    for condition in option.tail
-                )
-            tail.extend(
-                _apply_to_condition(condition, theta)
-                for condition in passthrough
-            )
+                tail.extend(theta.apply(option.tail))
+            tail.extend(theta.apply(tuple(passthrough)))
             rule = Rule(tuple(head), tuple(tail))
             if rule in seen:
                 continue
@@ -177,26 +168,6 @@ class ViewExpander:
 # ---------------------------------------------------------------------------
 
 
-def _apply_to_condition(condition: Condition, theta: Unifier) -> Condition:
-    if isinstance(condition, PatternCondition):
-        return PatternCondition(
-            apply_mapping_to_pattern(condition.pattern, theta),
-            condition.source,
-        )
-    if isinstance(condition, ExternalCall):
-        return ExternalCall(
-            condition.name,
-            tuple(theta.resolve(arg) for arg in condition.args),
-        )
-    if isinstance(condition, Comparison):
-        return Comparison(
-            theta.resolve(condition.left),
-            condition.op,
-            theta.resolve(condition.right),
-        )
-    raise TypeError(f"unknown condition {condition!r}")
-
-
 def _apply_to_head(
     head: tuple[HeadItem, ...], theta: Unifier
 ) -> list[HeadItem]:
@@ -220,85 +191,62 @@ def _expand_head_var(var: Var, theta: Unifier) -> list[HeadItem]:
             f"query head variable {var} resolved to constant {resolved};"
             f" wrap it in a pattern to emit it as an object"
         )
+    definition = _strip_rest_conditions(definition)
     if isinstance(definition, Pattern):
-        return [_strip_rest_conditions(definition)]
+        return [definition]
     # a SetPattern definition: the variable stood for a sub-object set;
     # its members become top-level head items
-    expanded: list[HeadItem] = []
-    for member in definition.items:
-        if isinstance(member, PatternItem):
-            expanded.append(_strip_rest_conditions(member.pattern))
-        else:
-            expanded.append(member.var)
+    expanded: list[HeadItem] = [
+        member.pattern if isinstance(member, PatternItem) else member.var
+        for member in definition.items
+    ]
     if definition.rest is not None and not definition.rest.var.is_anonymous:
         expanded.append(definition.rest.var)
     return expanded
 
 
-def _strip_rest_conditions(pattern: Pattern) -> Pattern:
-    """Drop RestSpec conditions anywhere in ``pattern`` (heads only)."""
-    value = pattern.value
-    if not isinstance(value, SetPattern):
-        return pattern
-    items: list[PatternItem | VarItem] = []
-    for item in value.items:
-        if isinstance(item, PatternItem):
-            items.append(
-                PatternItem(
-                    _strip_rest_conditions(item.pattern), item.descendant
-                )
-            )
-        else:
-            items.append(item)
-    rest = value.rest
-    if rest is not None and rest.conditions:
-        from repro.msl.ast import RestSpec
+def _strip_rest_conditions(pattern):
+    """Drop RestSpec conditions anywhere in ``pattern`` (or set
+    pattern; heads only)."""
+    return rebuild(pattern, keep, _unconditioned)
 
-        rest = RestSpec(rest.var, ())
-    return Pattern(
-        label=pattern.label,
-        value=SetPattern(tuple(items), rest),
-        type=pattern.type,
-        oid=pattern.oid,
-        object_var=pattern.object_var,
-    )
+
+def _unconditioned(braces: SetPattern, owner) -> SetPattern:
+    if braces.rest is None:
+        return braces
+    return SetPattern(braces.items, RestSpec(braces.rest.var))
 
 
 def _apply_to_head_pattern(pattern: Pattern, theta: Unifier) -> Pattern:
     """Apply mappings and splice variable definitions inside braces.
 
-    Pushed conditions that :func:`apply_mapping_to_pattern` attaches to
-    rest variables are stripped here: in a *head* the rest variable
-    splices members in, and the conditions are enforced where the
-    variable is bound — in the tail.
+    Pushed conditions on rest variables are stripped: in a *head* the
+    rest variable splices members in, and the conditions are enforced
+    where the variable is bound — in the tail.
     """
-    substituted = _strip_rest_conditions(
-        apply_mapping_to_pattern(pattern, theta)
+    return rebuild(
+        pattern, partial(_head_slot, theta), partial(_spliced, theta)
     )
-    value = substituted.value
-    if not isinstance(value, SetPattern):
+
+
+def _head_slot(theta: Unifier, kind: str, term, pattern):
+    mapped = theta.slot(kind, term, pattern)
+    if kind is VALUE and mapped.__class__ is Var:
         # a value variable whose definition is a set: turn the value
         # into that set pattern
-        if isinstance(value, Var):
-            definition = theta.definitions.get(value.name)
-            if isinstance(definition, SetPattern):
-                return Pattern(
-                    label=substituted.label,
-                    value=definition,
-                    type=substituted.type,
-                    oid=substituted.oid,
-                    object_var=substituted.object_var,
-                )
-        return substituted
+        definition = theta.definitions.get(mapped.name)
+        if isinstance(definition, SetPattern):
+            return definition
+    return mapped
+
+
+def _spliced(theta: Unifier, braces: SetPattern, pattern) -> SetPattern:
+    """A head set pattern with its brace and rest variables' definitions
+    spliced in and its rest conditions stripped."""
     items: list[PatternItem | VarItem] = []
-    for item in value.items:
+    for item in braces.items:
         if isinstance(item, PatternItem):
-            items.append(
-                PatternItem(
-                    _apply_to_head_pattern(item.pattern, theta),
-                    item.descendant,
-                )
-            )
+            items.append(item)
             continue
         definition = theta.definitions.get(item.var.name)
         if definition is None:
@@ -310,38 +258,25 @@ def _apply_to_head_pattern(pattern: Pattern, theta: Unifier) -> Pattern:
                     f"head brace variable {item.var} resolved to constant"
                     f" {resolved}; constants cannot be spliced into a set"
                 )
-        elif isinstance(definition, Pattern):
-            items.append(PatternItem(definition))
         else:
-            items.extend(definition.items)
-    rest = value.rest
-    if rest is not None and not rest.var.is_anonymous:
+            definition = _strip_rest_conditions(definition)
+            if isinstance(definition, Pattern):
+                items.append(PatternItem(definition))
+            else:
+                items.extend(definition.items)
+    rest = braces.rest
+    if rest is not None:
+        rest = RestSpec(rest.var)
         # a head-position rest variable with a definition (the query's
         # own '| QR' standing for the view's leftover structure) splices
         # its members in, like a VarItem
-        rest_definition = theta.definitions.get(rest.var.name)
-        if rest_definition is not None:
-            if isinstance(rest_definition, Pattern):
-                items.append(
-                    PatternItem(_strip_rest_conditions(rest_definition))
-                )
+        definition = theta.definitions.get(rest.var.name)
+        if definition is not None and not rest.var.is_anonymous:
+            definition = _strip_rest_conditions(definition)
+            if isinstance(definition, Pattern):
+                items.append(PatternItem(definition))
                 rest = None
             else:
-                for member in rest_definition.items:
-                    if isinstance(member, PatternItem):
-                        items.append(
-                            PatternItem(
-                                _strip_rest_conditions(member.pattern),
-                                member.descendant,
-                            )
-                        )
-                    else:
-                        items.append(member)
-                rest = rest_definition.rest
-    return Pattern(
-        label=substituted.label,
-        value=SetPattern(tuple(items), rest),
-        type=substituted.type,
-        oid=substituted.oid,
-        object_var=substituted.object_var,
-    )
+                items.extend(definition.items)
+                rest = definition.rest
+    return SetPattern(tuple(items), rest)

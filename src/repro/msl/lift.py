@@ -140,6 +140,12 @@ def lift(rule: Rule) -> tuple[Rule, tuple]:
 
     ``substitute_params(template, dict(zip(param_names(n), constants)))``
     is ``rule`` again.
+
+    Hand-written rather than a :func:`repro.msl.walk.rebuild`: it runs
+    on every source call, and visiting only value slots is faster than
+    a function call per slot — 7.3 µs against 8.3 µs per call on the
+    point-lookup rule (best of 30 × 5 000 calls, eight alternating
+    processes, Python 3.11 on a 2-core Xeon VM).
     """
     seen: dict = {}
     values: list = []

@@ -15,18 +15,16 @@ Two related jobs live here:
 
 from __future__ import annotations
 
+from functools import partial as _partial
 from typing import Mapping
 
 from repro.msl.ast import (
-    Comparison,
+    ANONYMOUS,
     Const,
-    ExternalCall,
     HeadItem,
     Param,
     Pattern,
-    PatternCondition,
     PatternItem,
-    RestSpec,
     Rule,
     SemOidTerm,
     SetPattern,
@@ -36,6 +34,14 @@ from repro.msl.ast import (
 )
 from repro.msl.bindings import Bindings
 from repro.msl.errors import MSLInstantiationError
+from repro.msl.walk import (
+    ITEM_VAR,
+    OBJECT_VAR,
+    REST_VAR,
+    rebuild,
+    slots,
+    variables,
+)
 from repro.oem.model import OEMObject, SET_TYPE
 from repro.oem.oid import Oid, OidGenerator, SemanticOid
 
@@ -54,109 +60,41 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# variable inventory
+# variable and parameter inventories
 # ---------------------------------------------------------------------------
+
+
+def _params(node) -> tuple[str, ...]:
+    return tuple(
+        dict.fromkeys(
+            term.name for _, term, _ in slots(node) if term.__class__ is Param
+        )
+    )
 
 
 def term_variables(term: Term | None) -> set[str]:
     """Named (non-anonymous) variables occurring in a term."""
-    if isinstance(term, Var) and not term.is_anonymous:
-        return {term.name}
-    if isinstance(term, SemOidTerm):
-        names: set[str] = set()
-        for arg in term.args:
-            names |= term_variables(arg)
-        return names
-    return set()
+    return variables(term)
 
 
 def pattern_variables(pattern: Pattern) -> set[str]:
     """All named variables occurring anywhere in ``pattern``."""
-    names = term_variables(pattern.oid)
-    names |= term_variables(pattern.label)
-    names |= term_variables(pattern.type)
-    if pattern.object_var is not None and not pattern.object_var.is_anonymous:
-        names.add(pattern.object_var.name)
-    value = pattern.value
-    if isinstance(value, SetPattern):
-        for item in value.items:
-            if isinstance(item, PatternItem):
-                names |= pattern_variables(item.pattern)
-            elif isinstance(item, VarItem) and not item.var.is_anonymous:
-                names.add(item.var.name)
-        if value.rest is not None:
-            if not value.rest.var.is_anonymous:
-                names.add(value.rest.var.name)
-            for condition in value.rest.conditions:
-                names |= pattern_variables(condition)
-    else:
-        names |= term_variables(value)
-    return names
+    return variables(pattern)
 
 
 def head_variables(head: tuple[HeadItem, ...]) -> set[str]:
     """Named variables occurring in a rule head."""
-    names: set[str] = set()
-    for item in head:
-        if isinstance(item, Var):
-            if not item.is_anonymous:
-                names.add(item.name)
-        else:
-            names |= pattern_variables(item)
-    return names
-
-
-# ---------------------------------------------------------------------------
-# parameter inventory
-# ---------------------------------------------------------------------------
-
-
-def _collect_term_params(term: Term | None, found: dict[str, None]) -> None:
-    if term.__class__ is Param:
-        found[term.name] = None
-    elif term.__class__ is SemOidTerm:
-        for arg in term.args:
-            _collect_term_params(arg, found)
-
-
-def _collect_pattern_params(pattern: Pattern, found: dict[str, None]) -> None:
-    for term in (pattern.oid, pattern.label, pattern.type):
-        _collect_term_params(term, found)
-    value = pattern.value
-    if isinstance(value, SetPattern):
-        for item in value.items:
-            if isinstance(item, PatternItem):
-                _collect_pattern_params(item.pattern, found)
-        if value.rest is not None:
-            for condition in value.rest.conditions:
-                _collect_pattern_params(condition, found)
-    else:
-        _collect_term_params(value, found)
+    return variables(head)
 
 
 def pattern_params(pattern: Pattern) -> tuple[str, ...]:
     """Names of the ``$name`` placeholders in ``pattern``, in text order."""
-    found: dict[str, None] = {}
-    _collect_pattern_params(pattern, found)
-    return tuple(found)
+    return _params(pattern)
 
 
 def rule_params(rule: Rule) -> tuple[str, ...]:
     """Names of the ``$name`` placeholders anywhere in ``rule``."""
-    found: dict[str, None] = {}
-    for item in rule.head:
-        if isinstance(item, Pattern):
-            _collect_pattern_params(item, found)
-    for condition in rule.tail:
-        if isinstance(condition, PatternCondition):
-            _collect_pattern_params(condition.pattern, found)
-        elif isinstance(condition, Comparison):
-            _collect_term_params(condition.left, found)
-            _collect_term_params(condition.right, found)
-        else:
-            for arg in condition.args:
-                _collect_term_params(arg, found)
-    return tuple(found)
+    return _params(rule)
 
 
 # ---------------------------------------------------------------------------
@@ -174,24 +112,33 @@ def _atom_to_term(value: object) -> Term:
     )
 
 
+#: Slots that bind whole objects or sets: substitution leaves them.
+_BINDERS = (OBJECT_VAR, ITEM_VAR, REST_VAR)
+
+
+def _bound(bindings: Bindings, lenient: bool, kind: str, term, owner) -> Term:
+    """``term`` with its binding in place when it is a bound variable;
+    one bound to an object or a set stays when ``lenient``."""
+    if (
+        term.__class__ is not Var
+        or kind in _BINDERS
+        or term.name == ANONYMOUS
+        or term.name not in bindings
+    ):
+        return term
+    value = bindings[term.name]
+    if lenient and isinstance(value, (OEMObject, tuple)):
+        return term
+    return _atom_to_term(value)
+
+
 def subst_term(term: Term | None, bindings: Bindings) -> Term | None:
     """Replace bound variables in ``term`` with constants.
 
     Unbound variables are left untouched; set-bound variables cannot be
     expressed as constants and raise.
     """
-    if term is None:
-        return None
-    if isinstance(term, Var):
-        if term.is_anonymous or term.name not in bindings:
-            return term
-        return _atom_to_term(bindings[term.name])
-    if isinstance(term, SemOidTerm):
-        return SemOidTerm(
-            term.functor,
-            tuple(subst_term(arg, bindings) for arg in term.args),  # type: ignore[misc]
-        )
-    return term
+    return rebuild(term, _partial(_bound, bindings, False))
 
 
 def subst_pattern(pattern: Pattern, bindings: Bindings) -> Pattern:
@@ -199,58 +146,10 @@ def subst_pattern(pattern: Pattern, bindings: Bindings) -> Pattern:
 
     Variables bound to atoms become constants; variables bound to sets or
     objects are left in place (they cannot appear as constants — the view
-    expander handles them via definitions instead).
+    expander handles them via definitions instead), and so are object,
+    brace and Rest variables.
     """
-
-    def safe(term: Term | None) -> Term | None:
-        if term is None or isinstance(term, (Const, Param)):
-            return term
-        if isinstance(term, Var):
-            if term.is_anonymous or term.name not in bindings:
-                return term
-            value = bindings[term.name]
-            if isinstance(value, (OEMObject, tuple)):
-                return term
-            return _atom_to_term(value)
-        if isinstance(term, SemOidTerm):
-            return SemOidTerm(
-                term.functor, tuple(safe(a) for a in term.args)  # type: ignore[misc]
-            )
-        return term
-
-    value = pattern.value
-    if isinstance(value, SetPattern):
-        new_items: list[PatternItem | VarItem] = []
-        for item in value.items:
-            if isinstance(item, PatternItem):
-                new_items.append(
-                    PatternItem(
-                        subst_pattern(item.pattern, bindings), item.descendant
-                    )
-                )
-            else:
-                new_items.append(item)
-        new_rest = value.rest
-        if new_rest is not None and new_rest.conditions:
-            new_rest = RestSpec(
-                new_rest.var,
-                tuple(
-                    subst_pattern(c, bindings) for c in new_rest.conditions
-                ),
-            )
-        new_value: Term | SetPattern = SetPattern(tuple(new_items), new_rest)
-    else:
-        substituted = safe(value)
-        assert substituted is not None
-        new_value = substituted
-
-    return Pattern(
-        label=safe(pattern.label) or pattern.label,
-        value=new_value,
-        type=safe(pattern.type),
-        oid=safe(pattern.oid),
-        object_var=pattern.object_var,
-    )
+    return rebuild(pattern, _partial(_bound, bindings, True))
 
 
 def instantiate_params_in_pattern(
@@ -264,66 +163,21 @@ def instantiate_params_in_pattern(
     unless ``partial`` (it is then left in place).  A pattern without
     placeholders comes back as the same object.
     """
-    value = pattern.value
-    if value.__class__ is SetPattern:
-        new_value: Term | SetPattern = _fill_set(value, params, partial)
-    else:
-        new_value = _fill_param(value, params, partial)
-    label = _fill_param(pattern.label, params, partial)
-    type_ = _fill_param(pattern.type, params, partial)
-    oid = _fill_param(pattern.oid, params, partial)
-    if (
-        new_value is value
-        and label is pattern.label
-        and type_ is pattern.type
-        and oid is pattern.oid
-    ):
-        return pattern
-    return Pattern(label, new_value, type_, oid, pattern.object_var)
+    return substitute_params(pattern, params, partial)
 
 
-def _fill_set(
-    setpat: SetPattern, params: Mapping[str, object], partial: bool
-) -> SetPattern:
-    changed = False
-    items: list[PatternItem | VarItem] = []
-    for item in setpat.items:
-        if item.__class__ is PatternItem:
-            filled = instantiate_params_in_pattern(
-                item.pattern, params, partial
-            )
-            if filled is not item.pattern:
-                item = PatternItem(filled, item.descendant)
-                changed = True
-        items.append(item)
-    rest = setpat.rest
-    if rest is not None and rest.conditions:
-        conditions = tuple(
-            instantiate_params_in_pattern(c, params, partial)
-            for c in rest.conditions
+def _filled(
+    params: Mapping[str, object], partial: bool, kind: str, term, owner
+) -> Term:
+    if term.__class__ is not Param:
+        return term
+    if term.name not in params:
+        if partial:
+            return term
+        raise MSLInstantiationError(
+            f"no value supplied for parameter ${term.name}"
         )
-        if conditions != rest.conditions:  # identity first: cheap
-            rest = RestSpec(rest.var, conditions)
-            changed = True
-    return SetPattern(tuple(items), rest) if changed else setpat
-
-
-def _fill_param(
-    term: Term | None, params: Mapping[str, object], partial: bool = False
-) -> Term | None:
-    if term.__class__ is Param:
-        if term.name not in params:
-            if partial:
-                return term
-            raise MSLInstantiationError(
-                f"no value supplied for parameter ${term.name}"
-            )
-        return _atom_to_term(params[term.name])
-    if term.__class__ is SemOidTerm:
-        args = tuple(_fill_param(a, params, partial) for a in term.args)
-        if args != term.args:
-            return SemOidTerm(term.functor, args)  # type: ignore[arg-type]
-    return term
+    return _atom_to_term(params[term.name])
 
 
 def substitute_params(
@@ -338,33 +192,7 @@ def substitute_params(
     took out of a client query.  Parts without placeholders are shared
     with ``node``, not copied.
     """
-    cls = node.__class__
-    if cls is Pattern:
-        return instantiate_params_in_pattern(node, params, partial)
-    if cls is PatternCondition:
-        filled = instantiate_params_in_pattern(node.pattern, params, partial)
-        if filled is node.pattern:
-            return node
-        return PatternCondition(filled, node.source)
-    if cls is Comparison:
-        left = _fill_param(node.left, params, partial)
-        right = _fill_param(node.right, params, partial)
-        if left is node.left and right is node.right:
-            return node
-        return Comparison(left, node.op, right)  # type: ignore[arg-type]
-    if cls is ExternalCall:
-        args = tuple(_fill_param(a, params, partial) for a in node.args)
-        if args == node.args:
-            return node
-        return ExternalCall(node.name, args)  # type: ignore[arg-type]
-    if cls is tuple:
-        return tuple(substitute_params(n, params, partial) for n in node)
-    if cls is Rule:
-        return Rule(
-            substitute_params(node.head, params, partial),
-            substitute_params(node.tail, params, partial),
-        )
-    return _fill_param(node, params, partial)
+    return rebuild(node, _partial(_filled, params, partial))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from repro.msl.ast import (
 )
 from repro.msl.compile import CompileCache
 from repro.msl.errors import MSLSemanticError
+from repro.msl.walk import children
 from repro.oem.compare import structural_key
 from repro.oem.model import OEMObject
 from repro.oem.oid import Oid, OidGenerator
@@ -94,17 +95,7 @@ def labelled_children(pattern: Pattern) -> Iterator[tuple[str, object]]:
     narrow on any of them (on ``(label, value)`` when the value term is
     a :class:`Const`).
     """
-    value = pattern.value
-    if not isinstance(value, SetPattern):
-        return
-    children = [
-        item.pattern
-        for item in value.items
-        if isinstance(item, PatternItem) and not item.descendant
-    ]
-    if value.rest is not None:
-        children.extend(value.rest.conditions)
-    for child in children:
+    for child in children(pattern):
         if isinstance(child.label, Const):
             yield str(child.label.value), child.value
 

@@ -17,19 +17,10 @@ comparisons the mediator must apply to the returned bindings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from repro.msl.ast import (
-    Comparison,
-    Const,
-    Param,
-    Pattern,
-    PatternItem,
-    RestSpec,
-    SetPattern,
-    Term,
-    Var,
-    VarItem,
-)
+from repro.msl.ast import Comparison, Const, Param, Pattern, Term, Var
+from repro.msl.walk import VALUE, descendants, rebuild
 
 __all__ = [
     "Capability",
@@ -105,72 +96,32 @@ class Capability:
         are *not* relaxable (there is no variable trick that recovers
         them) and raise :class:`CapabilityViolation`.
         """
+        wildcards = () if self.supports_wildcards else descendants(pattern)
+        if wildcards:
+            raise CapabilityViolation(
+                f"source capability {self.name!r} does not support"
+                f" descendant ('..') patterns: {wildcards[0]}"
+            )
         residual: list[Comparison] = []
-        relaxed = self._relax_pattern(pattern, 0, residual)
+        relaxed = rebuild(pattern, partial(self._relaxed, pattern, residual))
         return relaxed, residual
 
-    # _relax_pattern/_relax_set are methods taking the residual list,
-    # not closures over it: two closures that call each other are a
-    # reference cycle, and every wrapper call splits its pattern
-
-    def _relax_pattern(
-        self, p: Pattern, depth: int, residual: list[Comparison]
-    ) -> Pattern:
-        value = p.value
-        # a constant value slot at depth>=1 is a filter on this label
-        # (a template's lifted constant included: whether it can be
-        # shipped depends on the label, not on the value)
+    def _relaxed(
+        self, root: Pattern, residual: list[Comparison], kind: str, term, p
+    ):
+        # a constant value below the top is a filter on its label (a
+        # template's lifted constant included: whether it can be shipped
+        # depends on the label, not on the value)
         if (
-            depth >= 1
-            and isinstance(value, (Const, Param))
+            kind is VALUE
+            and p is not root
+            and term.__class__ in (Const, Param)
             and not self.can_filter(_label_text(p.label))
         ):
             var = Var(f"_Cap{len(residual) + 1}")
-            residual.append(Comparison(var, "=", value))
-            return Pattern(
-                label=p.label,
-                value=var,
-                type=p.type,
-                oid=p.oid,
-                object_var=p.object_var,
-            )
-        if isinstance(value, SetPattern):
-            return Pattern(
-                label=p.label,
-                value=self._relax_set(value, depth, residual),
-                type=p.type,
-                oid=p.oid,
-                object_var=p.object_var,
-            )
-        return p
-
-    def _relax_set(
-        self, sp: SetPattern, depth: int, residual: list[Comparison]
-    ) -> SetPattern:
-        items: list[PatternItem | VarItem] = []
-        for item in sp.items:
-            if isinstance(item, VarItem):
-                items.append(item)
-                continue
-            if item.descendant and not self.supports_wildcards:
-                raise CapabilityViolation(
-                    f"source capability {self.name!r} does not support"
-                    f" descendant ('..') patterns: {item.pattern}"
-                )
-            items.append(
-                PatternItem(
-                    self._relax_pattern(item.pattern, depth + 1, residual),
-                    item.descendant,
-                )
-            )
-        rest = sp.rest
-        if rest is not None and rest.conditions:
-            new_conditions = tuple(
-                self._relax_pattern(c, depth + 1, residual)
-                for c in rest.conditions
-            )
-            rest = RestSpec(rest.var, new_conditions)
-        return SetPattern(tuple(items), rest)
+            residual.append(Comparison(var, "=", term))
+            return var
+        return term
 
 
 def _label_text(label: Term) -> object:

@@ -176,7 +176,7 @@ class OEMStoreWrapper(Wrapper):
         for position, obj in enumerate(self._objects):
             label_index[obj.label].add(position)
             for child in obj.children:
-                if child.is_atomic and not isinstance(child.value, bytes):
+                if child.is_atomic:
                     try:
                         index[(child.label, child.value)].add(position)
                     except TypeError:  # unhashable — skip silently

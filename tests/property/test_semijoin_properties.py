@@ -15,8 +15,9 @@ join keys.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mediator import Mediator
+from repro.mediator import STRATEGIES, Mediator
 from repro.oem.builders import atom, obj
+from repro.oem.compare import structural_key
 from repro.relational.database import Database
 from repro.relational.schema import Attribute, RelationSchema
 from repro.wrappers import OEMStoreWrapper, RelationalWrapper, SourceRegistry
@@ -111,3 +112,22 @@ class TestBatchedEqualsPerTuple:
         finally:
             batched.close()
             per_tuple.close()
+
+
+class TestStrategiesAgree:
+    @given(scenario=bind_join_scenarios())
+    @settings(max_examples=120, deadline=None)
+    def test_every_strategy_answers_the_same_set(self, scenario):
+        """Bind joins, hash joins and every join order compare join
+        keys as ``values_equal`` does: ``1`` meets ``1.0`` in each."""
+        forests = build_forests(scenario)
+        answers = set()
+        for strategy in STRATEGIES:
+            mediator = build_mediator(scenario, forests, strategy=strategy)
+            try:
+                answers.add(
+                    frozenset(map(structural_key, mediator.query(QUERY)))
+                )
+            finally:
+                mediator.close()
+        assert len(answers) == 1

@@ -22,7 +22,7 @@ from repro.mediator.tables import BindingTable, key_array
 from repro.msl.ast import Comparison, Const, Var
 from repro.msl.parser import parse_query, parse_specification
 from repro.oem import OEMObject, atom
-from repro.msl.bindings import value_key
+from repro.msl.bindings import values_equal
 
 from ..reference import canonical, reference_answer
 
@@ -229,10 +229,9 @@ class TestCLIFlag:
 
 
 def reference_join(left, right):
-    """Nested-loop natural join on ``value_key`` equality — the
-    semantics the columnar hash join must reproduce.  (The historical
-    implementation bucketed rows by ``value_key`` before verifying, so
-    key equality *is* the join predicate.)"""
+    """Nested-loop natural join on ``values_equal`` — the semantics the
+    columnar hash join must reproduce, and the one bind joins and the
+    reference evaluator use (``1`` joins ``1.0``, never ``True``)."""
     shared = [c for c in left.columns if c in right.columns]
     out_columns = list(left.columns) + [
         c for c in right.columns if c not in shared
@@ -243,8 +242,7 @@ def reference_join(left, right):
     for lrow in left.rows:
         for rrow in right.rows:
             if all(
-                value_key(lrow[lp]) == value_key(rrow[rp])
-                for lp, rp in pairs
+                values_equal(lrow[lp], rrow[rp]) for lp, rp in pairs
             ):
                 rows.append(lrow + tuple(rrow[p] for p in extra))
     return out_columns, rows

@@ -217,3 +217,16 @@ class TestViewExpander:
             for c in lr.rule.pattern_conditions()
         }
         assert sources == {"s1", "s2"}
+
+    def test_spliced_object_variable_leaves_its_conditions_in_the_tail(self):
+        """``{X}`` in a query head splices X's definition in; the
+        condition pushed into the view's Rest stays in the tail only."""
+        spec = parse_specification("<v {<b B> | R}> :- <r {<b B> | R}>@s")
+        expander = ViewExpander("m", spec, push_mode="needed")
+        program = expander.expand(
+            parse_query("<o {X}> :- X:<v {<a 1>}>@m")
+        )
+        (logical,) = program
+        assert str(logical.rule) == (
+            "<o {<v {<b B_r1> | R_r1}>}> :- <r {<b B_r1> | R_r1:{<a 1>}}>@s"
+        )
