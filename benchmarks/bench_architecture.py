@@ -4,13 +4,14 @@ Mediators are Sources, so views stack: application → mediator →
 mediator → wrappers.  This benchmark measures the per-layer cost of
 stacking (each layer re-expands, re-plans, and re-ships queries) and
 the dedup ablation (footnote 9: the authors' engine lacked duplicate
-elimination; ours toggles it).
+elimination; the answer tail's is switched off here).
 """
 
 import pytest
 
 from repro.datasets import build_scaled_scenario
-from repro.mediator import Mediator
+from repro.mediator import Mediator, fuse_objects
+from repro.mediator import mediator as mediator_module
 
 PEOPLE = 100
 
@@ -86,47 +87,34 @@ def test_layer_overhead_artifact(stacked, artifact_sink, benchmark):
 
 
 class TestDedupAblation:
-    """Footnote 9: duplicate elimination on/off."""
+    """Footnote 9: the answer tail's duplicate elimination on/off."""
 
-    def build(self, deduplicate):
-        scenario = build_scaled_scenario(PEOPLE, push_mode="complete")
-        if not deduplicate:
-            # MSL answers are duplicate-free by definition, so the
-            # planner has no switch for this: flip the node-level
-            # flags of each plan it hands back
-            optimizer = scenario.mediator.optimizer
-            plan_program = optimizer.plan_program
+    QUERY = "X :- X:<cs_person {<rel 'student'>}>@med"
 
-            def undeduplicated(program):
-                plan = plan_program(program)
-                for node in plan.nodes():
-                    if hasattr(node, "deduplicate"):
-                        node.deduplicate = False
-                return plan
-
-            optimizer.plan_program = undeduplicated
-        return scenario
+    @staticmethod
+    def without_dedup(monkeypatch):
+        # MSL answers are duplicate-free by definition, so nothing in
+        # the mediator switches this off: its answer tail is replaced by
+        # one that fuses semantic oids but drops no duplicate
+        monkeypatch.setattr(mediator_module, "finish", fuse_objects)
 
     def test_with_dedup(self, benchmark):
-        scenario = self.build(True)
-        result = benchmark(
-            scenario.mediator.answer, "X :- X:<cs_person {<rel 'student'>}>@med"
-        )
+        scenario = build_scaled_scenario(PEOPLE, push_mode="complete")
+        result = benchmark(scenario.mediator.answer, self.QUERY)
         keys = [str(o) for o in result]
         assert len(keys) == len(set(keys))
 
-    def test_without_dedup(self, benchmark, artifact_sink):
-        scenario = self.build(False)
-        result = benchmark(
-            scenario.mediator.answer, "X :- X:<cs_person {<rel 'student'>}>@med"
-        )
-        with_dedup = self.build(True).mediator.answer(
-            "X :- X:<cs_person {<rel 'student'>}>@med"
-        )
+    def test_without_dedup(self, benchmark, artifact_sink, monkeypatch):
+        with_dedup = build_scaled_scenario(
+            PEOPLE, push_mode="complete"
+        ).mediator.answer(self.QUERY)
+        scenario = build_scaled_scenario(PEOPLE, push_mode="complete")
+        self.without_dedup(monkeypatch)
+        result = benchmark(scenario.mediator.answer, self.QUERY)
         artifact_sink(
             "Footnote 9 — duplicate elimination ablation",
             f"results with dedup: {len(with_dedup)}, without:"
-            f" {len(result)} (complete push mode multiplies rules, so"
-            f" dedup-off returns duplicated objects)",
+            f" {len(result)} (the constructors' row dedup of footnote 3"
+            f" runs either way)",
         )
         assert len(result) >= len(with_dedup)

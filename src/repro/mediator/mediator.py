@@ -62,7 +62,6 @@ from repro.governor.budget import (
 )
 from repro.governor.sanitizer import AnswerSanitizer, DEFAULT_MAX_DEPTH
 from repro.mediator.engine import EXPORT, DatamergeEngine, ExecutionContext
-from repro.mediator.fusion import fuse_objects, has_semantic_oids
 from repro.mediator.logical import LogicalDatamergeProgram, LogicalRule
 from repro.mediator.optimizer import CostBasedOptimizer
 from repro.mediator.pipeline import (
@@ -91,7 +90,7 @@ from repro.msl.walk import TYPE, descendants, slots
 from repro.obs.insight import AnalyzeReport, QueryInsight
 from repro.obs.span import current_span, status_of_exception
 from repro.obs.telemetry import Telemetry
-from repro.oem.compare import eliminate_duplicates, structural_key
+from repro.oem.compare import finish, structural_key
 from repro.oem.model import OEMObject
 from repro.oem.oid import OidGenerator
 from repro.reliability.clock import Clock, MonotonicClock
@@ -413,8 +412,7 @@ class Mediator(Source):
                     op.program = (planned.program, params)
                     span.set_attribute("rules", len(planned.program))
                 objects = self._execute(planned, params, op)
-                if has_semantic_oids(objects):
-                    objects = fuse_objects(objects)
+            objects = finish(objects)
             if op.governor is not None:
                 # final guard: covers the materialization paths, which
                 # never run a constructor node
@@ -641,9 +639,7 @@ class Mediator(Source):
                     )
                     planned, params = self._planned(shape)
                     results.extend(self._execute(planned, params, op))
-                results = eliminate_duplicates(results)
-                if has_semantic_oids(results):
-                    results = fuse_objects(results)
+                results = finish(results)
             if op.governor is not None:
                 results = op.governor.enforce_result_limit(list(results))
             return results
@@ -1247,16 +1243,11 @@ class Mediator(Source):
             new_objects: list[OEMObject] = []
             for rule in self.specification.rules:
                 new_objects.extend(self._evaluate_rule(rule, forests))
-            if has_semantic_oids(new_objects):
-                new_objects = fuse_objects(new_objects)
+            new_objects = finish(new_objects)
             keys = {structural_key(obj) for obj in new_objects}
             if keys <= seen_keys:
                 return view
-            merged = eliminate_duplicates(list(view) + new_objects)
-            if has_semantic_oids(merged):
-                merged = fuse_objects(merged)
-                merged = eliminate_duplicates(merged)
-            view = merged
+            view = finish(view + new_objects)
             seen_keys |= keys
         raise MediatorError(
             f"recursive view {self.name!r} did not reach a fixpoint in"

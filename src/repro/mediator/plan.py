@@ -14,9 +14,10 @@ executed by the engine".  The node types of Figure 3.6 are all here —
 plus the supporting nodes a complete engine needs: :class:`FilterNode`
 (mediator-side compensation of conditions a source cannot evaluate),
 :class:`JoinNode` (hash joins of independently fetched patterns), and
-:class:`UnionNode` (multi-rule logical programs).  Duplicates are
-eliminated where the semantics needs it: by the constructor and the
-union.
+:class:`UnionNode` (multi-rule logical programs).  The constructor
+deduplicates head bindings (footnote 3); the answer's objects are
+deduplicated and fused after the plan, by
+:func:`~repro.oem.compare.finish`.
 
 The figure's extractor (``epw``) is not a node of its own: every
 query a node ships is a projection query, and its answer enters the
@@ -73,7 +74,6 @@ from repro.msl.substitute import (
     rule_params,
     substitute_params,
 )
-from repro.oem.compare import eliminate_duplicates
 from repro.oem.model import OEMObject
 from repro.oem.oid import OidGenerator
 from repro.wrappers.base import Carrier
@@ -895,22 +895,16 @@ class ConstructorNode(RowOperatorNode):
     row, assigns [the values] to the N, R, Rest1, and Rest2 values in
     cp, creating one of the final result objects."  Head-variable
     bindings are projected and deduplicated first (the MSL semantics of
-    footnote 3), and structurally duplicated objects are eliminated —
-    the feature the authors' engine lacked (footnote 9) but the
-    semantics prescribe.  Every object is built by the compiled head
-    builders (:func:`~repro.msl.compile.compile_head_item`), which also
-    raise the head's instantiation errors.
+    footnote 3).  Structurally duplicated objects (footnote 9) are left
+    to the answer's :func:`~repro.oem.compare.finish`, which also fuses
+    semantic oids across rules.  Every object is built by the compiled
+    head builders (:func:`~repro.msl.compile.compile_head_item`), which
+    also raise the head's instantiation errors.
     """
 
-    def __init__(
-        self,
-        input_node: PlanNode,
-        head: Sequence[HeadItem],
-        deduplicate: bool = True,
-    ) -> None:
+    def __init__(self, input_node: PlanNode, head: Sequence[HeadItem]) -> None:
         super().__init__((input_node,))
         self.head = tuple(head)
-        self.deduplicate = deduplicate
         self._needed = sorted(head_variables(self.head))
         # the lifted constants the head mentions, in a fixed order: each
         # call's values ride behind a row's variables, in columns named
@@ -936,17 +930,15 @@ class ConstructorNode(RowOperatorNode):
         avail_positions = [positions[v] for v in available]
         for row in source.rows:
             add(tuple(row[p] for p in avail_positions))
-        if self.deduplicate:
-            add, distinct = sink_out(available, governor)
-            add_distinct(
-                projected.rows,
-                [
-                    key_array([row[p] for row in projected.rows])[0]
-                    for p in range(len(available))
-                ],
-                add,
-            )
-            projected = distinct
+        add, distinct = sink_out(available, governor)
+        add_distinct(
+            projected.rows,
+            [
+                key_array([row[p] for row in projected.rows])[0]
+                for p in range(len(available))
+            ],
+            add,
+        )
         objects: list[OEMObject] = []
         oidgen = context.oidgen
         constants: tuple = ()
@@ -966,15 +958,13 @@ class ConstructorNode(RowOperatorNode):
             builders = self._builders[available] = tuple(
                 compile_head_item(item, available) for item in self.head
             )
-        for row in projected.rows:
+        for row in distinct.rows:
             if governor is not None and not governor.charge_result_object():
                 break  # truncate mode: stop constructing, keep the run
             if constants:
                 row += constants
             for build in builders:
                 objects.extend(build(row, oidgen))
-        if self.deduplicate:
-            objects = eliminate_duplicates(objects)
         add, out = make_out((RESULT_COLUMN,), governor)
         for obj in objects:
             add((obj,))
@@ -992,12 +982,6 @@ class UnionNode(PlanNode):
     considered; resulting objects will be added to the result."
     """
 
-    def __init__(
-        self, inputs: Sequence[PlanNode], deduplicate: bool = True
-    ) -> None:
-        super().__init__(tuple(inputs))
-        self.deduplicate = deduplicate
-
     def execute(
         self, inputs: list[BindingTable], context: "ExecutionContext"
     ) -> BindingTable:
@@ -1011,8 +995,6 @@ class UnionNode(PlanNode):
                 )
             for row in table.rows:
                 add(row)
-        if self.deduplicate:
-            result = result.distinct()
         return result
 
     def describe(self, params=None) -> str:

@@ -12,7 +12,7 @@ Physically the table is a hybrid row/columnar store.  The row list is
 authoritative — governor row-admission accounting, plan nodes, and the
 display form all see the classic rows/columns API — but the relational
 operations that hash on values (:meth:`natural_join`,
-:meth:`distinct`) work on lazily materialised struct-of-arrays views:
+:func:`add_distinct`) work on lazily materialised struct-of-arrays views:
 per-column arrays of memoized ``value_key`` results built once per
 (table, column) via :meth:`key_column` instead of being recomputed for
 every probe of every row.  Columns that hold only exact ``str`` atoms
@@ -339,21 +339,6 @@ class BindingTable:
                     add(
                         left + tuple(right[p] for p in positions_other_only)
                     )
-        return result
-
-    def distinct(self, columns: Sequence[str] | None = None) -> "BindingTable":
-        """Duplicate elimination on ``columns`` (default: all)."""
-        interesting = (
-            [self.position(c) for c in columns]
-            if columns is not None
-            else list(range(len(self.columns)))
-        )
-        result = BindingTable(self.columns, governor=self.governor)
-        add_distinct(
-            self.rows,
-            [self.key_column(p)[0] for p in interesting],
-            result._appender(),
-        )
         return result
 
     # -- display (the Figure 3.6 rectangles) ------------------------------

@@ -291,14 +291,15 @@ def _unify_slot(
         if isinstance(query_term, Var):
             return unifier if query_term.is_anonymous else None
         return None
-    if isinstance(query_term, Const):
+    if isinstance(query_term, (Const, Param)):
+        # a parameter is a lifted semantic-oid argument (lift)
         if isinstance(head_term, Const):
+            if isinstance(query_term, Param):
+                _disagree(query_term, head_term)
             return unifier if query_term.value == head_term.value else None
         if isinstance(head_term, Var):
             return unifier.map_var(head_term.name, query_term)
-        if isinstance(head_term, SemOidTerm):
-            return None  # constant oid never equals a fresh semantic oid
-        return None
+        return None  # a constant oid never equals a fresh semantic oid
     if isinstance(query_term, Var):
         if query_term.is_anonymous:
             return unifier

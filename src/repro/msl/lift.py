@@ -4,14 +4,17 @@ Section 3.4's parameterized queries ship a ``$X`` template and fill the
 value in per tuple; a client query's constants are the zeroth row of
 that bind join.  :func:`lift` turns a rule into ``(template,
 constants)``: every constant in a *value* position — a pattern's value
-slot at any depth, a comparison operand — becomes a :class:`Param`,
-and everything a plan's shape depends on (labels, types, oids, source
-names, external-call arguments, the head) stays.  Equal constants
-(type-strict, as :class:`Const` equality is) lift to the same
-parameter, so equality between them stays decidable on the template.
-Parameters are numbered in text order and named ``#0``, ``#1``, … — a
-name no MSL text can spell, so a lifted parameter never collides with
-one a user or the optimizer wrote.
+slot at any depth, an argument of a tail pattern's semantic oid, a
+comparison operand — becomes a :class:`Param`, and everything a plan's
+shape depends on (labels, types, plain oids, source names,
+external-call arguments, the head) stays.  A semantic oid's argument is
+a value: a bind join through ``&person(N)`` ships one
+``&person('ann')`` query per name, and all of them are one shape.
+Equal constants (type-strict, as :class:`Const` equality is) lift to
+the same parameter, so equality between them stays decidable on the
+template.  Parameters are numbered in text order and named ``#0``,
+``#1``, … — a name no MSL text can spell, so a lifted parameter never
+collides with one a user or the optimizer wrote.
 
 Whatever is computed from a template alone — its parse, its logical
 program, its physical plan, its compiled matcher — is computed once per
@@ -32,6 +35,7 @@ from repro.msl.ast import (
     PatternItem,
     RestSpec,
     Rule,
+    SemOidTerm,
     SetPattern,
 )
 from repro.msl.errors import MSLError
@@ -78,18 +82,25 @@ def _param(constant: Const, seen: dict, values: list) -> Param:
 
 
 def _lift_pattern(pattern: Pattern, seen: dict, values: list) -> Pattern:
+    # the oid first: it prints first, and constants number in text order
+    oid = pattern.oid
+    if oid.__class__ is SemOidTerm:
+        args = tuple(
+            _param(arg, seen, values) if arg.__class__ is Const else arg
+            for arg in oid.args
+        )
+        if args != oid.args:
+            oid = SemOidTerm(oid.functor, args)
     value = pattern.value
     if value.__class__ is Const:
         lifted: object = _param(value, seen, values)
     elif value.__class__ is SetPattern:
         lifted = _lift_set(value, seen, values)
-        if lifted is value:
-            return pattern
     else:
+        lifted = value
+    if lifted is value and oid is pattern.oid:
         return pattern
-    return Pattern(
-        pattern.label, lifted, pattern.type, pattern.oid, pattern.object_var
-    )
+    return Pattern(pattern.label, lifted, pattern.type, oid, pattern.object_var)
 
 
 def _lift_set(setpat: SetPattern, seen: dict, values: list) -> SetPattern:

@@ -1,4 +1,5 @@
-"""Structural comparison, hashing, and duplicate elimination for OEM.
+"""Structural comparison, hashing, duplicate elimination and object
+fusion for OEM.
 
 The MSL semantics call for duplicate elimination of view objects "in the
 OEM context" (the paper's footnote 9 admits their engine lacked the
@@ -7,6 +8,20 @@ they have the same label, the same type, and — recursively — the same
 value, where set values compare as **bags turned into sets**: order is
 irrelevant and duplicated members collapse.  Object-ids are ignored,
 because the ids of view objects are arbitrary.
+
+Section 2, "Other Features": "MSL allows the specification of *semantic
+object-id's* that semantically identify an exported object ... Semantic
+object-id's provide a powerful mechanism for object fusion."  (The full
+treatment is the companion paper [PGM], "Object Fusion in Mediator
+Systems".)  A rule head gives its object the oid term ``&person(N)``;
+every binding — possibly produced by *different rules* — that evaluates
+the term to the same :class:`~repro.oem.oid.SemanticOid` describes the
+*same* view object, so their sub-objects are merged into one fused
+object (:func:`fuse_objects`).
+
+:func:`finish` is both steps in the semantics' order, and the one place
+an answer's objects are deduplicated and fused: every answer route of a
+mediator, a wrapper and a sharded source ends in it.
 """
 
 from __future__ import annotations
@@ -14,12 +29,16 @@ from __future__ import annotations
 from typing import Iterable, Hashable
 
 from repro.oem.model import OEMObject
+from repro.oem.oid import SemanticOid
 
 __all__ = [
     "structural_key",
     "structural_hash",
     "structurally_equal",
     "eliminate_duplicates",
+    "finish",
+    "fuse_objects",
+    "has_semantic_oids",
     "is_subobject_set",
     "key_computations",
 ]
@@ -88,6 +107,113 @@ def eliminate_duplicates(objects: Iterable[OEMObject]) -> list[OEMObject]:
             seen.add(key)
             unique.append(obj)
     return unique
+
+
+def has_semantic_oids(objects: Iterable[OEMObject]) -> bool:
+    """True when any top-level object carries a semantic oid."""
+    return any(isinstance(obj.oid, SemanticOid) for obj in objects)
+
+
+def finish(objects: Iterable[OEMObject]) -> list[OEMObject]:
+    """The answer ``objects`` stand for: structural duplicates dropped,
+    first occurrences kept (footnote 9), then objects sharing a
+    semantic oid fused (:func:`fuse_objects`).
+
+    An OEM answer holds no two objects with one oid; every answer route
+    ends here, so the plan route, the materialization route, a
+    wrapper's answer and a sharded source's agree.  The dedup pass
+    also notes whether any kept object has a semantic oid, so an answer
+    without one is not walked again.
+    """
+    seen: set[Hashable] = set()
+    unique: list[OEMObject] = []
+    semantic = False
+    for obj in objects:
+        key = structural_key(obj)
+        if key not in seen:
+            seen.add(key)
+            unique.append(obj)
+            if obj.oid.__class__ is SemanticOid:
+                semantic = True
+    return fuse_objects(unique) if semantic else unique
+
+
+def fuse_objects(objects: Iterable[OEMObject]) -> list[OEMObject]:
+    """Merge objects whose semantic object-ids coincide.
+
+    Objects with plain oids pass through untouched (their identity is
+    arbitrary, so there is nothing to fuse on).  For objects sharing a
+    :class:`SemanticOid`:
+
+    * their labels must agree (a semantic oid names one object; rules
+      disagreeing on its label is a specification error);
+    * atomic objects must carry equal values;
+    * set objects are merged by unioning their sub-objects (recursively
+      fusing sub-objects that themselves carry semantic oids), with
+      structural duplicate elimination.
+
+    Order is preserved: a fused object appears at the position of its
+    first contributor.
+    """
+    order: list[object] = []
+    groups: dict[object, list[OEMObject]] = {}
+    passthrough: dict[int, OEMObject] = {}
+
+    for position, obj in enumerate(objects):
+        if isinstance(obj.oid, SemanticOid):
+            key = obj.oid
+            if key not in groups:
+                groups[key] = []
+                order.append(("fuse", key))
+            groups[key].append(obj)
+        else:
+            order.append(("plain", position))
+            passthrough[position] = obj
+
+    result: list[OEMObject] = []
+    for kind, key in order:
+        if kind == "plain":
+            result.append(passthrough[key])  # type: ignore[index]
+            continue
+        result.append(_fuse_group(groups[key]))  # type: ignore[index]
+    return result
+
+
+def _fuse_group(group: list[OEMObject]) -> OEMObject:
+    first = group[0]
+    if len(group) == 1:
+        if first.is_set and has_semantic_oids(first.children):
+            return first.with_children(fuse_objects(first.children))
+        return first
+    labels = {obj.label for obj in group}
+    if len(labels) != 1:
+        raise ValueError(
+            f"objects with semantic oid {first.oid} disagree on label:"
+            f" {sorted(labels)}"
+        )
+    if all(obj.is_atomic for obj in group):
+        values = {obj.value for obj in group}
+        if len(values) != 1:
+            raise ValueError(
+                f"atomic objects with semantic oid {first.oid} disagree"
+                f" on value: {sorted(map(repr, values))}"
+            )
+        return first
+    if any(obj.is_atomic for obj in group):
+        raise ValueError(
+            f"objects with semantic oid {first.oid} mix atomic and set"
+            f" values"
+        )
+    merged_children: list[OEMObject] = []
+    for obj in group:
+        merged_children.extend(obj.children)
+    fused_children = fuse_objects(merged_children)
+    return OEMObject(
+        first.label,
+        eliminate_duplicates(fused_children),
+        "set",
+        first.oid,
+    )
 
 
 def is_subobject_set(

@@ -23,7 +23,6 @@ from repro.reliability.deadline import (
     AdaptiveTimeoutConfig,
     AdaptiveTimeoutPolicy,
     DeadlineSlicer,
-    LatencyTracker,
     call_allowance_scope,
     current_call_allowance,
 )

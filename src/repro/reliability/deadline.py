@@ -7,14 +7,11 @@ This module slices the run deadline into per-stage and per-call time
 allowances and derives per-source timeouts from observed latency, so a
 stage never spends the whole query budget waiting on one straggler:
 
-* :class:`LatencyTracker` — a small thread-safe sliding window of
-  latency samples per source with nearest-rank percentiles (the same
-  estimator the health registry uses), for components that observe
-  latency without a :class:`~repro.reliability.health.HealthRegistry`;
 * :class:`AdaptiveTimeoutPolicy` — replaces a static source timeout
   with ``multiplier x pXX`` of the source's observed latency (from the
-  health registry's window when available, its own tracker otherwise),
-  falling back to the static value while the window is cold;
+  :class:`~repro.reliability.health.HealthRegistry` window, the one
+  latency store), falling back to the static value while the window is
+  cold;
 * :class:`DeadlineSlicer` — splits the governor's remaining wall-clock
   budget evenly across the plan stages still to run
   (``remaining / stages_left``) and caps each source call at
@@ -32,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -41,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.reliability.health import HealthRegistry
 
 __all__ = [
-    "LatencyTracker",
     "AdaptiveTimeoutConfig",
     "AdaptiveTimeoutPolicy",
     "DeadlineSlicer",
@@ -76,55 +71,6 @@ def call_allowance_scope(seconds: float | None) -> Iterator[None]:
         _ALLOWANCE.reset(token)
 
 
-def _nearest_rank(ordered: list[float], quantile: float) -> float:
-    """Nearest-rank percentile over a sorted sample list."""
-    rank = max(1, -(-int(quantile * 10000) * len(ordered) // 10000))
-    rank = min(rank, len(ordered))
-    return ordered[rank - 1]
-
-
-class LatencyTracker:
-    """Thread-safe per-source sliding windows of latency samples.
-
-    The estimator matches
-    :meth:`~repro.reliability.health.SourceHealth.latency_percentile`
-    (nearest rank on the sorted window) so figures agree wherever both
-    are reported.
-    """
-
-    def __init__(self, window: int = 256) -> None:
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        self.window = window
-        self._samples: dict[str, list[float]] = {}
-        self._lock = threading.Lock()
-
-    def observe(self, source: str, seconds: float) -> None:
-        with self._lock:
-            samples = self._samples.setdefault(source, [])
-            samples.append(seconds)
-            if len(samples) > self.window:
-                del samples[: len(samples) - self.window]
-
-    def count(self, source: str) -> int:
-        with self._lock:
-            return len(self._samples.get(source, ()))
-
-    def quantile(
-        self, source: str, quantile: float, min_samples: int = 1
-    ) -> float | None:
-        """The ``quantile`` latency, or ``None`` while the window is
-        colder than ``min_samples``."""
-        if not 0.0 <= quantile <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {quantile}")
-        with self._lock:
-            samples = self._samples.get(source)
-            if not samples or len(samples) < max(1, min_samples):
-                return None
-            ordered = sorted(samples)
-        return _nearest_rank(ordered, quantile)
-
-
 @dataclass(frozen=True)
 class AdaptiveTimeoutConfig:
     """Knobs for latency-derived per-source timeouts.
@@ -154,40 +100,28 @@ class AdaptiveTimeoutConfig:
 
 
 class AdaptiveTimeoutPolicy:
-    """Per-source timeouts tracked from live latency percentiles.
-
-    Prefers the shared :class:`HealthRegistry` window (every resilient
-    attempt lands there) and falls back to its own
-    :class:`LatencyTracker`, which callers without a health registry
-    (the hedge coordinator) feed directly via :meth:`observe`.
-    """
+    """Per-source timeouts tracked from live latency percentiles, read
+    off the shared :class:`HealthRegistry` window (every resilient
+    attempt lands there)."""
 
     def __init__(
         self,
         config: AdaptiveTimeoutConfig | None = None,
-        health: "HealthRegistry | None" = None,
+        *,
+        health: "HealthRegistry",
     ) -> None:
         self.config = config or AdaptiveTimeoutConfig()
         self.health = health
-        self.tracker = LatencyTracker()
-
-    def observe(self, source: str, seconds: float) -> None:
-        self.tracker.observe(source, seconds)
 
     def quantile_for(
         self, source: str, quantile: float | None = None
     ) -> float | None:
         """The observed latency quantile, or ``None`` while cold."""
         config = self.config
-        q = config.quantile if quantile is None else quantile
-        if self.health is not None:
-            value = self.health.latency_quantile(
-                source, q, min_samples=config.min_samples
-            )
-            if value is not None:
-                return value
-        return self.tracker.quantile(
-            source, q, min_samples=config.min_samples
+        return self.health.latency_quantile(
+            source,
+            config.quantile if quantile is None else quantile,
+            min_samples=config.min_samples,
         )
 
     def timeout_for(self, source: str) -> float | None:

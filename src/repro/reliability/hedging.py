@@ -38,14 +38,11 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from repro.reliability.clock import Clock, MonotonicClock
-from repro.reliability.deadline import LatencyTracker
+from repro.reliability.health import HealthRegistry
 from repro.wrappers.base import SourceError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.reliability.health import HealthRegistry
 
 __all__ = [
     "HedgeAbandoned",
@@ -110,9 +107,9 @@ class HedgePolicy:
     """When to issue a speculative duplicate of a source call.
 
     The hedge fires after ``multiplier x`` the source's observed
-    ``quantile`` latency (from the health registry's sliding window, or
-    the coordinator's own tracker), floored at ``min_delay``; until
-    ``min_samples`` latencies are known the static ``delay`` applies.
+    ``quantile`` latency (from the health registry's sliding window),
+    floored at ``min_delay``; until ``min_samples`` latencies are known
+    the static ``delay`` applies.
     ``max_workers`` bounds the coordinator's attempt pool — both
     attempts of every concurrently hedged call run there.
     """
@@ -149,6 +146,11 @@ class HedgeCoordinator:
     with a thunk performing the real, reliability-wrapped call.  The
     coordinator owns a separate attempt pool, so a dispatcher worker
     blocking in :meth:`fetch` never deadlocks its own pool.
+
+    The hedge delay is read off ``health``, the resilience layer's
+    registry, which records every attempt itself.  Without one the
+    coordinator keeps a registry of its own and records each finished
+    attempt's latency there.
     """
 
     def __init__(
@@ -159,8 +161,8 @@ class HedgeCoordinator:
     ) -> None:
         self.policy = policy or HedgePolicy()
         self.clock = clock or MonotonicClock()
-        self.health = health
-        self.tracker = LatencyTracker()
+        self._owns_health = health is None
+        self.health = HealthRegistry() if health is None else health
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._pool: ThreadPoolExecutor | None = None
@@ -198,15 +200,9 @@ class HedgeCoordinator:
     def delay_for(self, source: str) -> float:
         """Seconds to wait before hedging a call to ``source``."""
         policy = self.policy
-        quantile = None
-        if self.health is not None:
-            quantile = self.health.latency_quantile(
-                source, policy.quantile, min_samples=policy.min_samples
-            )
-        if quantile is None:
-            quantile = self.tracker.quantile(
-                source, policy.quantile, min_samples=policy.min_samples
-            )
+        quantile = self.health.latency_quantile(
+            source, policy.quantile, min_samples=policy.min_samples
+        )
         if quantile is None or quantile <= 0:
             return policy.delay
         return max(policy.min_delay, policy.multiplier * quantile)
@@ -236,7 +232,11 @@ class HedgeCoordinator:
                 started = self.clock.now()
                 with abandon_scope(abandon, role):
                     value = attempt()
-                self.tracker.observe(source, self.clock.now() - started)
+                if self._owns_health:
+                    self.health.record_attempt(source)
+                    self.health.record_success(
+                        source, self.clock.now() - started
+                    )
                 return value
 
             context = contextvars.copy_context()

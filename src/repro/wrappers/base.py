@@ -41,7 +41,7 @@ from repro.msl.ast import (
 from repro.msl.compile import CompileCache
 from repro.msl.errors import MSLSemanticError
 from repro.msl.walk import children
-from repro.oem.compare import structural_key
+from repro.oem.compare import finish, structural_key
 from repro.oem.model import OEMObject
 from repro.oem.oid import Oid, OidGenerator
 from repro.wrappers.capability import (
@@ -465,10 +465,13 @@ class Wrapper(Source):
         capability advertises ``supports_batch_filters`` — recognized
         structurally to keep this module import-free of the sharding
         layer.
+
+        The answer is finished (:func:`~repro.oem.compare.finish`):
+        objects sharing a semantic oid are fused, as a mediator's are.
         """
         compiled = self._admitted(query)
         frames = self._frames(compiled, query)
-        return self._answered(compiled.build(frames, self._oidgen))
+        return self._answered(finish(compiled.build(frames, self._oidgen)))
 
     def answer_bindings(self, query: Rule) -> "list[OEMObject] | BindingRows":
         """Answer a projection query with the rows the matcher holds.
@@ -492,7 +495,9 @@ class Wrapper(Source):
             frames = self._frames(compiled, query)
             rows = _carried_rows(compiled, frames)
             if rows is None:
-                return self._answered(compiled.build(frames, self._oidgen))
+                return self._answered(
+                    finish(compiled.build(frames, self._oidgen))
+                )
         return self._answered(rows)
 
     def _admitted(self, query):

@@ -38,6 +38,7 @@ from repro.msl.ast import (
 )
 from repro.msl.compile import compile_head_item, evaluate_rule_compiled
 from repro.msl.errors import MSLSemanticError
+from repro.oem.compare import finish
 from repro.oem.model import OEMObject
 from repro.oem.oid import OidGenerator
 from repro.wrappers.base import (
@@ -401,13 +402,16 @@ class ShardedSource(Source):
         return self.shards[0].capability if self.shards else FULL_CAPABILITY
 
     def answer(self, query) -> list[OEMObject]:
+        """The shards' answers as one answer, finished
+        (:func:`~repro.oem.compare.finish`): two shards may build the
+        same object, or objects one semantic oid fuses."""
         shards = self._fanned(query)
         if shards is None:
-            return self._answer_joined(query)
+            return finish(self._answer_joined(query))
         result: list[OEMObject] = []
         for shard in shards:
             result.extend(shard.answer(query))
-        return result
+        return finish(result)
 
     def answer_bindings(self, query) -> "list[OEMObject] | BindingRows":
         """The answers of the shards ``query`` fans out to, concatenated

@@ -21,6 +21,7 @@ from repro.msl.ast import (
     PatternItem,
     RestSpec,
     Rule,
+    SemOidTerm,
     SetPattern,
     Var,
 )
@@ -125,15 +126,27 @@ values = st.sampled_from([1, 1.0, True, "1", "true", "x", 2, "", False])
 labels = st.sampled_from(["a", "b", "c"])
 
 
+#: A semantic oid's arguments are values too (a bind join fills them).
+semantic_oids = st.one_of(
+    st.none(),
+    st.lists(
+        st.one_of(values.map(Const), st.just(Var("Y"))), min_size=1, max_size=2
+    ).map(lambda args: SemOidTerm("p", tuple(args))),
+)
+
+
 @st.composite
 def patterns(draw, depth=2):
     label = Const(draw(labels))
+    oid = draw(semantic_oids)
     kinds = ["const", "var", "set"] if depth else ["const", "var"]
     kind = draw(st.sampled_from(kinds))
     if kind == "const":
-        return Pattern(label, Const(draw(values)))
+        return Pattern(label, Const(draw(values)), oid=oid)
     if kind == "var":
-        return Pattern(label, Var(draw(st.sampled_from(["X", "Y", "_"]))))
+        return Pattern(
+            label, Var(draw(st.sampled_from(["X", "Y", "_"]))), oid=oid
+        )
     items = tuple(
         PatternItem(draw(patterns(depth - 1)))
         for _ in range(draw(st.integers(0, 3)))
@@ -147,7 +160,7 @@ def patterns(draw, depth=2):
                 for _ in range(draw(st.integers(0, 2)))
             ),
         )
-    return Pattern(label, SetPattern(items, rest))
+    return Pattern(label, SetPattern(items, rest), oid=oid)
 
 
 @st.composite
@@ -221,6 +234,12 @@ class TestTextShapes:
         assert key_a == key_b
         assert (constants_a, constants_b) == ((17,), ("x",))
         assert text_shape_is_liftable(key_a)
+
+    def test_semantic_oid_arguments_are_lifted(self):
+        key_a, constants_a = scan_shape("X :- X:<&p('ann', 3) r {<k 3>}>@m")
+        key_b, constants_b = scan_shape("X :- X:<&p('bob', 4) r {<k 4>}>@m")
+        assert key_a == key_b and text_shape_is_liftable(key_a)
+        assert (constants_a, constants_b) == (("ann", 3), ("bob", 4))
 
     def test_equality_pattern_is_part_of_the_key(self):
         same, _ = scan_shape("X :- X:<r {<a 1> <b 1>}>@m")

@@ -7,7 +7,8 @@ mediator *should* answer without its view expander, optimizer, plan,
 engine or compiled matcher: every specification rule evaluated over the
 sources' whole exports, duplicates eliminated, semantic oids fused — the
 shape of ``benchmarks/e2e/workloads.py::reference_export`` — and a query
-then matched against that materialized view.
+then matched against that materialized view, its answer finished the
+same way (an answer holds no two objects with one semantic oid).
 
 Reference objects carry the reference's own oids, so comparisons go
 through :func:`canonical`, which ignores oids and order.
@@ -106,19 +107,27 @@ def reference_export(mediator, oid_prefix: str = "&ref_") -> list:
     objects: list = []
     for rule in rules:
         objects.extend(evaluate_rule(rule, forests, mediator.externals, oidgen))
-    objects = eliminate_duplicates(objects)
-    if has_semantic_oids(objects):
-        objects = fuse_objects(objects)
-    return objects
+    return _finished(objects)
 
 
 def reference_answer(mediator, query: str) -> list:
     """``query`` (addressed to the mediator's view) over the reference
     export."""
     view = reference_export(mediator)
-    return evaluate_rule(
-        parse_query(query),
-        {mediator.name: view, None: view},
-        mediator.externals,
-        OidGenerator("&ref_"),
+    return _finished(
+        evaluate_rule(
+            parse_query(query),
+            {mediator.name: view, None: view},
+            mediator.externals,
+            OidGenerator("&ref_"),
+        )
     )
+
+
+def _finished(objects: list) -> list:
+    """Duplicates eliminated, then semantic oids fused (footnote 9 and
+    Section 2), as two separate steps."""
+    objects = eliminate_duplicates(objects)
+    if has_semantic_oids(objects):
+        objects = fuse_objects(objects)
+    return objects

@@ -36,7 +36,7 @@ class TestLogicalProgram:
 class TestEmptyProgramExecution:
     def test_empty_union_plan_yields_no_objects(self):
         scenario = build_scenario()
-        plan = PhysicalPlan(UnionNode((), True))
+        plan = PhysicalPlan(UnionNode(()))
         context = ExecutionContext(
             sources=scenario.registry,
             externals=scenario.mediator.externals,

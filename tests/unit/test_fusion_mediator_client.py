@@ -8,7 +8,14 @@ from repro.datasets import JOE_CHUNG_QUERY, MS1, build_scenario
 from repro.mediator import Mediator, MediatorError, fuse_objects, has_semantic_oids
 from repro.msl import MSLSemanticError, parse_query
 from repro.oem import OEMObject, SemanticOid, atom, obj, parse_oem
-from repro.wrappers import OEMStoreWrapper, SourceRegistry
+from repro.wrappers import (
+    HashPartition,
+    OEMStoreWrapper,
+    ShardedSource,
+    SourceRegistry,
+    partition_forest,
+    shard_name,
+)
 
 
 def sem(label, functor, args, *children):
@@ -101,6 +108,59 @@ class TestFusion:
             for o in mediator.export()
         }
         assert exported == {"p(1)": ["a"], "p(True)": ["b"]}
+
+
+    def test_a_lone_member_without_semantic_children_is_kept(self):
+        # nothing to fuse: the object itself, not a rebuilt copy
+        lone = sem("p", "f", [1], atom("a", 1))
+        assert fuse_objects([lone])[0] is lone
+
+
+#: Two ``p`` objects with one name: a query whose head oid is ``&q(N)``
+#: fuses their answers into one object on every route.
+TWO_PS = [
+    obj("p", atom("n", "a"), atom("x", 1)),
+    obj("p", atom("n", "a"), atom("y", 2)),
+]
+PASS_THROUGH = "<p {<n N> | R}> :- <p {<n N> | R}>@s"
+FUSING_QUERY = "<&q(N) q {<n N> <v V>}> :- <p {<n N> <L V>}>@med"
+
+
+class TestOneAnswerTail:
+    """Every answer route deduplicates and fuses (``finish``)."""
+
+    def test_materialization_route_fuses(self):
+        mediator = Mediator(
+            "med", PASS_THROUGH, SourceRegistry(OEMStoreWrapper("s", TWO_PS))
+        )
+        planned = mediator.answer(FUSING_QUERY)
+        # a type slot sends the query down the materialization route
+        materialized = mediator.answer(
+            FUSING_QUERY.replace("<L V>", "<O L integer V>")
+        )
+        for answer in (planned, materialized):
+            assert [o.oid.text for o in answer] == ["q('a')"]
+            assert {c.value for c in answer[0].children} == {"a", 1, 2}
+
+    def test_wrapper_answer_fuses(self):
+        store = OEMStoreWrapper("s", TWO_PS)
+        answer = store.answer(parse_query(FUSING_QUERY.replace("@med", "@s")))
+        assert [o.oid.text for o in answer] == ["q('a')"]
+        assert len(answer[0].children) == 3
+
+    def test_sharded_answer_is_deduplicated_across_shards(self):
+        records = [obj("p", atom("k", i), atom("n", "a")) for i in range(8)]
+        partition = HashPartition("k", 2)
+        shards = [
+            OEMStoreWrapper(shard_name("s", index), forest)
+            for index, forest in enumerate(
+                partition_forest(records, partition)
+            )
+        ]
+        query = parse_query("<r {<n N>}> :- <p {<n N>}>@s")
+        sharded = ShardedSource("s", shards, partition).answer(query)
+        assert sharded == OEMStoreWrapper("s", records).answer(query)
+        assert len(sharded) == 1
 
 
 class TestMediatorFacade:

@@ -138,3 +138,6 @@ def test_a_semantic_oid_argument_is_a_filled_parameter():
     )
     assert canonical(answer) == canonical(expected)
     assert len(answer) == 2
+    # the three probes are one shape to med1: planned once, not per name
+    stats = med1._plans.stats()
+    assert (stats["misses"], stats["entries"]) == (1, 1)

@@ -1,6 +1,13 @@
-"""Unit tests for structural comparison and duplicate elimination."""
+"""Unit tests for structural comparison, duplicate elimination and the
+answer tail."""
 
+import re
+from pathlib import Path
+
+import repro
 from repro.oem import (
+    OEMObject,
+    SemanticOid,
     atom,
     eliminate_duplicates,
     is_subobject_set,
@@ -9,6 +16,7 @@ from repro.oem import (
     structural_key,
     structurally_equal,
 )
+from repro.oem.compare import finish
 
 
 class TestStructuralKey:
@@ -80,3 +88,48 @@ class TestIsSubobjectSet:
 
     def test_empty_is_subset(self):
         assert is_subobject_set([], [atom("a", 1)])
+
+
+class TestFinish:
+    def test_deduplicates_then_fuses_keeping_first_positions(self):
+        def person(*children):
+            return OEMObject("p", children, "set", SemanticOid("p", (1,)))
+
+        plain = atom("x", 1)
+        answer = finish(
+            [person(atom("a", 1)), plain, atom("x", 1), person(atom("b", 2))]
+        )
+        assert answer[1] is plain and len(answer) == 2
+        assert answer[0] == obj("p", atom("a", 1), atom("b", 2))
+
+
+#: The calls that deduplicate or fuse objects anywhere but in the answer
+#: tail (``finish``), per module, each with why it is not ``finish``.
+DEDUPS_BY_HAND = {
+    "oem/compare.py": [
+        "finish runs fuse_objects",
+        "fuse_objects fuses a lone member's semantic-oid children",
+        "a fused group's children are fused",
+        "... and deduplicated",
+    ],
+    "msl/evaluate.py": ["the reference evaluate_rule"],
+    "msl/compile.py": [
+        "a head's set collapses duplicate members as it is built",
+        "CompiledRule.build, the drop-in for the reference evaluate_rule",
+    ],
+    "msl/substitute.py": [
+        "the reference head builder collapses a set's duplicate members"
+    ],
+}
+
+
+def test_answers_are_deduplicated_and_fused_in_one_place():
+    root = Path(repro.__file__).parent
+    calls = re.compile(r"(?<!def )\b(?:eliminate_duplicates|fuse_objects)\(")
+    found = {
+        str(path.relative_to(root)): len(calls.findall(path.read_text()))
+        for path in root.rglob("*.py")
+    }
+    assert {module: n for module, n in found.items() if n} == {
+        module: len(reasons) for module, reasons in DEDUPS_BY_HAND.items()
+    }

@@ -18,7 +18,7 @@ from repro.mediator import (
     UnionNode,
     fuse_plan,
 )
-from repro.mediator.tables import BindingTable, key_array
+from repro.mediator.tables import BindingTable, add_distinct, key_array
 from repro.msl.ast import Comparison, Const, Var
 from repro.msl.parser import parse_query, parse_specification
 from repro.oem import OEMObject, atom
@@ -323,7 +323,10 @@ class TestColumnarTables:
             (1, "a"), (True, "a"), (1, "a"), ("1", "a"), (1.0, "a"),
         ]:
             table.append(row)
-        kept = table.distinct().rows
+        kept: list = []
+        add_distinct(
+            table.rows, [table.key_column(p)[0] for p in (0, 1)], kept.append
+        )
         # int, bool, str, and float ones are four distinct atoms;
         # only the duplicate (1, "a") collapses
         assert kept == [(1, "a"), (True, "a"), ("1", "a"), (1.0, "a")]

@@ -189,6 +189,17 @@ class TestWarmPathBudget:
         assert counted["calls_per_op"] <= 17_800
         assert counted["unreachable_per_op"] == 0
 
+    def test_a_warm_fusion_export_builds_no_copy(self):
+        operation, workload = opcount.workload_operation("bib_fusion")
+        try:
+            counted = opcount.count(operation, ops=20)
+        finally:
+            workload.close()
+        # 932 while a semantic-oid group of one was rebuilt as an equal
+        # copy; the answer trees hold 650
+        assert counted["objects_per_op"] <= 872
+        assert counted["unreachable_per_op"] == 0
+
     def test_a_warm_export_translates_no_tuple_and_resolves_once(
         self, monkeypatch
     ):

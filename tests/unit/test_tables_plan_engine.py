@@ -20,6 +20,7 @@ from repro.mediator import (
     TableError,
     UnionNode,
 )
+from repro.mediator.tables import add_distinct
 from repro.msl.errors import MSLSemanticError
 from repro.msl import (
     Comparison,
@@ -29,8 +30,18 @@ from repro.msl import (
     parse_rule,
 )
 from repro.oem import atom, obj
+from repro.oem.compare import finish
 from repro.wrappers import Source
 from tests.reference import OEMOnly
+
+def distinct(table, positions):
+    """The first row of ``table`` per distinct key on ``positions``."""
+    kept: list = []
+    add_distinct(
+        table.rows, [table.key_column(p)[0] for p in positions], kept.append
+    )
+    return kept
+
 
 #: Qw projecting the names: a query node's query, and the stand-in input
 #: of nodes a test feeds a table of its own
@@ -115,8 +126,8 @@ class TestBindingTable:
 
     def test_distinct(self):
         t = BindingTable(["a", "b"], [(1, 2), (1, 2), (1, 3)])
-        assert len(t.distinct()) == 2
-        assert len(t.distinct(["a"])) == 1
+        assert distinct(t, (0, 1)) == [(1, 2), (1, 3)]
+        assert distinct(t, (0,)) == [(1, 2)]
 
     def test_render_contains_heading(self):
         t = BindingTable(["N"], [("Joe Chung",)])
@@ -243,8 +254,8 @@ class TestPlanNodes:
         right = BindingTable(["k", "v"], [("a", 1)])
         joined = JoinNode(q, q).execute([left, right], context)
         assert len(joined) == 2
-        # no plan node deduplicates: the table does, where asked to
-        assert len(joined.distinct()) == 1
+        # no plan node but the constructor deduplicates rows
+        assert distinct(joined, (0,)) == [("a", 1)]
 
     def test_constructor_node(self, context):
         rule = parse_rule("<who {<name N>}> :- <person {<name N>}>@whois")
@@ -254,20 +265,15 @@ class TestPlanNodes:
         assert result.columns == (RESULT_COLUMN,)
         assert len(result) == 2  # dedup
 
-    def test_constructor_without_dedup(self, context):
-        rule = parse_rule("<who {<name N>}> :- <person {<name N>}>@whois")
-        table = BindingTable(["N"], [("A",), ("A",)])
-        node = ConstructorNode(
-            QueryNode("whois", WHOIS_NAMES), rule.head, deduplicate=False
-        )
-        assert len(node.execute([table], context)) == 2
-
     def test_union_node(self, context):
+        """The union concatenates; the answer's finish deduplicates."""
         a = BindingTable([RESULT_COLUMN], [(atom("x", 1),)])
         b = BindingTable([RESULT_COLUMN], [(atom("x", 1),), (atom("y", 2),)])
         q = QueryNode("whois", WHOIS_NAMES)
-        union = UnionNode([q, q])
-        assert len(union.execute([a, b], context)) == 2
+        union = UnionNode([q, q]).execute([a, b], context)
+        objects = [row[0] for row in union.rows]
+        assert len(objects) == 3
+        assert finish(objects) == [atom("x", 1), atom("y", 2)]
 
     def test_union_rejects_non_result_tables(self, context):
         q = QueryNode("whois", WHOIS_NAMES)
