@@ -47,8 +47,6 @@ Usage::
   instead of shipping one batched semi-join filter per probe group;
 * ``--cache N`` / ``--cache-ttl SECONDS`` — memoize up to N source
   answers (LRU), optionally expiring entries after SECONDS;
-* ``--no-fuse`` — execute one plan node per operator instead of fusing
-  straight-line segments into pipeline nodes (default: fused);
 * ``--trace-out FILE`` / ``--metrics-out FILE`` — enable the telemetry
   subsystem and write, after the queries ran, the span trees as JSON
   lines and/or the metrics registry in Prometheus text format;
@@ -334,14 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="expire cached source answers after SECONDS (needs --cache)",
-    )
-    parser.add_argument(
-        "--no-fuse",
-        action="store_true",
-        help=(
-            "run the unfused reference plan (one node per operator)"
-            " instead of fusing straight-line segments"
-        ),
     )
     parser.add_argument(
         "--trace-out",
@@ -693,7 +683,6 @@ def main(
             semijoin=not args.no_semijoin,
             cache=cache,
             hedge=hedge,
-            fuse=not args.no_fuse,
             telemetry=telemetry,
             admission=admission,
         )

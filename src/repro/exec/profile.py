@@ -9,8 +9,8 @@ Records two families of counters while a plan runs:
   inside the matcher.
 
 The profiler is owned by the :class:`~repro.mediator.mediator.Mediator`
-and subscribes to every run's event stream (``plan-node`` /
-``pipeline-stage`` and ``pattern-match`` events); it survives across
+and subscribes to every run's event stream (``plan-node`` and
+``pattern-match`` events); it survives across
 queries so ``explain()`` and ``health_snapshot()`` can report cumulative
 hot spots.  All mutation goes through one lock, so the stage-parallel
 executor can record from worker threads safely; the record calls are a
@@ -28,11 +28,9 @@ __all__ = ["Profiler"]
 class Profiler:
     """Thread-safe per-node and per-pattern execution counters."""
 
-    __slots__ = (
-        "_lock", "_nodes", "_patterns", "_fused_chains", "_fused_nodes",
-    )
+    __slots__ = ("_lock", "_nodes", "_patterns")
 
-    kinds = frozenset({"plan-node", "pipeline-stage", "pattern-match"})
+    kinds = frozenset({"plan-node", "pattern-match"})
     opens = frozenset()
 
     def __init__(self) -> None:
@@ -41,9 +39,6 @@ class Profiler:
         self._nodes: dict[str, list[float]] = {}
         # pattern text -> [objects, matches, seconds]
         self._patterns: dict[str, list[float]] = {}
-        # operator fusion: cumulative chains fused / operators absorbed
-        self._fused_chains = 0
-        self._fused_nodes = 0
 
     # -- recording ------------------------------------------------------
 
@@ -97,18 +92,10 @@ class Profiler:
                 entry[1] += matches
                 entry[2] += seconds
 
-    def record_fusion(self, chains: int, nodes: int) -> None:
-        """One plan's operator-fusion outcome (chains / operators fused)."""
-        with self._lock:
-            self._fused_chains += chains
-            self._fused_nodes += nodes
-
     def reset(self) -> None:
         with self._lock:
             self._nodes.clear()
             self._patterns.clear()
-            self._fused_chains = 0
-            self._fused_nodes = 0
 
     # -- reporting ------------------------------------------------------
 
@@ -132,17 +119,7 @@ class Profiler:
                 }
                 for pattern, entry in self._patterns.items()
             }
-            fused_chains = self._fused_chains
-            fused_nodes = self._fused_nodes
-        snap = {"nodes": nodes, "patterns": patterns}
-        if fused_chains:
-            # key present only when fusion actually happened, so the
-            # historical two-key shape is otherwise unchanged
-            snap["fusion"] = {
-                "chains": fused_chains,
-                "operators": fused_nodes,
-            }
-        return snap
+        return {"nodes": nodes, "patterns": patterns}
 
     def render(self) -> str:
         """Human-readable report (the ``-- profile --`` explain section)."""
@@ -173,12 +150,6 @@ class Profiler:
                     f"  {pattern}: {entry['objects']} / {entry['matches']}"
                     f" / {entry['seconds']:.6f}"
                 )
-        fusion = snap.get("fusion")
-        if fusion:
-            lines.append(
-                f"operator fusion: {fusion['chains']} chain(s),"
-                f" {fusion['operators']} operator(s) fused"
-            )
         if not lines:
             return "no executions profiled"
         return "\n".join(lines)

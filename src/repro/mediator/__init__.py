@@ -12,11 +12,6 @@ from repro.mediator.optimizer import (
     PlanningError,
     STRATEGIES,
 )
-from repro.mediator.pipeline import (
-    FusedPipelineNode,
-    FusionDecision,
-    fuse_plan,
-)
 from repro.mediator.plan import (
     ConstructorNode,
     ExternalPredNode,
@@ -43,8 +38,6 @@ __all__ = [
     "ExpansionError",
     "ExternalPredNode",
     "FilterNode",
-    "FusedPipelineNode",
-    "FusionDecision",
     "JoinNode",
     "LogicalDatamergeProgram",
     "LogicalRule",
@@ -65,7 +58,6 @@ __all__ = [
     "ViewExpander",
     "apply_mapping_to_pattern",
     "fuse_objects",
-    "fuse_plan",
     "has_semantic_oids",
     "unify_with_head",
 ]

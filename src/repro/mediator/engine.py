@@ -11,9 +11,9 @@ There is one executor and one bookkeeping site.
 topological stages; a stage's leaf queries run on the dispatcher's
 worker pool when there is one and inline otherwise, so sequential
 execution is the one-worker case of the same loop, not a second code
-path.  Every node — pooled, inline, or a constituent of a fused
-pipeline — goes through :func:`run_node`, the only place a node meets
-the governor and the one place its run is raised as an event; every
+path.  Every node — pooled or inline — goes through :func:`run_node`,
+the only place a node meets the governor and the one place its run is
+raised as an event; every
 source call, whole-source exports included, goes through
 :meth:`ExecutionContext.send_query`, which is also where an OEM answer
 to a projection query is matched for its bindings (Figure 3.6's
@@ -104,10 +104,6 @@ class ExecutionContext:
     # *other* queries for the pool under overload (caching, dedup, and
     # bulkheads still apply through dispatcher.fetch)
     force_sequential: bool = False
-    # stage number of the node currently executing (set by the engine
-    # when a deadline slicer is attached); a fused pipeline node reads
-    # it as the base for its constituents' per-stage slicer advances
-    stage_base: int = 1
     # semi-join shipping: when on, a parameterized-query batch against
     # a batch-capable source ships one value filter per probe group and
     # target instead of one probe per distinct tuple
@@ -359,20 +355,14 @@ class ExecutionContext:
 
 
 def run_node(
-    node: PlanNode,
-    context: ExecutionContext,
-    rows_in: int,
-    run,
-    args: tuple,
-    kind: str = "plan-node",
-):
-    """Run one operator — ``run(*args)`` — with all its bookkeeping.
+    node: PlanNode, context: ExecutionContext, inputs: list[BindingTable]
+) -> BindingTable:
+    """Run one operator over its ``inputs`` with all its bookkeeping.
 
     The one place a node meets the governor (cooperative checkpoint;
     budget violations name ``node``) and the one place its run becomes
-    an event — shared by nodes the engine runs inline, leaf queries it
-    runs on a pool worker, and the constituents of a fused pipeline
-    node (``kind="pipeline-stage"``).  Time is taken where the node
+    an event — shared by nodes the engine runs inline and leaf queries
+    it runs on a pool worker.  Time is taken where the node
     runs and source attempts/latency are deltas of the active task
     scope, so a node's figures mean the same whichever thread ran it.
 
@@ -386,9 +376,11 @@ def run_node(
     scope = current_scope()
     attempts_before = scope.attempts
     latency_before = scope.latency
-    event = Event(context.subscribers, kind, type(node).__name__, node)
+    event = Event(
+        context.subscribers, "plan-node", type(node).__name__, node
+    )
     try:
-        result = run(*args)
+        result = node.execute(inputs, context)
     except BaseException as exc:
         event.end(exc)
         raise
@@ -397,7 +389,7 @@ def run_node(
         event.attributes["rows_out"] = rows_out
         if node.estimated_rows is not None:
             event.attributes["estimated_rows"] = node.estimated_rows
-        event.rows_in = rows_in
+        event.rows_in = sum(len(table) for table in inputs)
         event.attempts = scope.attempts - attempts_before
         event.latency = scope.latency - latency_before
         event.table = result
@@ -437,9 +429,6 @@ class DatamergeEngine:
             context.governor.start()
         slicer = context.slicer
         if slicer is not None:
-            # depth() counts every constituent of a fused pipeline
-            # node, so the slicer sees the same stage count with or
-            # without operator fusion
             slicer.begin_plan(plan.depth())
         dispatcher = context.dispatcher
         pool = (
@@ -451,10 +440,9 @@ class DatamergeEngine:
         )
         outputs: dict[int, BindingTable] = {}
         with scope_active(context.run_scope()):
-            for stage_index, stage in plan.stage_starts():
+            for stage_index, stage in enumerate(plan.stages(), 1):
                 if slicer is not None:
                     slicer.enter_stage(stage_index)
-                    context.stage_base = stage_index
                 event = Event(
                     context.subscribers, "plan-stage", f"stage-{stage_index}"
                 )
@@ -493,12 +481,7 @@ class DatamergeEngine:
         if pool is not None:
             leaves = [node for node in stage if isinstance(node, QueryNode)]
             outcomes = pool.run_tasks(
-                [
-                    partial(
-                        run_node, node, context, 0, node.execute, ([], context)
-                    )
-                    for node in leaves
-                ]
+                [partial(run_node, node, context, []) for node in leaves]
             )
             first_error: BaseException | None = None
             for node, outcome in zip(leaves, outcomes):
@@ -512,13 +495,8 @@ class DatamergeEngine:
         for node in stage:
             if id(node) in outputs:
                 continue  # a leaf the pool already ran
-            inputs = [outputs[id(child)] for child in node.inputs]
             outputs[id(node)] = run_node(
-                node,
-                context,
-                sum(len(table) for table in inputs),
-                node.execute,
-                (inputs, context),
+                node, context, [outputs[id(child)] for child in node.inputs]
             )
 
     def execute_to_objects(

@@ -9,9 +9,9 @@ tuple of subscribers its mediator chose for the operation, and each
 subscriber names the kinds it consumes, so an event nobody listens to
 costs its raise site one constructor call and nothing else.
 
-The kinds are the span vocabulary: ``plan-stage``, ``plan-node`` /
-``pipeline-stage`` (``subject`` the node; ``rows_in``, ``attempts``,
-``latency`` and ``table`` slots), ``source-call`` (``name`` the source,
+The kinds are the span vocabulary: ``plan-stage``, ``plan-node``
+(``subject`` the node; ``rows_in``, ``attempts``, ``latency`` and
+``table`` slots), ``source-call`` (``name`` the source,
 ``subject`` the query), ``pattern-match`` and ``external-predicate``.
 ``attributes`` holds what a span of the event shows;
 ``docs/observability.md`` has the table of payloads, raise sites and

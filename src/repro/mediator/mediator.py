@@ -16,8 +16,8 @@ external-function registry.  It is itself a
 Steps 1 and 2 depend on the query's *shape*, not on its constants, so
 they run once per shape: the query is parsed, its constants are lifted
 out (:mod:`repro.msl.lift`), the shape's plan is looked up or made
-(:meth:`Mediator._planned`, the one place the expander, the optimizer
-and the fusion pass are called from — :mod:`repro.mediator.plancache`
+(:meth:`Mediator._planned`, the one place the expander and the
+optimizer are called from — :mod:`repro.mediator.plancache`
 says when a remembered plan is made again), and the engine runs it with
 the call's constants bound (``ExecutionContext.params``).
 
@@ -64,12 +64,6 @@ from repro.governor.sanitizer import AnswerSanitizer, DEFAULT_MAX_DEPTH
 from repro.mediator.engine import EXPORT, DatamergeEngine, ExecutionContext
 from repro.mediator.logical import LogicalDatamergeProgram, LogicalRule
 from repro.mediator.optimizer import CostBasedOptimizer
-from repro.mediator.pipeline import (
-    FusionDecision,
-    describe_operators,
-    fuse_plan,
-    plan_operators,
-)
 from repro.mediator.plan import ParameterizedQueryNode
 from repro.mediator.plancache import PlanCache, Planned, Shape
 from repro.mediator.statistics import SourceStatistics
@@ -90,7 +84,7 @@ from repro.msl.walk import TYPE, descendants, slots
 from repro.obs.insight import AnalyzeReport, QueryInsight
 from repro.obs.span import current_span, status_of_exception
 from repro.obs.telemetry import Telemetry
-from repro.oem.compare import finish, structural_key
+from repro.oem.compare import dedup_key, finish
 from repro.oem.model import OEMObject
 from repro.oem.oid import OidGenerator
 from repro.reliability.clock import Clock, MonotonicClock
@@ -149,6 +143,9 @@ class _Operation:
 class Mediator(Source):
     """A declaratively specified integration view over registered sources."""
 
+    # kept only because `benchmarks/e2e/tracing.py` names it; ROADMAP item 1 deletes it
+    fuse = False
+
     def __init__(
         self,
         name: str,
@@ -168,7 +165,6 @@ class Mediator(Source):
         cancellation: CancellationToken | None = None,
         parallelism: int = 1,
         cache: AnswerCache | None = None,
-        fuse: bool = True,
         telemetry: "Telemetry | bool | None" = None,
         hedge: "HedgePolicy | bool | None" = None,
         admission: "AdmissionConfig | AdmissionController | bool | None" = None,
@@ -220,13 +216,6 @@ class Mediator(Source):
         # once and memoized (repro.msl.matcher/evaluate are the reference
         # implementation the tests check it against)
         self._compile_cache = CompileCache(registry)
-        # whole-plan operator fusion (repro.mediator.pipeline): merge
-        # straight-line plan segments into single pipeline nodes;
-        # fuse=False keeps the node-per-operator reference path.
-        # Trace mode implies the reference path — the Figure 3.6
-        # walkthrough needs every intermediate table.
-        self.fuse = fuse
-        self.last_fusion: list[FusionDecision] = []
         self.profiler = Profiler()
         # plan once, run many: what is remembered per query shape
         self._plans = PlanCache()
@@ -426,10 +415,6 @@ class Mediator(Source):
         self, planned: Planned, params: dict, op: _Operation
     ) -> list[OEMObject]:
         """Run a (remembered) plan with one call's constants bound."""
-        self.last_fusion = planned.decisions
-        if planned.fused[0]:
-            # the profile reports how much of each run ran fused
-            self.profiler.record_fusion(*planned.fused)
         if op.insight is not None:
             op.insight.attach_plan(planned.plan, params)
         context = self._context()
@@ -528,7 +513,6 @@ class Mediator(Source):
             self.optimizer.strategy,
             self.expander.push_mode,
             self.semijoin,
-            self._fusion_active(),
         )
         planned = shape.planned
         if planned is not None:
@@ -565,7 +549,6 @@ class Mediator(Source):
                     "strategy was assigned",
                     "push_mode was assigned",
                     "semijoin was assigned",
-                    "fuse was assigned",
                 ),
             ):
                 if was != now:
@@ -577,7 +560,7 @@ class Mediator(Source):
         return planned.drift(self.statistics)
 
     def _plan(self, template: "Rule | int", stamp: tuple) -> Planned:
-        """Expand, optimize and fuse: a query template, or (by index)
+        """Expand and optimize: a query template, or (by index)
         one rule of the specification for :meth:`export`."""
         if isinstance(template, int):
             program = None
@@ -588,9 +571,6 @@ class Mediator(Source):
             program = self.expander.expand(template)
             plan = self.optimizer.plan_program(program)
             rules = tuple(logical.rule for logical in program)
-        decisions: list[FusionDecision] = []
-        if self._fusion_active():
-            plan, decisions = fuse_plan(plan)
         sources = {
             condition.source: None
             for rule in rules
@@ -601,9 +581,7 @@ class Mediator(Source):
             (source, source.capability)
             for source in map(self.sources.resolve, sources)
         )
-        return Planned(
-            program, plan, decisions, stamp, capabilities, self.statistics
-        )
+        return Planned(program, plan, stamp, capabilities, self.statistics)
 
     def _materialization_reason(self, query: Rule) -> str | None:
         """Why ``query`` bypasses the pipeline (None when it does not):
@@ -622,9 +600,6 @@ class Mediator(Source):
         if descendants(conditions):
             return "the query uses descendant (..) wildcards"
         return None
-
-    def _fusion_active(self) -> bool:
-        return self.fuse and not self.engine.trace_enabled
 
     def export(self) -> Sequence[OEMObject]:
         """Materialize the whole view (all rules, no conditions)."""
@@ -689,12 +664,12 @@ class Mediator(Source):
         """Execute ``query`` while recording per-node actuals.
 
         The returned :class:`~repro.obs.insight.AnalyzeReport` carries
-        the answer plus, for every plan node (fused-chain constituents
-        included), the optimizer's estimated cardinality next to the
-        observed rows in/out, wall time, and source-call latency, and
-        the nodes whose actual rows exceeded the estimate by more than
-        ``MISESTIMATE_FACTOR``.  ``report.render()`` is the annotated plan
-        tree; ``report.to_json()`` the structured export.  Recording is
+        the answer plus, for every plan node, the optimizer's estimated
+        cardinality next to the observed rows in/out, wall time, and
+        source-call latency, and the nodes whose actual rows exceeded
+        the estimate by more than ``MISESTIMATE_FACTOR``.
+        ``report.render()`` is the annotated plan tree;
+        ``report.to_json()`` the structured export.  Recording is
         observation-only: the answer is bit-for-bit the one
         :meth:`answer` returns.
         """
@@ -770,7 +745,7 @@ class Mediator(Source):
         per-source health, including breaker states.
         """
         shape, constants = self._shape_of(query)
-        operators: list = []
+        operators: Sequence = ()
         if shape.materialize is not None:
             text = (
                 "-- answered by materialization --\n"
@@ -783,20 +758,13 @@ class Mediator(Source):
             # constants where the remembered template has placeholders
             planned, params = self._planned(shape, constants)
             program = planned.program.bound(params)
-            operators = plan_operators(planned.plan)
+            operators = planned.plan.nodes()
             text = (
                 f"-- logical datamerge program ({len(program)} rule(s)) --\n"
                 f"{program}\n\n"
                 f"-- physical datamerge graph --\n"
-                f"{describe_operators(planned.plan, params)}"
+                f"{planned.plan.describe(params)}"
             )
-            if operators and self._fusion_active():
-                lines = [planned.plan.describe(params), "", "decisions:"]
-                lines.extend(
-                    f"  {decision.render(params)}"
-                    for decision in planned.decisions
-                )
-                text += "\n\n-- operator fusion --\n" + "\n".join(lines)
         if self.resilience is not None or self.on_source_failure != "fail":
             lines = [f"mode: on_source_failure={self.on_source_failure}"]
             if self.resilience is not None:
@@ -1244,7 +1212,7 @@ class Mediator(Source):
             for rule in self.specification.rules:
                 new_objects.extend(self._evaluate_rule(rule, forests))
             new_objects = finish(new_objects)
-            keys = {structural_key(obj) for obj in new_objects}
+            keys = {dedup_key(obj) for obj in new_objects}
             if keys <= seen_keys:
                 return view
             view = finish(view + new_objects)

@@ -112,12 +112,6 @@ _FILTER_ATOMS = (str, int, float, bool)
 class PlanNode(abc.ABC):
     """One operator of a physical datamerge graph."""
 
-    #: Constituent-operator count for stage accounting.  Ordinary nodes
-    #: occupy one stage; a fused pipeline node spans one stage per
-    #: constituent so deadline slicing sees the same stage count with
-    #: or without fusion.
-    fusion_width = 1
-
     #: Optimizer-annotated cardinality estimate for this operator's
     #: output rows (``None`` when the planner has no estimate), and the
     #: ``(source, label, kind)`` statistics key the estimate derives
@@ -148,62 +142,6 @@ class PlanNode(abc.ABC):
 def _shown(node, params):
     """``node`` as a plan display prints it: placeholders filled."""
     return substitute_params(node, params, partial=True) if params else node
-
-
-class RowSink:
-    """A chain's intermediate output: columns plus governed rows, with
-    no table (positions, key arrays) around them."""
-
-    __slots__ = ("columns", "rows")
-
-    def __init__(self, columns: Sequence[str]) -> None:
-        self.columns = tuple(columns)
-        self.rows: list[tuple[object, ...]] = []
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-def sink_out(columns: Sequence[str], governor):
-    """``(add, out)`` for an output no later plan node reads as a table.
-
-    With a governor the rows are admitted through ``row_admitter`` —
-    charged against the per-table and run-total row budgets exactly as
-    a :class:`BindingTable`'s rows are.
-    """
-    out = RowSink(columns)
-    if governor is None:
-        return out.rows.append, out
-    return governor.row_admitter(out), out
-
-
-def table_out(columns: Sequence[str], governor):
-    """``(add, out)`` for the output that leaves a chain: a real table."""
-    out = BindingTable(columns, governor=governor)
-    return out._appender(), out
-
-
-class RowOperatorNode(PlanNode):
-    """A straight-line, row-at-a-time operator (the fusible kind).
-
-    The operator is written once, as :meth:`run_rows` over the
-    ``columns``/``rows`` of whatever its input produced; ``make_out``
-    (:func:`table_out` or :func:`sink_out`) says where its output rows
-    land.  ``execute`` is that body run as a chain of one; a fused
-    pipeline node runs several in a row, with only the last one
-    building a table.
-    """
-
-    def execute(
-        self, inputs: list[BindingTable], context: "ExecutionContext"
-    ) -> BindingTable:
-        (table,) = inputs
-        return self.run_rows(table, context, table_out)
-
-    @abc.abstractmethod
-    def run_rows(self, source, context: "ExecutionContext", make_out):
-        """Run over ``source.columns``/``source.rows``; return the
-        ``out`` of ``make_out(out_columns, governor)`` once filled."""
 
 
 class QueryNode(PlanNode):
@@ -344,7 +282,7 @@ class ShardedQueryNode(PlanNode):
         )
 
 
-class ExternalPredNode(RowOperatorNode):
+class ExternalPredNode(PlanNode):
     """Invoke an external predicate for every tuple (Figure 3.6's
     ``external pred`` node)."""
 
@@ -452,14 +390,17 @@ class ExternalPredNode(RowOperatorNode):
 
         return expand
 
-    def run_rows(self, source, context: "ExecutionContext", make_out):
-        rows = source.rows
-        positions = {name: i for i, name in enumerate(source.columns)}
-        out_vars, specs = self.plan_call(positions, context.params)
+    def execute(
+        self, inputs: list[BindingTable], context: "ExecutionContext"
+    ) -> BindingTable:
+        (table,) = inputs
+        rows = table.rows
+        out_vars, specs = self.plan_call(table._positions, context.params)
         expand = self.expander(specs, out_vars, context)
-        add, out = make_out(
-            source.columns + tuple(out_vars), context.governor
+        out = BindingTable(
+            table.columns + tuple(out_vars), governor=context.governor
         )
+        add = out._appender()
         event = Event(
             context.subscribers, "external-predicate", self.call.name
         )
@@ -480,7 +421,7 @@ class ExternalPredNode(RowOperatorNode):
         return f"external {_shown(self.call, params)}"
 
 
-class ParameterizedQueryNode(RowOperatorNode):
+class ParameterizedQueryNode(PlanNode):
     """Per input tuple, instantiate a query template and send it.
 
     "For each tuple of its input table, this node generates a query for
@@ -555,7 +496,9 @@ class ParameterizedQueryNode(RowOperatorNode):
             params = {**lifted, **params}
         return substitute_params(template or self.template, params)
 
-    def run_rows(self, source, context: "ExecutionContext", make_out):
+    def execute(
+        self, inputs: list[BindingTable], context: "ExecutionContext"
+    ) -> BindingTable:
         """Probe once per distinct input tuple (or once per batch).
 
         Queries are instantiated up front and deduplicated by canonical
@@ -569,8 +512,9 @@ class ParameterizedQueryNode(RowOperatorNode):
         the whole batch collapses into one shipped filter per probe
         group and target instead.
         """
-        rows = source.rows
-        positions = {name: i for i, name in enumerate(source.columns)}
+        (table,) = inputs
+        rows = table.rows
+        positions = table._positions
         param_positions = [
             (name, positions[column])
             for name, column in self.param_columns.items()
@@ -584,11 +528,11 @@ class ParameterizedQueryNode(RowOperatorNode):
         fresh = tuple(
             at for at, name in enumerate(carried) if name not in positions
         )
-        add, out = make_out(
-            source.columns + tuple(carried[at] for at in fresh),
-            context.governor,
+        out = BindingTable(
+            table.columns + tuple(carried[at] for at in fresh),
+            governor=context.governor,
         )
-        emit = _joining(add, checks, fresh, len(carried))
+        emit = _joining(out._appender(), checks, fresh, len(carried))
         if (
             rows
             and self.batch_query is not None
@@ -850,20 +794,23 @@ def build_comparison_keep(
     return keep
 
 
-class FilterNode(RowOperatorNode):
+class FilterNode(PlanNode):
     """Apply a comparison to each tuple (mediator-side compensation)."""
 
     def __init__(self, input_node: PlanNode, comparison: Comparison) -> None:
         super().__init__((input_node,))
         self.comparison = comparison
 
-    def run_rows(self, source, context: "ExecutionContext", make_out):
-        positions = {name: i for i, name in enumerate(source.columns)}
+    def execute(
+        self, inputs: list[BindingTable], context: "ExecutionContext"
+    ) -> BindingTable:
+        (table,) = inputs
         keep = build_comparison_keep(
-            self.comparison, positions, context.params
+            self.comparison, table._positions, context.params
         )
-        add, out = make_out(source.columns, context.governor)
-        for row in source.rows:
+        out = BindingTable(table.columns, governor=context.governor)
+        add = out._appender()
+        for row in table.rows:
             if keep(row):
                 add(row)
         return out
@@ -888,7 +835,7 @@ class JoinNode(PlanNode):
         return "join"
 
 
-class ConstructorNode(RowOperatorNode):
+class ConstructorNode(PlanNode):
     """Create the final result objects (Figure 3.6's ``constructor``).
 
     "For each row in the input table, the constructor operator takes a
@@ -920,24 +867,28 @@ class ConstructorNode(RowOperatorNode):
         # compiled head builders per projected column layout
         self._builders: dict[tuple[str, ...], tuple] = {}
 
-    def run_rows(self, source, context: "ExecutionContext", make_out):
-        positions = {name: i for i, name in enumerate(source.columns)}
+    def execute(
+        self, inputs: list[BindingTable], context: "ExecutionContext"
+    ) -> BindingTable:
+        (table,) = inputs
+        positions = table._positions
         available = tuple(v for v in self._needed if v in positions)
         governor = context.governor
-        # projection and dedup are admitted row by row into sinks of
+        # projection and dedup are admitted row by row into tables of
         # their own, so per-table budgets see each step's size
-        add, projected = sink_out(available, governor)
+        projected = BindingTable(available, governor=governor)
+        add = projected._appender()
         avail_positions = [positions[v] for v in available]
-        for row in source.rows:
+        for row in table.rows:
             add(tuple(row[p] for p in avail_positions))
-        add, distinct = sink_out(available, governor)
+        distinct = BindingTable(available, governor=governor)
         add_distinct(
             projected.rows,
             [
                 key_array([row[p] for row in projected.rows])[0]
                 for p in range(len(available))
             ],
-            add,
+            distinct._appender(),
         )
         objects: list[OEMObject] = []
         oidgen = context.oidgen
@@ -965,7 +916,8 @@ class ConstructorNode(RowOperatorNode):
                 row += constants
             for build in builders:
                 objects.extend(build(row, oidgen))
-        add, out = make_out((RESULT_COLUMN,), governor)
+        out = BindingTable((RESULT_COLUMN,), governor=governor)
+        add = out._appender()
         for obj in objects:
             add((obj,))
         return out
@@ -1018,8 +970,6 @@ class PhysicalPlan:
         self.root = root
         self._order: list[PlanNode] | None = None
         self._stages: list[list[PlanNode]] | None = None
-        self._stage_starts: list[tuple[int, list[PlanNode]]] | None = None
-        self._depth: int | None = None
 
     def nodes(self) -> list[PlanNode]:
         """All nodes in bottom-up (topological) order."""
@@ -1036,51 +986,25 @@ class PhysicalPlan:
         A node's depth is ``1 + max(depth of its inputs)``, so all of a
         stage's inputs live in strictly earlier stages and the nodes
         *within* one stage are mutually independent — the unit of
-        parallelism for the stage-aware executor.  Within a stage,
-        nodes keep their :meth:`nodes` (topological) order, which is
-        what keeps parallel runs' warning and trace order
-        deterministic.
+        parallelism for the stage-aware executor.  The list's first
+        group is stage 1.  Within a stage, nodes keep their
+        :meth:`nodes` (topological) order, which is what keeps parallel
+        runs' warning and trace order deterministic.
         """
         if self._stages is None:
-            self._compute_stages()
+            depth: dict[int, int] = {}
+            grouped: dict[int, list[PlanNode]] = {}
+            for node in self.nodes():
+                at = depth[id(node)] = 1 + max(
+                    (depth[id(child)] for child in node.inputs), default=0
+                )
+                grouped.setdefault(at, []).append(node)
+            self._stages = [grouped[at] for at in sorted(grouped)]
         return self._stages
 
-    def stage_starts(self) -> list[tuple[int, list[PlanNode]]]:
-        """:meth:`stages` with each group's starting stage *number*.
-
-        For unfused plans the numbers are simply 1, 2, 3, ...; a fused
-        pipeline node occupies the number of its first constituent and
-        spans ``fusion_width`` consecutive numbers, so stage numbering
-        (and therefore deadline slicing and stage spans) is identical
-        with and without fusion.
-        """
-        if self._stage_starts is None:
-            self._compute_stages()
-        return self._stage_starts
-
     def depth(self) -> int:
-        """Total constituent-stage count (the deadline-slicing unit).
-
-        Counts every constituent of a fused node, so
-        ``fused_plan.depth() == unfused_plan.depth()``.
-        """
-        if self._depth is None:
-            self._compute_stages()
-        return self._depth
-
-    def _compute_stages(self) -> None:
-        end: dict[int, int] = {}
-        grouped: dict[int, list[PlanNode]] = {}
-        for node in self.nodes():
-            start = 1
-            for child in node.inputs:
-                if end[id(child)] >= start:
-                    start = end[id(child)] + 1
-            end[id(node)] = start + node.fusion_width - 1
-            grouped.setdefault(start, []).append(node)
-        self._stage_starts = sorted(grouped.items())
-        self._stages = [group for _, group in self._stage_starts]
-        self._depth = max(end.values())
+        """The number of stages (the deadline-slicing unit)."""
+        return len(self.stages())
 
     def describe(self, params: Mapping[str, object] | None = None) -> str:
         """A numbered, indented description of the whole graph (of a

@@ -6,8 +6,8 @@ constants: a *shape* is a query with its constants lifted out
 (:mod:`repro.msl.lift`), and one :class:`Planned` per shape serves every
 call of it, the call's constants travelling in
 ``ExecutionContext.params``.  This module is the memory; the planning
-itself is ``Mediator._planned``, the one place the expander, the
-optimizer and the fusion pass are called from.
+itself is ``Mediator._planned``, the one place the expander and the
+optimizer are called from.
 
 When a remembered plan is *not* reused:
 
@@ -58,8 +58,6 @@ class Planned:
     __slots__ = (
         "program",
         "plan",
-        "decisions",
-        "fused",
         "stamp",
         "capabilities",
         "cardinalities",
@@ -70,18 +68,12 @@ class Planned:
         self,
         program: LogicalDatamergeProgram | None,
         plan: PhysicalPlan,
-        decisions: list,
         stamp: tuple,
         capabilities: tuple,
         statistics: SourceStatistics,
     ) -> None:
         self.program = program
         self.plan = plan
-        #: the fusion pass's per-chain decisions, and (chains, operators)
-        #: fused, for the profiler
-        self.decisions = decisions
-        chains = [d for d in decisions if d.fused]
-        self.fused = (len(chains), sum(len(d.nodes) for d in chains))
         self.stamp = stamp
         #: (source, its capability) for every source the plan ships to
         self.capabilities = capabilities
@@ -90,13 +82,12 @@ class Planned:
         # and the access-cost weight of every source
         buckets: dict[tuple[str, str], None] = {}
         for node in plan.nodes():
-            for operator in getattr(node, "nodes", (node,)):
-                key = operator.estimate_key
-                if key is None:
-                    continue
-                buckets[(key[0], key[1])] = None
-                for shard in getattr(operator, "shard_names", ()):
-                    buckets[(shard, key[1])] = None
+            key = node.estimate_key
+            if key is None:
+                continue
+            buckets[(key[0], key[1])] = None
+            for shard in getattr(node, "shard_names", ()):
+                buckets[(shard, key[1])] = None
         self.cardinalities = tuple(
             (source, label, statistics.base_cardinality(source, label))
             for source, label in buckets
@@ -107,8 +98,7 @@ class Planned:
         )
         # whatever the plan computes lazily is computed now, so that
         # running it never assigns to it
-        plan.stage_starts()
-        plan.depth()
+        plan.stages()
 
     def drift(self, statistics: SourceStatistics) -> str | None:
         """Which recorded statistic is now off by more than

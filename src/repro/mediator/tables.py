@@ -44,8 +44,8 @@ def key_array(column: Sequence[object]) -> tuple[list[object], bool]:
     their own hash keys (``value_key`` equality for two strings is
     plain string equality), so the column itself doubles as the key
     array with zero per-value work.  Otherwise every value is lowered
-    to its canonical ``value_key``.  Shared with the fused pipeline's
-    constructor stage so fused dedup partitions rows identically.
+    to its canonical ``value_key``.  :meth:`BindingTable.key_column`
+    memoizes it per column for joins and the constructor's dedup.
     """
     for value in column:
         if type(value) is not str:
@@ -125,6 +125,8 @@ class BindingTable:
         # valid only while len(rows) == _keys_len (rows only ever grow)
         self._keys: dict[int, tuple[list[object], bool]] | None = None
         self._keys_len = -1
+        if not rows:
+            return
         add = self._appender()
         arity = len(self.columns)
         for row in rows:

@@ -4,14 +4,13 @@ MedMaker §3.5 wants the optimizer to "build its own statistics
 database that is based on results of previous queries"; this module is
 the *observation* half of that loop.  A :class:`QueryInsight`
 subscribes to the event stream of one operation
-(:mod:`repro.mediator.events`) and records, per plan node — including
-the constituents inside fused pipeline chains — the optimizer's
-estimated cardinality next to the actual rows in/out, wall time, and
-source-call latency, plus the nodes whose actual rows exceeded the
-estimate by more than :data:`MISESTIMATE_FACTOR`, and the whole-source
-exports a materialized answer made.  :class:`AnalyzeReport` wraps a
-finished insight together with the operation's answer: ``render()`` is
-the annotated plan tree (with a misestimate-factor column) that
+(:mod:`repro.mediator.events`) and records, per plan node, the
+optimizer's estimated cardinality next to the actual rows in/out, wall
+time, and source-call latency, plus the nodes whose actual rows
+exceeded the estimate by more than :data:`MISESTIMATE_FACTOR`, and the
+whole-source exports a materialized answer made.  :class:`AnalyzeReport`
+wraps a finished insight together with the operation's answer:
+``render()`` is the annotated plan tree (with a misestimate-factor column) that
 ``--explain-analyze`` prints, ``to_dict()``/``to_json()`` the
 structured export CI validates.
 
@@ -21,7 +20,7 @@ report, the telemetry counter, the statistics database's q-error
 windows and the plan cache's drift check all read them.
 
 The module is deliberately import-light (plan nodes are duck-typed via
-``estimated_rows`` / ``estimate_key`` / ``fusion_width``), so
+``estimated_rows`` / ``estimate_key``), so
 :mod:`repro.obs` never imports the mediator layer.
 """
 
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 __all__ = [
     "AnalyzeReport",
@@ -68,7 +67,7 @@ def underestimated(estimated: float, actual: float) -> bool:
 
 
 class NodeObservation:
-    """One plan node's (or fused constituent's) analyze record."""
+    """One plan node's analyze record."""
 
     __slots__ = (
         "key",
@@ -76,8 +75,6 @@ class NodeObservation:
         "description",
         "stage",
         "inputs",
-        "parent",
-        "constituents",
         "estimated_rows",
         "estimate_key",
         "calls",
@@ -95,7 +92,6 @@ class NodeObservation:
         description: str,
         stage: int,
         inputs: Sequence[str] = (),
-        parent: "str | None" = None,
         estimated_rows: "float | None" = None,
         estimate_key: "tuple[str, str, str] | None" = None,
     ) -> None:
@@ -104,8 +100,6 @@ class NodeObservation:
         self.description = description
         self.stage = stage
         self.inputs = tuple(inputs)
-        self.parent = parent
-        self.constituents: list[str] = []
         self.estimated_rows = estimated_rows
         self.estimate_key = estimate_key
         self.calls = 0
@@ -153,8 +147,6 @@ class NodeObservation:
             "description": self.description,
             "stage": self.stage,
             "inputs": list(self.inputs),
-            "parent": self.parent,
-            "constituents": list(self.constituents),
             "estimated_rows": self.estimated_rows,
             "estimate": estimate,
             "calls": self.calls,
@@ -171,14 +163,13 @@ class QueryInsight:
     """Per-operation plan observation sink (thread-safe).
 
     ``explain_analyze`` subscribes one insight to its operation's event
-    stream: every executed operator (fused constituents too) arrives as
-    a ``plan-node`` / ``pipeline-stage`` event, held against its
-    estimate as it arrives; whole-source exports arrive as
-    ``source-call`` events.  Leaf queries finish on pool workers, hence
-    the lock.
+    stream: every executed operator arrives as a ``plan-node`` event,
+    held against its estimate as it arrives; whole-source exports
+    arrive as ``source-call`` events.  Leaf queries finish on pool
+    workers, hence the lock.
     """
 
-    kinds = frozenset({"plan-node", "pipeline-stage", "source-call"})
+    kinds = frozenset({"plan-node", "source-call"})
     opens = frozenset()
 
     def __init__(self) -> None:
@@ -192,72 +183,39 @@ class QueryInsight:
     # -- plan registration -------------------------------------------------
 
     def attach_plan(self, plan: Any, params: Any = None) -> None:
-        """Register every node of ``plan`` (fused constituents too),
-        described as it runs under ``params`` when it is a template's.
+        """Register every node of ``plan``, described as it runs under
+        ``params`` when it is a template's.
 
         Nodes are keyed ``"3"`` in :meth:`PhysicalPlan.describe`'s
-        numbering; the constituents of a fused pipeline get dotted keys
-        (``"3.1"``, ``"3.2"`` ...) and consecutive stage numbers
-        starting at the container's — the same numbering deadline
-        slicing sees, so fused and unfused analyze output line up.
+        numbering and carry the stage number deadline slicing sees.
         ``export()``-style operations may attach several plans; keys
         then continue ``p2:3`` to stay unique.
         """
         nodes = plan.nodes()
         numbers = {id(node): i for i, node in enumerate(nodes, 1)}
-        starts: dict[int, int] = {}
-        for start, group in plan.stage_starts():
-            for node in group:
-                starts[id(node)] = start
+        stage_of = {
+            id(node): stage
+            for stage, group in enumerate(plan.stages(), 1)
+            for node in group
+        }
         with self._lock:
             self.plans += 1
             prefix = f"p{self.plans}:" if self.plans > 1 else ""
             for node in nodes:
-                key = f"{prefix}{numbers[id(node)]}"
-                record = self._register(
-                    node,
-                    key=key,
-                    stage=starts[id(node)],
+                record = NodeObservation(
+                    key=f"{prefix}{numbers[id(node)]}",
+                    kind=type(node).__name__,
+                    description=node.describe(params),
+                    stage=stage_of[id(node)],
                     inputs=tuple(
                         f"{prefix}{numbers[id(child)]}"
                         for child in node.inputs
                     ),
-                    params=params,
+                    estimated_rows=getattr(node, "estimated_rows", None),
+                    estimate_key=getattr(node, "estimate_key", None),
                 )
-                constituents = getattr(node, "nodes", None)
-                if constituents and getattr(node, "fusion_width", 1) > 1:
-                    for offset, member in enumerate(constituents, 1):
-                        child = self._register(
-                            member,
-                            key=f"{key}.{offset}",
-                            stage=starts[id(node)] + offset - 1,
-                            parent=key,
-                            params=params,
-                        )
-                        record.constituents.append(child.key)
-
-    def _register(
-        self,
-        node: Any,
-        key: str,
-        stage: int,
-        inputs: Sequence[str] = (),
-        parent: "str | None" = None,
-        params: Any = None,
-    ) -> NodeObservation:
-        record = NodeObservation(
-            key=key,
-            kind=type(node).__name__,
-            description=node.describe(params),
-            stage=stage,
-            inputs=inputs,
-            parent=parent,
-            estimated_rows=getattr(node, "estimated_rows", None),
-            estimate_key=getattr(node, "estimate_key", None),
-        )
-        self.nodes.append(record)
-        self._by_id[id(node)] = record
-        return record
+                self.nodes.append(record)
+                self._by_id[id(node)] = record
 
     # -- observation -------------------------------------------------------
 
@@ -303,13 +261,6 @@ class QueryInsight:
                     }
                 )
 
-    # -- views -------------------------------------------------------------
-
-    def tree(self) -> Iterator[tuple[int, NodeObservation]]:
-        """``(indent, record)`` pairs: plan order, constituents nested."""
-        for record in self.nodes:
-            yield (1, record) if record.parent is not None else (0, record)
-
 
 class AnalyzeReport:
     """One EXPLAIN ANALYZE result: the answer plus its insight."""
@@ -330,7 +281,7 @@ class AnalyzeReport:
 
     def to_dict(self) -> dict[str, Any]:
         report = {
-            "version": 2,
+            "version": 3,
             "query": self.query,
             "seconds": self.seconds,
             "result_objects": len(self.objects),
@@ -362,8 +313,8 @@ class AnalyzeReport:
         lines.append("-" * len(header))
         if not self.insight.nodes:
             lines.append("(no physical plan: answered by materialization)")
-        for indent, record in self.insight.tree():
-            label = f"{'  ' * indent}[{record.key}] {record.description}"
+        for record in self.insight.nodes:
+            label = f"[{record.key}] {record.description}"
             if len(label) > width:
                 label = label[: width - 1] + "…"
             est = (

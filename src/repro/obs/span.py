@@ -61,7 +61,6 @@ SPAN_KINDS = (
     "view-expansion",
     "plan-stage",
     "plan-node",
-    "pipeline-stage",
     "source-call",
     "pattern-match",
     "external-predicate",

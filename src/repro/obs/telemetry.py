@@ -59,7 +59,7 @@ _BREAKER_STATES = {"closed": 0, "half_open": 1, "open": 2}
 class Telemetry:
     """A tracer and a metrics registry, wired to mediator components."""
 
-    kinds = frozenset({"plan-node", "pipeline-stage"})
+    kinds = frozenset({"plan-node"})
     opens = frozenset()
 
     def __init__(

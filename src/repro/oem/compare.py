@@ -33,6 +33,7 @@ from repro.oem.oid import SemanticOid
 
 __all__ = [
     "structural_key",
+    "dedup_key",
     "structural_hash",
     "structurally_equal",
     "eliminate_duplicates",
@@ -77,6 +78,23 @@ def structural_key(obj: OEMObject) -> Hashable:
     return key
 
 
+def dedup_key(obj: OEMObject) -> Hashable:
+    """What makes ``obj`` a duplicate of another answer object.
+
+    Its :func:`structural_key`, paired with its oid when that is a
+    :class:`SemanticOid`: a semantic oid names one view object, so two
+    objects with distinct semantic oids are two objects even when the
+    oid's arguments are not among their sub-objects.  Plain oids are
+    arbitrary and ignored.
+    """
+    key = obj._skey
+    if key is None:
+        key = structural_key(obj)
+    if obj.oid.__class__ is SemanticOid:
+        return (obj.oid, key)
+    return key
+
+
 def structural_hash(obj: OEMObject) -> int:
     """Hash consistent with :func:`structurally_equal`."""
     return hash(structural_key(obj))
@@ -94,7 +112,8 @@ def structurally_equal(a: OEMObject, b: OEMObject) -> bool:
 
 
 def eliminate_duplicates(objects: Iterable[OEMObject]) -> list[OEMObject]:
-    """Drop structurally duplicated objects, keeping first occurrences.
+    """Drop duplicated objects (equal :func:`dedup_key`), keeping first
+    occurrences.
 
     This implements the duplicate elimination that the MSL semantics
     prescribe for the objects a mediator (or query) generates.
@@ -102,7 +121,7 @@ def eliminate_duplicates(objects: Iterable[OEMObject]) -> list[OEMObject]:
     seen: set[Hashable] = set()
     unique: list[OEMObject] = []
     for obj in objects:
-        key = structural_key(obj)
+        key = dedup_key(obj)
         if key not in seen:
             seen.add(key)
             unique.append(obj)
@@ -115,9 +134,9 @@ def has_semantic_oids(objects: Iterable[OEMObject]) -> bool:
 
 
 def finish(objects: Iterable[OEMObject]) -> list[OEMObject]:
-    """The answer ``objects`` stand for: structural duplicates dropped,
-    first occurrences kept (footnote 9), then objects sharing a
-    semantic oid fused (:func:`fuse_objects`).
+    """The answer ``objects`` stand for: duplicates (equal
+    :func:`dedup_key`) dropped, first occurrences kept (footnote 9),
+    then objects sharing a semantic oid fused (:func:`fuse_objects`).
 
     An OEM answer holds no two objects with one oid; every answer route
     ends here, so the plan route, the materialization route, a
@@ -129,7 +148,7 @@ def finish(objects: Iterable[OEMObject]) -> list[OEMObject]:
     unique: list[OEMObject] = []
     semantic = False
     for obj in objects:
-        key = structural_key(obj)
+        key = dedup_key(obj)
         if key not in seen:
             seen.add(key)
             unique.append(obj)

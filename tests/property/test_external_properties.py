@@ -6,11 +6,20 @@ Both must answer what ``tests/reference.py::reference_evaluate`` — an
 implementation selected for every call, then the post-filter loop —
 answers, and raise the same errors with the same messages, over every
 return shape an implementation may give.
+
+``schedule_conditions`` orders a rule tail for the reference evaluator
+and the compiled rules alike: every condition it orders must be ready
+when it is reached, and what it cannot order must be exactly the
+external calls no declared implementation can run.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.external import ExternalRegistry
+from repro.msl.analysis import condition_variables
+from repro.msl.ast import Comparison, Const, ExternalCall, PatternCondition, Var
+from repro.msl.evaluate import schedule_conditions
+from repro.msl.parser import parse_rule
 from tests.reference import reference_evaluate
 
 #: Values that compare equal across types (1, 1.0, True) and not.
@@ -103,3 +112,96 @@ def test_one_resolution_serves_every_row(case):
         else:
             ((call,),) = resolved[1:]
             assert outcome(lambda: call(args)) == expected
+
+
+# -- the condition schedule the oracle shares with compile.py -----------------
+
+#: Declared implementations: predicate -> adornments (arity = length).
+DECLARED = {"p": ("bf", "fb"), "q": ("bbf",), "r": ("b",), "s": ()}
+ARITY = {"p": 2, "q": 3, "r": 1, "s": 2}
+#: Variables only an external predicate's free position can bind.
+EXTERNAL_ONLY = ("E", "F")
+
+
+def _registry():
+    registry = ExternalRegistry()
+    registry.register_function("impl", lambda *args: [])
+    for predicate, adornments in DECLARED.items():
+        for adornment in adornments:
+            registry.declare(predicate, tuple(adornment), "impl")
+    return registry
+
+
+def _selectable(call, bound) -> bool:
+    """Has ``call`` a declared adornment whose bound positions are all
+    available (a constant, or a variable bound by now)?"""
+    available = [
+        isinstance(arg, Const) or (isinstance(arg, Var) and arg.name in bound)
+        for arg in call.args
+    ]
+    return any(
+        len(adornment) == len(available)
+        and all(ok or letter == "f" for ok, letter in zip(available, adornment))
+        for adornment in DECLARED.get(call.name, ())
+    )
+
+
+@st.composite
+def scheduled_rules(draw):
+    """A rule text whose tail mixes patterns, comparisons over pattern
+    variables, and external calls that may or may not be executable."""
+    names = st.sampled_from("ABCD")
+    patterns = draw(
+        st.lists(st.lists(names, min_size=1, max_size=3), min_size=1,
+                 max_size=3)
+    )
+    bound_by_patterns = sorted({name for fields in patterns for name in fields})
+    tail = [
+        "<rec {"
+        + " ".join(f"<f{i} {name}>" for i, name in enumerate(fields))
+        + f"}}>@src{index}"
+        for index, fields in enumerate(patterns)
+    ]
+    operand = st.one_of(
+        st.sampled_from(bound_by_patterns), st.sampled_from(["1", "'a'"])
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        left, right = draw(operand), draw(operand)
+        tail.append(f"{left} {draw(st.sampled_from(['=', '<', '!=']))} {right}")
+    argument = st.one_of(
+        st.sampled_from(bound_by_patterns),
+        st.sampled_from(EXTERNAL_ONLY),
+        st.just("7"),
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        predicate = draw(st.sampled_from(sorted(ARITY)))
+        args = [draw(argument) for _ in range(ARITY[predicate])]
+        tail.append(f"{predicate}({', '.join(args)})")
+    order = draw(st.permutations(range(len(tail))))
+    head = f"<out {{<v {bound_by_patterns[0]}>}}>"
+    return head + " :- " + " AND ".join(tail[i] for i in order)
+
+
+@given(text=scheduled_rules())
+@settings(max_examples=300, deadline=None)
+def test_every_scheduled_condition_is_ready_when_reached(text):
+    rule = parse_rule(text)
+    ordered, leftover = schedule_conditions(rule, _registry())
+    assert sorted(map(str, ordered + leftover)) == sorted(map(str, rule.tail))
+    bound: set[str] = set()
+    for condition in ordered:
+        if isinstance(condition, Comparison):
+            assert condition_variables(condition) <= bound, text
+        elif isinstance(condition, ExternalCall):
+            assert _selectable(condition, bound), text
+        else:
+            assert isinstance(condition, PatternCondition)
+        bound |= condition_variables(condition)
+    # what is left is exactly the external calls no declared adornment
+    # can run even with everything else bound, in tail order
+    assert leftover == [
+        condition
+        for condition in rule.tail
+        if isinstance(condition, ExternalCall)
+        and not _selectable(condition, bound)
+    ], text

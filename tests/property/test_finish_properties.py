@@ -1,7 +1,7 @@
 """Property: every answer route finishes its objects alike.
 
-MSL's head semantics drop structural duplicates (footnote 9) and fuse
-the objects that share a semantic oid (Section 2); an OEM answer never
+MSL's head semantics drop duplicates (footnote 9) and fuse the objects
+that share a semantic oid (Section 2); an OEM answer never
 holds two objects with one oid.  Each route below reaches the same
 answer by a different path, and each pair must agree — as multisets of
 structural keys, and with no oid twice at the top level:
@@ -13,15 +13,12 @@ structural keys, and with no oid twice at the top level:
   pass-through view of that wrapper;
 * a sharded source and the unsharded store holding the same objects.
 
-Every semantic oid below is a function of its object's own content (its
-arguments occur in the object).  Where it is not, structural duplicate
-elimination, which ignores oids, can drop an object whose oid no other
-object carries, and which one it drops depends on the order the rows
-arrive in: :func:`test_dedup_keeps_objects_with_distinct_semantic_oids`
-pins that defect.
+Two objects with distinct semantic oids are two objects even when their
+structure is equal: the last source query's oid argument ``C`` is left
+out of its object, so dedup must key on the oid as well
+(:func:`~repro.oem.compare.dedup_key`), whatever order the rows arrive
+in.
 """
-
-import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +61,7 @@ SOURCE_QUERIES = [
     "<&r(A) r {<a A> <b B>}> :- <rec {<a A> <b B>}>@s",
     "<r {<a A>}> :- <rec {<a A> <b B>}>@s",
     "<&r(C) r {<a A> <c C>}> :- <rec {<a A> <c C>}>@s",
+    "<&r(C) r {<a A>}> :- <rec {<a A> <c C>}>@s",
 ]
 
 #: Fields the generator draws, plus one every record carries so two
@@ -140,11 +138,6 @@ def test_sharded_source_answers_as_the_store_does(forest, query, label):
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="structural dedup ignores semantic oids: r(1) is dropped as a"
-    " duplicate of r(0) before fusion, in every route and the reference",
-)
 def test_dedup_keeps_objects_with_distinct_semantic_oids():
     forest = [
         obj("rec", atom("a", 0), atom("c", 0)),

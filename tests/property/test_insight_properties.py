@@ -4,7 +4,7 @@ The observation contract of the plan-observability subsystem: an
 analyzed run (``explain_analyze``) produces bit-for-bit the same result
 objects (by structural key — oids are run-specific) and the same
 warnings as the plain ``query`` path, across dataset seeds, parallelism
-1 and 8, fusion on and off, and a retry-masked fault schedule.  The
+1 and 8, and a retry-masked fault schedule.  The
 insight recorder only *reads* the rows flowing between operators, and
 a misestimate it reports changes nothing about the run it was seen in.
 """
@@ -36,7 +36,7 @@ def warning_signatures(warnings):
     return sorted((w.source, w.error) for w in warnings)
 
 
-def build_faulty_mediator(seed, fault_rate, parallelism, fuse):
+def build_faulty_mediator(seed, fault_rate, parallelism):
     clock = ManualClock()
     registry = SourceRegistry()
     registry.register(
@@ -62,7 +62,6 @@ def build_faulty_mediator(seed, fault_rate, parallelism, fuse):
         ),
         clock=clock,
         parallelism=parallelism,
-        fuse=fuse,
     )
 
 
@@ -71,10 +70,9 @@ class TestAnalyzeEqualsPlain:
         people=st.integers(min_value=3, max_value=14),
         seed=st.integers(min_value=0, max_value=10_000),
         parallelism=st.sampled_from([1, 8]),
-        fuse=st.booleans(),
     )
     @settings(max_examples=12, deadline=None)
-    def test_scaled_scenarios(self, people, seed, parallelism, fuse):
+    def test_scaled_scenarios(self, people, seed, parallelism):
         scenario = build_scaled_scenario(people, seed=seed)
         plain = scenario.mediator.query(FANOUT_QUERY)
         analyzed_mediator = Mediator(
@@ -84,7 +82,6 @@ class TestAnalyzeEqualsPlain:
             scenario.externals,
             register=False,
             parallelism=parallelism,
-            fuse=fuse,
         )
         report = analyzed_mediator.explain_analyze(FANOUT_QUERY)
         assert canonical(report.objects) == canonical(plain)
@@ -99,17 +96,12 @@ class TestAnalyzeEqualsPlain:
         seed=st.integers(min_value=0, max_value=10_000),
         fault_rate=st.floats(min_value=0.0, max_value=0.3),
         parallelism=st.sampled_from([1, 8]),
-        fuse=st.booleans(),
     )
     @settings(max_examples=10, deadline=None)
-    def test_masked_fault_schedules(
-        self, seed, fault_rate, parallelism, fuse
-    ):
-        plain_mediator = build_faulty_mediator(
-            seed, fault_rate, parallelism, fuse
-        )
+    def test_masked_fault_schedules(self, seed, fault_rate, parallelism):
+        plain_mediator = build_faulty_mediator(seed, fault_rate, parallelism)
         analyzed_mediator = build_faulty_mediator(
-            seed, fault_rate, parallelism, fuse
+            seed, fault_rate, parallelism
         )
         expected = plain_mediator.query(FANOUT_QUERY)
         report = analyzed_mediator.explain_analyze(FANOUT_QUERY)

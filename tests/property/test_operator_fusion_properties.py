@@ -1,20 +1,22 @@
-"""Property: operator fusion never changes what a query means.
+"""Property: production, trace mode and EXPLAIN ANALYZE run one plan.
 
-The equivalence contract of :mod:`repro.mediator.pipeline`
-(docs/performance.md): a mediator with ``fuse=True`` produces output
-**bit-for-bit** equal to the node-per-operator reference path — same
-answer objects *including mediator-assigned oids* (fused execution
-drives rows in the same order, so the oid generator ticks identically),
-same warnings, same budget truncation points, and the same per-operator
-profile row counts.  This holds at any parallelism, under both budget
-modes, and under injected source faults.
+A mediator runs the node-per-operator plan of its query shape whether
+it answers plainly, records the Figure 3.6 trace (``trace=True``) or
+records per-node actuals (``explain_analyze``).  Watching a run is a
+subscriber of its event stream and nothing else, so the watched run's
+output is **bit-for-bit** the plain one's — same answer objects
+*including mediator-assigned oids*, same warnings, same budget
+truncation points and violation texts, and the same per-operator
+profile row counts — at any parallelism, under both budget modes, and
+under injected source faults.  The plain answers also equal the
+planner-free reference (``tests/reference.py``) up to oids.
 
-Each case therefore builds *twin* scenarios from one seed — two
-identical source registries, two fresh mediators differing only in
-``fuse`` — and compares ``repr`` streams, which capture oids verbatim.
-(Contrast ``test_parallel_properties.py``, which compares by structural
-key because parallel scheduling is allowed to reorder oid assignment;
-fusion is held to the stricter bar.)
+Each case builds *twin* scenarios from one seed — two identical source
+registries, two fresh mediators, the second one in trace mode — and
+compares ``repr`` streams, which capture oids verbatim.  The class and
+test names are those of the operator-fusion properties these grew
+out of: "fused" is the production mediator, "unfused" the traced one
+(trace mode used to run the unfused plan).
 """
 
 import pytest
@@ -31,6 +33,8 @@ from repro.reliability import (
     RetryPolicy,
 )
 
+from ..reference import canonical, reference_answer
+
 FANOUT_QUERY = "S :- S:<cs_person {<rel 'student'>}>@med"
 
 
@@ -44,14 +48,14 @@ def exact_warnings(warnings):
 
 
 def make_pair(people, seed, **kwargs):
-    """Twin mediators over twin scenarios: (fused, unfused).
+    """Twin mediators over twin scenarios: (production, traced).
 
     Two scenarios are built from the same seed so each mediator owns
     its own sources and its own oid generator — any divergence between
-    the pair is then attributable to fusion alone.
+    the pair is then attributable to trace mode alone.
     """
     mediators = []
-    for fuse in (True, False):
+    for trace in (False, True):
         scenario = build_scaled_scenario(
             people, seed=seed, push_mode="needed"
         )
@@ -63,26 +67,29 @@ def make_pair(people, seed, **kwargs):
                 scenario.externals,
                 push_mode="needed",
                 register=False,
-                fuse=fuse,
+                trace=trace,
                 **kwargs,
             )
         )
     return tuple(mediators)
 
 
-def shared_node_counts(mediator):
-    """Per-operator (calls, rows) from the profiler, fusion noise removed.
-
-    The fused profile carries an *additive* ``FusedPipelineNode`` entry
-    on top of the constituent counters; everything else must match the
-    reference run exactly.
-    """
+def node_counts(mediator):
+    """Per-operator (calls, rows) from the profiler."""
     nodes = mediator.profiler.snapshot()["nodes"]
     return {
         name: (entry["calls"], entry["rows"])
         for name, entry in nodes.items()
-        if name != "FusedPipelineNode"
     }
+
+
+def traced_nodes(production, traced):
+    """The traced run recorded one entry per node of the plan the
+    production mediator runs for the shape, in plan order."""
+    plan = production._planned(*production._shape_of(FANOUT_QUERY))[0].plan
+    return [type(entry.node).__name__ for entry in traced.engine.last_trace] == [
+        type(node).__name__ for node in plan.nodes()
+    ]
 
 
 class TestFusedEqualsUnfused:
@@ -93,20 +100,21 @@ class TestFusedEqualsUnfused:
     )
     @settings(max_examples=10, deadline=None)
     def test_answers_warnings_and_profile(self, people, seed, parallelism):
-        fused, unfused = make_pair(people, seed, parallelism=parallelism)
-        fused_result = fused.query(FANOUT_QUERY)
-        unfused_result = unfused.query(FANOUT_QUERY)
-        assert exact(fused_result) == exact(unfused_result)
-        assert exact_warnings(fused_result.warnings) == exact_warnings(
-            unfused_result.warnings
+        production, traced = make_pair(people, seed, parallelism=parallelism)
+        analyzed = make_pair(people, seed, parallelism=parallelism)[0]
+        result = production.query(FANOUT_QUERY)
+        traced_result = traced.query(FANOUT_QUERY)
+        report = analyzed.explain_analyze(FANOUT_QUERY)
+        assert exact(result) == exact(traced_result) == exact(report.objects)
+        assert exact_warnings(result.warnings) == exact_warnings(
+            traced_result.warnings
         )
-        assert shared_node_counts(fused) == shared_node_counts(unfused)
-        # fusion actually engaged (the heuristic plan is straight-line
-        # after the source scan, so at least one chain must fuse)
-        assert fused.last_fusion and any(
-            d.fused for d in fused.last_fusion
+        assert node_counts(production) == node_counts(traced)
+        assert node_counts(production) == node_counts(analyzed)
+        assert traced_nodes(production, traced)
+        assert canonical(result) == canonical(
+            reference_answer(production, FANOUT_QUERY)
         )
-        assert not unfused.last_fusion
 
     @given(
         people=st.integers(min_value=8, max_value=28),
@@ -118,19 +126,19 @@ class TestFusedEqualsUnfused:
     def test_truncate_budget_same_cut_point(
         self, people, seed, max_total_rows, parallelism
     ):
-        """Truncation must clip both paths at the same row."""
-        fused, unfused = make_pair(
+        """Truncation must clip both runs at the same row."""
+        production, traced = make_pair(
             people,
             seed,
             parallelism=parallelism,
             budget=QueryBudget(max_total_rows=max_total_rows),
             budget_mode="truncate",
         )
-        fused_result = fused.query(FANOUT_QUERY)
-        unfused_result = unfused.query(FANOUT_QUERY)
-        assert exact(fused_result) == exact(unfused_result)
-        assert exact_warnings(fused_result.warnings) == exact_warnings(
-            unfused_result.warnings
+        result = production.query(FANOUT_QUERY)
+        traced_result = traced.query(FANOUT_QUERY)
+        assert exact(result) == exact(traced_result)
+        assert exact_warnings(result.warnings) == exact_warnings(
+            traced_result.warnings
         )
 
     @given(
@@ -140,17 +148,17 @@ class TestFusedEqualsUnfused:
     )
     @settings(max_examples=8, deadline=None)
     def test_truncate_result_objects(self, people, seed, max_result_objects):
-        fused, unfused = make_pair(
+        production, traced = make_pair(
             people,
             seed,
             budget=QueryBudget(max_result_objects=max_result_objects),
             budget_mode="truncate",
         )
-        fused_result = fused.query(FANOUT_QUERY)
-        unfused_result = unfused.query(FANOUT_QUERY)
-        assert exact(fused_result) == exact(unfused_result)
-        assert exact_warnings(fused_result.warnings) == exact_warnings(
-            unfused_result.warnings
+        result = production.query(FANOUT_QUERY)
+        traced_result = traced.query(FANOUT_QUERY)
+        assert exact(result) == exact(traced_result)
+        assert exact_warnings(result.warnings) == exact_warnings(
+            traced_result.warnings
         )
 
     @given(
@@ -161,14 +169,14 @@ class TestFusedEqualsUnfused:
     @settings(max_examples=8, deadline=None)
     def test_strict_budget_same_violation(self, people, seed, max_total_rows):
         """Strict mode must blame the same node with the same message."""
-        fused, unfused = make_pair(
+        production, traced = make_pair(
             people,
             seed,
             budget=QueryBudget(max_total_rows=max_total_rows),
             budget_mode="strict",
         )
         outcomes = []
-        for mediator in (fused, unfused):
+        for mediator in (production, traced):
             try:
                 result = mediator.query(FANOUT_QUERY)
             except BudgetExceeded as exc:
@@ -179,17 +187,15 @@ class TestFusedEqualsUnfused:
 
 
 class TestFusionUnderFaults:
-    """A chaos-harness slice: seeded faults, degrade mode, fuse on/off.
+    """A chaos-harness slice: seeded faults, degrade mode, traced or not.
 
-    Fused execution issues the same source calls in the same order, so
-    a seeded fault schedule hits both paths identically — surviving
+    A traced run issues the same source calls in the same order, so a
+    seeded fault schedule hits both runs identically — surviving
     answers *and* degrade warnings must still match bit-for-bit.
-    (``tools/chaos.py`` randomizes ``fuse`` across whole schedules;
-    this is the paired, minimized version of that check.)
     """
 
     @staticmethod
-    def build_faulty(people, seed, fault_seed, fuse):
+    def build_faulty(people, seed, fault_seed, trace):
         scenario = build_scaled_scenario(
             people, seed=seed, push_mode="needed"
         )
@@ -213,7 +219,7 @@ class TestFusionUnderFaults:
             scenario.externals,
             push_mode="needed",
             register=False,
-            fuse=fuse,
+            trace=trace,
             on_source_failure="degrade",
             resilience=ResilienceConfig(
                 # shallow retries so some faults *surface* as degrade
@@ -235,27 +241,27 @@ class TestFusionUnderFaults:
     def test_fault_schedule_hits_both_paths_identically(
         self, people, seed, fault_seed
     ):
-        fused = self.build_faulty(people, seed, fault_seed, fuse=True)
-        unfused = self.build_faulty(people, seed, fault_seed, fuse=False)
-        fused_result = fused.query(FANOUT_QUERY)
-        unfused_result = unfused.query(FANOUT_QUERY)
-        assert exact(fused_result) == exact(unfused_result)
-        assert exact_warnings(fused_result.warnings) == exact_warnings(
-            unfused_result.warnings
+        production = self.build_faulty(people, seed, fault_seed, trace=False)
+        traced = self.build_faulty(people, seed, fault_seed, trace=True)
+        result = production.query(FANOUT_QUERY)
+        traced_result = traced.query(FANOUT_QUERY)
+        assert exact(result) == exact(traced_result)
+        assert exact_warnings(result.warnings) == exact_warnings(
+            traced_result.warnings
         )
 
 
 class TestFusionSurface:
     def test_export_is_bit_for_bit(self):
-        fused, unfused = make_pair(24, seed=7)
-        assert exact(fused.export()) == exact(unfused.export())
+        production, traced = make_pair(24, seed=7)
+        assert exact(production.export()) == exact(traced.export())
 
     @pytest.mark.parametrize("strategy", ["heuristic", "fetch_all"])
     def test_strategies(self, strategy):
-        """fetch_all plans put a JoinNode barrier mid-plan; the chains
-        around it must still fuse to the same answers."""
+        """fetch_all plans put a JoinNode mid-plan; traced or not, the
+        answer is the same and equals the reference's."""
         mediators = []
-        for fuse in (True, False):
+        for trace in (False, True):
             scenario = build_scaled_scenario(
                 20, seed=11, push_mode="needed", strategy=strategy
             )
@@ -268,10 +274,12 @@ class TestFusionSurface:
                     push_mode="needed",
                     strategy=strategy,
                     register=False,
-                    fuse=fuse,
+                    trace=trace,
                 )
             )
-        fused, unfused = mediators
-        assert exact(fused.query(FANOUT_QUERY)) == exact(
-            unfused.query(FANOUT_QUERY)
+        production, traced = mediators
+        result = production.query(FANOUT_QUERY)
+        assert exact(result) == exact(traced.query(FANOUT_QUERY))
+        assert canonical(result) == canonical(
+            reference_answer(production, FANOUT_QUERY)
         )

@@ -5,8 +5,8 @@ on the wire: with ``semijoin=True`` (the default) the in-process
 wrappers receive one batched filter per probe group, with
 ``semijoin=False`` one probe per distinct tuple.  Both must yield
 **bit-for-bit** the same objects in the same order — mediator-assigned
-oids included — and the same warnings, fused or unfused, sequential or
-parallel, for every parameter position: label slots, value joins,
+oids included — and the same warnings, sequential or parallel, for
+every parameter position: label slots, value joins,
 nested and rest-condition positions, NULL attributes, duplicate probes,
 labels naming no relation, empty tables, and ``1`` / ``1.0`` / ``True``
 join keys.
@@ -82,18 +82,16 @@ def exact(result):
 class TestBatchedEqualsPerTuple:
     @given(
         scenario=bind_join_scenarios(),
-        fuse=st.booleans(),
         parallelism=st.sampled_from([1, 4]),
     )
     @settings(max_examples=120, deadline=None)
-    def test_same_objects_same_order(self, scenario, fuse, parallelism):
+    def test_same_objects_same_order(self, scenario, parallelism):
         forests = build_forests(scenario)
         batched, per_tuple = (
             build_mediator(
                 scenario,
                 forests,
                 semijoin=semijoin,
-                fuse=fuse,
                 parallelism=parallelism,
             )
             for semijoin in (True, False)

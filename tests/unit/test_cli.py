@@ -532,7 +532,7 @@ class TestExplainAnalyzeFlags:
         assert len(lines) == 2
         for line in lines:
             doc = json.loads(line)
-            assert doc["version"] == 2
+            assert doc["version"] == 3
             assert doc["result_objects"] == 1
             assert doc["nodes"]
 
@@ -603,7 +603,7 @@ class TestStatisticsFlags:
 
 class TestPublicSurface:
     def test_knobs_are_spelled_out(self):
-        # every constructor keyword (23) and CLI option (39), as
+        # every constructor keyword (22) and CLI option (38), as
         # literals: a new knob, or a removed one, is a reviewed diff of
         # this test, not a number someone re-counts by hand
         import inspect
@@ -617,7 +617,7 @@ class TestPublicSurface:
             "push_mode", "strategy", "trace", "register",
             "on_source_failure", "resilience",
             "clock", "budget", "budget_mode", "on_malformed_answer",
-            "cancellation", "parallelism", "cache", "fuse", "telemetry",
+            "cancellation", "parallelism", "cache", "telemetry",
             "hedge", "admission",
             "bulkheads", "semijoin",
         ]
@@ -634,7 +634,7 @@ class TestPublicSurface:
             "--hedge", "--hedge-delay", "--max-concurrent",
             "--max-result-objects", "--max-rows", "--max-total-rows",
             "--mediator", "--metrics-out",
-            "--no-fuse", "--no-semijoin", "--parallelism", "--priority",
+            "--no-semijoin", "--parallelism", "--priority",
             "--push-mode", "--quarantine-malformed", "--query",
             "--queue-depth", "--retries", "--shard", "--slow-query-ms",
             "--source", "--source-timeout", "--spec", "--stats-in",

@@ -1,7 +1,7 @@
 """Unit tests for the plan-observability subsystem (:mod:`repro.obs.insight`).
 
-Covers EXPLAIN ANALYZE (report shape, rendering, per-constituent
-attribution under fusion), q-error tracking into the statistics store
+Covers EXPLAIN ANALYZE (report shape, rendering, per-operator
+attribution), q-error tracking into the statistics store
 and the telemetry registry, misestimates as the analyze report and the
 telemetry counter see them, the observed-cost feedback loop into the
 optimizer, and statistics snapshot/restore persistence.
@@ -72,7 +72,7 @@ class TestExplainAnalyze:
             JOE_CHUNG_QUERY
         )
         doc = report.to_dict()
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert "reranks" not in doc
         assert doc["result_objects"] == 1
         estimated = [
@@ -93,25 +93,32 @@ class TestExplainAnalyze:
                    for n in doc["nodes"])
 
     def test_fused_constituents_attributed_per_stage(self):
-        # default fuse=True: straight-line segments become one pipeline
-        # node, but analyze still reports each constituent separately
-        # under a dotted key, with its own rows/time
+        # every operator is a node of the plan production runs, reported
+        # under its plan number at its own stage (one past its deepest
+        # input's) with its own rows
         report = build_scenario().mediator.explain_analyze(
             JOE_CHUNG_QUERY
         )
         doc = report.to_dict()
-        containers = [n for n in doc["nodes"] if n["constituents"]]
-        assert containers
-        by_key = {n["key"]: n for n in doc["nodes"]}
-        ran = False
-        for container in containers:
-            for key in container["constituents"]:
-                member = by_key[key]
-                assert member["parent"] == container["key"]
-                assert "." in member["key"]
-                if member["calls"]:
-                    ran = True
-        assert ran
+        assert doc["version"] == 3
+        nodes = doc["nodes"]
+        assert [n["key"] for n in nodes] == [
+            str(number) for number in range(1, len(nodes) + 1)
+        ]
+        by_key = {n["key"]: n for n in nodes}
+        for node in nodes:
+            assert "parent" not in node and "constituents" not in node
+            assert node["calls"] == 1
+            inputs = [by_key[key] for key in node["inputs"]]
+            assert node["stage"] == 1 + max(
+                (child["stage"] for child in inputs), default=0
+            )
+            assert node["rows_in"] == sum(
+                child["rows_out"] for child in inputs
+            )
+        assert {n["stage"] for n in nodes} == set(
+            range(1, max(n["stage"] for n in nodes) + 1)
+        )
 
     def test_node_figures_agree_at_parallelism_1_and_4(self):
         # one run_node times every operator where it runs: a pooled
@@ -165,7 +172,7 @@ class TestExplainAnalyze:
         assert leaf["seconds"] >= leaf["source_seconds"] >= 0.005
         context = med.last_context
         assert context.source_latency >= 0.005
-        # trace mode runs the unfused plan: query, constructor
+        # the plan is two operators: query, constructor
         assert [e.latency >= 0.005 for e in context.trace] == [True, False]
         assert [e.attempts for e in context.trace] == [1, 0]
 

@@ -20,6 +20,7 @@ from repro.msl import (
     parse_rule,
     pattern_variables,
 )
+from repro.msl.evaluate import compare_values
 from repro.oem import OidGenerator, SemanticOid, atom, obj, parse_oem, to_inline
 
 
@@ -171,6 +172,62 @@ class TestComparisons:
         comp = Comparison(Var("X"), "=", Const(3))
         with pytest.raises(MSLSemanticError, match="unbound"):
             evaluate_comparison(comp, EMPTY_BINDINGS)
+
+
+NAN = float("nan")
+OPS = ("=", "!=", "<", "<=", ">", ">=")
+
+#: ``compare_values(op, left, right)`` for every operator, written out
+#: by hand: equality needs comparable atoms (bools only with bools,
+#: numbers across int and float, anything else only within its type),
+#: order needs two numbers or two strings and never a bool, and NaN
+#: equals nothing, itself included.
+COMPARE_TABLE = [
+    # left, right, =, !=, <, <=, >, >=
+    (1, 1, True, False, False, True, False, True),
+    (1, 2, False, True, True, True, False, False),
+    (1, 1.0, True, False, False, True, False, True),
+    (2.5, 1, False, True, False, False, True, True),
+    (1.0, 2, False, True, True, True, False, False),
+    (True, True, True, False, False, False, False, False),
+    (True, False, False, True, False, False, False, False),
+    (True, 1, False, True, False, False, False, False),
+    (False, 0, False, True, False, False, False, False),
+    (0, False, False, True, False, False, False, False),
+    (True, 1.0, False, True, False, False, False, False),
+    ("a", "b", False, True, True, True, False, False),
+    ("a", "a", True, False, False, True, False, True),
+    ("b", "a", False, True, False, False, True, True),
+    ("1", 1, False, True, False, False, False, False),
+    ("a", True, False, True, False, False, False, False),
+    (b"a", b"a", True, False, False, False, False, False),
+    (b"a", b"b", False, True, False, False, False, False),
+    (b"a", "a", False, True, False, False, False, False),
+    (None, None, True, False, False, False, False, False),
+    (None, 0, False, True, False, False, False, False),
+    ("", None, False, True, False, False, False, False),
+    (NAN, NAN, False, True, False, False, False, False),
+    (NAN, 1, False, True, False, False, False, False),
+    (1.5, NAN, False, True, False, False, False, False),
+    (NAN, "a", False, True, False, False, False, False),
+    (NAN, None, False, True, False, False, False, False),
+]
+
+
+class TestCompareValues:
+    @pytest.mark.parametrize(
+        "left, right, truths",
+        [(row[0], row[1], row[2:]) for row in COMPARE_TABLE],
+        ids=[f"{row[0]!r}-{row[1]!r}" for row in COMPARE_TABLE],
+    )
+    def test_truth_table(self, left, right, truths):
+        assert [compare_values(op, left, right) for op in OPS] == list(
+            truths
+        )
+
+    def test_unknown_operator_raises(self):
+        with pytest.raises(MSLSemanticError, match="unknown comparison"):
+            compare_values("<>", 1, 2)
 
 
 class TestEvaluateRule:

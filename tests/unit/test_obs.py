@@ -203,8 +203,7 @@ class TestTracer:
     def test_span_kinds_catalog_matches_hierarchy(self):
         assert SPAN_KINDS == (
             "query", "view-expansion", "plan-stage", "plan-node",
-            "pipeline-stage", "source-call", "pattern-match",
-            "external-predicate",
+            "source-call", "pattern-match", "external-predicate",
         )
 
 

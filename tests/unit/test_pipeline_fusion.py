@@ -1,28 +1,38 @@
-"""Unit tests for whole-plan operator fusion (repro.mediator.pipeline)
-and the columnar key machinery in repro.mediator.tables that backs it."""
+"""Unit tests for the one plan shape — one node per operator, the
+shape operator fusion used to rewrite — with the ``fuse_plan`` name the
+end-to-end harness still imports, and for the columnar key machinery
+in repro.mediator.tables.
+
+The class and test names are kept from the operator-fusion tests these
+replace; each now checks what remains of its subject."""
 
 import math
 
 import pytest
 
-from repro.cli import main as cli_main
 from repro.datasets.staff import MS1_FUSION
 from repro.datasets.staff import build_scaled_scenario
 from repro.mediator import (
+    ConstructorNode,
+    DatamergeEngine,
+    ExternalPredNode,
     FilterNode,
-    FusedPipelineNode,
     JoinNode,
     Mediator,
+    ParameterizedQueryNode,
     PhysicalPlan,
     QueryNode,
     UnionNode,
-    fuse_plan,
 )
+from repro.mediator.engine import ExecutionContext
+from repro.mediator.pipeline import fuse_plan
 from repro.mediator.tables import BindingTable, add_distinct, key_array
 from repro.msl.ast import Comparison, Const, Var
-from repro.msl.parser import parse_query, parse_specification
-from repro.oem import OEMObject, atom
+from repro.msl.parser import parse_query
+from repro.oem import OEMObject, atom, obj
 from repro.msl.bindings import values_equal
+from repro.wrappers import OEMStoreWrapper, SourceRegistry
+from repro.external.registry import default_registry
 
 from ..reference import canonical, reference_answer
 
@@ -33,7 +43,7 @@ WHOIS_NAMES = parse_query(
 
 
 def plan_for(mediator, query):
-    """The optimizer's plan for ``query``, before fusion."""
+    """The optimizer's plan for ``query``."""
     program = mediator.expander.expand(parse_query(query))
     return mediator.optimizer.plan_program(program)
 
@@ -42,41 +52,44 @@ def scaled_mediator(**kwargs):
     return build_scaled_scenario(12, push_mode="needed", **kwargs).mediator
 
 
+def node_types(plan):
+    return [type(node).__name__ for node in plan.nodes()]
+
+
 class TestFusePlan:
+    """``fuse_plan`` hands every plan back as it is."""
+
     def test_heuristic_chain_fuses_whole_pipeline(self):
         mediator = scaled_mediator()
         plan = plan_for(mediator, FANOUT_QUERY)
-        unfused_names = [type(n).__name__ for n in plan.nodes()]
-        fused, decisions = fuse_plan(plan)
-        root = fused.root
-        assert isinstance(root, FusedPipelineNode)
-        # everything downstream of the source scan collapses into one
-        # pipeline: ExternalPred => ParamQuery => Construct
-        assert [type(n).__name__ for n in root.nodes] == unfused_names[1:]
-        assert root.fusion_width == len(root.nodes)
-        (query_node,) = root.inputs
-        assert isinstance(query_node, QueryNode)
-        fused_decisions = [d for d in decisions if d.fused]
-        assert len(fused_decisions) == 1
-        assert fused_decisions[0].render().startswith("+ fused")
-        assert " => ".join(fused_decisions[0].nodes) in root.describe()
+        assert fuse_plan(plan) == (plan, [])
+        # the straight line after the source scan stays one node per
+        # operator, each reading the table of the one before it
+        nodes = plan.nodes()
+        assert [type(node) for node in nodes] == [
+            QueryNode, ExternalPredNode, ParameterizedQueryNode,
+            ConstructorNode,
+        ]
+        for child, node in zip(nodes, nodes[1:]):
+            assert node.inputs == (child,)
 
     def test_stage_accounting_is_fusion_invariant(self):
         mediator = scaled_mediator()
         plan = plan_for(mediator, FANOUT_QUERY)
-        depth_before = plan.depth()
-        starts_before = [number for number, _ in plan.stage_starts()]
-        fused, _ = fuse_plan(plan_for(mediator, FANOUT_QUERY))
-        assert fused.depth() == depth_before
-        assert starts_before == list(range(1, depth_before + 1))
-        # the fused node takes its first constituent's stage number and
-        # spans the same range the constituents did
-        numbers = dict(
-            (type(group[0]).__name__, number)
-            for number, group in fused.stage_starts()
+        assert fuse_plan(plan)[0].depth() == plan.depth() == 4
+        stage_of = {
+            id(node): number
+            for number, group in enumerate(plan.stages(), 1)
+            for node in group
+        }
+        # stages are numbered 1..n, each node one past its deepest input
+        for node in plan.nodes():
+            assert stage_of[id(node)] == 1 + max(
+                (stage_of[id(child)] for child in node.inputs), default=0
+            )
+        assert sorted(set(stage_of.values())) == list(
+            range(1, plan.depth() + 1)
         )
-        assert numbers["QueryNode"] == 1
-        assert numbers["FusedPipelineNode"] == 2
 
     def test_union_is_a_barrier_each_branch_fuses(self):
         # MS1_FUSION defines cs_person by two rules (one per source),
@@ -90,46 +103,43 @@ class TestFusePlan:
             push_mode="needed",
             register=False,
         )
-        plan = plan_for(mediator, FANOUT_QUERY)
-        fused, _ = fuse_plan(plan)
-        root = fused.root
+        plan, decisions = fuse_plan(plan_for(mediator, FANOUT_QUERY))
+        assert decisions == []
+        root = plan.root
         assert isinstance(root, UnionNode)
         assert len(root.inputs) == 2
         assert all(
-            isinstance(branch, FusedPipelineNode) for branch in root.inputs
+            isinstance(branch, ConstructorNode) for branch in root.inputs
         )
 
     def test_fetch_all_join_is_a_barrier(self):
         mediator = scaled_mediator(strategy="fetch_all")
-        fused, decisions = fuse_plan(plan_for(mediator, FANOUT_QUERY))
-        names = [type(n).__name__ for n in fused.nodes()]
-        assert "JoinNode" in names
-        # the constructor reads the join, so it stays a single operator
-        assert "FusedPipelineNode" not in names
-        assert any(
-            "upstream JoinNode is a fusion barrier" in d.reason
-            for d in decisions
-        )
+        plan, decisions = fuse_plan(plan_for(mediator, FANOUT_QUERY))
+        assert decisions == []
+        # the constructor reads the join's table directly
+        assert isinstance(plan.root, ConstructorNode)
+        assert isinstance(plan.root.inputs[0], JoinNode)
 
     def test_fan_out_is_a_barrier(self):
-        """A node with two consumers ends the chain; the consumers stay
-        single operators and are rewired onto the fused producer."""
+        """A node with two consumers runs once; both read its table."""
         query = QueryNode("whois", WHOIS_NAMES)
         first = FilterNode(query, Comparison(Var("N"), "!=", Const("w")))
         shared = FilterNode(first, Comparison(Var("N"), "!=", Const("x")))
         left = FilterNode(shared, Comparison(Var("N"), "!=", Const("y")))
         right = FilterNode(shared, Comparison(Var("N"), "!=", Const("z")))
-        fused, decisions = fuse_plan(PhysicalPlan(JoinNode(left, right)))
-        pipelines = [
-            n for n in fused.nodes() if isinstance(n, FusedPipelineNode)
-        ]
-        assert len(pipelines) == 1
-        assert pipelines[0].nodes == (first, shared)
-        # both branches now read from the same fused producer
-        assert left.inputs[0] is pipelines[0]
-        assert right.inputs[0] is pipelines[0]
-        reasons = [d.reason for d in decisions if not d.fused]
-        assert any("fans out to 2" in reason for reason in reasons)
+        plan = PhysicalPlan(JoinNode(left, right))
+        assert fuse_plan(plan) == (plan, [])
+        whois = OEMStoreWrapper(
+            "whois", [obj("person", atom("name", name)) for name in "vwxyz"]
+        )
+        engine = DatamergeEngine(trace=True)
+        table = engine.execute(
+            plan, ExecutionContext(SourceRegistry(whois), default_registry())
+        )
+        assert sorted(row[0] for row in table.rows) == ["v"]
+        ran = [entry.node for entry in engine.last_trace]
+        assert ran == plan.nodes()
+        assert ran.count(shared) == 1
 
     def test_plan_without_chains_is_returned_unchanged(self):
         plan = PhysicalPlan(QueryNode("whois", WHOIS_NAMES))
@@ -142,90 +152,46 @@ class TestMediatorSurface:
     def test_explain_reports_decisions(self):
         mediator = scaled_mediator()
         text = mediator.explain(FANOUT_QUERY)
-        assert "-- operator fusion --" in text
-        assert "pipeline [" in text
-        assert "+ fused" in text
+        assert "-- operator fusion --" not in text
+        plan = mediator._planned(*mediator._shape_of(FANOUT_QUERY))[0].plan
+        graph = text.split("-- physical datamerge graph --\n")[1]
+        assert graph.startswith(plan.describe() + "\n")
+        assert len(plan.nodes()) == 4
 
     def test_fuse_false_reverts_to_reference_path(self):
         scenario = build_scaled_scenario(12, push_mode="needed")
-        mediator = Mediator(
-            "med",
-            scenario.mediator.specification,
-            scenario.registry,
-            scenario.externals,
-            push_mode="needed",
-            register=False,
-            fuse=False,
-        )
-        assert "-- operator fusion --" not in mediator.explain(FANOUT_QUERY)
+        with pytest.raises(TypeError):
+            Mediator(
+                "med",
+                scenario.mediator.specification,
+                scenario.registry,
+                scenario.externals,
+                fuse=False,
+            )
+        mediator = scenario.mediator
+        assert Mediator.fuse is False and mediator.fuse is False
         mediator.query(FANOUT_QUERY)
-        assert mediator.last_fusion == []
-        assert "fusion" not in mediator.profiler.snapshot()
+        assert set(mediator.profiler.snapshot()) == {"nodes", "patterns"}
 
     def test_trace_mode_disables_fusion(self):
-        """Figure 3.6 replay needs one table per operator, so tracing
-        implies the unfused reference path even with fuse=True."""
+        """Trace mode runs the plan production runs, and records one
+        table per operator of it (the Figure 3.6 replay)."""
         mediator = scaled_mediator(trace=True)
-        assert mediator.fuse
+        plan = mediator._planned(*mediator._shape_of(FANOUT_QUERY))[0].plan
         mediator.query(FANOUT_QUERY)
-        assert mediator.last_fusion == []
-        traced = [type(e.node).__name__ for e in mediator.engine.last_trace]
-        assert "FusedPipelineNode" not in traced
-        assert "ParameterizedQueryNode" in traced
-        assert "-- operator fusion --" not in mediator.explain(FANOUT_QUERY)
+        traced = [entry.node for entry in mediator.engine.last_trace]
+        assert traced == plan.nodes()
 
     def test_fused_profile_attributes_constituents(self):
         mediator = scaled_mediator()
         mediator.query(FANOUT_QUERY)
         snap = mediator.profiler.snapshot()
-        assert snap["fusion"]["chains"] >= 1
-        assert snap["fusion"]["operators"] >= 2
-        for name in (
-            "ParameterizedQueryNode", "ConstructorNode", "FusedPipelineNode"
-        ):
-            assert name in snap["nodes"]
-        assert "operator fusion:" in mediator.profiler.render()
-
-
-SPEC = """
-<cs_person {<name N> <rel R> | Rest1}> :-
-    <person {<name N> <dept 'CS'> <relation R> | Rest1}>@whois ;
-"""
-
-WHOIS = """
-<&p1, person, set, {&n1,&d1,&rel1}>
-  <&n1, name, string, 'Joe Chung'>
-  <&d1, dept, string, 'CS'>
-  <&rel1, relation, string, 'employee'>
-;
-"""
-
-
-class TestCLIFlag:
-    def test_no_fuse_gives_same_answers(self, tmp_path):
-        import io
-
-        spec = tmp_path / "med.msl"
-        spec.write_text(SPEC)
-        whois = tmp_path / "whois.oem"
-        whois.write_text(WHOIS)
-        argv = [
-            "--spec", str(spec),
-            "--source", f"whois={whois}",
-            "--query", "X :- X:<cs_person {<name 'Joe Chung'>}>@med",
-            "--format", "inline",
-        ]
-        outputs = []
-        for extra in ([], ["--no-fuse"]):
-            stdout, stderr = io.StringIO(), io.StringIO()
-            status = cli_main(
-                argv + extra, stdout=stdout, stderr=stderr,
-                stdin=io.StringIO(""),
-            )
-            assert status == 0, stderr.getvalue()
-            outputs.append(stdout.getvalue())
-        assert outputs[0] == outputs[1]
-        assert "'Joe Chung'" in outputs[0]
+        plan = mediator._planned(*mediator._shape_of(FANOUT_QUERY))[0].plan
+        assert set(snap) == {"nodes", "patterns"}
+        assert set(snap["nodes"]) == set(node_types(plan))
+        for entry in snap["nodes"].values():
+            assert entry["calls"] == 1
+        assert "operator fusion" not in mediator.profiler.render()
 
 
 def reference_join(left, right):
@@ -346,35 +312,34 @@ class TestColumnarTables:
 
 
 class TestCompiledHeadInstantiation:
-    """The constructor builds with the compiled head builders whether it
-    stands alone or ends a fused chain (the builders themselves are
-    tested in tests/unit/test_msl_compile.py)."""
+    """The constructor builds with the compiled head builders wherever
+    it stands in the plan (the builders themselves are tested in
+    tests/unit/test_msl_compile.py)."""
 
     def test_chain_of_one_constructor_uses_compiled_builders(self):
-        # the constructor has one body: alone behind a join (a chain of
-        # one) it gets the compiled head builders exactly as the last
-        # constituent of a fused chain does, and either way builds the
-        # objects the planner-free reference (tests/reference.py) does
-        from repro.mediator import ConstructorNode
-
+        # the constructor has one body: behind a join or at the end of
+        # a straight line it gets the compiled head builders, and either
+        # way builds the objects the planner-free reference
+        # (tests/reference.py) does
         def run(**kwargs):
             mediator = scaled_mediator(**kwargs)
-            plan, _ = fuse_plan(plan_for(mediator, FANOUT_QUERY))
+            plan = plan_for(mediator, FANOUT_QUERY)
             objects = mediator.engine.execute_to_objects(
                 plan, mediator._context()
             )
             return plan.root, objects
 
-        alone, joined = run(strategy="fetch_all")
-        assert isinstance(alone, ConstructorNode)
-        assert isinstance(alone.inputs[0], JoinNode)
-        fused, piped = run()
-        assert isinstance(fused, FusedPipelineNode)
-        for constructor in (alone, fused.nodes[-1]):
+        joined_root, joined = run(strategy="fetch_all")
+        assert isinstance(joined_root, ConstructorNode)
+        assert isinstance(joined_root.inputs[0], JoinNode)
+        chained_root, chained = run()
+        assert isinstance(chained_root, ConstructorNode)
+        assert isinstance(chained_root.inputs[0], ParameterizedQueryNode)
+        for constructor in (joined_root, chained_root):
             (builders,) = constructor._builders.values()
             assert builders and all(callable(build) for build in builders)
         expected = canonical(
             reference_answer(scaled_mediator(), FANOUT_QUERY)
         )
-        assert canonical(joined) == canonical(piped) == expected
+        assert canonical(joined) == canonical(chained) == expected
         assert len(expected) > 1

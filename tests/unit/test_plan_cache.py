@@ -2,7 +2,7 @@
 and the budget that keeps the saving from eroding.
 
 The warm path of a parameterised lookup must do *no* shape-only work —
-no parse, no expansion, no planning, no fusion pass, no compilation —
+no parse, no expansion, no planning, no compilation —
 on either side of ``Source.answer``; what makes a remembered plan be
 made again is tested one cause at a time; and the three places planning
 could read a lifted constant's value each either move to bind time or
@@ -21,11 +21,9 @@ from repro.exec import AnswerCache
 from repro.external.registry import ExternalRegistry, default_registry
 from repro.governor import BudgetExceeded, QueryBudget
 from repro.mediator import Mediator
-from repro.mediator import mediator as mediator_module
 from repro.mediator import plancache
 from repro.mediator.optimizer import CostBasedOptimizer
 from repro.mediator.plan import ShardedQueryNode
-from repro.mediator.pipeline import plan_operators
 from repro.mediator.view_expander import ViewExpander
 from repro.msl import compile as compile_module
 from repro.msl import parse_query, parse_rule
@@ -106,7 +104,6 @@ class TestWarmPathBudget:
         spy(ViewExpander, "expand")
         spy(CostBasedOptimizer, "plan_program")
         spy(CostBasedOptimizer, "plan_rule")
-        spy(mediator_module, "fuse_plan")
         spy(parser_module._Parser, "__init__")
         spy(compile_module.CompiledRule, "__init__")
         before = (mediator._plans.stats(), store.stats())
@@ -266,11 +263,10 @@ class TestOnePlanningCallSite:
             Mediator._execute,
         ):
             source = inspect.getsource(method)
-            for callee in ("expander.expand", "plan_program", "plan_rule",
-                           "fuse_plan("):
+            for callee in ("expander.expand", "plan_program", "plan_rule"):
                 assert callee not in source, (method.__name__, callee)
         planner = inspect.getsource(Mediator._plan)
-        assert "expander.expand" in planner and "fuse_plan(" in planner
+        assert "expander.expand" in planner and "plan_program" in planner
 
     def test_no_public_prepared_form(self):
         assert not [
@@ -366,7 +362,7 @@ class TestValueDependentPlanning:
         text = mediator.explain(lookup(3))
         assert "plan cache: shape reusable" in text
         planned, _ = mediator._planned(*mediator._shape_of(lookup(3)))
-        (leaf,) = [n for n in plan_operators(planned.plan)
+        (leaf,) = [n for n in planned.plan.nodes()
                    if isinstance(n, ShardedQueryNode)]
         assert leaf.routed is not None and len(leaf.shard_names) == 4
         assert mediator._plans.stats()["entries"] == 1
@@ -515,9 +511,8 @@ class TestReplanning:
             lambda m: setattr(m.optimizer, "strategy", "statistics"),
             lambda m: setattr(m.expander, "push_mode", "needed"),
             lambda m: setattr(m, "semijoin", False),
-            lambda m: setattr(m, "fuse", False),
         ],
-        ids=["strategy", "push_mode", "semijoin", "fuse"],
+        ids=["strategy", "push_mode", "semijoin"],
     )
     def test_assigning_a_planning_setting_replans_once(self, assign):
         scenario = build_scenario()

@@ -155,10 +155,6 @@ def run_fault_schedule(seed, quick, verbose):
                 AdaptiveTimeoutConfig() if rng.random() < 0.5 else None
             ),
         ),
-        # half the schedules run the fused pipeline path, half the
-        # node-per-operator reference path — faults, budgets, and
-        # degrade warnings must behave identically under both
-        fuse=rng.random() < 0.5,
         budget=budget,
         budget_mode="truncate",
         clock=clock,
